@@ -34,7 +34,7 @@ use ams_hash::plane::SignPlane;
 use ams_hash::{PolySignPlane, SplitMix64};
 use ams_net::{AckMode, AmsClient, AssembledTrace, IngestOutcome, NetServer, NetServerConfig};
 use ams_service::{
-    AmsService, DurabilityConfig, FsyncPolicy, RouterPolicy, ServiceConfig, ServiceError,
+    AmsService, DurabilityConfig, FsyncPolicy, RouterPolicy, ServiceConfig, ServiceError, Wait,
 };
 use ams_stream::{value_blocks, CoalesceBuffer, Multiset, OpBlock};
 use ams_telemetry::noop::{NoopCounter, NoopHistogram};
@@ -1070,7 +1070,7 @@ fn main() {
                 *next_id += 1;
                 let mut attempt = block.clone();
                 loop {
-                    match service.try_ingest_block_traced_returning("v", attempt, None, *next_id) {
+                    match service.submit("v", attempt, None, *next_id, Wait::Try) {
                         Ok(_) => break,
                         Err((back, ServiceError::WouldBlock { .. })) => {
                             attempt = back;

@@ -9,16 +9,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ams_service::{HealthReport, MetricsSnapshot, ServiceEvent, ServiceSnapshot, ServiceStats};
-use ams_stream::{OpBlock, Value};
+use ams_stream::OpBlock;
 use ams_telemetry::{
     trace_clock_ns, AssembledTrace, Counter, EventCode, EventHub, EventRecorder, Gauge,
     MetricsRegistry, TraceHub, TraceRecorder, TraceStage,
 };
 
-use crate::codec::{
-    encode_ingest_batch_frame_ex_into, encode_ingest_batch_frame_into, encode_ingest_frame_ex_into,
-    encode_ingest_frame_into, FrameDecoder, Request, Response,
-};
+use crate::codec::{encode_ingest_frame_into, FrameDecoder, Request, Response};
 use crate::error::NetError;
 
 /// How batch helpers overlap requests and responses: this many
@@ -145,9 +142,10 @@ impl ClientTelemetry {
 ///
 /// ```no_run
 /// use ams_net::AmsClient;
+/// use ams_stream::OpBlock;
 ///
 /// let mut client = AmsClient::connect("127.0.0.1:4100")?;
-/// client.ingest_values("clicks", &[1, 2, 2, 3])?;
+/// client.ingest_block("clicks", &OpBlock::from_values([1, 2, 2, 3]))?;
 /// client.drain()?;
 /// println!("self-join ≈ {}", client.self_join("clicks")?);
 /// # Ok::<(), ams_net::NetError>(())
@@ -164,8 +162,7 @@ pub struct AmsClient {
     /// Requested ack semantics for ingest submissions.
     ack_mode: AckMode,
     /// Redial behaviour on transport failure; `None` (the default)
-    /// keeps the legacy fail-fast contract and the legacy untagged
-    /// wire frames.
+    /// keeps the fail-fast contract and untagged ingest frames.
     reconnect: Option<ReconnectPolicy>,
     /// Resolved server addresses, kept for redialing.
     addrs: Vec<SocketAddr>,
@@ -196,7 +193,7 @@ pub struct AmsClient {
 }
 
 impl AmsClient {
-    /// Blocks coalesced into one `IngestBlocks` frame by
+    /// Blocks coalesced into one `Ingest` frame by
     /// [`Self::ingest_blocks`]: enough to amortize the frame header,
     /// checksum, per-frame dispatch, and (on small hosts) the
     /// client↔reactor scheduling ping-pong, while keeping several
@@ -267,23 +264,15 @@ impl AmsClient {
         self
     }
 
-    /// Enables request tracing: every `every`-th ingest submission
-    /// (1 = all, 0 = off) carries a fresh nonzero trace id on the
-    /// extended wire frames, making it tail-sampling-eligible
+    /// Enables request tracing: every `every`-th ingest frame (1 = all,
+    /// 0 = off) carries a fresh nonzero trace id for its first block,
+    /// making it tail-sampling-eligible
     /// server-side; the client's own `client_encode`/`client_recv`
     /// stages land in a local hub readable via
     /// [`Self::local_traces`].
     pub fn with_tracing(mut self, every: u64) -> Self {
         self.trace_every = every;
         self
-    }
-
-    /// `(durable, tagged)` for the current configuration: durable acks
-    /// come from [`AckMode::Fsync`], tags from an armed reconnect
-    /// policy. Either one moves ingest onto the extended wire frames;
-    /// with neither, the legacy frames are emitted byte-identically.
-    fn ingest_mode(&self) -> (bool, bool) {
-        (self.ack_mode == AckMode::Fsync, self.reconnect.is_some())
     }
 
     /// Whether `error` is a transport failure the reconnect machinery
@@ -307,7 +296,7 @@ impl AmsClient {
         (self.next_rng() >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// The trace id for the next ingest submission: a fresh nonzero id
+    /// The trace id for the next ingest frame: a fresh nonzero id
     /// every `trace_every`-th call, 0 (untraced) otherwise.
     fn next_trace_id(&mut self) -> u64 {
         if self.trace_every == 0 {
@@ -407,7 +396,8 @@ impl AmsClient {
     }
 
     /// Submits one block without retrying: a load-shed submission
-    /// surfaces as [`IngestOutcome::Busy`].
+    /// surfaces as [`IngestOutcome::Busy`]. A one-block run of the
+    /// [`Self::ingest_blocks`] pipeline.
     ///
     /// # Errors
     /// Transport or server errors ([`NetError`]); `Busy` is **not** an
@@ -417,69 +407,8 @@ impl AmsClient {
         attribute: &str,
         block: &OpBlock,
     ) -> Result<IngestOutcome, NetError> {
-        let (durable, tagged) = self.ingest_mode();
-        let trace = self.next_trace_id();
-        if durable || tagged || trace != 0 {
-            let producer = if tagged { self.producer } else { 0 };
-            let seq = if tagged {
-                let s = self.next_seq;
-                self.next_seq += 1;
-                s
-            } else {
-                0
-            };
-            // The same frame (same seq) is rewritten verbatim across
-            // reconnect resubmissions: with nothing later in flight on
-            // this blocking path, a server that already applied it
-            // dedups the duplicate and re-acks.
-            let t0 = trace_clock_ns();
-            encode_ingest_frame_ex_into(
-                attribute,
-                block,
-                durable,
-                producer,
-                seq,
-                trace,
-                &mut self.encode_buf,
-            )?;
-            self.trace_recorder
-                .record_since(trace, TraceStage::ClientEncode, t0);
-            return self.exchange_encoded_ingest(trace);
-        }
-        // Borrowed encoding into the reused buffer: the block is
-        // serialized straight into the frame, never cloned into an
-        // owned request, and no frame allocation happens after warm-up.
-        encode_ingest_frame_into(attribute, block, &mut self.encode_buf)?;
-        self.stream.write_all(&self.encode_buf)?;
-        self.recv_ingest_outcome()
-    }
-
-    /// Writes the ingest frame staged in `encode_buf` and reads its
-    /// outcome, transparently redialing and rewriting the *same* frame
-    /// on transport failure when reconnect is enabled.
-    fn exchange_encoded_ingest(&mut self, trace: u64) -> Result<IngestOutcome, NetError> {
-        let budget = self.reconnect.map_or(0, |p| p.max_attempts);
-        let mut resubmits = 0usize;
-        loop {
-            let result = self
-                .stream
-                .write_all(&self.encode_buf)
-                .map_err(NetError::from)
-                .and_then(|()| {
-                    let t0 = trace_clock_ns();
-                    let outcome = self.recv_ingest_outcome();
-                    self.trace_recorder
-                        .record_since(trace, TraceStage::ClientRecv, t0);
-                    outcome
-                });
-            match result {
-                Err(e) if self.reconnectable(&e) && resubmits < budget => {
-                    resubmits += 1;
-                    self.reconnect_now()?;
-                }
-                other => return other,
-            }
-        }
+        let outcomes = self.ingest_blocks(attribute, std::slice::from_ref(block))?;
+        Ok(outcomes[0])
     }
 
     /// Maps the next response to an ingest outcome.
@@ -534,25 +463,26 @@ impl AmsClient {
         })
     }
 
-    /// Convenience: run-coalesces a value slice into a block and
-    /// submits it with [`Self::ingest_block`].
+    /// Pipelined ingest **without retry** — the path every ingest
+    /// takes. Blocks are coalesced into `Ingest` frames of up to
+    /// [`Self::INGEST_BATCH`] (one frame header + checksum per batch
+    /// instead of per block), streamed down the socket a bounded window
+    /// of [`PIPELINE_WINDOW`] *blocks* ahead of the responses, and each
+    /// block's outcome is returned in order — the server answers per
+    /// block, so batching never changes the backpressure contract. One
+    /// encode buffer is reused across the whole pipeline (zero
+    /// steady-state allocations). The caller decides what to do with
+    /// the `Busy` ones — resubmit, shed load, or back off.
     ///
-    /// # Errors
-    /// As for [`Self::ingest_block`].
-    pub fn ingest_values(&mut self, attribute: &str, values: &[Value]) -> Result<(), NetError> {
-        self.ingest_block(attribute, &OpBlock::from_values(values.iter().copied()))
-    }
-
-    /// Pipelined batch ingest **without retry**: blocks are coalesced
-    /// into `IngestBlocks` frames of [`Self::INGEST_BATCH`] (one frame
-    /// header + checksum per batch instead of per block), streamed
-    /// down the socket a bounded window of *blocks* ahead of the
-    /// responses, and each block's outcome is returned in order — the
-    /// server answers per block, so batching never changes the
-    /// backpressure contract. One encode buffer is reused across the
-    /// whole pipeline (zero steady-state allocations). The caller
-    /// decides what to do with the `Busy` ones — resubmit, shed load,
-    /// or back off.
+    /// Every frame carries the client's ingest options: the durable-ack
+    /// flag under [`AckMode::Fsync`], a `(producer, seq)` tag per block
+    /// once a [`ReconnectPolicy`] is armed, and a trace id on every
+    /// `trace_every`-th frame. With reconnect armed, a transport
+    /// failure redials and resubmits the *unacknowledged suffix* — and
+    /// nothing else — with its original sequence numbers: blocks whose
+    /// ack was lost are deduped server-side, blocks never received are
+    /// applied normally, and in either case exactly one outcome per
+    /// block comes back.
     ///
     /// # Errors
     /// Transport or server errors; outcomes are only returned when the
@@ -562,70 +492,18 @@ impl AmsClient {
         attribute: &str,
         blocks: &[OpBlock],
     ) -> Result<Vec<IngestOutcome>, NetError> {
-        let (durable, tagged) = self.ingest_mode();
-        if durable || tagged || self.trace_every != 0 {
-            return self.ingest_blocks_ex(attribute, blocks, durable, tagged);
-        }
-        let mut outcomes: Vec<IngestOutcome> = Vec::with_capacity(blocks.len());
-        let mut sent = 0usize;
-        for batch in blocks.chunks(Self::INGEST_BATCH) {
-            encode_ingest_batch_frame_into(attribute, batch, &mut self.encode_buf)?;
-            self.stream.write_all(&self.encode_buf)?;
-            sent += batch.len();
-            self.telemetry
-                .pipeline_peak
-                .raise_to((sent - outcomes.len()) as i64);
-            // Read outcomes back whenever the window is full so the
-            // in-flight bound stays at PIPELINE_WINDOW blocks.
-            while sent - outcomes.len() >= PIPELINE_WINDOW {
-                let outcome = self.recv_ingest_outcome()?;
-                outcomes.push(outcome);
-            }
-        }
-        while outcomes.len() < blocks.len() {
-            let outcome = self.recv_ingest_outcome()?;
-            outcomes.push(outcome);
-        }
-        Ok(outcomes)
-    }
-
-    /// The extended-frame variant of [`Self::ingest_blocks`]: same
-    /// windowed pipelining, but each block carries its idempotency tag
-    /// (when tagged) and the durable-ack flag. The in-flight window is
-    /// mirrored client-side as `(seq, block)` pairs so that, on a
-    /// transport failure with reconnect enabled, the *unacknowledged
-    /// suffix* — and nothing else — is resubmitted with its original
-    /// sequence numbers: blocks whose ack was lost are deduped
-    /// server-side, blocks never received are applied normally, and in
-    /// either case exactly one outcome per block comes back.
-    fn ingest_blocks_ex(
-        &mut self,
-        attribute: &str,
-        blocks: &[OpBlock],
-        durable: bool,
-        tagged: bool,
-    ) -> Result<Vec<IngestOutcome>, NetError> {
-        let producer = if tagged { self.producer } else { 0 };
         let budget = self.reconnect.map_or(0, |p| p.max_attempts);
         let mut outcomes: Vec<IngestOutcome> = Vec::with_capacity(blocks.len());
-        // The in-flight window as `(seq, block, trace)`, oldest first;
-        // survives reconnects so the suffix can be replayed with its
-        // original seqs (and trace ids).
-        let mut inflight: VecDeque<(u64, OpBlock, u64)> = VecDeque::new();
+        // The in-flight window as `(seq, index into blocks, trace)`,
+        // oldest first; survives reconnects so the suffix can be
+        // replayed with its original seqs (and trace ids).
+        let mut inflight: VecDeque<(u64, usize, u64)> = VecDeque::new();
         let mut next = 0usize;
         let mut resubmits = 0usize;
         loop {
-            match self.pump_ingest_ex(
-                attribute,
-                blocks,
-                durable,
-                producer,
-                &mut inflight,
-                &mut next,
-                &mut outcomes,
-            ) {
+            match self.pump_ingest(attribute, blocks, &mut inflight, &mut next, &mut outcomes) {
                 Ok(()) => return Ok(outcomes),
-                Err(e) if tagged && self.reconnectable(&e) && resubmits < budget => {
+                Err(e) if self.reconnectable(&e) && resubmits < budget => {
                     resubmits += 1;
                     self.reconnect_now()?;
                 }
@@ -634,32 +512,35 @@ impl AmsClient {
         }
     }
 
-    /// One attempt at driving the extended pipeline to completion:
-    /// first re-send whatever the window still holds (non-empty only
-    /// right after a reconnect), then interleave submissions and
-    /// outcome reads under the window bound.
-    #[allow(clippy::too_many_arguments)]
-    fn pump_ingest_ex(
+    /// One attempt at driving the pipeline to completion: first re-send
+    /// whatever the window still holds (non-empty only right after a
+    /// reconnect), then interleave submissions and outcome reads under
+    /// the window bound.
+    fn pump_ingest(
         &mut self,
         attribute: &str,
         blocks: &[OpBlock],
-        durable: bool,
-        producer: u64,
-        inflight: &mut VecDeque<(u64, OpBlock, u64)>,
+        inflight: &mut VecDeque<(u64, usize, u64)>,
         next: &mut usize,
         outcomes: &mut Vec<IngestOutcome>,
     ) -> Result<(), NetError> {
+        let durable = self.ack_mode == AckMode::Fsync;
+        let producer = if self.reconnect.is_some() {
+            self.producer
+        } else {
+            0
+        };
         // Resubmit the unacked suffix, one frame per block (reconnects
         // are rare; re-batching is not worth the bookkeeping). Original
         // seqs make already-applied duplicates a server-side skip.
-        for (seq, block, trace) in inflight.iter() {
-            encode_ingest_frame_ex_into(
+        for &(seq, index, trace) in inflight.iter() {
+            encode_ingest_frame_into(
                 attribute,
-                block,
+                std::slice::from_ref(&blocks[index]),
                 durable,
                 producer,
-                *seq,
-                *trace,
+                seq,
+                trace,
                 &mut self.encode_buf,
             )?;
             self.stream.write_all(&self.encode_buf)?;
@@ -668,34 +549,37 @@ impl AmsClient {
             while *next < blocks.len() && inflight.len() < PIPELINE_WINDOW {
                 let room = PIPELINE_WINDOW - inflight.len();
                 let end = (*next + Self::INGEST_BATCH.min(room)).min(blocks.len());
-                let batch = &blocks[*next..end];
                 let first_seq = self.next_seq;
-                // The wire traces a batch's first block only.
+                // The wire traces a frame's first block only.
                 let trace = self.next_trace_id();
-                let t0 = trace_clock_ns();
-                encode_ingest_batch_frame_ex_into(
+                let t0 = if trace != 0 { trace_clock_ns() } else { 0 };
+                encode_ingest_frame_into(
                     attribute,
-                    batch,
+                    &blocks[*next..end],
                     durable,
                     producer,
                     first_seq,
                     trace,
                     &mut self.encode_buf,
                 )?;
-                self.trace_recorder
-                    .record_since(trace, TraceStage::ClientEncode, t0);
-                self.next_seq += batch.len() as u64;
-                for (j, block) in batch.iter().enumerate() {
-                    let block_trace = if j == 0 { trace } else { 0 };
-                    inflight.push_back((first_seq + j as u64, block.clone(), block_trace));
+                if trace != 0 {
+                    self.trace_recorder
+                        .record_since(trace, TraceStage::ClientEncode, t0);
                 }
+                for (j, index) in (*next..end).enumerate() {
+                    let block_trace = if j == 0 { trace } else { 0 };
+                    inflight.push_back((first_seq + j as u64, index, block_trace));
+                }
+                self.next_seq += (end - *next) as u64;
                 *next = end;
                 self.telemetry.pipeline_peak.raise_to(inflight.len() as i64);
                 self.stream.write_all(&self.encode_buf)?;
             }
-            let t0 = trace_clock_ns();
+            let trace = inflight.front().map_or(0, |&(_, _, trace)| trace);
+            let t0 = if trace != 0 { trace_clock_ns() } else { 0 };
             let outcome = self.recv_ingest_outcome()?;
-            if let Some((_, _, trace)) = inflight.pop_front() {
+            inflight.pop_front();
+            if trace != 0 {
                 self.trace_recorder
                     .record_since(trace, TraceStage::ClientRecv, t0);
             }

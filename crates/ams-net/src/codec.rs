@@ -6,7 +6,7 @@
 //! ```text
 //! [0..4)   u32   payload length L (bytes after this field); 9 ≤ L ≤ 2^24
 //! [4..8)   magic b"AMSN"
-//! [8..9)   u8    protocol version (currently 1)
+//! [8..9)   u8    protocol version (currently 2)
 //! [9..13)  u32   CRC-32 (IEEE) of the body
 //! [13..13+L-9) body: kind byte + kind-specific fields
 //! ```
@@ -34,8 +34,17 @@ use ams_telemetry::AssembledTrace;
 /// Frame magic: "AMS" + "N" for the network protocol.
 pub const MAGIC: [u8; 4] = *b"AMSN";
 
-/// Current protocol version, carried in every frame header.
-pub const PROTOCOL_VERSION: u8 = 1;
+/// Current protocol version, carried in every frame header. Version 2
+/// folded the four ingest requests of version 1 into one
+/// [`Request::Ingest`].
+pub const PROTOCOL_VERSION: u8 = 2;
+
+/// Most blocks one [`Request::Ingest`] frame may carry — the client's
+/// pipeline window (it sends at most `AmsClient::INGEST_BATCH`). The
+/// server answers every block with its own response slot, so this cap
+/// is also how far one frame can carry a connection past its in-flight
+/// bound. Larger counts are rejected at decode, before any allocation.
+pub const MAX_INGEST_BLOCKS: usize = 64;
 
 /// Hard upper bound on a frame's payload (everything after the length
 /// prefix). Frames declaring more are rejected before buffering. Sized
@@ -55,7 +64,7 @@ pub const MAX_BODY: usize = MAX_FRAME_PAYLOAD - HEADER_LEN;
 // Request kinds occupy 0x01.., response kinds 0x81.. so a stray
 // response on the request path (or vice versa) fails loudly as an
 // unknown kind.
-const REQ_INGEST_BLOCK: u8 = 0x01;
+const REQ_INGEST: u8 = 0x01;
 const REQ_QUERY_SELF_JOIN: u8 = 0x02;
 const REQ_QUERY_TWO_WAY_JOIN: u8 = 0x03;
 const REQ_SNAPSHOT: u8 = 0x04;
@@ -63,26 +72,23 @@ const REQ_STATS: u8 = 0x05;
 const REQ_DRAIN: u8 = 0x06;
 const REQ_SHUTDOWN: u8 = 0x07;
 const REQ_METRICS: u8 = 0x08;
-const REQ_INGEST_BLOCKS: u8 = 0x09;
-const REQ_INGEST_BLOCK_EX: u8 = 0x0A;
-const REQ_INGEST_BLOCKS_EX: u8 = 0x0B;
 const REQ_TRACES: u8 = 0x0C;
 const REQ_EVENTS: u8 = 0x0D;
 const REQ_HEALTH: u8 = 0x0E;
 
-/// Extended-ingest flag: acknowledge only after the block's effects
+/// Ingest option flag: acknowledge only after the block's effects
 /// are on stable storage (WAL appended + fsynced per the server's
 /// policy), not merely enqueued. Against a server without a
 /// durability layer the ack degrades to after-apply.
 pub const INGEST_FLAG_DURABLE: u8 = 0x01;
-/// Extended-ingest flag: the frame carries a `(producer, seq)`
+/// Ingest option flag: the frame carries a `(producer, first_seq)`
 /// idempotency tag, letting the service skip resubmitted blocks it
 /// already logged (exactly-once resubmission after a lost ack).
 pub const INGEST_FLAG_TAGGED: u8 = 0x02;
-/// Extended-ingest flag: the frame carries a nonzero `u64` trace id —
+/// Ingest option flag: the frame carries a nonzero `u64` trace id —
 /// the request is tail-sampling-eligible and every stage it touches
-/// stamps a span for it (see `ams_telemetry::trace`). For a batch
-/// frame the id traces the batch's first block.
+/// stamps a span for it (see `ams_telemetry::trace`). The id traces
+/// the frame's first block.
 pub const INGEST_FLAG_TRACED: u8 = 0x04;
 const INGEST_FLAGS_KNOWN: u8 = INGEST_FLAG_DURABLE | INGEST_FLAG_TAGGED | INGEST_FLAG_TRACED;
 
@@ -201,57 +207,27 @@ impl std::fmt::Display for ErrorCode {
 /// A client-to-server message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Submit one columnar block of updates for one attribute.
-    IngestBlock {
-        /// The registered attribute the block belongs to.
-        attribute: String,
-        /// The updates.
-        block: OpBlock,
-    },
-    /// Submit several blocks for one attribute in a single frame,
-    /// amortizing the per-frame header, checksum, and dispatch cost
-    /// under pipelining. The server answers with **one response per
-    /// block** (`Ingested` or `Busy`), in order — batching changes the
-    /// framing, never the backpressure contract.
-    IngestBlocks {
+    /// Submit one or more columnar blocks of updates for one
+    /// attribute. The server answers with **one response per block**
+    /// (`Ingested` or `Busy`), in order — several blocks per frame
+    /// amortize the header, checksum, and dispatch cost under
+    /// pipelining without changing the backpressure contract. Block `i`
+    /// carries the implicit sequence number `first_seq + i`, so one
+    /// options header tags every block (see the `INGEST_FLAG_*`
+    /// constants for the wire flags).
+    Ingest {
         /// The registered attribute all blocks belong to.
         attribute: String,
-        /// The blocks, in submission order. Must be non-empty.
-        blocks: Vec<OpBlock>,
-    },
-    /// [`Request::IngestBlock`] with ingest options: a durable-ack
-    /// request and/or a `(producer, seq)` idempotency tag (see the
-    /// `INGEST_FLAG_*` constants for the wire flags).
-    IngestBlockEx {
-        /// The registered attribute the block belongs to.
-        attribute: String,
-        /// The updates.
-        block: OpBlock,
-        /// Acknowledge only once the block's effects are durable.
-        durable: bool,
-        /// Idempotency producer id; `0` means untagged.
-        producer: u64,
-        /// Producer-local sequence number (meaningful when
-        /// `producer != 0`).
-        seq: u64,
-        /// Trace id; `0` means untraced (see [`INGEST_FLAG_TRACED`]).
-        trace: u64,
-    },
-    /// [`Request::IngestBlocks`] with ingest options. Block `i` of the
-    /// batch carries the implicit sequence number `first_seq + i`, so
-    /// one header tags the whole batch.
-    IngestBlocksEx {
-        /// The registered attribute all blocks belong to.
-        attribute: String,
-        /// The blocks, in submission order. Must be non-empty.
+        /// The blocks, in submission order: 1 to [`MAX_INGEST_BLOCKS`].
         blocks: Vec<OpBlock>,
         /// Acknowledge each block only once its effects are durable.
         durable: bool,
         /// Idempotency producer id; `0` means untagged.
         producer: u64,
-        /// Sequence number of the first block; later blocks increment.
+        /// Sequence number of the first block; later blocks increment
+        /// (meaningful when `producer != 0`).
         first_seq: u64,
-        /// Trace id for the batch's **first block**; `0` means
+        /// Trace id for the frame's **first block**; `0` means
         /// untraced (see [`INGEST_FLAG_TRACED`]).
         trace: u64,
     },
@@ -499,62 +475,8 @@ fn finish(data: &[u8]) -> Result<(), FrameError> {
     }
 }
 
-/// Encodes an `IngestBlock` request into `out` as one complete frame
-/// from borrowed parts — the client's ingest hot path: no owned
-/// [`Request`] (so no block clone) and no per-call frame allocation
-/// (the caller reuses one buffer across the pipeline).
-///
-/// # Errors
-/// [`FrameError`] when the attribute or block exceeds the frame-size
-/// limits (split the block and resubmit).
-pub fn encode_ingest_frame_into(
-    attribute: &str,
-    block: &OpBlock,
-    out: &mut Vec<u8>,
-) -> Result<(), FrameError> {
-    begin_frame(out);
-    out.put_u8(REQ_INGEST_BLOCK);
-    put_str(out, attribute)?;
-    block.encode_wire(out);
-    finish_frame(out)
-}
-
-/// Allocating convenience wrapper over [`encode_ingest_frame_into`].
-///
-/// # Errors
-/// As for [`encode_ingest_frame_into`].
-pub fn encode_ingest_frame(attribute: &str, block: &OpBlock) -> Result<Vec<u8>, FrameError> {
-    let mut out = Vec::with_capacity(FRAME_PREFIX + 3 + attribute.len() + block.wire_len());
-    encode_ingest_frame_into(attribute, block, &mut out)?;
-    Ok(out)
-}
-
-/// Writes the extended-ingest option prefix: the flags byte, the
-/// idempotency tag when `producer != 0`, and the trace id when
-/// `trace != 0`.
-fn put_ingest_options(out: &mut Vec<u8>, durable: bool, producer: u64, seq: u64, trace: u64) {
-    let mut flags = 0u8;
-    if durable {
-        flags |= INGEST_FLAG_DURABLE;
-    }
-    if producer != 0 {
-        flags |= INGEST_FLAG_TAGGED;
-    }
-    if trace != 0 {
-        flags |= INGEST_FLAG_TRACED;
-    }
-    out.put_u8(flags);
-    if producer != 0 {
-        out.put_u64_le(producer);
-        out.put_u64_le(seq);
-    }
-    if trace != 0 {
-        out.put_u64_le(trace);
-    }
-}
-
-/// Reads the extended-ingest option prefix written by
-/// [`put_ingest_options`]: `(durable, producer, seq, trace)`.
+/// Reads the ingest option prefix written by
+/// [`encode_ingest_frame_into`]: `(durable, producer, seq, trace)`.
 fn get_ingest_options(data: &mut &[u8]) -> Result<(bool, u64, u64, u64), FrameError> {
     if data.remaining() < 1 {
         return Err(FrameError::Malformed {
@@ -603,37 +525,16 @@ fn get_ingest_options(data: &mut &[u8]) -> Result<(bool, u64, u64, u64), FrameEr
     Ok((durable, producer, seq, trace))
 }
 
-/// Encodes an extended `IngestBlockEx` request into `out` as one
-/// complete frame from borrowed parts — the reconnecting client's
-/// tagged/durable ingest hot path (same zero-clone, reused-buffer
-/// contract as [`encode_ingest_frame_into`]).
+/// Encodes an [`Request::Ingest`] into `out` as one complete frame
+/// from borrowed parts — the client's ingest hot path: no owned
+/// [`Request`] (so no block clone) and no per-call frame allocation
+/// (the caller reuses one buffer across the pipeline).
 ///
 /// # Errors
-/// As for [`encode_ingest_frame_into`].
-pub fn encode_ingest_frame_ex_into(
-    attribute: &str,
-    block: &OpBlock,
-    durable: bool,
-    producer: u64,
-    seq: u64,
-    trace: u64,
-    out: &mut Vec<u8>,
-) -> Result<(), FrameError> {
-    begin_frame(out);
-    out.put_u8(REQ_INGEST_BLOCK_EX);
-    put_ingest_options(out, durable, producer, seq, trace);
-    put_str(out, attribute)?;
-    block.encode_wire(out);
-    finish_frame(out)
-}
-
-/// Encodes an extended `IngestBlocksEx` batch request into `out` as
-/// one complete frame from borrowed parts. Block `i` carries the
-/// implicit sequence number `first_seq + i`.
-///
-/// # Errors
-/// As for [`encode_ingest_batch_frame_into`].
-pub fn encode_ingest_batch_frame_ex_into(
+/// [`FrameError::Malformed`] for an empty batch or one over
+/// [`MAX_INGEST_BLOCKS`]; [`FrameError`] when the attribute or the
+/// blocks exceed the frame-size limits (split the batch and resubmit).
+pub fn encode_ingest_frame_into(
     attribute: &str,
     blocks: &[OpBlock],
     durable: bool,
@@ -647,38 +548,33 @@ pub fn encode_ingest_batch_frame_ex_into(
             reason: "empty ingest batch",
         });
     }
-    begin_frame(out);
-    out.put_u8(REQ_INGEST_BLOCKS_EX);
-    put_ingest_options(out, durable, producer, first_seq, trace);
-    put_str(out, attribute)?;
-    out.put_u32_le(blocks.len() as u32);
-    for block in blocks {
-        block.encode_wire(out);
-    }
-    finish_frame(out)
-}
-
-/// Encodes an `IngestBlocks` batch request into `out` as one complete
-/// frame from borrowed parts — the client's coalesced ingest hot path.
-/// One frame carries every block; the server still answers one
-/// response per block, in order.
-///
-/// # Errors
-/// [`FrameError::Malformed`] for an empty batch; [`FrameError`] when
-/// the attribute or combined blocks exceed the frame-size limits
-/// (shrink the batch and resubmit).
-pub fn encode_ingest_batch_frame_into(
-    attribute: &str,
-    blocks: &[OpBlock],
-    out: &mut Vec<u8>,
-) -> Result<(), FrameError> {
-    if blocks.is_empty() {
+    if blocks.len() > MAX_INGEST_BLOCKS {
         return Err(FrameError::Malformed {
-            reason: "empty ingest batch",
+            reason: "batch count exceeds the per-frame cap",
         });
     }
     begin_frame(out);
-    out.put_u8(REQ_INGEST_BLOCKS);
+    out.put_u8(REQ_INGEST);
+    // The options prefix: the flags byte, then the idempotency tag when
+    // `producer != 0` and the trace id when `trace != 0`.
+    let mut flags = 0u8;
+    if durable {
+        flags |= INGEST_FLAG_DURABLE;
+    }
+    if producer != 0 {
+        flags |= INGEST_FLAG_TAGGED;
+    }
+    if trace != 0 {
+        flags |= INGEST_FLAG_TRACED;
+    }
+    out.put_u8(flags);
+    if producer != 0 {
+        out.put_u64_le(producer);
+        out.put_u64_le(first_seq);
+    }
+    if trace != 0 {
+        out.put_u64_le(trace);
+    }
     put_str(out, attribute)?;
     out.put_u32_le(blocks.len() as u32);
     for block in blocks {
@@ -696,25 +592,7 @@ impl Request {
     /// a block too large for one frame — split it and resubmit).
     pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
         match self {
-            Request::IngestBlock { attribute, block } => {
-                return encode_ingest_frame_into(attribute, block, out);
-            }
-            Request::IngestBlocks { attribute, blocks } => {
-                return encode_ingest_batch_frame_into(attribute, blocks, out);
-            }
-            Request::IngestBlockEx {
-                attribute,
-                block,
-                durable,
-                producer,
-                seq,
-                trace,
-            } => {
-                return encode_ingest_frame_ex_into(
-                    attribute, block, *durable, *producer, *seq, *trace, out,
-                );
-            }
-            Request::IngestBlocksEx {
+            Request::Ingest {
                 attribute,
                 blocks,
                 durable,
@@ -722,7 +600,7 @@ impl Request {
                 first_seq,
                 trace,
             } => {
-                return encode_ingest_batch_frame_ex_into(
+                return encode_ingest_frame_into(
                     attribute, blocks, *durable, *producer, *first_seq, *trace, out,
                 );
             }
@@ -783,12 +661,11 @@ impl Request {
         Ok(out)
     }
 
-    /// The trace id this request carries (`0` = untraced). Only the
-    /// extended ingest forms can be traced; a batch's id covers the
-    /// whole frame.
+    /// The trace id this request carries (`0` = untraced). Only
+    /// ingests can be traced.
     pub fn trace_id(&self) -> u64 {
         match self {
-            Request::IngestBlockEx { trace, .. } | Request::IngestBlocksEx { trace, .. } => *trace,
+            Request::Ingest { trace, .. } => *trace,
             _ => 0,
         }
     }
@@ -808,12 +685,8 @@ impl Request {
         }
         let kind = data.get_u8();
         let request = match kind {
-            REQ_INGEST_BLOCK => {
-                let attribute = get_str(&mut data)?;
-                let block = get_block(&mut data)?;
-                Request::IngestBlock { attribute, block }
-            }
-            REQ_INGEST_BLOCKS => {
+            REQ_INGEST => {
+                let (durable, producer, first_seq, trace) = get_ingest_options(&mut data)?;
                 let attribute = get_str(&mut data)?;
                 if data.remaining() < 4 {
                     return Err(FrameError::Malformed {
@@ -834,49 +707,16 @@ impl Request {
                         reason: "batch count exceeds body",
                     });
                 }
-                let mut blocks = Vec::with_capacity(count);
-                for _ in 0..count {
-                    blocks.push(get_block(&mut data)?);
-                }
-                Request::IngestBlocks { attribute, blocks }
-            }
-            REQ_INGEST_BLOCK_EX => {
-                let (durable, producer, seq, trace) = get_ingest_options(&mut data)?;
-                let attribute = get_str(&mut data)?;
-                let block = get_block(&mut data)?;
-                Request::IngestBlockEx {
-                    attribute,
-                    block,
-                    durable,
-                    producer,
-                    seq,
-                    trace,
-                }
-            }
-            REQ_INGEST_BLOCKS_EX => {
-                let (durable, producer, first_seq, trace) = get_ingest_options(&mut data)?;
-                let attribute = get_str(&mut data)?;
-                if data.remaining() < 4 {
+                if count > MAX_INGEST_BLOCKS {
                     return Err(FrameError::Malformed {
-                        reason: "truncated batch count",
-                    });
-                }
-                let count = data.get_u32_le() as usize;
-                if count == 0 {
-                    return Err(FrameError::Malformed {
-                        reason: "empty ingest batch",
-                    });
-                }
-                if count > data.remaining() / 5 {
-                    return Err(FrameError::Malformed {
-                        reason: "batch count exceeds body",
+                        reason: "batch count exceeds the per-frame cap",
                     });
                 }
                 let mut blocks = Vec::with_capacity(count);
                 for _ in 0..count {
                     blocks.push(get_block(&mut data)?);
                 }
-                Request::IngestBlocksEx {
+                Request::Ingest {
                     attribute,
                     blocks,
                     durable,
@@ -1170,6 +1010,33 @@ impl FrameDecoder {
 mod tests {
     use super::*;
 
+    fn ingest(
+        blocks: Vec<OpBlock>,
+        durable: bool,
+        producer: u64,
+        first_seq: u64,
+        trace: u64,
+    ) -> Request {
+        Request::Ingest {
+            attribute: "clicks".into(),
+            blocks,
+            durable,
+            producer,
+            first_seq,
+            trace,
+        }
+    }
+
+    /// Runs a hand-built frame body through the decoder and the request
+    /// decoder.
+    fn decode_built(frame: &mut [u8]) -> Result<Request, FrameError> {
+        finish_frame(frame).unwrap();
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(frame);
+        let body = decoder.next_frame().unwrap().unwrap();
+        Request::decode(&body)
+    }
+
     fn roundtrip_request(request: &Request) -> Request {
         let frame = request.encode().unwrap();
         let mut decoder = FrameDecoder::new();
@@ -1182,66 +1049,47 @@ mod tests {
     #[test]
     fn request_roundtrips() {
         let requests = [
-            Request::IngestBlock {
-                attribute: "clicks".into(),
-                block: OpBlock::from_values([1u64, 1, 2, 9]),
-            },
-            Request::IngestBlocks {
-                attribute: "clicks".into(),
-                blocks: vec![
+            ingest(vec![OpBlock::from_values([1u64, 1, 2, 9])], false, 0, 0, 0),
+            ingest(
+                vec![
                     OpBlock::from_values([1u64, 1, 2, 9]),
                     OpBlock::from_values([7u64]),
                     OpBlock::from_values([3u64, 3, 3]),
                 ],
-            },
-            Request::IngestBlockEx {
-                attribute: "clicks".into(),
-                block: OpBlock::from_values([4u64, 4]),
-                durable: true,
-                producer: 0xDEAD_BEEF,
-                seq: 17,
-                trace: 0,
-            },
-            Request::IngestBlockEx {
-                attribute: "clicks".into(),
-                block: OpBlock::from_values([5u64]),
-                durable: false,
-                producer: 0,
-                seq: 0,
-                trace: 0,
-            },
-            Request::IngestBlockEx {
-                attribute: "clicks".into(),
-                block: OpBlock::from_values([6u64, 6]),
-                durable: true,
-                producer: 0xDEAD_BEEF,
-                seq: 18,
-                trace: 0xFACE_FEED,
-            },
-            Request::IngestBlockEx {
-                attribute: "clicks".into(),
-                block: OpBlock::from_values([8u64]),
-                durable: false,
-                producer: 0,
-                seq: 0,
-                trace: u64::MAX,
-            },
-            Request::IngestBlocksEx {
-                attribute: "clicks".into(),
-                blocks: vec![OpBlock::from_values([1u64]), OpBlock::from_values([2u64])],
-                durable: true,
-                producer: 9,
-                first_seq: 100,
-                trace: 0,
-            },
-            Request::IngestBlocksEx {
-                attribute: "clicks".into(),
-                blocks: vec![OpBlock::from_values([3u64])],
-                durable: false,
-                producer: 0,
-                first_seq: 0,
-                trace: 0x1234_5678_9ABC,
-            },
+                false,
+                0,
+                0,
+                0,
+            ),
+            ingest(
+                vec![OpBlock::from_values([4u64, 4])],
+                true,
+                0xDEAD_BEEF,
+                17,
+                0,
+            ),
+            ingest(
+                vec![OpBlock::from_values([6u64, 6])],
+                true,
+                0xDEAD_BEEF,
+                18,
+                0xFACE_FEED,
+            ),
+            ingest(vec![OpBlock::from_values([8u64])], false, 0, 0, u64::MAX),
+            ingest(
+                vec![OpBlock::from_values([1u64]), OpBlock::from_values([2u64])],
+                true,
+                9,
+                100,
+                0,
+            ),
+            ingest(
+                vec![OpBlock::from_values([3u64]); MAX_INGEST_BLOCKS],
+                false,
+                0,
+                0,
+                0x1234_5678_9ABC,
+            ),
             Request::QuerySelfJoin {
                 attribute: "π-ratio".into(),
             },
@@ -1364,6 +1212,12 @@ mod tests {
         let mut decoder = FrameDecoder::new();
         decoder.feed(&bad);
         assert_eq!(decoder.next_frame(), Err(FrameError::BadVersion { got: 9 }));
+        // A frame from a version-1 peer.
+        let mut bad = frame.clone();
+        bad[8] = 1;
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(&bad);
+        assert_eq!(decoder.next_frame(), Err(FrameError::BadVersion { got: 1 }));
         // Oversized declaration is rejected before buffering the body.
         let mut bad = frame;
         bad[0..4].copy_from_slice(&(MAX_FRAME_PAYLOAD as u32 + 1).to_le_bytes());
@@ -1378,9 +1232,13 @@ mod tests {
     #[test]
     fn oversized_ingest_refused_at_encode_time() {
         let block = OpBlock::from_ops((0..(MAX_BODY / 16 + 2) as u64).map(ams_stream::Op::Insert));
-        let request = Request::IngestBlock {
+        let request = Request::Ingest {
             attribute: "v".into(),
-            block,
+            blocks: vec![block],
+            durable: false,
+            producer: 0,
+            first_seq: 0,
+            trace: 0,
         };
         assert!(matches!(
             request.encode(),
@@ -1390,92 +1248,70 @@ mod tests {
 
     #[test]
     fn malformed_ingest_options_rejected() {
-        // Unknown flag bits fail cleanly.
-        let mut frame = Vec::new();
-        begin_frame(&mut frame);
-        frame.put_u8(REQ_INGEST_BLOCK_EX);
-        frame.put_u8(0x80);
-        put_str(&mut frame, "v").unwrap();
-        OpBlock::from_values([1u64]).encode_wire(&mut frame);
-        finish_frame(&mut frame).unwrap();
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&frame);
-        let body = decoder.next_frame().unwrap().unwrap();
-        assert_eq!(
-            Request::decode(&body),
-            Err(FrameError::Malformed {
-                reason: "unknown ingest flag bits",
-            })
-        );
-        // A tagged frame with producer 0 contradicts itself.
-        let mut frame = Vec::new();
-        begin_frame(&mut frame);
-        frame.put_u8(REQ_INGEST_BLOCK_EX);
-        frame.put_u8(INGEST_FLAG_TAGGED);
-        frame.put_u64_le(0);
-        frame.put_u64_le(3);
-        put_str(&mut frame, "v").unwrap();
-        OpBlock::from_values([1u64]).encode_wire(&mut frame);
-        finish_frame(&mut frame).unwrap();
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&frame);
-        let body = decoder.next_frame().unwrap().unwrap();
-        assert_eq!(
-            Request::decode(&body),
-            Err(FrameError::Malformed {
-                reason: "tagged ingest with zero producer id",
-            })
-        );
-        // A tag cut off mid-field is caught before any block decode.
-        let mut frame = Vec::new();
-        begin_frame(&mut frame);
-        frame.put_u8(REQ_INGEST_BLOCK_EX);
-        frame.put_u8(INGEST_FLAG_TAGGED);
-        frame.put_u32_le(7);
-        finish_frame(&mut frame).unwrap();
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&frame);
-        let body = decoder.next_frame().unwrap().unwrap();
-        assert_eq!(
-            Request::decode(&body),
-            Err(FrameError::Malformed {
-                reason: "truncated ingest tag",
-            })
-        );
-        // A traced frame with trace id 0 contradicts itself.
-        let mut frame = Vec::new();
-        begin_frame(&mut frame);
-        frame.put_u8(REQ_INGEST_BLOCK_EX);
-        frame.put_u8(INGEST_FLAG_TRACED);
-        frame.put_u64_le(0);
-        put_str(&mut frame, "v").unwrap();
-        OpBlock::from_values([1u64]).encode_wire(&mut frame);
-        finish_frame(&mut frame).unwrap();
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&frame);
-        let body = decoder.next_frame().unwrap().unwrap();
-        assert_eq!(
-            Request::decode(&body),
-            Err(FrameError::Malformed {
-                reason: "traced ingest with zero trace id",
-            })
-        );
-        // A trace id cut off mid-field is caught before any block decode.
-        let mut frame = Vec::new();
-        begin_frame(&mut frame);
-        frame.put_u8(REQ_INGEST_BLOCK_EX);
-        frame.put_u8(INGEST_FLAG_TRACED);
-        frame.put_u32_le(7);
-        finish_frame(&mut frame).unwrap();
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&frame);
-        let body = decoder.next_frame().unwrap().unwrap();
-        assert_eq!(
-            Request::decode(&body),
-            Err(FrameError::Malformed {
-                reason: "truncated trace id",
-            })
-        );
+        // (options prefix, then whether an attribute and one block
+        // follow, expected rejection).
+        let cases: [(&[u8], bool, &str); 5] = [
+            // Unknown flag bits fail cleanly.
+            (&[0x80], true, "unknown ingest flag bits"),
+            // A tagged frame with producer 0 contradicts itself.
+            (
+                &[
+                    INGEST_FLAG_TAGGED,
+                    0,
+                    0,
+                    0,
+                    0,
+                    0,
+                    0,
+                    0,
+                    0,
+                    3,
+                    0,
+                    0,
+                    0,
+                    0,
+                    0,
+                    0,
+                    0,
+                ],
+                true,
+                "tagged ingest with zero producer id",
+            ),
+            // A tag cut off mid-field is caught before any block decode.
+            (
+                &[INGEST_FLAG_TAGGED, 7, 0, 0, 0],
+                false,
+                "truncated ingest tag",
+            ),
+            // A traced frame with trace id 0 contradicts itself.
+            (
+                &[INGEST_FLAG_TRACED, 0, 0, 0, 0, 0, 0, 0, 0],
+                true,
+                "traced ingest with zero trace id",
+            ),
+            // A trace id cut off mid-field is caught before any block
+            // decode.
+            (
+                &[INGEST_FLAG_TRACED, 7, 0, 0, 0],
+                false,
+                "truncated trace id",
+            ),
+        ];
+        for (options, with_block, reason) in cases {
+            let mut frame = Vec::new();
+            begin_frame(&mut frame);
+            frame.put_u8(REQ_INGEST);
+            frame.put_slice(options);
+            if with_block {
+                put_str(&mut frame, "v").unwrap();
+                frame.put_u32_le(1);
+                OpBlock::from_values([1u64]).encode_wire(&mut frame);
+            }
+            assert_eq!(
+                decode_built(&mut frame),
+                Err(FrameError::Malformed { reason })
+            );
+        }
     }
 
     #[test]
@@ -1597,7 +1433,7 @@ mod tests {
         // Encode-time refusal.
         let mut out = Vec::new();
         assert_eq!(
-            encode_ingest_batch_frame_into("v", &[], &mut out),
+            encode_ingest_frame_into("v", &[], false, 0, 0, 0, &mut out),
             Err(FrameError::Malformed {
                 reason: "empty ingest batch",
             })
@@ -1605,15 +1441,12 @@ mod tests {
         // Decode-time refusal of a hand-built zero-count frame.
         let mut frame = Vec::new();
         begin_frame(&mut frame);
-        frame.put_u8(REQ_INGEST_BLOCKS);
+        frame.put_u8(REQ_INGEST);
+        frame.put_u8(0);
         put_str(&mut frame, "v").unwrap();
         frame.put_u32_le(0);
-        finish_frame(&mut frame).unwrap();
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&frame);
-        let body = decoder.next_frame().unwrap().unwrap();
         assert_eq!(
-            Request::decode(&body),
+            decode_built(&mut frame),
             Err(FrameError::Malformed {
                 reason: "empty ingest batch",
             })
@@ -1622,54 +1455,82 @@ mod tests {
 
     #[test]
     fn overdeclared_batch_count_rejected_before_allocation() {
-        // A count the remaining body cannot possibly hold must fail
+        // A count the remaining body cannot possibly hold, and a count
+        // over the per-frame cap whose blocks would fit, must both fail
         // cleanly (and must not size an allocation).
-        let mut frame = Vec::new();
-        begin_frame(&mut frame);
-        frame.put_u8(REQ_INGEST_BLOCKS);
-        put_str(&mut frame, "v").unwrap();
-        frame.put_u32_le(u32::MAX);
-        OpBlock::from_values([1u64]).encode_wire(&mut frame);
-        finish_frame(&mut frame).unwrap();
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&frame);
-        let body = decoder.next_frame().unwrap().unwrap();
+        let over_cap = MAX_INGEST_BLOCKS + 1;
+        let cases = [
+            (u32::MAX, 1, "batch count exceeds body"),
+            (
+                over_cap as u32,
+                over_cap,
+                "batch count exceeds the per-frame cap",
+            ),
+        ];
+        for (count, blocks, reason) in cases {
+            let mut frame = Vec::new();
+            begin_frame(&mut frame);
+            frame.put_u8(REQ_INGEST);
+            frame.put_u8(0);
+            put_str(&mut frame, "v").unwrap();
+            frame.put_u32_le(count);
+            for _ in 0..blocks {
+                OpBlock::from_values([1u64]).encode_wire(&mut frame);
+            }
+            assert_eq!(
+                decode_built(&mut frame),
+                Err(FrameError::Malformed { reason })
+            );
+        }
+        // The encoder refuses the same over-cap batch.
+        let blocks = vec![OpBlock::from_values([1u64]); over_cap];
         assert_eq!(
-            Request::decode(&body),
+            encode_ingest_frame_into("v", &blocks, false, 0, 0, 0, &mut Vec::new()),
             Err(FrameError::Malformed {
-                reason: "batch count exceeds body",
+                reason: "batch count exceeds the per-frame cap",
             })
         );
     }
 
     #[test]
     fn reused_encode_buffer_produces_identical_frames() {
-        // The zero-alloc into-buffer encoders must be byte-identical to
-        // the allocating wrappers, and reuse must not leak prior
+        // The zero-alloc into-buffer encoder must be byte-identical to
+        // the owned `Request` encoder, and reuse must not leak prior
         // contents.
-        let block_a = OpBlock::from_values([1u64, 2, 3]);
-        let block_b = OpBlock::from_values([9u64]);
         let mut buf = Vec::new();
-        encode_ingest_frame_into("long-attribute-name", &block_a, &mut buf).unwrap();
-        assert_eq!(
-            buf,
-            encode_ingest_frame("long-attribute-name", &block_a).unwrap()
-        );
-        encode_ingest_frame_into("v", &block_b, &mut buf).unwrap();
-        assert_eq!(buf, encode_ingest_frame("v", &block_b).unwrap());
-        let batch = [block_a, block_b];
-        encode_ingest_batch_frame_into("v", &batch, &mut buf).unwrap();
-        let body = {
-            let mut decoder = FrameDecoder::new();
-            decoder.feed(&buf);
-            decoder.next_frame().unwrap().unwrap()
-        };
-        match Request::decode(&body).unwrap() {
-            Request::IngestBlocks { attribute, blocks } => {
-                assert_eq!(attribute, "v");
-                assert_eq!(blocks.len(), 2);
-            }
-            other => panic!("wrong kind: {other:?}"),
+        let inputs = [
+            (
+                "long-attribute-name",
+                vec![OpBlock::from_values([1u64, 2, 3])],
+                true,
+                5,
+                9,
+                7,
+            ),
+            (
+                "v",
+                vec![OpBlock::from_values([9u64]), OpBlock::from_values([4u64])],
+                false,
+                0,
+                0,
+                0,
+            ),
+        ];
+        for (attribute, blocks, durable, producer, first_seq, trace) in inputs {
+            encode_ingest_frame_into(
+                attribute, &blocks, durable, producer, first_seq, trace, &mut buf,
+            )
+            .unwrap();
+            let request = Request::Ingest {
+                attribute: attribute.into(),
+                blocks,
+                durable,
+                producer,
+                first_seq,
+                trace,
+            };
+            assert_eq!(buf, request.encode().unwrap());
+            assert_eq!(roundtrip_request(&request), request);
         }
     }
 }

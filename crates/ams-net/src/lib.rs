@@ -12,7 +12,7 @@
 //!
 //! ```text
 //!              ┌─ reactor 0 (tick loop, non-blocking I/O) ─┐
-//!  clients ──▶ acceptor ──least-connections──▶ reactor i ──┤ try_ingest_block ──▶ AmsService
+//!  clients ──▶ acceptor ──least-connections──▶ reactor i ──┤ submit(Wait::Try) ─▶ AmsService
 //!     ▲        (listener)  handoff             ...         │   ├─ Ok        → Ingested
 //!     │        ┌─ reactor N-1 ─────────────────────────────┘   ├─ WouldBlock→ park on the
 //!     │        │  per-reactor `net_*{reactor="i"}` series      │   per-connection retry

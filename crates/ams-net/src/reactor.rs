@@ -11,9 +11,10 @@
 //! (vectored, one syscall per connection per tick), and sleep briefly
 //! only when an entire tick made no progress. The crucial invariant
 //! is that **nothing in the tick blocks**: service submission uses
-//! `try_ingest_block`, drains use the recorded-cut + poll pair, and
-//! socket I/O is non-blocking throughout, so one slow or saturated
-//! shard (or one stalled client) never parks a network thread.
+//! `submit` under `Wait::Try`, drains use the recorded-cut + poll
+//! pair, and socket I/O is non-blocking throughout, so one slow or
+//! saturated shard (or one stalled client) never parks a network
+//! thread.
 //!
 //! Shutdown is a two-phase rendezvous. Any reactor that sees a wire
 //! `Shutdown` (or the acceptor, on the stop flag) raises the shared
@@ -30,7 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use ams_service::{AmsService, IngestTag, ServiceError, ServiceSnapshot, ServiceStats};
+use ams_service::{AmsService, IngestTag, ServiceError, ServiceSnapshot, ServiceStats, Wait};
 use ams_telemetry::{
     trace_clock_ns, Counter, EventCode, EventRecorder, Gauge, LatencyHistogram, MetricsRegistry,
     TraceCtx, TraceHub, TraceRecorder, TraceStage,
@@ -195,20 +196,19 @@ fn busy_hint_micros(service: &AmsService, shard: usize) -> u32 {
     (100 * (depth + 1)).min(10_000)
 }
 
-fn busy(service: &AmsService, shard: usize, net: &NetInstruments) -> Response {
-    net.busy_responses.inc();
-    net.events
-        .emit(EventCode::BusyShed, net.reactor, shard as u64);
-    Response::Busy {
-        shard: shard as u32,
-        retry_hint_micros: busy_hint_micros(service, shard),
-    }
-}
-
-/// Turns a service-side ingest failure into the matching wire answer.
+/// Turns a service-side ingest failure into the matching wire answer;
+/// a full queue becomes a load-shed `Busy`.
 fn ingest_failure(service: &AmsService, error: ServiceError, net: &NetInstruments) -> Response {
     match error {
-        ServiceError::WouldBlock { shard } => busy(service, shard, net),
+        ServiceError::WouldBlock { shard } => {
+            net.busy_responses.inc();
+            net.events
+                .emit(EventCode::BusyShed, net.reactor, shard as u64);
+            Response::Busy {
+                shard: shard as u32,
+                retry_hint_micros: busy_hint_micros(service, shard),
+            }
+        }
         ServiceError::UnknownAttribute { name } => Response::Error {
             code: ErrorCode::UnknownAttribute,
             message: format!("unknown attribute: {name}"),
@@ -257,21 +257,9 @@ fn service_parked(
                 // The service hands the block back on refusal, so a
                 // parked entry is submitted without cloning.
                 let attempt = std::mem::take(block);
-                match service.try_ingest_block_traced_returning(attribute, attempt, *tag, trace.id)
-                {
+                match service.submit(attribute, attempt, *tag, trace.id, Wait::Try) {
                     Ok(_) => {
-                        *slot = if *durable {
-                            // Accepted, but the peer wants the ack only
-                            // once it is on stable storage: park again
-                            // on the durability watermark.
-                            Slot::PendingDurable {
-                                cut: service.durability_cut(),
-                                trace: *trace,
-                                wait_from: tracing.start(trace.id),
-                            }
-                        } else {
-                            Slot::Ready(tracing.finish(*trace, pool, &Response::Ingested))
-                        };
+                        *slot = accepted(service, *durable, *trace, tracing, pool);
                         progress = true;
                     }
                     Err((returned, ServiceError::WouldBlock { .. })) => {
@@ -319,72 +307,25 @@ fn service_parked(
     progress
 }
 
-/// Routes one block through the service, appending the resulting slot:
-/// `Ingested` on success, a parked retry-ring entry on `WouldBlock`
-/// with ring room, `Busy` otherwise. Shared by the single-block and
-/// batch ingest requests — batching changes framing, never this
-/// contract. The attribute is only materialized (cloned) on the rare
-/// parking path.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_ingest(
-    conn: &mut Connection,
-    attribute: &str,
-    block: ams_stream::OpBlock,
-    durable: bool,
-    tag: Option<IngestTag>,
-    trace: TraceCtx,
+/// The slot of an ingest the service just accepted: `Ingested` at
+/// once, or — when the peer wants its ack only once the block is on
+/// stable storage — a wait on the durability cut recorded right after
+/// acceptance, which covers this submission.
+fn accepted(
     service: &AmsService,
-    config: &NetServerConfig,
-    net: &NetInstruments,
+    durable: bool,
+    trace: TraceCtx,
     tracing: &ReactorTracing,
     pool: &mut FramePool,
-) {
-    let route_t0 = tracing.start(trace.id);
-    let submitted = service.try_ingest_block_traced_returning(attribute, block, tag, trace.id);
-    match submitted {
-        Ok(handoff) => {
-            tracing.route_span(trace.id, route_t0, handoff);
-            if durable {
-                // The cut recorded right after acceptance covers this
-                // submission; the slot resolves to `Ingested` once the
-                // shard workers' durable watermarks reach it.
-                conn.slots.push_back(Slot::PendingDurable {
-                    cut: service.durability_cut(),
-                    trace,
-                    wait_from: tracing.start(trace.id),
-                });
-            } else {
-                conn.slots.push_back(Slot::Ready(tracing.finish(
-                    trace,
-                    pool,
-                    &Response::Ingested,
-                )));
-            }
+) -> Slot {
+    if durable {
+        Slot::PendingDurable {
+            cut: service.durability_cut(),
+            trace,
+            wait_from: tracing.start(trace.id),
         }
-        Err((block, ServiceError::WouldBlock { shard })) => {
-            // A refused submission did spend its time routing; the
-            // retry (if parked) re-routes under its own span.
-            tracing.span_since(trace.id, TraceStage::Route, route_t0);
-            if conn.pending_ingests() < config.max_pending_per_conn {
-                conn.slots.push_back(Slot::PendingIngest {
-                    attribute: attribute.to_owned(),
-                    block,
-                    durable,
-                    tag,
-                    trace,
-                });
-            } else {
-                conn.slots
-                    .push_back(Slot::Ready(encoded(pool, &busy(service, shard, net))));
-            }
-        }
-        Err((_, other)) => {
-            tracing.span_since(trace.id, TraceStage::Route, route_t0);
-            conn.slots.push_back(Slot::Ready(encoded(
-                pool,
-                &ingest_failure(service, other, net),
-            )));
-        }
+    } else {
+        Slot::Ready(tracing.finish(trace, pool, &Response::Ingested))
     }
 }
 
@@ -403,61 +344,7 @@ fn dispatch(
     pool: &mut FramePool,
 ) -> bool {
     match request {
-        Request::IngestBlock { attribute, block } => {
-            dispatch_ingest(
-                conn,
-                &attribute,
-                block,
-                false,
-                None,
-                TraceCtx::none(),
-                service,
-                config,
-                net,
-                tracing,
-                pool,
-            );
-        }
-        Request::IngestBlocks { attribute, blocks } => {
-            // One response slot per block, in order: the batch frame
-            // amortizes header + checksum + dispatch, while Busy /
-            // retry-ring semantics stay exactly per-block. (A batch is
-            // admitted as one frame, so `max_inflight_per_conn` can be
-            // exceeded by up to one batch's worth of slots.)
-            for block in blocks {
-                dispatch_ingest(
-                    conn,
-                    &attribute,
-                    block,
-                    false,
-                    None,
-                    TraceCtx::none(),
-                    service,
-                    config,
-                    net,
-                    tracing,
-                    pool,
-                );
-            }
-        }
-        Request::IngestBlockEx {
-            attribute,
-            block,
-            durable,
-            producer,
-            seq,
-            trace,
-        } => {
-            let tag = (producer != 0).then_some(IngestTag { producer, seq });
-            let ctx = TraceCtx {
-                id: trace,
-                begin_ns: recv_ns,
-            };
-            dispatch_ingest(
-                conn, &attribute, block, durable, tag, ctx, service, config, net, tracing, pool,
-            );
-        }
-        Request::IngestBlocksEx {
+        Request::Ingest {
             attribute,
             blocks,
             durable,
@@ -465,16 +352,21 @@ fn dispatch(
             first_seq,
             trace,
         } => {
-            // Block i carries the implicit tag (producer, first_seq+i);
-            // everything else is the plain batch contract. A traced
-            // batch attributes the whole frame to its first block, so
-            // one trace never owns overlapping per-block spans.
+            // One response slot per block, in order: the frame amortizes
+            // header + checksum + dispatch, while Busy / retry-ring
+            // semantics stay exactly per-block. A frame is admitted
+            // whole, so its blocks can carry the connection past
+            // `max_inflight_per_conn` by at most `MAX_INGEST_BLOCKS - 1`
+            // slots. Block i carries the implicit tag
+            // (producer, first_seq + i); a traced frame attributes its
+            // trace to the first block, so one trace never owns
+            // overlapping per-block spans.
             for (i, block) in blocks.into_iter().enumerate() {
                 let tag = (producer != 0).then_some(IngestTag {
                     producer,
                     seq: first_seq.wrapping_add(i as u64),
                 });
-                let ctx = if i == 0 {
+                let trace = if i == 0 {
                     TraceCtx {
                         id: trace,
                         begin_ns: recv_ns,
@@ -482,9 +374,38 @@ fn dispatch(
                 } else {
                     TraceCtx::none()
                 };
-                dispatch_ingest(
-                    conn, &attribute, block, durable, tag, ctx, service, config, net, tracing, pool,
-                );
+                let route_t0 = tracing.start(trace.id);
+                let slot = match service.submit(&attribute, block, tag, trace.id, Wait::Try) {
+                    Ok(handoff) => {
+                        tracing.route_span(trace.id, route_t0, handoff);
+                        accepted(service, durable, trace, tracing, pool)
+                    }
+                    Err((block, error)) => {
+                        // A refused submission did spend its time
+                        // routing; the retry (if parked) re-routes under
+                        // its own span. A full queue parks the block on
+                        // the retry ring while it has room, and is
+                        // answered `Busy` otherwise.
+                        tracing.span_since(trace.id, TraceStage::Route, route_t0);
+                        match error {
+                            ServiceError::WouldBlock { .. }
+                                if conn.pending_ingests() < config.max_pending_per_conn =>
+                            {
+                                Slot::PendingIngest {
+                                    attribute: attribute.clone(),
+                                    block,
+                                    durable,
+                                    tag,
+                                    trace,
+                                }
+                            }
+                            error => {
+                                Slot::Ready(encoded(pool, &ingest_failure(service, error, net)))
+                            }
+                        }
+                    }
+                };
+                conn.slots.push_back(slot);
             }
         }
         Request::QuerySelfJoin { attribute } => {

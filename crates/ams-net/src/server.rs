@@ -20,6 +20,11 @@ pub struct NetServerConfig {
     pub max_pending_per_conn: usize,
     /// How many responses (ready or parked) one connection may have in
     /// flight before the reactor stops reading more of its requests.
+    /// The reactor admits a frame whole and answers each of its blocks
+    /// with its own slot, so one `Ingest` frame of up to
+    /// [`MAX_INGEST_BLOCKS`](crate::codec::MAX_INGEST_BLOCKS) blocks can
+    /// overshoot this bound: a connection holds at most
+    /// `max_inflight_per_conn + 63` slots.
     pub max_inflight_per_conn: usize,
     /// Unflushed response bytes beyond which the reactor stops reading
     /// more of a connection's requests.

@@ -2,7 +2,7 @@
 //! arbitrary blocks and queries, and clean (panic-free) rejection of
 //! truncated, corrupted, and arbitrary byte prefixes.
 
-use ams_net::codec::{encode_ingest_batch_frame_into, MAX_FRAME_PAYLOAD};
+use ams_net::codec::{encode_ingest_frame_into, MAX_FRAME_PAYLOAD, MAX_INGEST_BLOCKS};
 use ams_net::crc::{crc32, crc32_bytewise};
 use ams_net::{FrameDecoder, Request, Response};
 use ams_stream::OpBlock;
@@ -32,30 +32,64 @@ fn block() -> impl Strategy<Value = OpBlock> {
     })
 }
 
-fn request() -> impl Strategy<Value = Request> {
+/// Arbitrary nonzero ids, or 0 (the wire's "absent" sentinel).
+fn optional_id() -> impl Strategy<Value = u64> {
+    (any::<u64>(), any::<bool>()).prop_map(|(id, present)| if present { id | 1 } else { 0 })
+}
+
+/// Arbitrary `Ingest` requests: 1 to `MAX_INGEST_BLOCKS` blocks under
+/// every combination of options. A sequence number only travels with a
+/// producer id, so untagged requests carry `first_seq` 0.
+fn ingest() -> impl Strategy<Value = Request> {
     (
-        0u8..8,
         attr_name(),
-        attr_name(),
-        block(),
-        proptest::collection::vec(block(), 1..5),
+        proptest::collection::vec(block(), 1..MAX_INGEST_BLOCKS + 1),
+        any::<bool>(),
+        optional_id(),
+        any::<u64>(),
+        optional_id(),
     )
-        .prop_map(|(kind, a, b, block, blocks)| match kind {
-            0 => Request::IngestBlock {
-                attribute: a,
-                block,
-            },
-            1 => Request::QuerySelfJoin { attribute: a },
-            2 => Request::QueryTwoWayJoin { left: a, right: b },
-            3 => Request::Snapshot,
-            4 => Request::Stats,
-            5 => Request::Drain,
-            6 => Request::IngestBlocks {
-                attribute: a,
+        .prop_map(
+            |(attribute, blocks, durable, producer, seq, trace)| Request::Ingest {
+                attribute,
                 blocks,
+                durable,
+                producer,
+                first_seq: if producer != 0 { seq } else { 0 },
+                trace,
             },
-            _ => Request::Shutdown,
-        })
+        )
+}
+
+fn request() -> impl Strategy<Value = Request> {
+    (0u8..8, attr_name(), attr_name(), ingest()).prop_map(|(kind, a, b, ingest)| match kind {
+        0 | 6 => ingest,
+        1 => Request::QuerySelfJoin { attribute: a },
+        2 => Request::QueryTwoWayJoin { left: a, right: b },
+        3 => Request::Snapshot,
+        4 => Request::Stats,
+        5 => Request::Drain,
+        _ => Request::Shutdown,
+    })
+}
+
+/// Encodes an `Ingest` request through the borrowed-parts encoder.
+fn encode_borrowed(request: &Request, out: &mut Vec<u8>) {
+    let Request::Ingest {
+        attribute,
+        blocks,
+        durable,
+        producer,
+        first_seq,
+        trace,
+    } = request
+    else {
+        panic!("not an ingest request: {request:?}");
+    };
+    encode_ingest_frame_into(
+        attribute, blocks, *durable, *producer, *first_seq, *trace, out,
+    )
+    .unwrap();
 }
 
 fn decode_one(bytes: &[u8]) -> Result<Option<Vec<u8>>, ams_net::FrameError> {
@@ -162,17 +196,13 @@ proptest! {
         prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
     }
 
-    /// `IngestBlocks` batch frames round-trip through the reusable
-    /// encode buffer, and the batch helper agrees with the owned
-    /// `Request` encoder byte for byte.
+    /// `Ingest` frames round-trip through the reusable encode buffer,
+    /// and the borrowed-parts encoder agrees with the owned `Request`
+    /// encoder byte for byte.
     #[test]
-    fn ingest_batch_frames_roundtrip(
-        attribute in attr_name(),
-        blocks in proptest::collection::vec(block(), 1..6),
-    ) {
+    fn ingest_batch_frames_roundtrip(request in ingest()) {
         let mut buf = Vec::new();
-        encode_ingest_batch_frame_into(&attribute, &blocks, &mut buf).unwrap();
-        let request = Request::IngestBlocks { attribute, blocks };
+        encode_borrowed(&request, &mut buf);
         prop_assert_eq!(&buf, &request.encode().unwrap());
         let body = decode_one(&buf).unwrap().expect("whole frame decodes");
         prop_assert_eq!(Request::decode(&body).unwrap(), request);
@@ -183,14 +213,13 @@ proptest! {
     /// never a panic, never an allocation sized by hostile counts.
     #[test]
     fn corrupted_batch_frames_never_panic(
-        attribute in attr_name(),
-        blocks in proptest::collection::vec(block(), 1..6),
+        request in ingest(),
         at in 0usize..4096,
         flip in 1u8..255,
         cut in 1usize..4096,
     ) {
         let mut frame = Vec::new();
-        encode_ingest_batch_frame_into(&attribute, &blocks, &mut frame).unwrap();
+        encode_borrowed(&request, &mut frame);
         // Truncation: strictly shorter input never yields a frame.
         let cut = cut % frame.len();
         prop_assert!(matches!(decode_one(&frame[..cut]), Ok(None)));
@@ -202,47 +231,16 @@ proptest! {
         }
     }
 
-    /// The trace context survives the extended ingest frames exactly —
-    /// flagged (nonzero id, `TRACED` flag, 8 extra bytes) and unflagged
-    /// (zero id, flag absent) alike, on both the single-block and batch
-    /// forms, independent of the durable/tagged options around it.
+    /// The trace context survives the ingest frame exactly — flagged
+    /// (nonzero id, `TRACED` flag, 8 extra bytes) and unflagged (zero
+    /// id, flag absent) alike, for any block count and independent of
+    /// the durable/tagged options around it.
     #[test]
-    fn trace_context_roundtrips_flagged_and_unflagged(
-        attribute in attr_name(),
-        single_block in block(),
-        blocks in proptest::collection::vec(block(), 1..4),
-        durable in any::<bool>(),
-        producer in any::<u64>(),
-        seq in any::<u64>(),
-        trace in (any::<u64>(), any::<bool>())
-            .prop_map(|(id, flagged)| if flagged { id | 1 } else { 0 }),
-    ) {
-        let single = Request::IngestBlockEx {
-            attribute: attribute.clone(),
-            block: single_block,
-            durable,
-            producer,
-            seq,
-            trace,
-        };
-        let frame = single.encode().unwrap();
+    fn trace_context_roundtrips_flagged_and_unflagged(request in ingest()) {
+        let frame = request.encode().unwrap();
         let body = decode_one(&frame).unwrap().expect("whole frame decodes");
         let back = Request::decode(&body).unwrap();
-        prop_assert_eq!(back.trace_id(), trace);
-        prop_assert_eq!(back, single);
-
-        let batch = Request::IngestBlocksEx {
-            attribute,
-            blocks,
-            durable,
-            producer,
-            first_seq: seq,
-            trace,
-        };
-        let frame = batch.encode().unwrap();
-        let body = decode_one(&frame).unwrap().expect("whole frame decodes");
-        let back = Request::decode(&body).unwrap();
-        prop_assert_eq!(back.trace_id(), trace);
-        prop_assert_eq!(back, batch);
+        prop_assert_eq!(back.trace_id(), request.trace_id());
+        prop_assert_eq!(back, request);
     }
 }

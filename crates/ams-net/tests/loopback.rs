@@ -219,9 +219,13 @@ fn drained_covers_ingests_parked_before_the_drain() {
     let mut wire = Vec::new();
     for block in [&a, &b] {
         wire.extend_from_slice(
-            &ams_net::Request::IngestBlock {
+            &ams_net::Request::Ingest {
                 attribute: "v".into(),
-                block: block.clone(),
+                blocks: vec![block.clone()],
+                durable: false,
+                producer: 0,
+                first_seq: 0,
+                trace: 0,
             }
             .encode()
             .unwrap(),
@@ -317,7 +321,7 @@ fn metrics_scrape_covers_service_and_net_layers_end_to_end() {
 
     // The reactor's series ride in the same snapshot: every request
     // frame this client sent was decoded — the pipelined blocks travel
-    // coalesced into IngestBlocks batch frames of INGEST_BATCH blocks,
+    // coalesced into Ingest frames of INGEST_BATCH blocks,
     // plus the drain and the metrics request itself — and every block
     // still earned its own response frame, so encoded > decoded.
     let batch_frames = blocks.len().div_ceil(AmsClient::INGEST_BATCH) as u64;
@@ -409,7 +413,9 @@ fn malformed_frames_never_crash_the_reactor() {
 
     // The reactor is still alive and correct after all of that.
     let mut client = AmsClient::connect(addr).unwrap();
-    client.ingest_values("v", &[1, 2, 2, 9]).unwrap();
+    client
+        .ingest_block("v", &OpBlock::from_values([1, 2, 2, 9]))
+        .unwrap();
     client.drain().unwrap();
     let mut reference: TugOfWarSketch = TugOfWarSketch::new(params, 0xBEEF);
     reference.extend_values([1u64, 2, 2, 9]);
@@ -462,7 +468,7 @@ fn error_responses_keep_the_connection_usable() {
     let handle = server.spawn(service(1, 8, params, &["v"]));
 
     let mut client = AmsClient::connect(addr).unwrap();
-    match client.ingest_values("nope", &[1]) {
+    match client.ingest_block("nope", &OpBlock::from_values([1])) {
         Err(NetError::Remote { code, .. }) => {
             assert_eq!(code, ams_net::ErrorCode::UnknownAttribute);
         }
@@ -473,7 +479,9 @@ fn error_responses_keep_the_connection_usable() {
         Err(NetError::Remote { .. })
     ));
     // Same connection still works.
-    client.ingest_values("v", &[7, 7]).unwrap();
+    client
+        .ingest_block("v", &OpBlock::from_values([7, 7]))
+        .unwrap();
     client.drain().unwrap();
     assert!(client.self_join("v").unwrap() > 0.0);
     drop(client);
@@ -500,7 +508,9 @@ fn truncated_connection_mid_frame_is_harmless() {
     drop(raw);
 
     let mut client = AmsClient::connect(addr).unwrap();
-    client.ingest_values("v", &[3]).unwrap();
+    client
+        .ingest_block("v", &OpBlock::from_values([3]))
+        .unwrap();
     client.drain().unwrap();
     assert_eq!(client.snapshot().unwrap().ops(), 1);
     drop(client);
@@ -638,8 +648,12 @@ fn two_reactor_busy_shedding_is_per_reactor_and_malformed_is_isolated() {
     let mut sink = Vec::new();
     let _ = raw.read_to_end(&mut sink); // server answers error, closes
     drop(raw);
-    client_a.ingest_values("v", &[1]).unwrap();
-    client_b.ingest_values("v", &[2]).unwrap();
+    client_a
+        .ingest_block("v", &OpBlock::from_values([1]))
+        .unwrap();
+    client_b
+        .ingest_block("v", &OpBlock::from_values([2]))
+        .unwrap();
     client_a.drain().unwrap();
 
     // Nothing was lost or double-applied across reactors and retries.

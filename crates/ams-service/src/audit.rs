@@ -78,17 +78,20 @@ impl AuditSampler {
         Self { every, cells }
     }
 
-    /// Observes one accepted block for `attr`, sampling it into the
-    /// shadow pair when its index lands on the cadence.
-    pub fn observe(&self, attr: usize, block: &OpBlock) {
+    /// Observes one accepted block for `attr`, given as the parts the
+    /// router split it into, sampling it into the shadow pair when its
+    /// index lands on the cadence.
+    pub fn observe<'a>(&self, attr: usize, parts: impl IntoIterator<Item = &'a OpBlock>) {
         let cell = &self.cells[attr];
         let n = cell.seen.fetch_add(1, Ordering::Relaxed);
         if !n.is_multiple_of(self.every) {
             return;
         }
         let mut state = cell.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.shadow.apply_block(block);
-        state.exact.apply_block(block);
+        for part in parts {
+            state.shadow.apply_block(part);
+            state.exact.apply_block(part);
+        }
         state.sampled_blocks += 1;
     }
 
@@ -136,7 +139,7 @@ mod tests {
         let sampler = AuditSampler::new(3, 2, params, 7);
         // Blocks 0, 3, 6 are sampled for attribute 0: 3 of 8.
         for i in 0..8u64 {
-            sampler.observe(0, &block_of(&[i]));
+            sampler.observe(0, [&block_of(&[i])]);
         }
         let reading = sampler.reading(0).unwrap();
         assert_eq!(reading.sampled_blocks, 3);
@@ -152,7 +155,7 @@ mod tests {
         let sampler = AuditSampler::new(1, 1, params, 42);
         // A skewed substream the shadow sketch should estimate well.
         for i in 0..200u64 {
-            sampler.observe(0, &block_of(&[i % 10, i % 3, 5]));
+            sampler.observe(0, [&block_of(&[i % 10, i % 3, 5])]);
         }
         let reading = sampler.reading(0).unwrap();
         assert_eq!(reading.sampled_blocks, 200);
@@ -169,7 +172,7 @@ mod tests {
     fn zero_cadence_clamps_to_every_block() {
         let params = SketchParams::new(8, 3).unwrap();
         let sampler = AuditSampler::new(0, 1, params, 1);
-        sampler.observe(0, &block_of(&[1, 2]));
+        sampler.observe(0, [&block_of(&[1, 2])]);
         assert_eq!(sampler.reading(0).unwrap().sampled_blocks, 1);
     }
 }

@@ -36,9 +36,9 @@ impl ServiceConfig {
     }
 
     /// Bound on each shard queue, in blocks. A producer hitting a full
-    /// queue blocks ([`AmsService::ingest_block`](crate::AmsService::ingest_block))
-    /// or gets [`ServiceError::WouldBlock`]
-    /// ([`AmsService::try_ingest_block`](crate::AmsService::try_ingest_block)).
+    /// queue waits ([`Wait::Block`](crate::Wait::Block)) or gets
+    /// [`ServiceError::WouldBlock`] ([`Wait::Try`](crate::Wait::Try));
+    /// see [`AmsService::submit`](crate::AmsService::submit).
     pub fn queue_capacity(&self) -> usize {
         self.queue_capacity
     }
@@ -78,8 +78,8 @@ impl ServiceConfig {
         self.durability.as_ref()
     }
 
-    /// Heavy-key observation capacity: when positive, every ingest
-    /// feeds a per-attribute SpaceSaving summary of this many keys and
+    /// Heavy-key observation capacity: when positive, every accepted
+    /// ingest feeds a per-attribute SpaceSaving summary of this many keys and
     /// the top ranks surface as `service_heavy_keys{attribute,rank}`
     /// gauges. `0` (the default) disables the observer entirely — no
     /// lock, no gauges, no cost on the ingest path.
@@ -88,7 +88,7 @@ impl ServiceConfig {
     }
 
     /// Shadow-audit sampling cadence: when positive, every `k`-th
-    /// submitted block per attribute also feeds a shadow tug-of-war
+    /// accepted block per attribute also feeds a shadow tug-of-war
     /// sketch *and* an exact tracker, so health scrapes can report the
     /// estimator's **observed** relative error on a representative
     /// substream. Steady-state cost is one relaxed counter increment

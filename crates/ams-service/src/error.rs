@@ -21,9 +21,9 @@ pub enum ServiceError {
         /// What was wrong.
         reason: &'static str,
     },
-    /// A non-blocking ingest found a shard queue full. The submission
-    /// was **not** enqueued (non-blocking ingestion is all-or-nothing
-    /// across shards); retry later or fall back to the blocking path.
+    /// A `Wait::Try` submission found a shard queue full. The
+    /// submission was **not** enqueued (ingestion is all-or-nothing
+    /// across shards); retry later or submit under `Wait::Block`.
     WouldBlock {
         /// The shard whose queue was full.
         shard: usize,

@@ -10,11 +10,11 @@
 //! ```text
 //!  producers ──routed blocks──▶ bounded shard queues ──▶ worker threads
 //!      │        (Router:           (backpressure:          (one TugOfWar
-//!      │         round-robin /      blocking push or        sketch per
-//!      │         hash-partition)    WouldBlock)             attribute each)
+//!      │         round-robin /      Wait::Block waits,      sketch per
+//!      │         hash-partition)    Wait::Try WouldBlock)   attribute each)
 //!      │                                                        │ publish
 //!      ▼                                                        ▼
-//!   try_ingest / ingest                            epoch-stamped ShardCells
+//!   submit(attr, block, tag, trace, wait)          epoch-stamped ShardCells
 //!                                                               │
 //!                               snapshot() ── merge_from ───────┘
 //!                               (ServiceSnapshot: self-join + join queries)
@@ -22,8 +22,9 @@
 //!
 //! * [`ServiceConfig`] — validating builder: shard count, queue bound,
 //!   sketch shape, seed, routing policy, publish cadence.
-//! * [`AmsService`] — registration, routed ingestion (blocking and
-//!   non-blocking), drain, graceful shutdown, [`ServiceStats`].
+//! * [`AmsService`] — registration, routed ingestion through one
+//!   all-or-nothing [`AmsService::submit`] (waiting or failing on a full
+//!   queue, per [`Wait`]), drain, graceful shutdown, [`ServiceStats`].
 //! * [`ServiceSnapshot`] — the merge-on-query view answering self-join
 //!   and two-way join estimates; bit-identical to single-sketch
 //!   ingestion of the same stream (pinned by property tests).
@@ -81,7 +82,7 @@ pub use config::{ServiceConfig, ServiceConfigBuilder};
 pub use error::ServiceError;
 pub use health::{imbalance_ratio, HealthThresholds};
 pub use heavy::{HeavyEntry, HeavyKeys, SpaceSaving};
-pub use queue::IngestTag;
+pub use queue::{IngestTag, Wait};
 pub use router::{Router, RouterPolicy};
 pub use service::{AmsService, DrainCut, DurableCut};
 pub use snapshot::ServiceSnapshot;

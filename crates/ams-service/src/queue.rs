@@ -1,17 +1,20 @@
 //! Bounded block queues with real backpressure.
 //!
 //! One queue per shard carries columnar [`OpBlock`] tasks from
-//! producers to the shard's worker thread. Capacity is a hard bound:
-//! a blocking push waits on a condition variable until space frees (the
-//! backpressure that keeps service memory bounded under a fast
-//! producer), and a non-blocking push fails with `Full`.
+//! producers to the shard's worker thread. Capacity is a hard bound,
+//! enforced through *reservations*: a producer first reserves a slot on
+//! every queue its submission targets (the hash-partition router splits
+//! one block over many shards), and only then fills them. A reservation
+//! counts against capacity, so the subsequent `push_reserved` calls
+//! cannot block or fail, and a refused reservation on any queue
+//! releases the others without having enqueued anything — a submission
+//! lands on all of its shards or on none.
 //!
-//! For all-or-nothing submission across several queues (the
-//! hash-partition router splits one block over many shards), producers
-//! first *reserve* a slot on every target queue; a reservation counts
-//! against capacity, so the subsequent `push_reserved` calls cannot
-//! block or fail, and a failed reservation on any queue releases the
-//! others without having enqueued anything.
+//! A producer that meets a full queue either gives up ([`Wait::Try`])
+//! or releases every reservation it holds and waits for room
+//! ([`Wait::Block`], via [`BlockQueue::wait_for_room`]). It never waits
+//! while holding a reservation: a reservation is not a task, so no
+//! worker could ever free it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,6 +37,19 @@ pub struct IngestTag {
     pub seq: u64,
 }
 
+/// What a submission does when a target shard queue is full.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wait {
+    /// Wait for room — the backpressure that keeps service memory
+    /// bounded under a fast producer. Each wait counts as one
+    /// backpressure event.
+    Block,
+    /// Fail at once with `WouldBlock`, handing the block back — the
+    /// path of callers that must never park, such as a network
+    /// reactor. Each refusal counts as a rejection.
+    Try,
+}
+
 /// A unit of shard work: one block destined for one attribute's shard
 /// sketch.
 #[derive(Debug)]
@@ -54,19 +70,8 @@ pub struct ShardTask {
 }
 
 impl ShardTask {
-    /// An untagged task stamped with the current time as its enqueue
-    /// instant.
-    pub fn new(attr: usize, block: OpBlock) -> Self {
-        Self::tagged(attr, block, None)
-    }
-
-    /// A task carrying an optional idempotency tag.
-    pub fn tagged(attr: usize, block: OpBlock, tag: Option<IngestTag>) -> Self {
-        Self::traced(attr, block, tag, 0)
-    }
-
-    /// A task carrying an optional idempotency tag and a trace id.
-    pub fn traced(attr: usize, block: OpBlock, tag: Option<IngestTag>, trace: u64) -> Self {
+    /// A task stamped with the current time as its enqueue instant.
+    pub fn new(attr: usize, block: OpBlock, tag: Option<IngestTag>, trace: u64) -> Self {
         Self {
             attr,
             block,
@@ -75,15 +80,6 @@ impl ShardTask {
             enqueued_at: Instant::now(),
         }
     }
-}
-
-/// Why a non-blocking push failed; the task is handed back.
-#[derive(Debug)]
-pub enum PushError {
-    /// The queue was at capacity.
-    Full(ShardTask),
-    /// The queue was closed for shutdown.
-    Closed(ShardTask),
 }
 
 #[derive(Debug, Default)]
@@ -115,15 +111,14 @@ pub struct BlockQueue {
     not_empty: Condvar,
     /// Blocks successfully enqueued over the queue's lifetime.
     pushed: AtomicU64,
-    /// Push attempts that found the queue full (non-blocking failures
-    /// and blocking waits alike): the backpressure event counter.
+    /// Reservations that found the queue full, under either [`Wait`]
+    /// mode: the backpressure event counter.
     backpressure_events: AtomicU64,
-    /// The non-blocking subset of backpressure events: `try_push` /
-    /// `try_reserve` attempts that were turned away at capacity —
-    /// including automatic re-attempts of parked submissions, so this
-    /// measures refusal pressure rather than distinct shed
-    /// submissions. Blocking producers that merely waited are not
-    /// counted here.
+    /// The [`Wait::Try`] subset of backpressure events: reservations
+    /// turned away at capacity — including automatic re-attempts of
+    /// parked submissions, so this measures refusal pressure rather
+    /// than distinct shed submissions. Blocking producers that merely
+    /// waited are not counted here.
     rejections: AtomicU64,
     /// Telemetry gauge mirroring `tasks.len()`, updated under the queue
     /// lock on every push/pop so a metrics scrape sees the live depth
@@ -181,22 +176,14 @@ impl BlockQueue {
         self.backpressure_events.load(Ordering::Acquire)
     }
 
-    /// Number of non-blocking pushes/reservations turned away at
-    /// capacity (the subset of [`Self::backpressure_events`] that did
-    /// not wait).
+    /// Number of [`Wait::Try`] reservations turned away at capacity
+    /// (the subset of [`Self::backpressure_events`] that did not wait).
     pub fn rejections(&self) -> u64 {
         self.rejections.load(Ordering::Acquire)
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn note_push(&self, state: &mut QueueState) {
-        state.max_depth = state.max_depth.max(state.occupied());
-        self.depth_gauge.set(state.tasks.len() as i64);
-        self.pushed.fetch_add(1, Ordering::Release);
-        self.not_empty.notify_one();
     }
 
     /// Resets the high-water mark to the current occupancy, so the next
@@ -208,55 +195,20 @@ impl BlockQueue {
         state.max_depth = state.occupied();
     }
 
-    /// Enqueues, blocking while the queue is full.
-    ///
-    /// # Errors
-    /// `Err(task)` (the task handed back) if the queue is closed.
-    pub fn push(&self, task: ShardTask) -> Result<(), ShardTask> {
-        let mut state = self.lock();
-        if state.occupied() >= self.capacity && !state.closed {
-            self.backpressure_events.fetch_add(1, Ordering::Relaxed);
-        }
-        while state.occupied() >= self.capacity && !state.closed {
-            state = self.not_full.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-        if state.closed {
-            return Err(task);
-        }
-        state.tasks.push_back(task);
-        self.note_push(&mut state);
-        Ok(())
-    }
-
-    /// Enqueues without blocking.
-    ///
-    /// # Errors
-    /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
-    /// close; the task is handed back either way.
-    pub fn try_push(&self, task: ShardTask) -> Result<(), PushError> {
-        let mut state = self.lock();
-        if state.closed {
-            return Err(PushError::Closed(task));
-        }
-        if state.occupied() >= self.capacity {
-            self.backpressure_events.fetch_add(1, Ordering::Relaxed);
-            self.rejections.fetch_add(1, Ordering::Relaxed);
-            return Err(PushError::Full(task));
-        }
-        state.tasks.push_back(task);
-        self.note_push(&mut state);
-        Ok(())
-    }
-
     /// Reserves one slot without blocking: on success the slot counts
     /// against capacity until [`Self::push_reserved`] or
     /// [`Self::release_reserved`]. Returns whether the reservation was
-    /// granted (`false` when full) — closed queues also refuse.
-    pub fn try_reserve(&self) -> bool {
+    /// granted; closed queues refuse too (tell the cases apart with
+    /// [`Self::is_closed`]). A refusal at capacity counts as a
+    /// backpressure event, and under [`Wait::Try`] also as a rejection.
+    pub fn try_reserve(&self, wait: Wait) -> bool {
         let mut state = self.lock();
-        if state.closed || state.occupied() >= self.capacity {
-            if !state.closed {
-                self.backpressure_events.fetch_add(1, Ordering::Relaxed);
+        if state.closed {
+            return false;
+        }
+        if state.occupied() >= self.capacity {
+            self.backpressure_events.fetch_add(1, Ordering::Relaxed);
+            if wait == Wait::Try {
                 self.rejections.fetch_add(1, Ordering::Relaxed);
             }
             return false;
@@ -266,13 +218,24 @@ impl BlockQueue {
         true
     }
 
+    /// Blocks while the queue is full and open. The caller must hold no
+    /// reservation on any queue while it waits.
+    pub fn wait_for_room(&self) {
+        let mut state = self.lock();
+        while state.occupied() >= self.capacity && !state.closed {
+            state = self.not_full.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
     /// Fills a previously granted reservation; never blocks or fails.
     pub fn push_reserved(&self, task: ShardTask) {
         let mut state = self.lock();
         debug_assert!(state.reserved > 0, "push without reservation");
         state.reserved -= 1;
         state.tasks.push_back(task);
-        self.note_push(&mut state);
+        self.depth_gauge.set(state.tasks.len() as i64);
+        self.pushed.fetch_add(1, Ordering::Release);
+        self.not_empty.notify_one();
     }
 
     /// Releases an unused reservation.
@@ -280,7 +243,10 @@ impl BlockQueue {
         let mut state = self.lock();
         debug_assert!(state.reserved > 0, "release without reservation");
         state.reserved -= 1;
-        self.not_full.notify_one();
+        // Every waiter: a woken producer does not take the slot, so a
+        // single wake-up could land on one that goes off to wait on
+        // another shard and leave the rest asleep beside a free slot.
+        self.not_full.notify_all();
     }
 
     /// Dequeues, blocking while the queue is empty. Returns `None` once
@@ -291,7 +257,7 @@ impl BlockQueue {
         loop {
             if let Some(task) = state.tasks.pop_front() {
                 self.depth_gauge.set(state.tasks.len() as i64);
-                self.not_full.notify_one();
+                self.not_full.notify_all();
                 return Some(task);
             }
             if state.closed {
@@ -304,8 +270,8 @@ impl BlockQueue {
         }
     }
 
-    /// Closes the queue: pending tasks remain poppable, further pushes
-    /// fail, blocked producers and the consumer wake.
+    /// Closes the queue: pending tasks remain poppable, further
+    /// reservations fail, waiting producers and the consumer wake.
     pub fn close(&self) {
         let mut state = self.lock();
         state.closed = true;
@@ -324,51 +290,77 @@ mod tests {
     use super::*;
 
     fn task(attr: usize) -> ShardTask {
-        ShardTask::new(attr, OpBlock::from_values([attr as u64]))
+        ShardTask::new(attr, OpBlock::from_values([attr as u64]), None, 0)
+    }
+
+    /// The non-blocking push of a [`Wait::Try`] submission: reserve one
+    /// slot, then fill it. Returns whether the queue took the task.
+    fn try_push(q: &BlockQueue, attr: usize) -> bool {
+        let granted = q.try_reserve(Wait::Try);
+        if granted {
+            q.push_reserved(task(attr));
+        }
+        granted
+    }
+
+    /// Reserves and fills one slot, as a submission does.
+    fn push(q: &BlockQueue, attr: usize) {
+        assert!(try_push(q, attr), "queue has room");
     }
 
     #[test]
     fn capacity_is_a_hard_bound_for_try_push() {
         let q = BlockQueue::new(2);
-        q.try_push(task(0)).unwrap();
-        q.try_push(task(1)).unwrap();
-        assert!(matches!(q.try_push(task(2)), Err(PushError::Full(_))));
+        assert!(try_push(&q, 0));
+        assert!(try_push(&q, 1));
+        assert!(!try_push(&q, 2), "refused at capacity");
         assert_eq!(q.depth(), 2);
         assert_eq!(q.max_depth(), 2);
         assert_eq!(q.backpressure_events(), 1);
-        assert_eq!(q.rejections(), 1, "try_push refusals count as rejections");
+        assert_eq!(q.rejections(), 1, "Try refusals count as rejections");
         // Popping frees a slot.
         let t = q.pop().unwrap();
         assert_eq!(t.attr, 0);
-        q.try_push(task(2)).unwrap();
+        assert!(try_push(&q, 2));
         assert_eq!(q.max_depth(), 2, "never exceeded capacity");
     }
 
     #[test]
     fn reservations_count_against_capacity() {
         let q = BlockQueue::new(2);
-        assert!(q.try_reserve());
-        assert!(q.try_reserve());
-        assert!(!q.try_reserve(), "full by reservation alone");
-        assert!(matches!(q.try_push(task(9)), Err(PushError::Full(_))));
+        assert!(q.try_reserve(Wait::Try));
+        assert!(q.try_reserve(Wait::Try));
+        assert!(!q.try_reserve(Wait::Try), "full by reservation alone");
+        assert_eq!(q.backpressure_events(), 1);
+        assert_eq!(q.rejections(), 1, "Try refusals count as rejections");
+        assert!(!q.try_reserve(Wait::Block));
+        assert_eq!(q.backpressure_events(), 2);
+        assert_eq!(q.rejections(), 1, "Block refusals wait, not reject");
         q.push_reserved(task(0));
         q.release_reserved();
         assert_eq!(q.depth(), 1);
         // The released slot is usable again.
-        assert!(q.try_reserve());
+        assert!(q.try_reserve(Wait::Try));
         q.push_reserved(task(1));
         assert_eq!(q.depth(), 2);
         assert_eq!(q.max_depth(), 2);
+        // Popping frees a slot.
+        assert_eq!(q.pop().unwrap().attr, 0);
+        push(&q, 2);
+        assert_eq!(q.max_depth(), 2, "never exceeded capacity");
     }
 
     #[test]
     fn close_drains_then_signals_consumer() {
         let q = BlockQueue::new(4);
-        q.push(task(0)).unwrap();
-        q.push(task(1)).unwrap();
+        push(&q, 0);
+        push(&q, 1);
         q.close();
-        assert!(matches!(q.try_push(task(2)), Err(PushError::Closed(_))));
-        assert!(q.push(task(3)).is_err());
+        assert!(!q.try_reserve(Wait::Try));
+        assert!(!q.try_reserve(Wait::Block));
+        assert!(q.is_closed());
+        assert_eq!(q.backpressure_events(), 0, "closed is not backpressure");
+        q.wait_for_room(); // returns at once on a closed queue
         assert_eq!(q.pop().unwrap().attr, 0);
         assert_eq!(q.pop().unwrap().attr, 1);
         assert!(q.pop().is_none(), "closed + drained");
@@ -382,13 +374,12 @@ mod tests {
         let gauge = Arc::new(Gauge::new());
         let q = BlockQueue::with_depth_gauge(4, Arc::clone(&gauge));
         assert_eq!(gauge.get(), 0);
-        q.push(task(0)).unwrap();
-        q.push(task(1)).unwrap();
+        push(&q, 0);
+        push(&q, 1);
         assert_eq!(gauge.get(), 2);
         q.pop().unwrap();
         assert_eq!(gauge.get(), 1);
-        // The reservation path also lands on the gauge once filled.
-        assert!(q.try_reserve());
+        assert!(q.try_reserve(Wait::Try));
         assert_eq!(gauge.get(), 1, "a reservation is not a queued block");
         q.push_reserved(task(2));
         assert_eq!(gauge.get(), 2);
@@ -397,15 +388,15 @@ mod tests {
     #[test]
     fn reset_window_rebases_high_water_not_counters() {
         let q = BlockQueue::new(4);
-        q.push(task(0)).unwrap();
-        q.push(task(1)).unwrap();
+        push(&q, 0);
+        push(&q, 1);
         q.pop().unwrap();
         assert_eq!(q.max_depth(), 2);
         assert_eq!(q.pushed(), 2);
         q.reset_window();
         assert_eq!(q.max_depth(), 1, "rebased to current occupancy");
         assert_eq!(q.pushed(), 2, "cumulative counters are monotone");
-        q.push(task(2)).unwrap();
+        push(&q, 2);
         assert_eq!(q.max_depth(), 2);
         assert_eq!(q.pushed(), 3);
     }
@@ -414,13 +405,18 @@ mod tests {
     fn blocking_push_waits_for_space() {
         use std::sync::Arc;
         let q = Arc::new(BlockQueue::new(1));
-        q.push(task(0)).unwrap();
+        push(&q, 0);
         let q2 = Arc::clone(&q);
-        let producer = std::thread::spawn(move || q2.push(task(1)));
+        let producer = std::thread::spawn(move || {
+            while !q2.try_reserve(Wait::Block) {
+                q2.wait_for_room();
+            }
+            q2.push_reserved(task(1));
+        });
         // Give the producer a moment to block, then free a slot.
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert_eq!(q.pop().unwrap().attr, 0);
-        producer.join().unwrap().unwrap();
+        producer.join().unwrap();
         assert_eq!(q.depth(), 1);
         assert!(q.backpressure_events() >= 1);
         assert_eq!(q.rejections(), 0, "a blocking wait is not a rejection");

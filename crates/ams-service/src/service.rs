@@ -7,7 +7,7 @@ use std::thread::JoinHandle;
 
 use ams_core::{SelfJoinEstimator, TugOfWarSketch};
 use ams_durable::{ShardDurable, ShardRecovery, ShardShape, WalInstruments};
-use ams_stream::{OpBlock, Value};
+use ams_stream::OpBlock;
 use ams_telemetry::{
     trace_clock_ns, AccuracyReport, AssembledTrace, EventCode, EventHub, HealthReport,
     HealthSignal, HealthVerdict, MetricsRegistry, MetricsSnapshot, ServiceEvent, TraceHub,
@@ -18,8 +18,8 @@ use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use crate::health::{imbalance_ratio, HealthThresholds, HealthWindow};
 use crate::heavy::{HeavyEntry, HeavyKeys};
-use crate::queue::{BlockQueue, IngestTag, PushError, ShardTask};
-use crate::router::{Router, RouterPolicy};
+use crate::queue::{BlockQueue, IngestTag, ShardTask, Wait};
+use crate::router::{RoutedBlocks, Router, RouterPolicy};
 use crate::shard::{DurableShardState, ShardWorker};
 use crate::snapshot::{ServiceSnapshot, ShardCell};
 use crate::stats::{ServiceStats, ShardStats};
@@ -55,10 +55,11 @@ pub struct DurableCut {
 ///
 /// ```
 /// use ams_service::{AmsService, ServiceConfig};
+/// use ams_stream::OpBlock;
 ///
 /// let config = ServiceConfig::builder().shards(2).seed(7).build()?;
 /// let service = AmsService::start(config, &["clicks"])?;
-/// service.ingest_values("clicks", &[1, 2, 2, 3])?;
+/// service.ingest_block("clicks", OpBlock::from_values([1, 2, 2, 3]))?;
 /// service.drain();
 /// let snapshot = service.snapshot();
 /// assert!(snapshot.self_join("clicks")? > 0.0);
@@ -267,193 +268,70 @@ impl AmsService {
             })
     }
 
-    /// Submits a block of updates for one attribute, **blocking** while
-    /// target shard queues are full — the backpressure path that keeps
-    /// service memory bounded under a fast producer.
+    /// Submits a block of updates for one attribute — the one ingest
+    /// entry point. A slot is reserved on every shard queue the router
+    /// targets before anything is enqueued, so the block lands on all
+    /// of its shards or on none. At a full queue, [`Wait::Block`]
+    /// releases every reservation, waits for room there and tries
+    /// again; [`Wait::Try`] fails with [`ServiceError::WouldBlock`].
+    ///
+    /// `tag` makes resubmission idempotent: shard workers skip any
+    /// `(producer, seq)` at or below the producer's high-water mark, so
+    /// a client that resubmits after a lost ack never double-counts.
+    /// Dedup is only sound when routing is deterministic per value
+    /// ([`RouterPolicy::HashPartition`]); under round-robin a
+    /// resubmission may land on a *fresh* shard whose mark would falsely
+    /// swallow it, so the tag is **dropped** (at-least-once).
+    ///
+    /// `trace` (`0` = untraced) rides the **first** placement only, so
+    /// per-shard spans of one trace never overlap. On success the
+    /// returned value is the trace-clock instant the traced placement
+    /// entered its queue (`0` when untraced): callers end their `route`
+    /// span there, because the shard worker may already be processing
+    /// the task before this call returns.
+    ///
+    /// Only an accepted block feeds the heavy-key observer and the
+    /// shadow-audit sampler, so a refused block that is retried counts
+    /// once.
     ///
     /// # Errors
-    /// [`ServiceError::UnknownAttribute`] for unregistered names,
-    /// [`ServiceError::Closed`] after shutdown began.
-    pub fn ingest_block(&self, attribute: &str, block: OpBlock) -> Result<(), ServiceError> {
-        self.ingest_block_tagged(attribute, block, None)
-    }
-
-    /// [`Self::ingest_block`] with an optional idempotency tag. A
-    /// tagged submission carries its producer's id and sequence number
-    /// down to the shard workers, which skip any `(producer, seq)` at
-    /// or below the producer's high-water mark — so a client that
-    /// resubmits after a lost ack (see the `ams-net` reconnect path)
-    /// never double-counts a block that the first attempt already
-    /// logged and applied.
-    ///
-    /// Dedup is only sound when routing is deterministic per value,
-    /// i.e. under [`RouterPolicy::HashPartition`]: a resubmission then
-    /// re-splits identically and meets each target shard's high-water
-    /// mark. Under round-robin the resubmission may land on a *fresh*
-    /// shard whose mark would falsely swallow it, so the tag is
-    /// **dropped** here and resubmission degrades to at-least-once.
-    ///
-    /// # Errors
-    /// As for [`Self::ingest_block`].
-    pub fn ingest_block_tagged(
-        &self,
-        attribute: &str,
-        block: OpBlock,
-        tag: Option<IngestTag>,
-    ) -> Result<(), ServiceError> {
-        let attr = self.attr_index(attribute)?;
-        let tag = self.effective_tag(tag);
-        self.observe_heavy(attr, &block);
-        for (shard, part) in self.router.route(block) {
-            let part_ops = part.ops();
-            self.queues[shard]
-                .push(ShardTask::tagged(attr, part, tag))
-                .map_err(|_| ServiceError::Closed)?;
-            self.telemetry.shards[shard].routed_ops.add(part_ops);
-        }
-        Ok(())
-    }
-
-    /// Feeds the attribute's heavy-key observer and shadow-audit
-    /// sampler, when configured.
-    fn observe_heavy(&self, attr: usize, block: &OpBlock) {
-        if let Some(heavy) = self.heavy.get(attr) {
-            heavy.observe_block(block);
-        }
-        if let Some(audit) = &self.audit {
-            audit.observe(attr, block);
-        }
-    }
-
-    /// Keeps an idempotency tag only when the routing policy makes
-    /// worker-side dedup sound (see [`Self::ingest_block_tagged`]).
-    fn effective_tag(&self, tag: Option<IngestTag>) -> Option<IngestTag> {
-        match self.config.router() {
-            RouterPolicy::HashPartition => tag,
-            _ => None,
-        }
-    }
-
-    /// Submits a block of updates without blocking. All-or-nothing
-    /// across shards: when the router splits the block over several
-    /// shards, a slot is reserved on every target queue before anything
-    /// is enqueued, so a full queue rejects the whole submission with
-    /// nothing applied.
-    ///
-    /// # Errors
-    /// [`ServiceError::WouldBlock`] if any target queue is at capacity
-    /// (retry later, or use [`Self::ingest_block`] to wait);
-    /// [`ServiceError::UnknownAttribute`] / [`ServiceError::Closed`] as
-    /// for [`Self::ingest_block`].
-    pub fn try_ingest_block(&self, attribute: &str, block: OpBlock) -> Result<(), ServiceError> {
-        self.try_ingest_block_returning(attribute, block)
-            .map_err(|(_, error)| error)
-    }
-
-    /// Like [`Self::try_ingest_block`], but hands the block back on
-    /// failure, so a caller that parks and retries (e.g. the `ams-net`
-    /// reactor's per-connection retry ring) submits without cloning.
-    /// The returned block is update-equivalent to the submitted one;
-    /// when the hash-partition router had split it, entries come back
-    /// regrouped by shard (per-value order preserved — all that the
-    /// linear consumers, and re-routing, depend on).
-    ///
-    /// # Errors
-    /// As for [`Self::try_ingest_block`], paired with the handed-back
-    /// block.
-    pub fn try_ingest_block_returning(
-        &self,
-        attribute: &str,
-        block: OpBlock,
-    ) -> Result<(), (OpBlock, ServiceError)> {
-        self.try_ingest_block_tagged_returning(attribute, block, None)
-    }
-
-    /// [`Self::try_ingest_block_returning`] with an optional
-    /// idempotency tag, honoured under the same routing condition as
-    /// [`Self::ingest_block_tagged`].
-    ///
-    /// # Errors
-    /// As for [`Self::try_ingest_block_returning`].
-    pub fn try_ingest_block_tagged_returning(
-        &self,
-        attribute: &str,
-        block: OpBlock,
-        tag: Option<IngestTag>,
-    ) -> Result<(), (OpBlock, ServiceError)> {
-        self.try_ingest_block_traced_returning(attribute, block, tag, 0)
-            .map(|_| ())
-    }
-
-    /// [`Self::try_ingest_block_tagged_returning`] carrying a request
-    /// trace id (`0` = untraced). When the router splits the block over
-    /// several shards, the trace rides the **first** placement only:
-    /// per-shard spans of one trace then never overlap, so an assembled
-    /// trace's span sum stays bounded by the request's end-to-end
-    /// latency.
-    ///
-    /// On success the returned value is the trace-clock instant at
-    /// which the traced placement entered its shard queue (`0` when
-    /// untraced): the handoff point where ownership of the request's
-    /// latency passes from the caller's `route` stage to the shard's
-    /// `queue` stage. Callers end their route span *there* rather than
-    /// at return, because the shard worker may already be processing
-    /// the task (and preempting this thread) before this call comes
-    /// back — wall-clock after the handoff belongs to the shard-side
-    /// spans, and counting it under `route` too would double-book it.
-    ///
-    /// # Errors
-    /// As for [`Self::try_ingest_block_tagged_returning`].
-    pub fn try_ingest_block_traced_returning(
+    /// [`ServiceError::UnknownAttribute`], [`ServiceError::Closed`]
+    /// after shutdown began, or [`ServiceError::WouldBlock`] under
+    /// [`Wait::Try`]. The block comes back with the error so a caller
+    /// can retry without cloning; a split block comes back regrouped by
+    /// shard (per-value order preserved, so it is update-equivalent).
+    pub fn submit(
         &self,
         attribute: &str,
         block: OpBlock,
         tag: Option<IngestTag>,
         trace: u64,
+        wait: Wait,
     ) -> Result<u64, (OpBlock, ServiceError)> {
         let attr = match self.attr_index(attribute) {
             Ok(attr) => attr,
             Err(error) => return Err((block, error)),
         };
-        let tag = self.effective_tag(tag);
-        self.observe_heavy(attr, &block);
-        let mut routed = self.router.route(block);
-        // Single placement (round-robin, or one shard): plain
-        // non-blocking push; the queue hands the task back on refusal.
-        if routed.len() == 1 {
-            let (shard, part) = routed.pop().expect("one placement");
-            let part_ops = part.ops();
-            let handoff = if trace != 0 { trace_clock_ns() } else { 0 };
-            return match self.queues[shard].try_push(ShardTask::traced(attr, part, tag, trace)) {
-                Ok(()) => {
-                    self.telemetry.shards[shard].routed_ops.add(part_ops);
-                    Ok(handoff)
-                }
-                Err(PushError::Full(task)) => Err((task.block, ServiceError::WouldBlock { shard })),
-                Err(PushError::Closed(task)) => Err((task.block, ServiceError::Closed)),
+        let tag = tag.filter(|_| self.config.router() == RouterPolicy::HashPartition);
+        let routed = self.router.route(block);
+        while let Err(shard) = self.reserve_all(&routed, wait) {
+            let error = if self.queues[shard].is_closed() {
+                ServiceError::Closed
+            } else if wait == Wait::Try {
+                ServiceError::WouldBlock { shard }
+            } else {
+                self.queues[shard].wait_for_room();
+                continue;
             };
+            return Err((reassemble(routed), error));
         }
-        // Multi-shard split: reserve everywhere first, so a refusal
-        // anywhere leaves nothing enqueued.
-        for (i, (shard, _)) in routed.iter().enumerate() {
-            if !self.queues[*shard].try_reserve() {
-                for (prior, _) in &routed[..i] {
-                    self.queues[*prior].release_reserved();
-                }
-                let error = if self.queues[*shard].is_closed() {
-                    ServiceError::Closed
-                } else {
-                    ServiceError::WouldBlock { shard: *shard }
-                };
-                // Reassemble the split parts into one equivalent block.
-                let mut back = OpBlock::with_capacity(routed.iter().map(|(_, p)| p.len()).sum());
-                for (_, part) in &routed {
-                    for (v, d) in part.entries() {
-                        back.push(v, d);
-                    }
-                }
-                return Err((back, error));
+        if let Some(heavy) = self.heavy.get(attr) {
+            for (_, part) in &routed {
+                heavy.observe_block(part);
             }
+        }
+        if let Some(audit) = &self.audit {
+            audit.observe(attr, routed.iter().map(|(_, part)| part));
         }
         let mut handoff = 0;
         for (i, (shard, part)) in routed.into_iter().enumerate() {
@@ -462,27 +340,37 @@ impl AmsService {
             if part_trace != 0 {
                 handoff = trace_clock_ns();
             }
-            self.queues[shard].push_reserved(ShardTask::traced(attr, part, tag, part_trace));
+            self.queues[shard].push_reserved(ShardTask::new(attr, part, tag, part_trace));
             self.telemetry.shards[shard].routed_ops.add(part_ops);
         }
         Ok(handoff)
     }
 
-    /// Convenience: run-coalesces a value slice into a block and
-    /// submits it with [`Self::ingest_block`].
-    ///
-    /// # Errors
-    /// As for [`Self::ingest_block`].
-    pub fn ingest_values(&self, attribute: &str, values: &[Value]) -> Result<(), ServiceError> {
-        self.ingest_block(attribute, OpBlock::from_values(values.iter().copied()))
+    /// Reserves one slot on every queue `routed` targets. On a refusal,
+    /// releases what it already holds and returns the refusing shard.
+    fn reserve_all(&self, routed: &RoutedBlocks, wait: Wait) -> Result<(), usize> {
+        for (i, &(shard, _)) in routed.iter().enumerate() {
+            if !self.queues[shard].try_reserve(wait) {
+                for &(held, _) in &routed[..i] {
+                    self.queues[held].release_reserved();
+                }
+                return Err(shard);
+            }
+        }
+        Ok(())
     }
 
-    /// Convenience: non-blocking variant of [`Self::ingest_values`].
+    /// Submits a block of updates for one attribute, waiting while
+    /// target shard queues are full: [`Self::submit`] untagged,
+    /// untraced, under [`Wait::Block`].
     ///
     /// # Errors
-    /// As for [`Self::try_ingest_block`].
-    pub fn try_ingest_values(&self, attribute: &str, values: &[Value]) -> Result<(), ServiceError> {
-        self.try_ingest_block(attribute, OpBlock::from_values(values.iter().copied()))
+    /// [`ServiceError::UnknownAttribute`] for unregistered names,
+    /// [`ServiceError::Closed`] after shutdown began.
+    pub fn ingest_block(&self, attribute: &str, block: OpBlock) -> Result<(), ServiceError> {
+        self.submit(attribute, block, None, 0, Wait::Block)
+            .map(drop)
+            .map_err(|(_, error)| error)
     }
 
     /// Merge-on-query: merges every shard's latest published snapshot
@@ -992,11 +880,31 @@ impl Drop for AmsService {
     }
 }
 
+/// Puts a refused submission's placements back together into one
+/// block, update-equivalent to the one submitted.
+fn reassemble(mut routed: RoutedBlocks) -> OpBlock {
+    if routed.len() == 1 {
+        return routed.pop().expect("one placement").1;
+    }
+    let mut block = OpBlock::with_capacity(routed.iter().map(|(_, part)| part.len()).sum());
+    for (_, part) in &routed {
+        for (v, d) in part.entries() {
+            block.push(v, d);
+        }
+    }
+    block
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ams_core::{SelfJoinEstimator, SketchParams, TugOfWarSketch};
     use ams_stream::Multiset;
+
+    /// Submits `values` as one block, waiting for room.
+    fn ingest(service: &AmsService, attribute: &str, values: &[u64]) -> Result<(), ServiceError> {
+        service.ingest_block(attribute, OpBlock::from_values(values.iter().copied()))
+    }
 
     fn config(shards: usize) -> ServiceConfig {
         ServiceConfig::builder()
@@ -1019,7 +927,7 @@ mod tests {
         ));
         let service = AmsService::start(config(2), &["a"]).unwrap();
         assert!(matches!(
-            service.ingest_values("zz", &[1]),
+            ingest(&service, "zz", &[1]),
             Err(ServiceError::UnknownAttribute { .. })
         ));
     }
@@ -1030,7 +938,7 @@ mod tests {
         let service = AmsService::start(cfg.clone(), &["v"]).unwrap();
         let values: Vec<u64> = (0..5_000u64).map(|i| i * i % 257).collect();
         for chunk in values.chunks(128) {
-            service.ingest_values("v", chunk).unwrap();
+            ingest(&service, "v", chunk).unwrap();
         }
         service.drain();
         let snapshot = service.snapshot();
@@ -1053,8 +961,8 @@ mod tests {
         let f: Vec<u64> = (0..4_000).map(|i| i % 40).collect();
         let g: Vec<u64> = (0..4_000).map(|i| i % 60).collect();
         for (fc, gc) in f.chunks(256).zip(g.chunks(256)) {
-            service.ingest_values("f", fc).unwrap();
-            service.ingest_values("g", gc).unwrap();
+            ingest(&service, "f", fc).unwrap();
+            ingest(&service, "g", gc).unwrap();
         }
         service.drain();
         let snapshot = service.snapshot();
@@ -1072,17 +980,17 @@ mod tests {
     #[test]
     fn shutdown_rejects_further_ingestion_via_closed_queues() {
         let service = AmsService::start(config(1), &["a"]).unwrap();
-        service.ingest_values("a", &[1, 2, 3]).unwrap();
+        ingest(&service, "a", &[1, 2, 3]).unwrap();
         // Close the queue as shutdown would, without consuming the
         // service, to observe the error surface.
         service.queues[0].close();
         assert!(matches!(
-            service.ingest_values("a", &[4]),
+            ingest(&service, "a", &[4]),
             Err(ServiceError::Closed)
         ));
         assert!(matches!(
-            service.try_ingest_values("a", &[4]),
-            Err(ServiceError::Closed)
+            service.submit("a", OpBlock::from_values([4]), None, 0, Wait::Try),
+            Err((_, ServiceError::Closed))
         ));
         let (snapshot, _) = service.shutdown();
         assert_eq!(snapshot.ops(), 3);
@@ -1108,9 +1016,7 @@ mod tests {
             let stop_ref = &stop;
             scope.spawn(move || {
                 while !stop_ref.load(Ordering::Acquire) {
-                    service_ref
-                        .ingest_values("a", &[1, 2, 3])
-                        .expect("service running");
+                    ingest(service_ref, "a", &[1, 2, 3]).expect("service running");
                 }
             });
             while service.stats().blocks_enqueued() < 16 {
@@ -1129,7 +1035,7 @@ mod tests {
     fn epochs_advance_with_publishes() {
         let service = AmsService::start(config(1), &["a"]).unwrap();
         assert_eq!(service.snapshot().epoch_max(), 0);
-        service.ingest_values("a", &[1, 2]).unwrap();
+        ingest(&service, "a", &[1, 2]).unwrap();
         let drained_to = service.drain();
         assert!(drained_to >= 1, "a non-empty drain reaches epoch >= 1");
         let snapshot = service.snapshot();
@@ -1141,7 +1047,7 @@ mod tests {
     fn drain_epoch_is_a_consistent_cut_across_shards() {
         let service = AmsService::start(config(3), &["a"]).unwrap();
         for chunk in (0..900u64).collect::<Vec<_>>().chunks(30) {
-            service.ingest_values("a", chunk).unwrap();
+            ingest(&service, "a", chunk).unwrap();
         }
         let drained_to = service.drain();
         assert!(drained_to >= 1);
@@ -1158,7 +1064,7 @@ mod tests {
         let empty = service.drain_cut();
         assert!(service.poll_drained(&empty).is_some());
         for chunk in (0..400u64).collect::<Vec<_>>().chunks(16) {
-            service.ingest_values("a", chunk).unwrap();
+            ingest(&service, "a", chunk).unwrap();
         }
         let cut = service.drain_cut();
         let epoch = loop {
@@ -1190,8 +1096,8 @@ mod tests {
         let mut saw_rejection = false;
         for _ in 0..10_000 {
             if matches!(
-                service.try_ingest_values("a", &[1, 2, 3]),
-                Err(ServiceError::WouldBlock { .. })
+                service.submit("a", OpBlock::from_values([1, 2, 3]), None, 0, Wait::Try),
+                Err((_, ServiceError::WouldBlock { .. }))
             ) {
                 saw_rejection = true;
                 break;
@@ -1221,8 +1127,8 @@ mod tests {
         let mut accepted = 0u64;
         let mut handed_back = None;
         for _ in 0..10_000 {
-            match service.try_ingest_block_returning("a", block.clone()) {
-                Ok(()) => accepted += 1,
+            match service.submit("a", block.clone(), None, 0, Wait::Try) {
+                Ok(_) => accepted += 1,
                 Err((back, ServiceError::WouldBlock { .. })) => {
                     handed_back = Some(back);
                     break;
@@ -1253,10 +1159,56 @@ mod tests {
     }
 
     #[test]
+    fn refused_submissions_are_observed_once_on_acceptance() {
+        const KEYS: u64 = 8;
+        let cfg = ServiceConfig::builder()
+            .shards(2)
+            .queue_capacity(1)
+            .sketch_params(SketchParams::single_group(1_024).unwrap())
+            .router(crate::RouterPolicy::HashPartition)
+            .heavy_keys(KEYS as usize)
+            .audit_every(1)
+            .seed(9)
+            .build()
+            .unwrap();
+        let service = AmsService::start(cfg, &["a"]).unwrap();
+        // At most `KEYS` distinct keys, so SpaceSaving counts are exact;
+        // key `k` appears `k + 1` times per block.
+        let block = OpBlock::from_values((0..KEYS).flat_map(|k| (0..=k).map(move |_| k)));
+        let mut refusals = 0u64;
+        let mut accepted = 0u64;
+        for _ in 0..64 {
+            let mut attempt = block.clone();
+            loop {
+                match service.submit("a", attempt, None, 0, Wait::Try) {
+                    Ok(_) => break,
+                    Err((back, ServiceError::WouldBlock { .. })) => {
+                        refusals += 1;
+                        attempt = back;
+                        std::thread::yield_now();
+                    }
+                    Err((_, other)) => panic!("unexpected failure: {other}"),
+                }
+            }
+            accepted += 1;
+        }
+        assert!(refusals > 0, "cap-1 queues must refuse part of the burst");
+        let mut top = service.heavy_keys("a").unwrap();
+        top.sort_by_key(|e| e.key);
+        assert_eq!(top.len(), KEYS as usize);
+        for entry in top {
+            assert_eq!(entry.count, accepted * (entry.key + 1), "key {}", entry.key);
+            assert_eq!(entry.error, 0);
+        }
+        let audited = service.audit.as_ref().unwrap().reading(0).unwrap();
+        assert_eq!(audited.sampled_blocks, accepted);
+    }
+
+    #[test]
     fn point_queries_match_the_full_snapshot() {
         let service = AmsService::start(config(3), &["f", "g"]).unwrap();
-        service.ingest_values("f", &[1, 2, 2, 3, 9, 9]).unwrap();
-        service.ingest_values("g", &[2, 4, 4]).unwrap();
+        ingest(&service, "f", &[1, 2, 2, 3, 9, 9]).unwrap();
+        ingest(&service, "g", &[2, 4, 4]).unwrap();
         service.drain();
         let snapshot = service.snapshot();
         assert_eq!(
@@ -1280,8 +1232,8 @@ mod tests {
     #[test]
     fn snapshot_serde_roundtrip_preserves_counters_and_queries() {
         let service = AmsService::start(config(2), &["f", "g"]).unwrap();
-        service.ingest_values("f", &[1, 2, 2, 3, 9]).unwrap();
-        service.ingest_values("g", &[2, 2, 4]).unwrap();
+        ingest(&service, "f", &[1, 2, 2, 3, 9]).unwrap();
+        ingest(&service, "g", &[2, 2, 4]).unwrap();
         service.drain();
         let snapshot = service.snapshot();
         let json = serde_json::to_string(&snapshot).unwrap();
@@ -1315,7 +1267,7 @@ mod tests {
     #[test]
     fn snapshot_deserialize_rejects_malformed_wire_forms() {
         let service = AmsService::start(config(1), &["f", "g"]).unwrap();
-        service.ingest_values("f", &[1, 2]).unwrap();
+        ingest(&service, "f", &[1, 2]).unwrap();
         service.drain();
         let json = serde_json::to_string(&service.snapshot()).unwrap();
         // Dropping one attribute name breaks the name/sketch pairing.
@@ -1337,9 +1289,9 @@ mod tests {
         // sketch per attribute.
         let per_attr = (2 * cfg.params().total()) as i64;
         for chunk in (0..600u64).collect::<Vec<_>>().chunks(20) {
-            service.ingest_values("f", chunk).unwrap();
+            ingest(&service, "f", chunk).unwrap();
         }
-        service.ingest_values("g", &[1, 2, 3]).unwrap();
+        ingest(&service, "g", &[1, 2, 3]).unwrap();
         service.drain();
         let snap = service.metrics_snapshot();
         assert_eq!(snap.counter_total("service_ops_ingested"), 603);
@@ -1402,7 +1354,7 @@ mod tests {
     fn windowed_stats_reset_high_water_but_keep_counters_monotone() {
         let service = AmsService::start(config(2), &["a"]).unwrap();
         for chunk in (0..400u64).collect::<Vec<_>>().chunks(16) {
-            service.ingest_values("a", chunk).unwrap();
+            ingest(&service, "a", chunk).unwrap();
         }
         service.drain();
         let first = service.take_snapshot_and_reset_window();
@@ -1416,7 +1368,7 @@ mod tests {
         // More traffic raises the windowed mark again and advances the
         // cumulative counters monotonically.
         for chunk in (0..200u64).collect::<Vec<_>>().chunks(16) {
-            service.ingest_values("a", chunk).unwrap();
+            ingest(&service, "a", chunk).unwrap();
         }
         service.drain();
         let second = service.take_snapshot_and_reset_window();
@@ -1439,7 +1391,7 @@ mod tests {
         let skewed: Vec<u64> = (0..300u64)
             .map(|i| if i % 3 == 0 { 99 } else { 7 })
             .collect();
-        service.ingest_values("a", &skewed).unwrap();
+        ingest(&service, "a", &skewed).unwrap();
         service.drain();
         let top = service.heavy_keys("a").unwrap();
         assert_eq!(top[0].key, 7);
@@ -1465,7 +1417,7 @@ mod tests {
     #[test]
     fn heavy_keys_disabled_by_default() {
         let service = AmsService::start(config(1), &["a"]).unwrap();
-        service.ingest_values("a", &[7, 7, 7]).unwrap();
+        ingest(&service, "a", &[7, 7, 7]).unwrap();
         service.drain();
         assert!(service.heavy_keys("a").unwrap().is_empty());
         assert_eq!(
@@ -1480,9 +1432,7 @@ mod tests {
     fn traced_ingest_records_queue_and_kernel_spans() {
         let service = AmsService::start(config(2), &["a"]).unwrap();
         let block = OpBlock::from_values(0..32u64);
-        service
-            .try_ingest_block_traced_returning("a", block, None, 0xBEEF)
-            .unwrap();
+        service.submit("a", block, None, 0xBEEF, Wait::Try).unwrap();
         service.drain();
         let traces = service.trace_hub().assemble_all();
         let trace = traces
@@ -1499,7 +1449,7 @@ mod tests {
         );
         assert_eq!(trace.stage_ns("wal_append"), 0, "no WAL when in-memory");
         // Untraced ingest records nothing.
-        service.ingest_values("a", &[1, 2, 3]).unwrap();
+        ingest(&service, "a", &[1, 2, 3]).unwrap();
         service.drain();
         assert_eq!(service.trace_hub().assemble_all().len(), traces.len());
     }
@@ -1509,7 +1459,7 @@ mod tests {
         let service = AmsService::start(config(1), &["a"]).unwrap();
         service.trace_hub().set_enabled(false);
         service
-            .try_ingest_block_traced_returning("a", OpBlock::from_values(0..8u64), None, 0xF00D)
+            .submit("a", OpBlock::from_values(0..8u64), None, 0xF00D, Wait::Try)
             .unwrap();
         service.drain();
         assert!(service.trace_hub().assemble_all().is_empty());
@@ -1518,7 +1468,7 @@ mod tests {
     #[test]
     fn stats_serde_roundtrip() {
         let service = AmsService::start(config(2), &["a"]).unwrap();
-        service.ingest_values("a", &[1, 2, 3]).unwrap();
+        ingest(&service, "a", &[1, 2, 3]).unwrap();
         service.drain();
         let stats = service.stats();
         let json = serde_json::to_string(&stats).unwrap();

@@ -21,11 +21,11 @@ pub struct ShardStats {
     pub max_queue_depth: usize,
     /// Blocks enqueued to this shard over the service lifetime.
     pub blocks_enqueued: u64,
-    /// Times a producer found this shard's queue full (non-blocking
-    /// failures and blocking waits alike).
+    /// Times a producer found this shard's queue full (`Wait::Try`
+    /// refusals and `Wait::Block` waits alike).
     pub backpressure_events: u64,
-    /// The non-blocking subset of [`Self::backpressure_events`]:
-    /// `try_ingest` submissions turned away at capacity. Counts every
+    /// The `Wait::Try` subset of [`Self::backpressure_events`]:
+    /// submissions turned away at capacity. Counts every
     /// refusal, including automatic re-attempts of parked submissions
     /// (e.g. the `ams-net` retry ring re-trying each reactor tick), so
     /// it measures refusal pressure on the queue and is an **upper

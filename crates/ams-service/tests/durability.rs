@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ams_core::{SelfJoinEstimator, SketchParams, TugOfWarSketch};
-use ams_service::{AmsService, DurabilityConfig, FaultPlan, FsyncPolicy, ServiceConfig};
+use ams_service::{AmsService, DurabilityConfig, FaultPlan, FsyncPolicy, ServiceConfig, Wait};
 use ams_stream::OpBlock;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -296,10 +296,10 @@ fn tagged_resubmission_is_applied_once_and_still_acks() {
     };
     // The same submission lands twice — an ack-was-lost resubmit.
     service
-        .ingest_block_tagged("v", block(0), Some(tag))
+        .submit("v", block(0), Some(tag), 0, Wait::Block)
         .unwrap();
     service
-        .ingest_block_tagged("v", block(0), Some(tag))
+        .submit("v", block(0), Some(tag), 0, Wait::Block)
         .unwrap();
     // A duplicate is skipped but still counts as durable: the cut
     // covering it must complete (the resubmitter gets its ack).

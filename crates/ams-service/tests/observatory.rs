@@ -187,7 +187,9 @@ fn health_interval_covers_exact_on_seeded_zipf_stream() {
         .unwrap();
     let service = AmsService::start(config, &["zipf"]).unwrap();
     for chunk in values.chunks(100) {
-        service.ingest_values("zipf", chunk).unwrap();
+        service
+            .ingest_block("zipf", OpBlock::from_values(chunk.iter().copied()))
+            .unwrap();
     }
     service.drain();
 

@@ -3,7 +3,7 @@
 //! counters) and the bounded-memory backpressure guarantee.
 
 use ams_core::{SelfJoinEstimator, SketchParams, TugOfWarSketch};
-use ams_service::{AmsService, RouterPolicy, ServiceConfig, ServiceError};
+use ams_service::{AmsService, RouterPolicy, ServiceConfig, ServiceError, Wait};
 use ams_stream::{Op, OpBlock};
 use proptest::prelude::*;
 
@@ -49,18 +49,30 @@ proptest! {
         shards in 1usize..5,
         hash_router in any::<bool>(),
         chunk in 1usize..48,
+        blocking in any::<bool>(),
     ) {
         let router = if hash_router {
             RouterPolicy::HashPartition
         } else {
             RouterPolicy::RoundRobin
         };
+        let wait = if blocking { Wait::Block } else { Wait::Try };
         let cfg = config(shards, router);
         let service = AmsService::start(cfg.clone(), &["v"]).unwrap();
         for piece in ops.chunks(chunk) {
-            service
-                .ingest_block("v", OpBlock::from_ops(piece.iter().copied()))
-                .unwrap();
+            // A refused `Try` submission comes back whole; resubmit it
+            // until it lands.
+            let mut block = OpBlock::from_ops(piece.iter().copied());
+            loop {
+                match service.submit("v", block, None, 0, wait) {
+                    Ok(_) => break,
+                    Err((back, ServiceError::WouldBlock { .. })) => {
+                        block = back;
+                        std::thread::yield_now();
+                    }
+                    Err((_, e)) => panic!("unexpected ingest error: {e}"),
+                }
+            }
         }
         service.drain();
         let live_snapshot = service.snapshot();
@@ -109,14 +121,14 @@ fn backpressure_bounds_queue_depth_under_fast_producer() {
     for _ in 0..12 {
         // Non-blocking first; on backpressure fall back to the blocking
         // push, which parks the producer instead of growing the queue.
-        match service.try_ingest_block("v", block.clone()) {
-            Ok(()) => {}
-            Err(ServiceError::WouldBlock { shard }) => {
+        match service.submit("v", block.clone(), None, 0, Wait::Try) {
+            Ok(_) => {}
+            Err((_, ServiceError::WouldBlock { shard })) => {
                 assert_eq!(shard, 0);
                 would_block += 1;
                 service.ingest_block("v", block.clone()).unwrap();
             }
-            Err(e) => panic!("unexpected ingest error: {e}"),
+            Err((_, e)) => panic!("unexpected ingest error: {e}"),
         }
         let depth = service.stats().shards[0].queue_depth;
         assert!(depth <= capacity, "queue depth {depth} exceeds capacity");
@@ -160,10 +172,10 @@ fn try_ingest_multi_shard_is_atomic() {
     let mut accepted = 0u64;
     let mut rejected = 0u64;
     for _ in 0..24 {
-        match service.try_ingest_block("v", block.clone()) {
-            Ok(()) => accepted += 1,
-            Err(ServiceError::WouldBlock { .. }) => rejected += 1,
-            Err(e) => panic!("unexpected ingest error: {e}"),
+        match service.submit("v", block.clone(), None, 0, Wait::Try) {
+            Ok(_) => accepted += 1,
+            Err((_, ServiceError::WouldBlock { .. })) => rejected += 1,
+            Err((_, e)) => panic!("unexpected ingest error: {e}"),
         }
     }
     service.drain();

@@ -107,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ingest = metrics.merged_histogram("service_ingest_ns");
     assert!(ingest.count > 0, "ingest latency was profiled");
     // Client-side coalescing ships each INGEST_BATCH-block chunk as one
-    // IngestBlocks frame, so the server decodes one frame per batch (plus
+    // Ingest frame, so the server decodes one frame per batch (plus
     // the live queries and shed retries) — not one per block.
     let frames = metrics.counter_total("net_frames_decoded");
     let batch_frames = blocks.len().div_ceil(AmsClient::INGEST_BATCH) as u64;
