@@ -85,8 +85,9 @@ struct IngestScratch {
     /// Reusable net-coalescing map + output block.
     coalesce: CoalesceBuffer,
     /// EWMA of the observed duplicate ratio `1 − distinct/len` over
-    /// coalesced blocks. Starts at 1.0 ("assume skewed") so the first
-    /// blocks coalesce and the estimate converges from observations.
+    /// coalesced blocks and swept batches. Starts at 1.0 ("assume
+    /// skewed") so the first blocks coalesce and the estimate converges
+    /// from observations.
     dup_ratio: f32,
     /// Blocks ingested without coalescing since the last observation;
     /// drives the periodic probe that lets the estimate recover if the
@@ -191,6 +192,7 @@ impl<H: SignFamily> TugOfWarSketch<H> {
     /// coalesced form from [`OpBlock::coalesce`] — yields the same
     /// counters as the equivalent per-item updates, bit for bit.
     pub fn update_block(&mut self, block: &OpBlock) {
+        self.sweep_folded();
         if block.is_coalesced() {
             // Already net deltas (histogram bulk loads, pre-coalesced
             // batches): straight to the plane sweep.
@@ -211,7 +213,53 @@ impl<H: SignFamily> TugOfWarSketch<H> {
     /// # Panics
     /// Panics if the column lengths differ.
     pub fn update_columns(&mut self, values: &[Value], deltas: &[i64]) {
+        self.sweep_folded();
         self.ingest_columns(values, deltas);
+    }
+
+    /// Whether the adaptive coalescing gate is on: the running
+    /// duplicate-ratio estimate says a hash-map netting pass saves more
+    /// row evaluations than it costs. A caller holding several blocks
+    /// at once uses this to decide whether to
+    /// [`fold`](Self::fold_block) them into one sweep.
+    pub fn coalesces(&self) -> bool {
+        self.scratch.dup_ratio * self.counters.len() as f32 > COALESCE_THRESHOLD
+    }
+
+    /// Folds a block into the pending multi-block batch: its entries
+    /// join the running per-value net deltas in the sketch's coalescing
+    /// scratch, and the counters do not move until
+    /// [`Self::sweep_folded`]. The block can be dropped as soon as this
+    /// returns. Block ingestion ([`Self::update_block`],
+    /// [`Self::update_columns`]) reuses that scratch, so it sweeps a
+    /// pending batch before its own block.
+    pub fn fold_block(&mut self, block: &OpBlock) {
+        self.scratch.coalesce.fold(block.values(), block.deltas());
+    }
+
+    /// Applies every block folded since the last sweep in one plane
+    /// sweep over their distinct values — bit-identical to applying
+    /// them one by one, because the counters are integer sums. The
+    /// batch's observed duplicate ratio feeds the coalescing gate like
+    /// a single coalesced block's. A no-op when nothing is folded.
+    pub fn sweep_folded(&mut self) {
+        let scratch = &mut self.scratch;
+        let folded = scratch.coalesce.folded();
+        if folded == 0 {
+            return;
+        }
+        let net = scratch.coalesce.finish();
+        if self.counters.len() >= 4 && folded >= 16 {
+            let observed = 1.0 - net.len() as f32 / folded as f32;
+            scratch.dup_ratio += DUP_EWMA_ALPHA * (observed - scratch.dup_ratio);
+            scratch.skipped = 0;
+        }
+        self.plane.accumulate_block_into(
+            net.values(),
+            net.deltas(),
+            &mut self.counters,
+            &mut scratch.plane,
+        );
     }
 
     fn ingest_columns(&mut self, values: &[Value], deltas: &[i64]) {
@@ -660,6 +708,37 @@ mod tests {
         back.insert(9);
         tw.insert(9);
         assert_eq!(back.counters(), tw.counters());
+    }
+
+    #[test]
+    fn folded_batches_sweep_once_and_drive_the_coalescing_gate() {
+        let p = params(64, 4);
+        let blocks: Vec<OpBlock> = (0..8u64)
+            .map(|b| OpBlock::from_values((0..64).map(|i| (b * 64 + i) % 40)))
+            .collect();
+        let mut per_block: TugOfWarSketch = TugOfWarSketch::new(p, 3);
+        let mut folded: TugOfWarSketch = TugOfWarSketch::new(p, 3);
+        for block in &blocks {
+            per_block.apply_block(block);
+            folded.fold_block(block);
+        }
+        assert!(
+            folded.counters().iter().all(|&z| z == 0),
+            "folding alone moves no counter"
+        );
+        folded.sweep_folded();
+        assert_eq!(folded.counters(), per_block.counters());
+        assert!(folded.coalesces(), "a skewed batch keeps the gate on");
+        // Duplicate-free batches turn the gate off.
+        let mut next = 1_000_000u64;
+        for _ in 0..40 {
+            for _ in 0..4 {
+                folded.fold_block(&OpBlock::from_values(next..next + 64));
+                next += 64;
+            }
+            folded.sweep_folded();
+        }
+        assert!(!folded.coalesces());
     }
 
     #[test]

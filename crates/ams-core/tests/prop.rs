@@ -135,12 +135,14 @@ proptest! {
     /// fed per item and fed as run-coalesced `OpBlock`s must leave each
     /// estimator in a bit-identical state (counters for the linear
     /// sketch, exact estimates and live points for the order-sensitive
-    /// sampling trackers).
+    /// sampling trackers). For the linear sketch this includes the
+    /// multi-block apply: `batch` blocks folded, then swept at once.
     #[test]
     fn block_ingestion_equals_scalar_ingestion(
         ops in wellformed_ops(400),
         seed in any::<u64>(),
         block_size in 1usize..80,
+        batch in 1usize..8,
     ) {
         let blocks: Vec<OpBlock> = ops
             .chunks(block_size)
@@ -159,6 +161,24 @@ proptest! {
         let mut net_tw: TugOfWarSketch = TugOfWarSketch::new(params, seed);
         net_tw.apply_block(&OpBlock::from_ops(ops.iter().copied()).coalesce());
         prop_assert_eq!(scalar_tw.counters(), net_tw.counters());
+        // The multi-block apply: values repeat and cancel across the
+        // blocks of a batch, an empty block follows every block, the
+        // scratch is reused dirty from batch to batch, and every third
+        // batch is left pending for the next block apply to sweep.
+        let mut fold_tw: TugOfWarSketch = TugOfWarSketch::new(params, seed);
+        for (i, group) in blocks.chunks(batch).enumerate() {
+            for block in group {
+                fold_tw.fold_block(block);
+                fold_tw.fold_block(&OpBlock::new());
+            }
+            if i % 3 == 2 {
+                fold_tw.apply_block(&OpBlock::new());
+            } else {
+                fold_tw.sweep_folded();
+            }
+        }
+        fold_tw.sweep_folded();
+        prop_assert_eq!(scalar_tw.counters(), fold_tw.counters());
 
         // Sample-count (both variants): positional sampling is
         // order-sensitive; run-coalesced blocks replay the identical

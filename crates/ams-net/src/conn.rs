@@ -4,12 +4,14 @@
 //! side feeding the frame decoder, an ordered queue of response
 //! *slots*, and a non-blocking write side. Responses must leave in
 //! request order, but an ingest that hit service backpressure cannot
-//! be answered yet — so its slot *parks* (the connection's retry ring)
-//! while later requests are still processed, and the write side simply
-//! stops at the first unfinished slot. The ring is bounded: once
-//! `max_pending` ingests are parked, further backpressured ingests are
-//! answered `Busy` immediately, which is what keeps server memory
-//! bounded under a producer that outruns the shard workers.
+//! be answered yet — so its slot *parks* (the connection's retry ring),
+//! and the write side simply stops at the first unfinished slot. Parked
+//! ingests land in order: a later block of the same frame parks behind
+//! them instead of being submitted, and the connection is not read
+//! again until they have landed. The ring is bounded: past
+//! `max_pending` parked ingests, further blocks are answered `Busy`
+//! without a submit attempt, which is what keeps server memory bounded
+//! under a producer that outruns the shard workers.
 //!
 //! The write side is a queue of encoded frames flushed with
 //! `write_vectored`, so every ready response a tick produced leaves in
@@ -78,7 +80,9 @@ pub(crate) enum Slot {
     /// The response frame is encoded and ready to flush.
     Ready(Vec<u8>),
     /// An ingest parked on the retry ring: the service said
-    /// `WouldBlock`, the reactor re-tries it every tick.
+    /// `WouldBlock` to it or to an earlier parked block of the same
+    /// connection, and the reactor re-tries the ring in order every
+    /// tick.
     PendingIngest {
         /// Attribute the block targets.
         attribute: String,
@@ -154,6 +158,10 @@ pub(crate) struct Connection {
     /// This connection asked for server shutdown and is owed the final
     /// `Goodbye`.
     pub(crate) wants_goodbye: bool,
+    /// The shard whose full queue last refused one of this connection's
+    /// ingests: a block shed behind parked ones (past the park bound,
+    /// without a submit attempt of its own) is answered `Busy` for it.
+    pub(crate) waiting_on: usize,
 }
 
 impl Connection {
@@ -173,6 +181,7 @@ impl Connection {
             peer_gone: false,
             io_failed: false,
             wants_goodbye: false,
+            waiting_on: 0,
         })
     }
 

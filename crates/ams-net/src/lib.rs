@@ -21,13 +21,15 @@
 //! ```
 //!
 //! The key property is that **service backpressure never parks the
-//! network thread**: a full shard queue turns into either a parked
-//! entry on that connection's bounded retry ring (retried every reactor
-//! tick, acknowledged once it lands) or an explicit
-//! [`Response::Busy`](codec::Response::Busy) answer carrying a retry
-//! hint — so a fast producer sees load-shedding, memory stays bounded
-//! by `queue capacity + ring capacity`, and every other connection
-//! keeps making progress. Queries (self-join, two-way join, full
+//! network thread**: a full shard queue turns into a parked entry on
+//! that connection's bounded retry ring (retried every reactor tick,
+//! acknowledged once it lands). Parked blocks land in order — later
+//! blocks park behind them, and the connection is not read until they
+//! land — and only past the ring's bound is a block answered with an
+//! explicit [`Response::Busy`](codec::Response::Busy) carrying a retry
+//! hint. So a fast producer sees backpressure, memory stays bounded by
+//! the service's bounded queues plus one parked frame per connection,
+//! and every other connection keeps making progress. Queries (self-join, two-way join, full
 //! snapshot, stats) answer from the service's merge-on-query snapshot
 //! register; `Drain` uses the service's non-blocking drain cut and is
 //! polled to completion by the reactor, and `Shutdown` gracefully

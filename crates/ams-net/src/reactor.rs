@@ -262,8 +262,9 @@ fn service_parked(
                         *slot = accepted(service, *durable, *trace, tracing, pool);
                         progress = true;
                     }
-                    Err((returned, ServiceError::WouldBlock { .. })) => {
+                    Err((returned, ServiceError::WouldBlock { shard })) => {
                         *block = returned;
+                        conn.waiting_on = shard;
                         ingest_blocked = true;
                         ingest_parked_before = true;
                     }
@@ -361,6 +362,14 @@ fn dispatch(
             // (producer, first_seq + i); a traced frame attributes its
             // trace to the first block, so one trace never owns
             // overlapping per-block spans.
+            //
+            // Blocks reach the service in connection order: once one
+            // block is parked, every later one parks behind it without
+            // a submit attempt — or, past the park bound, is answered
+            // `Busy` without one — so no later block (with a higher
+            // sequence number) can land first and make a shard's dedup
+            // skip the parked one.
+            let mut parked = conn.pending_ingests();
             for (i, block) in blocks.into_iter().enumerate() {
                 let tag = (producer != 0).then_some(IngestTag {
                     producer,
@@ -374,37 +383,50 @@ fn dispatch(
                 } else {
                     TraceCtx::none()
                 };
-                let route_t0 = tracing.start(trace.id);
-                let slot = match service.submit(&attribute, block, tag, trace.id, Wait::Try) {
-                    Ok(handoff) => {
-                        tracing.route_span(trace.id, route_t0, handoff);
-                        accepted(service, durable, trace, tracing, pool)
-                    }
-                    Err((block, error)) => {
-                        // A refused submission did spend its time
-                        // routing; the retry (if parked) re-routes under
-                        // its own span. A full queue parks the block on
-                        // the retry ring while it has room, and is
-                        // answered `Busy` otherwise.
-                        tracing.span_since(trace.id, TraceStage::Route, route_t0);
-                        match error {
-                            ServiceError::WouldBlock { .. }
-                                if conn.pending_ingests() < config.max_pending_per_conn =>
-                            {
-                                Slot::PendingIngest {
-                                    attribute: attribute.clone(),
-                                    block,
-                                    durable,
-                                    tag,
-                                    trace,
+                let park = |block| Slot::PendingIngest {
+                    attribute: attribute.clone(),
+                    block,
+                    durable,
+                    tag,
+                    trace,
+                };
+                let slot = if parked == 0 {
+                    let route_t0 = tracing.start(trace.id);
+                    match service.submit(&attribute, block, tag, trace.id, Wait::Try) {
+                        Ok(handoff) => {
+                            tracing.route_span(trace.id, route_t0, handoff);
+                            accepted(service, durable, trace, tracing, pool)
+                        }
+                        Err((block, error)) => {
+                            // A refused submission did spend its time
+                            // routing; the retry re-routes under its own
+                            // span. A full queue parks the block unless
+                            // parking is off (a zero bound).
+                            tracing.span_since(trace.id, TraceStage::Route, route_t0);
+                            match error {
+                                ServiceError::WouldBlock { shard }
+                                    if config.max_pending_per_conn > 0 =>
+                                {
+                                    conn.waiting_on = shard;
+                                    park(block)
                                 }
-                            }
-                            error => {
-                                Slot::Ready(encoded(pool, &ingest_failure(service, error, net)))
+                                error => {
+                                    Slot::Ready(encoded(pool, &ingest_failure(service, error, net)))
+                                }
                             }
                         }
                     }
+                } else if parked < config.max_pending_per_conn {
+                    park(block)
+                } else {
+                    let shed = ServiceError::WouldBlock {
+                        shard: conn.waiting_on,
+                    };
+                    Slot::Ready(encoded(pool, &ingest_failure(service, shed, net)))
                 };
+                if matches!(slot, Slot::PendingIngest { .. }) {
+                    parked += 1;
+                }
                 conn.slots.push_back(slot);
             }
         }
@@ -583,14 +605,20 @@ fn reactor_loop(
             progress |= service_parked(conn, &service, &net, &tracing, &mut pool);
             // 3. Read and dispatch new requests, with per-connection
             //    admission bounds so one peer cannot balloon server
-            //    memory: stop reading while too many responses are in
-            //    flight, responses sit unflushed, or undecoded bytes
-            //    already cover at least one full frame.
+            //    memory: stop reading while ingests are parked, too many
+            //    responses are in flight, responses sit unflushed, or
+            //    undecoded bytes already cover at least one full frame.
             if !shutting_down && !conn.closing {
-                // The socket is only read while every bound holds; the
-                // decode loop below always runs, so a gated decoder
-                // backlog still drains.
-                if conn.slots.len() < config.max_inflight_per_conn
+                // While ingests are parked the connection is neither read
+                // nor decoded: its next frames wait in the socket until
+                // the parked blocks land, so about one frame per
+                // connection is ever parked. Otherwise the socket is
+                // only read while every bound holds, and the decode loop
+                // below always runs, so a gated decoder backlog still
+                // drains.
+                let parked = conn.pending_ingests() > 0;
+                if !parked
+                    && conn.slots.len() < config.max_inflight_per_conn
                     && conn.write_backlog() < config.max_write_buffer
                     && conn.decoder.buffered() <= MAX_FRAME_PAYLOAD
                 {
@@ -602,7 +630,8 @@ fn reactor_loop(
                     net.events
                         .emit(EventCode::ReadGate, net.reactor, conn.slots.len() as u64);
                 }
-                while conn.slots.len() < config.max_inflight_per_conn {
+                while conn.pending_ingests() == 0 && conn.slots.len() < config.max_inflight_per_conn
+                {
                     // One clock read per frame while tracing is armed;
                     // none at all when the hub is disabled — this is
                     // the whole per-frame cost of the tracing noop twin.

@@ -13,10 +13,16 @@ use crate::reactor;
 /// Tunables of the reactor's per-connection bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetServerConfig {
-    /// How many backpressured ingests one connection may park on its
-    /// retry ring before further ones are answered `Busy` immediately.
-    /// `0` disables parking entirely — every `WouldBlock` becomes an
-    /// immediate `Busy` (maximal load-shedding).
+    /// How many ingests one connection may park on its retry ring. A
+    /// block the service refuses parks; so does every later block of
+    /// the connection while any is parked — parked blocks land in
+    /// order and are never overtaken — and the connection is not read
+    /// again until they land. Past this bound, further blocks are
+    /// answered `Busy` without a submit attempt. The default,
+    /// [`MAX_INGEST_BLOCKS`](crate::codec::MAX_INGEST_BLOCKS), parks a
+    /// whole frame, so a client pipelining within its window is never
+    /// shed. `0` disables parking entirely — every `WouldBlock` becomes
+    /// an immediate `Busy` (maximal load-shedding).
     pub max_pending_per_conn: usize,
     /// How many responses (ready or parked) one connection may have in
     /// flight before the reactor stops reading more of its requests.
@@ -44,7 +50,7 @@ pub struct NetServerConfig {
 impl Default for NetServerConfig {
     fn default() -> Self {
         Self {
-            max_pending_per_conn: 8,
+            max_pending_per_conn: crate::codec::MAX_INGEST_BLOCKS,
             max_inflight_per_conn: 64,
             max_write_buffer: 256 * 1024,
             idle_sleep: Duration::from_micros(200),

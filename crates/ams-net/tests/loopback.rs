@@ -189,7 +189,8 @@ fn parked_ingests_are_acknowledged_in_order() {
     let blocks: Vec<OpBlock> = value_blocks(&values, 2_048).collect();
     let mut client = AmsClient::connect(addr).unwrap();
     let outcomes = client.ingest_blocks("v", &blocks).unwrap();
-    // Ring capacity (8) covers the whole burst: everything lands.
+    // The default ring bound (one whole frame) covers the burst:
+    // everything lands.
     assert!(outcomes.iter().all(|o| *o == IngestOutcome::Ingested));
     client.drain().unwrap();
     let snapshot = client.snapshot().unwrap();

@@ -15,7 +15,7 @@ use ams_core::{SelfJoinEstimator, SketchParams, TugOfWarSketch};
 use ams_net::{
     AckMode, AmsClient, IngestOutcome, NetServer, NetServerConfig, ReconnectPolicy, ServerHandle,
 };
-use ams_service::{AmsService, DurabilityConfig, RouterPolicy, ServiceConfig};
+use ams_service::{AmsService, DurabilityConfig, Router, RouterPolicy, ServiceConfig};
 use ams_stream::OpBlock;
 
 const SEED: u64 = 0xACED;
@@ -195,5 +195,65 @@ fn fsync_acks_work_against_a_durability_off_server() {
     client.drain().unwrap();
     let snapshot = client.snapshot().unwrap();
     assert_eq!(snapshot.blocks(), 40);
+    let _ = handle.stop();
+}
+
+#[test]
+fn a_later_block_never_overtakes_a_parked_one() {
+    // Cap-1 queues under tagged durable ingest: A fills shard 0, so B
+    // parks behind it, and C (on both shards) behind B. D touches
+    // shard 1 only, whose queue is free. Had D been submitted while C
+    // was parked, it would land first, raise shard 1's max-seq mark
+    // past C's, and shard 1 would then skip C's part as a duplicate
+    // after C was acknowledged.
+    let dir = TempDir::new("order");
+    let config = ServiceConfig::builder()
+        .shards(2)
+        .queue_capacity(1)
+        .sketch_params(params())
+        .seed(SEED)
+        .router(RouterPolicy::HashPartition)
+        .durability(DurabilityConfig::new(dir.path()))
+        .build()
+        .unwrap();
+    let server = NetServer::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    let handle = server.spawn(AmsService::start(config, &["v"]).unwrap());
+
+    let router = Router::new(RouterPolicy::HashPartition, 2, SEED);
+    let on = |shard: usize, n: usize| -> Vec<u64> {
+        (0u64..)
+            .filter(|&v| router.shard_of_value(v) == shard)
+            .take(n)
+            .collect()
+    };
+    let zero = on(0, 2 * 8_192 + 4);
+    let one = on(1, 8);
+    let blocks = [
+        OpBlock::from_values(zero[..8_192].iter().copied()),
+        OpBlock::from_values(zero[8_192..2 * 8_192].iter().copied()),
+        OpBlock::from_values(zero[2 * 8_192..].iter().chain(&one[..4]).copied()),
+        OpBlock::from_values(one[4..].iter().copied()),
+    ];
+    let total: u64 = blocks.iter().map(OpBlock::ops).sum();
+
+    let mut client = AmsClient::connect(addr)
+        .unwrap()
+        .with_ack_mode(AckMode::Fsync)
+        .with_reconnect(ReconnectPolicy::default());
+    let outcomes = client.ingest_blocks("v", &blocks).unwrap();
+    assert!(
+        outcomes.iter().all(|o| *o == IngestOutcome::Ingested),
+        "{outcomes:?}"
+    );
+    client.drain().unwrap();
+    let snapshot = client.snapshot().unwrap();
+    assert_eq!(snapshot.ops(), total, "every acknowledged op is applied");
+    let mut twin: TugOfWarSketch = TugOfWarSketch::new(params(), SEED);
+    for b in &blocks {
+        twin.apply_block(b);
+    }
+    assert_eq!(snapshot.sketch("v").unwrap().counters(), twin.counters());
+    drop(client);
     let _ = handle.stop();
 }

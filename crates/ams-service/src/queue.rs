@@ -270,6 +270,21 @@ impl BlockQueue {
         }
     }
 
+    /// Moves up to `max` queued tasks, oldest first, onto the back of
+    /// `out` under one lock, without waiting: the worker's batch path,
+    /// which nets a backed-up queue in one sweep. Returns how many were
+    /// taken; their slots free at once.
+    pub fn take_queued(&self, max: usize, out: &mut Vec<ShardTask>) -> usize {
+        let mut state = self.lock();
+        let taken = max.min(state.tasks.len());
+        if taken > 0 {
+            out.extend(state.tasks.drain(..taken));
+            self.depth_gauge.set(state.tasks.len() as i64);
+            self.not_full.notify_all();
+        }
+        taken
+    }
+
     /// Closes the queue: pending tasks remain poppable, further
     /// reservations fail, waiting producers and the consumer wake.
     pub fn close(&self) {

@@ -11,7 +11,8 @@
 //! | `service_routed_ops{shard}` | counter | ops routed to the shard on accepted submissions |
 //! | `service_publishes{shard}` | counter | snapshot publishes (cadence + drain + idle) |
 //! | `service_queue_wait_ns{shard}` | histogram | enqueue → pop latency per block |
-//! | `service_ingest_ns{shard}` | histogram | `apply_block` kernel latency per block |
+//! | `service_batched_blocks{shard}` | counter | blocks applied through a multi-block sweep |
+//! | `service_ingest_ns{shard}` | histogram | kernel latency per applied block (a batched block records its entry-weighted share of the batch's sweep) |
 //! | `service_queue_depth{shard}` | gauge | queued blocks, sampled on push/pop |
 //! | `service_sketch_memory_words{attribute}` | gauge | live sketch words across all shards |
 //! | `service_heavy_keys{attribute,rank}` | gauge | estimated count of the rank-th heaviest key (opt-in, see [`crate::heavy`]) |
@@ -54,7 +55,10 @@ pub(crate) struct ShardInstruments {
     pub publishes: Arc<Counter>,
     /// Enqueue-to-pop latency of each block.
     pub queue_wait_ns: Arc<LatencyHistogram>,
-    /// `apply_block` kernel latency of each block.
+    /// Blocks applied through a multi-block sweep (the batch path).
+    pub batched_blocks: Arc<Counter>,
+    /// Kernel latency of each applied block; a batched block records
+    /// its entry-weighted share of the batch's fold and sweep time.
     pub ingest_ns: Arc<LatencyHistogram>,
     /// Queued blocks, sampled on push/pop under the queue lock.
     pub queue_depth: Arc<Gauge>,
@@ -84,6 +88,7 @@ impl ServiceTelemetry {
                 ShardInstruments {
                     blocks_ingested: registry.counter("service_blocks_ingested", &labels),
                     ops_ingested: registry.counter("service_ops_ingested", &labels),
+                    batched_blocks: registry.counter("service_batched_blocks", &labels),
                     routed_ops: registry.counter("service_routed_ops", &labels),
                     publishes: registry.counter("service_publishes", &labels),
                     queue_wait_ns: registry.histogram("service_queue_wait_ns", &labels),

@@ -193,6 +193,65 @@ fn crash_mid_checkpoint_falls_back_and_replays() {
 }
 
 #[test]
+fn batched_sweeps_before_a_crash_recover_bit_identically() {
+    // A skewed stream through a 4-slot queue behind a worker that
+    // fsyncs every step: the producer keeps the queue backed up and the
+    // sketch's coalescing gate stays on, so the worker applies blocks in
+    // multi-block sweeps before the second checkpoint tears. A batch
+    // never crosses a checkpoint boundary, so the intact checkpoint
+    // still sits exactly on the 8-block cadence.
+    let skewed = |i: u64| OpBlock::from_values((0..16).map(|j| (i * 7 + j * j) % 5));
+    let dir = TempDir::new("batched");
+    let durability = || {
+        DurabilityConfig::new(dir.path())
+            .with_fsync(FsyncPolicy::PerAppend)
+            .with_checkpoint_every(8)
+    };
+    let crashing = ServiceConfig::builder()
+        .shards(1)
+        .queue_capacity(4)
+        .sketch_params(params())
+        .seed(0xD0E)
+        .publish_every(4)
+        .durability(durability().with_fault(FaultPlan {
+            fail_on_checkpoint: Some(2),
+            ..FaultPlan::default()
+        }))
+        .build()
+        .unwrap();
+    let service = AmsService::start(crashing, &["v"]).unwrap();
+    let registry = service.registry();
+    for i in 0..40 {
+        service.ingest_block("v", skewed(i)).unwrap();
+    }
+    let _ = service.shutdown();
+    assert!(
+        registry.snapshot().counter_total("service_batched_blocks") > 0,
+        "blocks were swept in batches before the crash"
+    );
+
+    let (service, k) = restart(durability());
+    assert_eq!(
+        service.recovery()[0].checkpoint_blocks,
+        8,
+        "the intact checkpoint is on the cadence"
+    );
+    assert_eq!(k, 16, "everything appended before the wedge is durable");
+    let mut twin: TugOfWarSketch = TugOfWarSketch::new(params(), 0xD0E);
+    for i in 0..k {
+        twin.apply_block(&skewed(i));
+    }
+    while service.snapshot().blocks() < k {
+        std::thread::yield_now();
+    }
+    assert_eq!(
+        service.merged_sketch("v").unwrap().counters(),
+        twin.counters()
+    );
+    let _ = service.shutdown();
+}
+
+#[test]
 fn graceful_shutdown_restarts_with_zero_replay() {
     let dir = TempDir::new("graceful");
     let durability = || DurabilityConfig::new(dir.path());

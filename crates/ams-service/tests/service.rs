@@ -38,6 +38,22 @@ fn config(shards: usize, router: RouterPolicy) -> ServiceConfig {
         .unwrap()
 }
 
+/// The skewed variant: 1–2-slot queues and a sketch wide enough that a
+/// block costs its worker far more than its producer, so queues stay
+/// backed up behind workers whose coalescing gate is on — the
+/// conditions under which a worker sweeps several queued blocks at once.
+fn skewed_config(shards: usize, router: RouterPolicy, capacity: usize) -> ServiceConfig {
+    ServiceConfig::builder()
+        .shards(shards)
+        .queue_capacity(capacity)
+        .sketch_params(SketchParams::new(256, 4).unwrap())
+        .seed(0xFEED)
+        .router(router)
+        .publish_every(2)
+        .build()
+        .unwrap()
+}
+
 proptest! {
     /// For any stream, shard count, and routing policy, sharded
     /// ingestion through the service followed by merge-on-query yields
@@ -50,6 +66,8 @@ proptest! {
         hash_router in any::<bool>(),
         chunk in 1usize..48,
         blocking in any::<bool>(),
+        skewed in any::<bool>(),
+        capacity in 1usize..3,
     ) {
         let router = if hash_router {
             RouterPolicy::HashPartition
@@ -57,7 +75,24 @@ proptest! {
             RouterPolicy::RoundRobin
         };
         let wait = if blocking { Wait::Block } else { Wait::Try };
-        let cfg = config(shards, router);
+        // A skewed case folds the values onto a narrow domain (still
+        // well-formed: a delete's value keeps at least as many live
+        // copies) and runs through 1–2-slot queues, so batches form.
+        let ops: Vec<Op> = if skewed {
+            ops.iter()
+                .map(|op| match *op {
+                    Op::Insert(v) => Op::Insert(v % 6),
+                    Op::Delete(v) => Op::Delete(v % 6),
+                })
+                .collect()
+        } else {
+            ops
+        };
+        let cfg = if skewed {
+            skewed_config(shards, router, capacity)
+        } else {
+            config(shards, router)
+        };
         let service = AmsService::start(cfg.clone(), &["v"]).unwrap();
         for piece in ops.chunks(chunk) {
             // A refused `Try` submission comes back whole; resubmit it
@@ -76,6 +111,9 @@ proptest! {
         }
         service.drain();
         let live_snapshot = service.snapshot();
+        let batched = service
+            .metrics_snapshot()
+            .counter_total("service_batched_blocks");
         let (final_snapshot, stats) = service.shutdown();
 
         let mut single: TugOfWarSketch = TugOfWarSketch::new(cfg.params(), cfg.seed());
@@ -93,6 +131,11 @@ proptest! {
         prop_assert_eq!(stats.ops_ingested(), ops.len() as u64);
         // Bounded memory held throughout.
         prop_assert!(stats.max_queue_depth() <= cfg.queue_capacity());
+        // Two slots let a worker find a queued block behind the one it
+        // popped; over a stream of several blocks, some were batched.
+        if skewed && capacity == 2 && ops.chunks(chunk).count() >= 8 {
+            prop_assert!(batched > 0, "no multi-block sweep formed");
+        }
     }
 }
 

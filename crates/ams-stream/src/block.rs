@@ -323,13 +323,24 @@ impl OpBlock {
 /// calls so steady-state coalescing performs no heap allocations once
 /// the buffers reach the high-water block size.
 ///
+/// Besides one-shot [`coalesce`](Self::coalesce), the buffer nets a
+/// *run* of blocks: [`fold`](Self::fold) adds each block's columns to
+/// the running per-value sums, and [`finish`](Self::finish) yields the
+/// net block of everything folded since the last finish — so a linear
+/// consumer can apply many blocks in one sweep over their distinct
+/// values, and the folded blocks can be dropped as soon as they are
+/// folded.
+///
 /// Holders: `ams-core`'s tug-of-war sketch (the adaptive-coalescing
-/// ingest path) and `ams-relation`'s tracker (the per-attribute column
-/// path).
+/// ingest path and its multi-block fold) and `ams-relation`'s tracker
+/// (the per-attribute column path).
 #[derive(Debug, Clone, Default)]
 pub struct CoalesceBuffer {
     index: FxHashMap<Value, usize>,
     block: OpBlock,
+    /// Entries folded since the last [`Self::finish`]; zero means the
+    /// next fold starts a fresh run.
+    folded: usize,
 }
 
 impl CoalesceBuffer {
@@ -341,17 +352,31 @@ impl CoalesceBuffer {
     /// Fully coalesces the columns into the internal block (one entry
     /// per distinct value, net delta, zeros dropped, entry order = first
     /// appearance) and returns it. The result is valid until the next
-    /// call on this buffer.
+    /// call on this buffer; a run of folds in progress is discarded.
     ///
     /// # Panics
     /// Panics if the column lengths differ.
     pub fn coalesce(&mut self, values: &[Value], deltas: &[i64]) -> &OpBlock {
+        self.folded = 0;
+        self.fold(values, deltas);
+        self.finish()
+    }
+
+    /// Adds the columns to the running per-value net deltas of the
+    /// current run (starting a fresh run after a [`Self::finish`]).
+    ///
+    /// # Panics
+    /// Panics if the column lengths differ.
+    pub fn fold(&mut self, values: &[Value], deltas: &[i64]) {
         assert_eq!(values.len(), deltas.len(), "ragged columns");
-        self.index.clear();
         let out = &mut self.block;
-        out.clear();
-        out.values.reserve(values.len());
-        out.deltas.reserve(values.len());
+        if self.folded == 0 {
+            self.index.clear();
+            out.clear();
+            out.values.reserve(values.len());
+            out.deltas.reserve(values.len());
+        }
+        self.folded += values.len();
         for (&v, &d) in values.iter().zip(deltas.iter()) {
             match self.index.get(&v) {
                 Some(&i) => out.deltas[i] += d,
@@ -362,6 +387,23 @@ impl CoalesceBuffer {
                 }
             }
         }
+    }
+
+    /// Entries folded into the current run so far.
+    pub fn folded(&self) -> usize {
+        self.folded
+    }
+
+    /// Ends the current run and returns its net block: one entry per
+    /// distinct value folded since the last finish, net delta, zeros
+    /// dropped, entry order = first appearance (empty when nothing was
+    /// folded). The result is valid until the next call on this buffer.
+    pub fn finish(&mut self) -> &OpBlock {
+        if self.folded == 0 {
+            self.block.clear();
+        }
+        self.folded = 0;
+        let out = &mut self.block;
         // Drop zero-net entries (insert/delete pairs that cancelled).
         let mut w = 0;
         for r in 0..out.values.len() {
@@ -417,6 +459,33 @@ mod tests {
         ]);
         let net: Vec<_> = block.coalesce().entries().collect();
         assert_eq!(net, vec![(2, 2)]);
+    }
+
+    #[test]
+    fn folding_a_run_of_blocks_nets_their_concatenation() {
+        let blocks = [
+            OpBlock::from_ops([Op::Insert(1), Op::Insert(2), Op::Insert(2)]),
+            OpBlock::new(),
+            OpBlock::from_ops([Op::Delete(1), Op::Insert(3), Op::Delete(2)]),
+        ];
+        let mut buffer = CoalesceBuffer::new();
+        // A stale one-shot result must not leak into the run.
+        buffer.coalesce(&[9, 9], &[1, 1]);
+        for block in &blocks {
+            buffer.fold(block.values(), block.deltas());
+        }
+        assert_eq!(buffer.folded(), 5);
+        let net: Vec<_> = buffer.finish().entries().collect();
+        // Value 1 cancels across blocks and is dropped.
+        assert_eq!(net, vec![(2, 1), (3, 1)]);
+        assert!(
+            buffer.finish().is_empty(),
+            "a finish with no folds is empty"
+        );
+        assert!(buffer.finish().is_coalesced());
+        // The next fold starts a fresh run.
+        buffer.fold(&[4], &[2]);
+        assert_eq!(buffer.finish().entries().collect::<Vec<_>>(), vec![(4, 2)]);
     }
 
     #[test]
