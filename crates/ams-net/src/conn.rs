@@ -14,7 +14,7 @@
 //! under a producer that outruns the shard workers.
 //!
 //! The write side is a queue of encoded frames flushed with
-//! `write_vectored`, so every ready response a tick produced leaves in
+//! `write_vectored`, so every ready response a pass produced leaves in
 //! one batched syscall instead of one `write` per frame — and drained
 //! frame buffers return to the reactor's [`FramePool`], so
 //! steady-state response framing does zero heap allocations (the PR-3
@@ -28,10 +28,12 @@ use ams_service::{DrainCut, DurableCut, IngestTag};
 use ams_stream::OpBlock;
 use ams_telemetry::TraceCtx;
 
-use crate::codec::FrameDecoder;
+use crate::codec::{FrameDecoder, MAX_FRAME_PAYLOAD};
+use crate::poll::{PollFd, POLLIN, POLLOUT};
+use crate::server::NetServerConfig;
 
-/// Per-tick cap on bytes read from one connection; together with the
-/// reactor's decoder-backlog gate this bounds the decoder buffer at
+/// Per-pass cap on bytes read from one connection; together with the
+/// read gate's decoder bound this bounds the decoder buffer at
 /// roughly one maximum frame plus one burst.
 const READ_BURST: usize = 256 * 1024;
 
@@ -81,8 +83,9 @@ pub(crate) enum Slot {
     Ready(Vec<u8>),
     /// An ingest parked on the retry ring: the service said
     /// `WouldBlock` to it or to an earlier parked block of the same
-    /// connection, and the reactor re-tries the ring in order every
-    /// tick.
+    /// connection, and the reactor re-tries the ring in order whenever
+    /// it wakes — the service's wake hook rings once room frees on the
+    /// queue that refused it.
     PendingIngest {
         /// Attribute the block targets.
         attribute: String,
@@ -100,8 +103,10 @@ pub(crate) enum Slot {
         trace: TraceCtx,
     },
     /// An accepted durable-ack ingest waiting for its effects to reach
-    /// stable storage; polled every tick against the service's durable
-    /// watermarks and answered `Ingested` once the cut is covered.
+    /// stable storage; checked against the service's durable
+    /// watermarks whenever the reactor wakes (every watermark advance
+    /// rings the service's wake hook) and answered `Ingested` once the
+    /// cut is covered.
     PendingDurable {
         /// The durability target recorded right after acceptance.
         cut: DurableCut,
@@ -109,13 +114,15 @@ pub(crate) enum Slot {
         /// sampler's end-to-end offer).
         trace: TraceCtx,
         /// Trace-clock start of the `durable_wait` span, re-anchored on
-        /// every unsuccessful poll so the recorded span measures the
+        /// every unsuccessful check, and the span starts no earlier
+        /// than the reactor's last wake-up, so it measures the
         /// reactor's *detection* latency and never double-counts the
         /// shard-side wal/fsync spans it would otherwise overlap. Zero
         /// when untraced.
         wait_from: u64,
     },
-    /// A drain waiting for its cut; polled every tick. The cut is
+    /// A drain waiting for its cut; checked whenever the reactor wakes
+    /// (every shard publish rings the service's wake hook). The cut is
     /// `None` while parked ingests precede it (they are not in the
     /// service yet, so recording the cut now would under-cover).
     PendingDrain {
@@ -199,9 +206,35 @@ impl Connection {
             .count()
     }
 
-    /// Unflushed response bytes.
-    pub(crate) fn write_backlog(&self) -> usize {
-        self.queued_bytes
+    /// Whether every admission bound lets the reactor read more of
+    /// this connection's requests: no ingest is parked, fewer than
+    /// `max_inflight_per_conn` responses are in flight, fewer than
+    /// `max_write_buffer` bytes sit unflushed, and the decoder holds
+    /// less than the largest frame (its length prefix plus
+    /// [`MAX_FRAME_PAYLOAD`]). Past that size the decoder surely holds
+    /// a whole frame, which must be decoded before more is read; below
+    /// it, reading goes on until the pending frame is complete.
+    pub(crate) fn read_gate_open(&self, config: &NetServerConfig) -> bool {
+        self.pending_ingests() == 0
+            && self.slots.len() < config.max_inflight_per_conn
+            && self.queued_bytes < config.max_write_buffer
+            && self.decoder.buffered() < 4 + MAX_FRAME_PAYLOAD
+    }
+
+    /// This connection's entry in the reactor's readiness wait:
+    /// readable while `read` (the reactor would read it) and the peer
+    /// may still send, writable while a write backlog exists. Readiness
+    /// is level-triggered, so registering a socket the reactor would
+    /// not act on would end every wait at once.
+    pub(crate) fn poll_fd(&self, read: bool) -> PollFd {
+        let mut events = 0;
+        if read && !self.peer_gone {
+            events |= POLLIN;
+        }
+        if !self.out.is_empty() {
+            events |= POLLOUT;
+        }
+        PollFd::new(&self.stream, events)
     }
 
     /// Pulls bytes from the socket into the decoder — at most
@@ -241,7 +274,7 @@ impl Connection {
 
     /// Moves leading ready slots onto the write queue (no copy — the
     /// encoded frame buffer itself is queued) and flushes as much as
-    /// the socket accepts with vectored writes, so one tick's worth of
+    /// the socket accepts with vectored writes, so one pass's worth of
     /// responses leaves in one syscall rather than one per frame.
     /// Fully-flushed frame buffers return to `pool`. Returns `(frames
     /// staged, bytes flushed)` — either nonzero means progress, and

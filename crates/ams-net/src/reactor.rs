@@ -5,21 +5,31 @@
 //! threads — round-robin, with least-connections as the tiebreaker —
 //! so frame decode + dispatch scales with cores instead of
 //! serializing on one loop. Each reactor owns a disjoint slice of the
-//! connections and runs the same tick the PR-5 single reactor did:
-//! (1) adopt handed-off sockets, (2) service each connection's parked
-//! retry ring, (3) read + dispatch new frames, (4) flush writes
-//! (vectored, one syscall per connection per tick), and sleep briefly
-//! only when an entire tick made no progress. The crucial invariant
-//! is that **nothing in the tick blocks**: service submission uses
+//! connections and loops over passes: (1) adopt handed-off sockets,
+//! (2) service each connection's parked retry ring, (3) read +
+//! dispatch new frames, (4) flush writes (vectored, one syscall per
+//! connection per pass). A pass that made progress is followed at once
+//! by another. Otherwise the reactor blocks in one `poll(2)` over its
+//! sockets and its wake-up pipe ([`Wakeup`]) until a socket is ready,
+//! the acceptor hands it a socket, shutdown begins, or — while it holds
+//! parked work — the service's wake hook reports room on a queue, a
+//! publish, or a durable watermark advance. So a request is served when
+//! it arrives and an idle reactor costs nothing. The crucial invariant
+//! is that **nothing in a pass blocks**: service submission uses
 //! `submit` under `Wait::Try`, drains use the recorded-cut + poll
 //! pair, and socket I/O is non-blocking throughout, so one slow or
 //! saturated shard (or one stalled client) never parks a network
 //! thread.
 //!
+//! The acceptor blocks the same way, over the listener and its own
+//! wake-up. The only timeouts are the farewell flush's deadline and a
+//! short back-off after a failed `accept` (e.g. out of descriptors).
+//!
 //! Shutdown is a two-phase rendezvous. Any reactor that sees a wire
 //! `Shutdown` (or the acceptor, on the stop flag) raises the shared
-//! `shutting_down` flag; every reactor then lands its parked work,
-//! drops its service handle, and checks in at the quiesce barrier.
+//! `shutting_down` flag and wakes every loop; every reactor then lands
+//! its parked work, drops its service handle, and checks in at the
+//! quiesce barrier.
 //! Once all N have checked in, the acceptor — the only remaining
 //! holder — unwraps the service `Arc`, stops the service (closing
 //! queues, joining workers), publishes the final snapshot + stats back
@@ -29,7 +39,7 @@
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ams_service::{AmsService, IngestTag, ServiceError, ServiceSnapshot, ServiceStats, Wait};
 use ams_telemetry::{
@@ -37,25 +47,20 @@ use ams_telemetry::{
     TraceCtx, TraceHub, TraceRecorder, TraceStage,
 };
 
-use crate::codec::{ErrorCode, Request, Response, MAX_FRAME_PAYLOAD};
+use crate::codec::{ErrorCode, Request, Response};
 use crate::conn::{Connection, FramePool, Slot};
-use crate::server::NetServerConfig;
+use crate::poll::{self, PollFd, POLLIN};
+use crate::server::{NetServerConfig, Stop};
+use crate::wake::Wakeup;
 
 /// Longest the finalizer keeps flushing farewell frames after the
 /// service stopped.
-const SHUTDOWN_FLUSH_DEADLINE: std::time::Duration = std::time::Duration::from_secs(2);
+const SHUTDOWN_FLUSH_DEADLINE: Duration = Duration::from_secs(2);
 
-/// Sleep between ticks while the reactor is *warm*: a tick made
-/// progress within the last [`HOT_TICKS`] ticks, so this is an active
-/// exchange and the peer's next burst (or the service's next parked-
-/// work resolution) is probably imminent. Far finer than `idle_sleep`,
-/// so mid-exchange wake latency is microseconds, while a reactor that
-/// stays progress-free backs off to the cheap long sleep.
-const WARM_POLL_SLEEP: std::time::Duration = std::time::Duration::from_micros(25);
-
-/// How many progress-free ticks stay on [`WARM_POLL_SLEEP`] after the
-/// last productive one before the loop falls back to `idle_sleep`.
-const HOT_TICKS: u32 = 8;
+/// How long the acceptor waits before retrying after `accept` failed
+/// with something other than `WouldBlock` (e.g. out of descriptors):
+/// the listener stays readable then, so waiting on it would spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// One reactor's instrument handles, registered into the *service's*
 /// registry with a `reactor="i"` label so one `Request::Metrics`
@@ -64,13 +69,13 @@ const HOT_TICKS: u32 = 8;
 ///
 /// | metric | kind | meaning |
 /// |---|---|---|
-/// | `net_tick_ns` | histogram | duration of each tick that made progress |
+/// | `net_tick_ns` | histogram | duration of each loop pass that made progress |
 /// | `net_frames_decoded` | counter | request frames decoded |
 /// | `net_frames_encoded` | counter | response frames staged for write |
 /// | `net_bytes_in` | counter | bytes read off sockets |
 /// | `net_bytes_out` | counter | bytes flushed to sockets |
 /// | `net_busy_responses` | counter | `Busy` load-shed answers sent |
-/// | `net_read_gated` | counter | connection-ticks reads were paused by admission bounds |
+/// | `net_read_gated` | counter | connection-passes reads were paused by admission bounds |
 /// | `net_retry_ring_occupancy` | gauge | parked ingests across this reactor's connections |
 struct NetInstruments {
     /// This reactor's index, the `key` of its structured events.
@@ -127,11 +132,21 @@ struct ReactorTracing {
 }
 
 impl ReactorTracing {
+    /// The trace clock while the hub is enabled, else 0 — one clock
+    /// read when armed, none at all when the hub is disabled.
+    fn now(&self) -> u64 {
+        if self.recorder.armed() {
+            trace_clock_ns()
+        } else {
+            0
+        }
+    }
+
     /// A span-start timestamp for trace `id`, or 0 when the span
     /// should not be recorded (untraced, or hub disabled).
     fn start(&self, id: u64) -> u64 {
-        if id != 0 && self.recorder.armed() {
-            trace_clock_ns()
+        if id != 0 {
+            self.now()
         } else {
             0
         }
@@ -227,15 +242,18 @@ fn ingest_failure(service: &AmsService, error: ServiceError, net: &NetInstrument
 /// Services one connection's parked slots: retries parked ingests in
 /// submission order (stopping the ingest sweep at the first shard that
 /// still refuses, to preserve per-connection ordering) and polls
-/// parked drains. A parked drain only records its cut once no parked
-/// ingest precedes it, so the `Drained` answer really covers every
-/// ingest acknowledged before it. Returns whether any slot resolved.
+/// parked durable acks and drains. A parked drain only records its cut
+/// once no parked ingest precedes it, so the `Drained` answer really
+/// covers every ingest acknowledged before it. `woke_ns` is the trace
+/// clock at the reactor's last wake-up (0 when untraced). Returns
+/// whether any slot resolved.
 fn service_parked(
     conn: &mut Connection,
     service: &AmsService,
     net: &NetInstruments,
     tracing: &ReactorTracing,
     pool: &mut FramePool,
+    woke_ns: u64,
 ) -> bool {
     let mut progress = false;
     let mut ingest_blocked = false;
@@ -283,12 +301,19 @@ fn service_parked(
                 // later parked ingests nor defers drain cuts); waiting
                 // only for the shard workers' fsync watermarks.
                 if service.poll_durable(cut) {
-                    tracing.span_since(trace.id, TraceStage::DurableWait, *wait_from);
+                    // The span measures detection latency, not the
+                    // shard work it would overlap: it starts at the
+                    // last unsuccessful check or, if later, at the
+                    // wake-up that ended the reactor's wait.
+                    let from = if *wait_from == 0 {
+                        0
+                    } else {
+                        (*wait_from).max(woke_ns)
+                    };
+                    tracing.span_since(trace.id, TraceStage::DurableWait, from);
                     *slot = Slot::Ready(tracing.finish(*trace, pool, &Response::Ingested));
                     progress = true;
                 } else {
-                    // Re-anchor so the eventual span measures detection
-                    // latency, not the shard work it would overlap.
                     *wait_from = tracing.start(trace.id);
                 }
             }
@@ -527,19 +552,53 @@ fn dispatch(
 /// connections *and* not-yet-adopted handoffs (incremented by the
 /// acceptor at handoff, decremented by the reactor when a connection
 /// dies), so a burst of accepts spreads correctly even before any
-/// reactor tick runs.
+/// reactor pass runs.
 #[derive(Debug, Default)]
 struct Mailbox {
     sockets: Mutex<Vec<TcpStream>>,
     load: AtomicUsize,
 }
 
-/// Shared shutdown state: the flag every loop polls, and the quiesce
-/// barrier the final snapshot travels back through.
+impl Mailbox {
+    /// Takes every handed-off socket.
+    fn take(&self) -> Vec<TcpStream> {
+        let mut inbox = self.sockets.lock().expect("acceptor never panics");
+        if inbox.is_empty() {
+            Vec::new()
+        } else {
+            std::mem::take(&mut *inbox)
+        }
+    }
+
+    /// Whether a handed-off socket waits for adoption.
+    fn has_sockets(&self) -> bool {
+        !self
+            .sockets
+            .lock()
+            .expect("acceptor never panics")
+            .is_empty()
+    }
+}
+
+/// Shared shutdown state: the flag every loop checks, the wake-ups
+/// that make them check it, and the quiesce barrier the final snapshot
+/// travels back through.
 struct Coordinator {
     shutting_down: AtomicBool,
+    /// The acceptor's wake-up, then one per reactor.
+    wakeups: Vec<Arc<Wakeup>>,
     state: Mutex<CoordState>,
     cv: Condvar,
+}
+
+impl Coordinator {
+    /// Raises the shutdown flag and wakes every loop to notice it.
+    fn begin_shutdown(&self) {
+        self.shutting_down.store(true, Ordering::Release);
+        for wakeup in &self.wakeups {
+            wakeup.wake();
+        }
+    }
 }
 
 struct CoordState {
@@ -551,13 +610,15 @@ struct CoordState {
     final_state: Option<Arc<(ServiceSnapshot, ServiceStats)>>,
 }
 
-/// One reactor thread: adopts handed-off sockets, runs the tick loop
-/// until shutdown, then checks in at the quiesce barrier and flushes
+/// One reactor thread: adopts handed-off sockets and runs passes —
+/// waiting for readiness whenever one makes no progress — until
+/// shutdown, then checks in at the quiesce barrier and flushes
 /// farewells (including the `Goodbye` if one of its peers asked for
 /// shutdown).
 fn reactor_loop(
     index: usize,
     mailbox: Arc<Mailbox>,
+    wakeup: Arc<Wakeup>,
     service: Arc<AmsService>,
     coord: Arc<Coordinator>,
     config: NetServerConfig,
@@ -567,26 +628,23 @@ fn reactor_loop(
         hub: service.trace_hub(),
         recorder: service.trace_hub().recorder(),
     };
+    // Parked work waits on service events: refused ingests on queue
+    // room, durable acks on watermark advances, drains on publishes.
+    service.add_waker(wakeup.service_waker());
     net.events.emit(EventCode::ReactorStart, net.reactor, 0);
     let mut conns: Vec<Connection> = Vec::new();
     let mut scratch = vec![0u8; 16 * 1024];
     let mut pool = FramePool::new();
-    let mut hot = 0u32;
+    let mut fds: Vec<PollFd> = Vec::new();
+    // Trace clock at the last wake-up (0 while the hub is disabled).
+    let mut woke_ns = 0u64;
     loop {
-        let tick_start = Instant::now();
+        let pass_start = Instant::now();
         let mut progress = false;
         let mut shutting_down = coord.shutting_down.load(Ordering::Acquire);
         // 1. Adopt whatever the acceptor handed off (unless closing up).
         if !shutting_down {
-            let handed = {
-                let mut inbox = mailbox.sockets.lock().expect("acceptor never panics");
-                if inbox.is_empty() {
-                    Vec::new()
-                } else {
-                    std::mem::take(&mut *inbox)
-                }
-            };
-            for stream in handed {
+            for stream in mailbox.take() {
                 match Connection::new(stream) {
                     Ok(conn) => {
                         conns.push(conn);
@@ -601,13 +659,13 @@ fn reactor_loop(
             }
         }
         for conn in conns.iter_mut() {
-            // 2. Retry ring + parked drains.
-            progress |= service_parked(conn, &service, &net, &tracing, &mut pool);
+            // 2. Retry ring + parked durable acks and drains.
+            progress |= service_parked(conn, &service, &net, &tracing, &mut pool, woke_ns);
             // 3. Read and dispatch new requests, with per-connection
             //    admission bounds so one peer cannot balloon server
             //    memory: stop reading while ingests are parked, too many
             //    responses are in flight, responses sit unflushed, or
-            //    undecoded bytes already cover at least one full frame.
+            //    undecoded bytes already cover a whole frame.
             if !shutting_down && !conn.closing {
                 // While ingests are parked the connection is neither read
                 // nor decoded: its next frames wait in the socket until
@@ -616,12 +674,7 @@ fn reactor_loop(
                 // only read while every bound holds, and the decode loop
                 // below always runs, so a gated decoder backlog still
                 // drains.
-                let parked = conn.pending_ingests() > 0;
-                if !parked
-                    && conn.slots.len() < config.max_inflight_per_conn
-                    && conn.write_backlog() < config.max_write_buffer
-                    && conn.decoder.buffered() <= MAX_FRAME_PAYLOAD
-                {
+                if conn.read_gate_open(&config) {
                     let fed = conn.fill_read(&mut scratch);
                     net.bytes_in.add(fed as u64);
                     progress |= fed > 0;
@@ -635,11 +688,7 @@ fn reactor_loop(
                     // One clock read per frame while tracing is armed;
                     // none at all when the hub is disabled — this is
                     // the whole per-frame cost of the tracing noop twin.
-                    let recv_ns = if tracing.recorder.armed() {
-                        trace_clock_ns()
-                    } else {
-                        0
-                    };
+                    let recv_ns = tracing.now();
                     // Zero-copy decode: the frame body is borrowed from
                     // the decoder's buffer and turned into an owned
                     // Request in the same statement.
@@ -668,7 +717,7 @@ fn reactor_loop(
                                 // Goodbye (the in-order invariant),
                                 // and tell every other loop.
                                 shutting_down = true;
-                                coord.shutting_down.store(true, Ordering::Release);
+                                coord.begin_shutdown();
                                 break;
                             }
                         }
@@ -690,7 +739,7 @@ fn reactor_loop(
                     }
                 }
             }
-            // 4. Flush (one vectored write per connection per tick).
+            // 4. Flush (one vectored write per connection per pass).
             progress |= net.note_pump(conn.pump_writes(&mut pool));
         }
         net.retry_ring
@@ -708,21 +757,35 @@ fn reactor_loop(
             break;
         }
         if progress {
-            // Only ticks that did work are recorded, so the histogram
-            // profiles the dispatch path rather than idle spinning.
-            net.tick_ns.record_duration(tick_start.elapsed());
-            hot = HOT_TICKS;
-        } else if hot > 0 {
-            hot = hot.saturating_sub(1);
-            std::thread::sleep(WARM_POLL_SLEEP.min(config.idle_sleep));
-        } else {
-            // Parked work (drain polls, retry-ring ingests) waits on
-            // *service* progress, which for a deep queue is a long
-            // time: polling it at the warm grain would steal exactly
-            // the worker CPU it is waiting for, so the cold loop backs
-            // off to the cheap long sleep either way.
-            std::thread::sleep(config.idle_sleep);
+            // Only passes that did work are recorded, so the histogram
+            // profiles the dispatch path rather than empty re-checks.
+            net.tick_ns.record_duration(pass_start.elapsed());
+            continue;
         }
+        // Nothing moved: wait until something can. Arm first, then
+        // re-check everything a wake announces — shutdown, a handoff,
+        // the parked slots — so an event this pass missed is either
+        // seen here or rings the pipe.
+        wakeup.arm(conns.iter().any(|c| c.pending() > 0));
+        let mut ready = coord.shutting_down.load(Ordering::Acquire) != shutting_down
+            || (!shutting_down && mailbox.has_sockets());
+        for conn in conns.iter_mut() {
+            ready |= service_parked(conn, &service, &net, &tracing, &mut pool, woke_ns);
+        }
+        if ready {
+            wakeup.disarm(false);
+            continue;
+        }
+        fds.clear();
+        fds.push(PollFd::new(wakeup.fd(), POLLIN));
+        fds.extend(conns.iter().map(|conn| {
+            conn.poll_fd(!shutting_down && !conn.closing && conn.read_gate_open(&config))
+        }));
+        // A failed wait (`EINTR` is retried inside) acts as a spurious
+        // wake-up: the next pass finds nothing to do and waits again.
+        let _ = poll::wait(&mut fds, None);
+        wakeup.disarm(fds[0].ready());
+        woke_ns = tracing.now();
     }
     // Quiesce: drop this reactor's service handle *before* checking in,
     // so once the acceptor observes `quiesced == N` under the lock it
@@ -756,34 +819,42 @@ fn reactor_loop(
     // Farewell flush with a deadline: a peer that stopped reading
     // cannot wedge the shutdown.
     let deadline = Instant::now() + SHUTDOWN_FLUSH_DEADLINE;
-    while Instant::now() < deadline {
-        let mut flushed = true;
+    loop {
+        fds.clear();
         for conn in conns.iter_mut() {
             net.note_pump(conn.pump_writes(&mut pool));
-            flushed &= conn.dead() || conn.flushed();
+            if !conn.dead() && !conn.flushed() {
+                fds.push(conn.poll_fd(false));
+            }
         }
-        if flushed {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if fds.is_empty() || left.is_zero() {
             break;
         }
-        std::thread::sleep(config.idle_sleep);
+        let _ = poll::wait(&mut fds, Some(left));
     }
 }
 
 /// Runs the front-end until a `Shutdown` frame arrives or the stop
 /// flag is raised, then gracefully stops the service and returns its
 /// final snapshot and lifetime statistics. The calling thread is the
-/// acceptor; `config.reactors` reactor threads do the per-connection
-/// work.
+/// acceptor; one reactor thread per wake-up in `reactor_wakeups` does
+/// the per-connection work.
 pub(crate) fn run(
     listener: TcpListener,
     service: AmsService,
     config: NetServerConfig,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
+    reactor_wakeups: Vec<Arc<Wakeup>>,
 ) -> (ServiceSnapshot, ServiceStats) {
-    let reactors = config.reactors.max(1);
+    let reactors = reactor_wakeups.len();
     let service = Arc::new(service);
     let coord = Arc::new(Coordinator {
         shutting_down: AtomicBool::new(false),
+        wakeups: std::iter::once(&stop.acceptor)
+            .chain(&reactor_wakeups)
+            .cloned()
+            .collect(),
         state: Mutex::new(CoordState {
             quiesced: 0,
             final_state: None,
@@ -796,11 +867,12 @@ pub(crate) fn run(
     let threads: Vec<std::thread::JoinHandle<()>> = (0..reactors)
         .map(|index| {
             let mailbox = Arc::clone(&mailboxes[index]);
+            let wakeup = Arc::clone(&reactor_wakeups[index]);
             let service = Arc::clone(&service);
             let coord = Arc::clone(&coord);
             std::thread::Builder::new()
                 .name(format!("ams-net-reactor-{index}"))
-                .spawn(move || reactor_loop(index, mailbox, service, coord, config))
+                .spawn(move || reactor_loop(index, mailbox, wakeup, service, coord, config))
                 .expect("spawn reactor thread")
         })
         .collect();
@@ -809,13 +881,13 @@ pub(crate) fn run(
     // reactors share accepts instead of the first always winning.
     let mut cursor = 0usize;
     loop {
-        if stop.load(Ordering::Acquire) {
-            coord.shutting_down.store(true, Ordering::Release);
+        if stop.requested.load(Ordering::Acquire) {
+            coord.begin_shutdown();
         }
         if coord.shutting_down.load(Ordering::Acquire) {
             break;
         }
-        match listener.accept() {
+        let backoff = match listener.accept() {
             Ok((stream, _)) => {
                 let mut best = cursor % reactors;
                 let mut best_load = mailboxes[best].load.load(Ordering::Relaxed);
@@ -835,12 +907,29 @@ pub(crate) fn run(
                     .lock()
                     .expect("reactors never panic")
                     .push(stream);
+                reactor_wakeups[best].wake();
+                continue;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(config.idle_sleep);
-            }
-            Err(_) => std::thread::sleep(config.idle_sleep),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            // Any other failure (e.g. out of descriptors) leaves the
+            // listener readable, so waiting on it would spin.
+            Err(_) => Some(ACCEPT_BACKOFF),
+        };
+        // Wait for a connection or a stop request: arm, re-check the
+        // flags, then block.
+        stop.acceptor.arm(false);
+        if stop.requested.load(Ordering::Acquire) || coord.shutting_down.load(Ordering::Acquire) {
+            stop.acceptor.disarm(false);
+            continue;
         }
+        let listen = if backoff.is_none() { POLLIN } else { 0 };
+        let mut fds = [
+            PollFd::new(stop.acceptor.fd(), POLLIN),
+            PollFd::new(&listener, listen),
+        ];
+        let _ = poll::wait(&mut fds, backoff);
+        stop.acceptor.disarm(fds[0].ready());
     }
     drop(listener);
     // Wait for every reactor to land parked work and release its

@@ -3,12 +3,12 @@
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use ams_service::{AmsService, ServiceSnapshot, ServiceStats};
 
 use crate::error::NetError;
 use crate::reactor;
+use crate::wake::Wakeup;
 
 /// Tunables of the reactor's per-connection bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,9 +35,6 @@ pub struct NetServerConfig {
     /// Unflushed response bytes beyond which the reactor stops reading
     /// more of a connection's requests.
     pub max_write_buffer: usize,
-    /// How long the reactor sleeps after a tick in which nothing at
-    /// all progressed.
-    pub idle_sleep: Duration,
     /// How many reactor threads share the connections. The acceptor
     /// hands each new socket to the least-loaded reactor (round-robin
     /// on ties), so decode + dispatch scales with cores. `0` is
@@ -53,21 +50,30 @@ impl Default for NetServerConfig {
             max_pending_per_conn: crate::codec::MAX_INGEST_BLOCKS,
             max_inflight_per_conn: 64,
             max_write_buffer: 256 * 1024,
-            idle_sleep: Duration::from_micros(200),
             reactors: 1,
         }
     }
 }
 
+/// A stop request: the flag, and the acceptor's wake-up that makes it
+/// notice.
+#[derive(Debug)]
+pub(crate) struct Stop {
+    pub(crate) requested: AtomicBool,
+    pub(crate) acceptor: Arc<Wakeup>,
+}
+
 /// A handle that asks a running server to shut down gracefully (same
 /// path as a wire-level `Shutdown` request, minus the `Goodbye`).
 #[derive(Debug, Clone)]
-pub struct StopHandle(Arc<AtomicBool>);
+pub struct StopHandle(Arc<Stop>);
 
 impl StopHandle {
-    /// Raises the stop flag; the reactor notices on its next tick.
+    /// Raises the stop flag and wakes the acceptor, which passes the
+    /// shutdown on to every reactor.
     pub fn stop(&self) {
-        self.0.store(true, Ordering::Release);
+        self.0.requested.store(true, Ordering::Release);
+        self.0.acceptor.wake();
     }
 }
 
@@ -89,7 +95,10 @@ pub struct NetServer {
     listener: TcpListener,
     addr: SocketAddr,
     config: NetServerConfig,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
+    /// One wake-up per reactor, made at bind time so a failure to
+    /// create one surfaces here rather than in a running server.
+    reactor_wakeups: Vec<Arc<Wakeup>>,
 }
 
 impl NetServer {
@@ -105,16 +114,25 @@ impl NetServer {
     /// Binds a listener with an explicit configuration.
     ///
     /// # Errors
-    /// [`NetError::Io`] when binding fails.
+    /// [`NetError::Io`] when binding fails, or when a wake-up socket
+    /// pair cannot be created.
     pub fn bind_with<A: ToSocketAddrs>(addr: A, config: NetServerConfig) -> Result<Self, NetError> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let stop = Arc::new(Stop {
+            requested: AtomicBool::new(false),
+            acceptor: Wakeup::new()?,
+        });
+        let reactor_wakeups = (0..config.reactors.max(1))
+            .map(|_| Wakeup::new())
+            .collect::<Result<_, _>>()?;
         Ok(Self {
             listener,
             addr,
             config,
-            stop: Arc::new(AtomicBool::new(false)),
+            stop,
+            reactor_wakeups,
         })
     }
 
@@ -134,7 +152,13 @@ impl NetServer {
     /// stop handle fires, then returns the service's final snapshot
     /// and lifetime statistics.
     pub fn run(self, service: AmsService) -> (ServiceSnapshot, ServiceStats) {
-        reactor::run(self.listener, service, self.config, self.stop)
+        reactor::run(
+            self.listener,
+            service,
+            self.config,
+            self.stop,
+            self.reactor_wakeups,
+        )
     }
 
     /// Spawns the acceptor (and its reactor threads) in the background

@@ -11,11 +11,15 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::PathBuf;
+use std::sync::mpsc;
 use std::time::Duration;
 
 use ams_core::{SelfJoinEstimator, SketchParams, TugOfWarSketch};
-use ams_net::{AmsClient, IngestOutcome, NetError, NetServer, NetServerConfig, RetryPolicy};
-use ams_service::{RouterPolicy, ServiceConfig};
+use ams_net::{
+    AckMode, AmsClient, IngestOutcome, NetError, NetServer, NetServerConfig, RetryPolicy,
+};
+use ams_service::{DurabilityConfig, RouterPolicy, ServiceConfig};
 use ams_stream::{value_blocks, OpBlock};
 
 fn service(
@@ -700,6 +704,102 @@ fn pipelined_ingest_reuses_one_encode_buffer() {
         );
     }
     client.drain().unwrap();
+    drop(client);
+    handle.stop();
+}
+
+/// A self-cleaning temp dir (no tempfile crate in the workspace).
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_nanos();
+        let path = std::env::temp_dir().join(format!(
+            "ams-net-loopback-{tag}-{}-{nanos}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&path).unwrap();
+        TempDir(path)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+#[test]
+fn parked_blocks_durable_acks_and_drains_resolve_on_wake_ups() {
+    // Every wait here is resolved by a wake-up, not by a timer: two
+    // shards with one-slot queues make pipelined blocks park on both
+    // connections (a hash-partitioned block needs a slot on both
+    // queues), one connection's acks wait for the durable watermark,
+    // and a drain follows every short round. A missed wake-up stalls a
+    // round for good, so a watchdog fails the test instead of hanging
+    // it.
+    const ROUNDS: usize = 40;
+    const PER_ROUND: usize = 8;
+    let params = SketchParams::new(16, 3).unwrap();
+    let dir = TempDir::new("wake");
+    let config = ServiceConfig::builder()
+        .shards(2)
+        .queue_capacity(1)
+        .sketch_params(params)
+        .seed(0xBEEF)
+        .router(RouterPolicy::HashPartition)
+        .durability(DurabilityConfig::new(&dir.0))
+        .build()
+        .unwrap();
+    let server = NetServer::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    let handle = server.spawn(ams_service::AmsService::start(config, &["v"]).unwrap());
+
+    let blocks: Vec<OpBlock> = (0..ROUNDS * PER_ROUND)
+        .map(|b| OpBlock::from_values((0..256u64).map(|i| (b as u64 * 7_919 + i * 31) % 4_096)))
+        .collect();
+    let (done, finished) = mpsc::channel();
+    let rounds = {
+        let blocks = blocks.clone();
+        std::thread::spawn(move || {
+            let mut durable = AmsClient::connect(addr)
+                .unwrap()
+                .with_ack_mode(AckMode::Fsync);
+            let mut applied = AmsClient::connect(addr).unwrap();
+            for round in blocks.chunks(PER_ROUND) {
+                let (mine, theirs) = round.split_at(PER_ROUND / 2);
+                std::thread::scope(|scope| {
+                    scope.spawn(|| ingest_all(&mut durable, "v", mine));
+                    ingest_all(&mut applied, "v", theirs);
+                });
+                durable.drain().unwrap();
+            }
+            done.send(()).unwrap();
+            durable
+        })
+    };
+    finished
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the rounds stalled: a parked block, durable ack or drain missed its wake-up");
+    let mut client = rounds.join().unwrap();
+
+    assert!(
+        client.stats().unwrap().queue_rejections() > 0,
+        "one-slot queues must have refused (and so parked) some blocks"
+    );
+    let snapshot = client.snapshot().unwrap();
+    let mut reference: TugOfWarSketch = TugOfWarSketch::new(params, 0xBEEF);
+    for block in &blocks {
+        reference.apply_block(block);
+    }
+    assert_eq!(
+        snapshot.sketch("v").unwrap().counters(),
+        reference.counters(),
+        "wire counters must equal an in-process sketch of the same blocks"
+    );
     drop(client);
     handle.stop();
 }

@@ -36,6 +36,12 @@
 //!   logged prefix *is* the never-crashed state). The
 //!   [`AmsService::durability_cut`] / [`AmsService::poll_durable`]
 //!   pair gives front-ends ack-after-fsync.
+//! * The wake hook — a front-end that must never block (a network
+//!   reactor) registers a [`std::task::Waker`] with
+//!   [`AmsService::add_waker`]; it is rung after each event parked work
+//!   waits on (room on a queue that refused a block, a publish, a
+//!   durable watermark advance, a queue closing), so the front-end can
+//!   sleep in its own readiness wait instead of re-polling on a timer.
 //! * Request tracing — a sampled ingest carries a `trace_id` down the
 //!   shard path; workers stamp queue/kernel/WAL/fsync spans into
 //!   bounded per-thread rings on the service's [`TraceHub`], the tail
@@ -77,6 +83,7 @@ pub mod stats;
 
 mod service;
 mod telemetry;
+mod wake;
 
 pub use config::{ServiceConfig, ServiceConfigBuilder};
 pub use error::ServiceError;

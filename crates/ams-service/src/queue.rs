@@ -15,14 +15,20 @@
 //! ([`Wait::Block`], via [`BlockQueue::wait_for_room`]). It never waits
 //! while holding a reservation: a reservation is not a task, so no
 //! worker could ever free it.
+//!
+//! A caller that must never block either (a network reactor) parks the
+//! refused block itself and learns of new room through the service's
+//! wake hook: the first room event after a refusal rings it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use ams_stream::OpBlock;
 use ams_telemetry::Gauge;
+
+use crate::wake::WakeHook;
 
 /// A producer/sequence tag carried by an ingest submission, making
 /// resubmission after a reconnect idempotent: each shard worker keeps
@@ -89,6 +95,11 @@ struct QueueState {
     /// against capacity alongside `tasks.len()`.
     reserved: usize,
     closed: bool,
+    /// A reservation was refused at capacity since room last freed: the
+    /// next room event rings the wake hook, and only that one, so a
+    /// reactor parked on this queue wakes while a reactor's own
+    /// reserve-then-release of a slot nobody waits for stays silent.
+    refused: bool,
     /// High-water mark of `tasks.len() + reserved`, the bounded-memory
     /// witness (never exceeds capacity by construction).
     max_depth: usize,
@@ -109,6 +120,8 @@ pub struct BlockQueue {
     not_full: Condvar,
     /// Signalled when a task arrives or the queue closes.
     not_empty: Condvar,
+    /// Rung after room frees for a refused reservation, and on close.
+    wake: Arc<WakeHook>,
     /// Blocks successfully enqueued over the queue's lifetime.
     pushed: AtomicU64,
     /// Reservations that found the queue full, under either [`Wait`]
@@ -128,21 +141,27 @@ pub struct BlockQueue {
 
 impl BlockQueue {
     /// Creates an empty queue bounded at `capacity` blocks, with a
-    /// private (unregistered) depth gauge.
+    /// private (unregistered) depth gauge and wake hook.
     pub fn new(capacity: usize) -> Self {
-        Self::with_depth_gauge(capacity, Arc::new(Gauge::new()))
+        Self::with_depth_gauge(capacity, Arc::new(Gauge::new()), Arc::default())
     }
 
     /// Creates an empty bounded queue whose live depth is mirrored into
     /// the given gauge (typically registered as
-    /// `service_queue_depth{shard}`).
-    pub fn with_depth_gauge(capacity: usize, depth_gauge: Arc<Gauge>) -> Self {
+    /// `service_queue_depth{shard}`) and whose room and close events
+    /// ring `wake`.
+    pub(crate) fn with_depth_gauge(
+        capacity: usize,
+        depth_gauge: Arc<Gauge>,
+        wake: Arc<WakeHook>,
+    ) -> Self {
         debug_assert!(capacity > 0);
         Self {
             capacity,
             state: Mutex::new(QueueState::default()),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
+            wake,
             pushed: AtomicU64::new(0),
             backpressure_events: AtomicU64::new(0),
             rejections: AtomicU64::new(0),
@@ -182,8 +201,23 @@ impl BlockQueue {
         self.rejections.load(Ordering::Acquire)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Announces freed room: wakes every blocked producer, then — once
+    /// the lock is released — rings the wake hook if a reservation was
+    /// refused since the last room event.
+    fn room_freed(&self, mut state: MutexGuard<'_, QueueState>) {
+        // Every waiter: a woken producer does not take the slot, so a
+        // single wake-up could land on one that goes off to wait on
+        // another shard and leave the rest asleep beside a free slot.
+        self.not_full.notify_all();
+        let refused = std::mem::take(&mut state.refused);
+        drop(state);
+        if refused {
+            self.wake.wake();
+        }
     }
 
     /// Resets the high-water mark to the current occupancy, so the next
@@ -207,6 +241,7 @@ impl BlockQueue {
             return false;
         }
         if state.occupied() >= self.capacity {
+            state.refused = true;
             self.backpressure_events.fetch_add(1, Ordering::Relaxed);
             if wait == Wait::Try {
                 self.rejections.fetch_add(1, Ordering::Relaxed);
@@ -243,21 +278,31 @@ impl BlockQueue {
         let mut state = self.lock();
         debug_assert!(state.reserved > 0, "release without reservation");
         state.reserved -= 1;
-        // Every waiter: a woken producer does not take the slot, so a
-        // single wake-up could land on one that goes off to wait on
-        // another shard and leave the rest asleep beside a free slot.
-        self.not_full.notify_all();
+        self.room_freed(state);
     }
 
     /// Dequeues, blocking while the queue is empty. Returns `None` once
     /// the queue is closed **and** drained — the consumer's shutdown
     /// signal.
+    ///
+    /// A consumer that had to wait yields its core once before taking
+    /// on the task. The producer that woke it is often about to wake
+    /// another thread in turn — a network reactor answers the client
+    /// whose block it just queued — and on a small host the scheduler
+    /// tends to queue that thread on the core this consumer just took,
+    /// behind a whole block's work; the yield lets it go first. It
+    /// costs one system call per wait, and nothing while the queue is
+    /// backed up.
     pub fn pop(&self) -> Option<ShardTask> {
         let mut state = self.lock();
+        let mut waited = false;
         loop {
             if let Some(task) = state.tasks.pop_front() {
                 self.depth_gauge.set(state.tasks.len() as i64);
-                self.not_full.notify_all();
+                self.room_freed(state);
+                if waited {
+                    std::thread::yield_now();
+                }
                 return Some(task);
             }
             if state.closed {
@@ -267,6 +312,7 @@ impl BlockQueue {
                 .not_empty
                 .wait(state)
                 .unwrap_or_else(|e| e.into_inner());
+            waited = true;
         }
     }
 
@@ -280,18 +326,21 @@ impl BlockQueue {
         if taken > 0 {
             out.extend(state.tasks.drain(..taken));
             self.depth_gauge.set(state.tasks.len() as i64);
-            self.not_full.notify_all();
+            self.room_freed(state);
         }
         taken
     }
 
     /// Closes the queue: pending tasks remain poppable, further
-    /// reservations fail, waiting producers and the consumer wake.
+    /// reservations fail, waiting producers and the consumer wake, and
+    /// so does the wake hook.
     pub fn close(&self) {
         let mut state = self.lock();
         state.closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
+        drop(state);
+        self.wake.wake();
     }
 
     /// Whether the queue has been closed.
@@ -387,7 +436,7 @@ mod tests {
         use ams_telemetry::Gauge;
         use std::sync::Arc;
         let gauge = Arc::new(Gauge::new());
-        let q = BlockQueue::with_depth_gauge(4, Arc::clone(&gauge));
+        let q = BlockQueue::with_depth_gauge(4, Arc::clone(&gauge), Arc::default());
         assert_eq!(gauge.get(), 0);
         push(&q, 0);
         push(&q, 1);

@@ -3,6 +3,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::Waker;
 use std::thread::JoinHandle;
 
 use ams_core::{SelfJoinEstimator, TugOfWarSketch};
@@ -24,6 +25,7 @@ use crate::shard::{DurableShardState, ShardWorker};
 use crate::snapshot::{ServiceSnapshot, ShardCell};
 use crate::stats::{ServiceStats, ShardStats};
 use crate::telemetry::ServiceTelemetry;
+use crate::wake::WakeHook;
 
 /// A recorded drain target: the per-shard block counts that had been
 /// submitted when [`AmsService::drain_cut`] was called. Opaque — feed
@@ -103,6 +105,9 @@ pub struct AmsService {
     /// Scrape-to-scrape counter baselines for the windowed health
     /// signals.
     health_window: HealthWindow,
+    /// Wakers of front-ends that park work without a thread, rung by
+    /// the queues, the snapshot cells and the durable watermarks.
+    wake: Arc<WakeHook>,
 }
 
 impl AmsService {
@@ -150,16 +155,24 @@ impl AmsService {
         } else {
             Vec::new()
         };
+        let wake = Arc::new(WakeHook::default());
         let queues: Vec<Arc<BlockQueue>> = (0..config.shards())
             .map(|shard| {
                 Arc::new(BlockQueue::with_depth_gauge(
                     config.queue_capacity(),
                     Arc::clone(&telemetry.shards[shard].queue_depth),
+                    Arc::clone(&wake),
                 ))
             })
             .collect();
         let cells: Vec<Arc<ShardCell>> = (0..config.shards())
-            .map(|_| Arc::new(ShardCell::new(config.params().total(), names.len())))
+            .map(|_| {
+                Arc::new(ShardCell::new(
+                    config.params().total(),
+                    names.len(),
+                    Arc::clone(&wake),
+                ))
+            })
             .collect();
         // Recover durable state before any worker runs: each shard's
         // WAL is opened, its newest valid checkpoint loaded, and the
@@ -186,6 +199,7 @@ impl AmsService {
                     recovered: Some(recovered),
                     checkpoint_every: dcfg.checkpoint_every_blocks,
                     watermark,
+                    wake: Arc::clone(&wake),
                     failed: false,
                 });
                 recovery.push(report);
@@ -233,6 +247,7 @@ impl AmsService {
             event_hub,
             audit,
             health_window: HealthWindow::default(),
+            wake,
         })
     }
 
@@ -522,6 +537,27 @@ impl AmsService {
             .iter()
             .zip(&cut.targets)
             .all(|(watermark, &target)| watermark.load(Ordering::Acquire) >= target)
+    }
+
+    /// Registers a waker for a front-end that parks work without
+    /// blocking a thread on it — a network reactor holding refused
+    /// `Wait::Try` blocks, durable acks and drains. It is woken after
+    /// each event such work waits on, once the event is visible to
+    /// [`Self::submit`], [`Self::poll_drained`] and
+    /// [`Self::poll_durable`]:
+    /// - room freeing on a shard queue that refused a reservation since
+    ///   its last such wake;
+    /// - a shard queue closing (shutdown);
+    /// - a shard publish;
+    /// - a shard's durable watermark advancing.
+    ///
+    /// A waker is rung from shard worker threads and from submitting
+    /// threads, so it must be cheap, and it must not register wakers
+    /// itself. Wakers stay registered for the service's lifetime; one
+    /// that re-checks its parked work after arming and before sleeping
+    /// misses no event.
+    pub fn add_waker(&self, waker: Waker) {
+        self.wake.add(waker);
     }
 
     /// Current depth of one shard's queue (blocks waiting, excluding
@@ -1474,5 +1510,143 @@ mod tests {
         let json = serde_json::to_string(&stats).unwrap();
         let back: ServiceStats = serde_json::from_str(&json).unwrap();
         assert_eq!(back, stats);
+    }
+
+    /// A waker that counts its wakes, recording at each one what
+    /// `read` observes then.
+    struct CountingWaker {
+        read: Box<dyn Fn() -> u64 + Send + Sync>,
+        seen: std::sync::Mutex<Vec<u64>>,
+        rang: std::sync::Condvar,
+    }
+
+    impl std::task::Wake for CountingWaker {
+        fn wake(self: Arc<Self>) {
+            self.wake_by_ref();
+        }
+
+        fn wake_by_ref(self: &Arc<Self>) {
+            self.seen.lock().unwrap().push((self.read)());
+            self.rang.notify_all();
+        }
+    }
+
+    impl CountingWaker {
+        fn register(read: impl Fn() -> u64 + Send + Sync + 'static) -> (Arc<Self>, Waker) {
+            let probe = Arc::new(Self {
+                read: Box::new(read),
+                seen: std::sync::Mutex::new(Vec::new()),
+                rang: std::sync::Condvar::new(),
+            });
+            let waker = Waker::from(Arc::clone(&probe));
+            (probe, waker)
+        }
+
+        fn wakes(&self) -> usize {
+            self.seen.lock().unwrap().len()
+        }
+
+        /// Waits for a wake that observed at least `value`. The bound
+        /// is a watchdog that turns a missing wake into a failure
+        /// instead of a hang; no wake is timed.
+        fn saw_at_least(&self, value: u64) -> bool {
+            let seen = self.seen.lock().unwrap();
+            let (seen, _) = self
+                .rang
+                .wait_timeout_while(seen, std::time::Duration::from_secs(30), |seen| {
+                    !seen.iter().any(|&v| v >= value)
+                })
+                .unwrap();
+            seen.iter().any(|&v| v >= value)
+        }
+    }
+
+    #[test]
+    fn wake_hook_rings_on_every_event_a_reactor_parks_on() {
+        use crate::snapshot::ShardSnapshot;
+        use ams_telemetry::Gauge;
+
+        let (probe, waker) = CountingWaker::register(|| 0);
+        let hook = Arc::new(WakeHook::default());
+        hook.add(waker);
+        let task = || ShardTask::new(0, OpBlock::from_values([1]), None, 0);
+        let fill = |queue: &BlockQueue| {
+            assert!(queue.try_reserve(Wait::Try));
+            queue.push_reserved(task());
+        };
+
+        // Queue room: freed room rings only after a refusal, once.
+        let queue = BlockQueue::with_depth_gauge(1, Arc::new(Gauge::new()), Arc::clone(&hook));
+        fill(&queue);
+        queue.pop().unwrap();
+        assert_eq!(probe.wakes(), 0, "room nobody was refused wakes nobody");
+        fill(&queue);
+        assert!(!queue.try_reserve(Wait::Try));
+        queue.pop().unwrap();
+        assert_eq!(
+            probe.wakes(),
+            1,
+            "a pop frees room for a refused reservation"
+        );
+        fill(&queue);
+        assert!(!queue.try_reserve(Wait::Try));
+        let mut taken = Vec::new();
+        assert_eq!(queue.take_queued(4, &mut taken), 1);
+        assert_eq!(probe.wakes(), 2, "take_queued frees room");
+        assert!(queue.try_reserve(Wait::Try));
+        assert!(!queue.try_reserve(Wait::Try));
+        queue.release_reserved();
+        assert_eq!(probe.wakes(), 3, "a released reservation frees room");
+        queue.close();
+        assert_eq!(probe.wakes(), 4, "close");
+
+        // Publish.
+        let cell = ShardCell::new(4, 1, Arc::clone(&hook));
+        cell.publish(ShardSnapshot {
+            epoch: 1,
+            blocks: 1,
+            ops: 1,
+            processed: 1,
+            counters: vec![vec![0; 4]],
+        });
+        assert_eq!(probe.wakes(), 5, "a publish");
+
+        // A durable watermark advance. The worker publishes before it
+        // syncs, so a wake that observes the advanced watermark came
+        // from the advance (nothing else happens until shutdown).
+        let dir = std::env::temp_dir().join(format!(
+            "ams-service-wake-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        let durable = ServiceConfig::builder()
+            .shards(1)
+            .sketch_params(SketchParams::new(16, 3).unwrap())
+            .seed(0xC0FFEE)
+            .durability(
+                ams_durable::DurabilityConfig::new(&dir)
+                    .with_fsync(ams_durable::FsyncPolicy::PerAppend),
+            )
+            .build()
+            .unwrap();
+        let service = AmsService::start(durable, &["a"]).unwrap();
+        let watermark = Arc::clone(&service.durable_watermarks[0]);
+        let (probe, waker) = CountingWaker::register(move || watermark.load(Ordering::Acquire));
+        service.add_waker(waker);
+        ingest(&service, "a", &[1, 2, 3]).unwrap();
+        assert!(
+            probe.saw_at_least(1),
+            "a durable watermark advance rings the hook"
+        );
+
+        // Shutdown closes the queues.
+        let before = probe.wakes();
+        let (snapshot, _) = service.shutdown();
+        assert_eq!(snapshot.ops(), 3);
+        assert!(probe.wakes() > before, "shutdown");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

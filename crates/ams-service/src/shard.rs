@@ -27,6 +27,7 @@ use ams_telemetry::{
 use crate::queue::{BlockQueue, ShardTask};
 use crate::snapshot::{ShardCell, ShardSnapshot};
 use crate::telemetry::ShardInstruments;
+use crate::wake::WakeHook;
 
 /// The durability half of a shard worker, built by the service from
 /// [`ShardDurable::open`]'s recovery.
@@ -44,7 +45,12 @@ pub(crate) struct DurableShardState {
     pub checkpointed_blocks: u64,
     /// This-lifetime count of popped blocks whose effects are durable;
     /// shared with [`AmsService::poll_durable`](crate::AmsService::poll_durable).
+    /// The worker stores it only through [`Self::advance`], so every
+    /// advance rings the wake hook.
     pub watermark: Arc<AtomicU64>,
+    /// Rung after every watermark advance, for durable acks parked
+    /// without a thread.
+    pub wake: Arc<WakeHook>,
     /// Set when a WAL operation fails: the shard stops logging,
     /// applying, publishing, and checkpointing (an inconsistent log
     /// must not grow, and unlogged state must not leak into
@@ -52,6 +58,14 @@ pub(crate) struct DurableShardState {
     /// block. The watermark freezes — durable acks stall exactly like
     /// a crashed server's.
     pub failed: bool,
+}
+
+impl DurableShardState {
+    /// Publishes that the first `popped` blocks are durable.
+    fn advance(&self, popped: u64) {
+        self.watermark.store(popped, Ordering::Release);
+        self.wake.wake();
+    }
 }
 
 /// Everything one worker thread needs; constructed by the service,
@@ -188,7 +202,7 @@ impl ShardWorker {
         if let Some(d) = state.durable.as_mut() {
             if !d.failed {
                 match d.wal.maybe_sync(true) {
-                    Ok(true) => d.watermark.store(state.popped, Ordering::Release),
+                    Ok(true) => d.advance(state.popped),
                     _ => d.failed = true,
                 }
             }
@@ -412,7 +426,7 @@ impl ShardWorker {
                     if traced {
                         synced = Some((t0, trace_clock_ns().saturating_sub(t0)));
                     }
-                    d.watermark.store(state.popped, Ordering::Release);
+                    d.advance(state.popped);
                 }
                 Ok(false) => {}
                 Err(_) => d.failed = true,
@@ -521,7 +535,7 @@ mod tests {
         }
         queue.close();
         let telemetry = ServiceTelemetry::new(1, &["v".to_string()]);
-        let cell = Arc::new(ShardCell::new(params.total(), 1));
+        let cell = Arc::new(ShardCell::new(params.total(), 1, Arc::default()));
         let traces = TraceHub::new();
         let events = EventHub::new();
         ShardWorker {

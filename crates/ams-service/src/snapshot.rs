@@ -15,11 +15,12 @@
 //! epochs it reflects.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use ams_core::{SelfJoinEstimator, TugOfWarSketch};
 
 use crate::error::ServiceError;
+use crate::wake::WakeHook;
 
 /// What one shard worker last published.
 #[derive(Debug, Clone)]
@@ -69,10 +70,12 @@ pub(crate) struct ShardCell {
     /// applied-but-unpublished blocks indefinitely); the worker takes
     /// it after each applied block.
     publish_requested: AtomicBool,
+    /// Rung after every publish, for drains parked without a thread.
+    wake: Arc<WakeHook>,
 }
 
 impl ShardCell {
-    pub(crate) fn new(counters_per_attr: usize, attrs: usize) -> Self {
+    pub(crate) fn new(counters_per_attr: usize, attrs: usize, wake: Arc<WakeHook>) -> Self {
         Self {
             snapshot: RwLock::new(ShardSnapshot {
                 epoch: 0,
@@ -84,6 +87,7 @@ impl ShardCell {
             progress: Mutex::new(ShardProgress::default()),
             published: Condvar::new(),
             publish_requested: AtomicBool::new(false),
+            wake,
         }
     }
 
@@ -97,7 +101,8 @@ impl ShardCell {
         self.publish_requested.swap(false, Ordering::AcqRel)
     }
 
-    /// Publishes a new shard snapshot and wakes drainers.
+    /// Publishes a new shard snapshot and wakes drainers, blocked and
+    /// hooked alike.
     pub(crate) fn publish(&self, snapshot: ShardSnapshot) {
         let next = ShardProgress {
             epoch: snapshot.epoch,
@@ -109,6 +114,8 @@ impl ShardCell {
         let mut progress = self.progress.lock().unwrap_or_else(|e| e.into_inner());
         *progress = next;
         self.published.notify_all();
+        drop(progress);
+        self.wake.wake();
     }
 
     /// Adds this shard's published counters of **one** attribute into
