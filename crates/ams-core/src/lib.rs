@@ -78,6 +78,7 @@ pub mod lowerbound;
 pub mod naivesampling;
 pub mod params;
 pub mod samplecount;
+pub mod signcache;
 pub mod tugofwar;
 
 pub use ams_stream::SelfJoinEstimator;
@@ -92,4 +93,5 @@ pub use join::{
 pub use naivesampling::NaiveSampling;
 pub use params::SketchParams;
 pub use samplecount::{SampleCount, SampleCountFastQuery};
+pub use signcache::{SignCacheStats, SIGN_CACHE_BYTES};
 pub use tugofwar::TugOfWarSketch;

@@ -32,6 +32,7 @@ use ams_stream::{CoalesceBuffer, OpBlock, SelfJoinEstimator, Value};
 use crate::error::SketchError;
 use crate::estimator::median_of_means;
 use crate::params::SketchParams;
+use crate::signcache::{SignCache, SignCacheStats};
 
 /// A tug-of-war sketch with pluggable sign-hash family `H`
 /// (default: 4-wise independent polynomial hashing).
@@ -43,6 +44,14 @@ use crate::params::SketchParams;
 /// [`apply_block`](SelfJoinEstimator::apply_block) sweeps each counter
 /// row over a whole block with the row's coefficients in registers —
 /// the per-item path and the block path produce bit-identical counters.
+///
+/// While the adaptive coalescing gate is on ([`Self::coalesces`]), each
+/// netted run is applied through a bounded hot-key sign cache (see
+/// [`crate::signcache`]): keys that recur within a run are admitted,
+/// and cached keys are applied from their stored sign bits instead of
+/// evaluating every row again. The counters are integer sums either
+/// way, so they stay bit-identical to the plain plane sweep;
+/// [`Self::take_sign_cache_stats`] reports what the cache served.
 ///
 /// ```
 /// use ams_core::{SketchParams, TugOfWarSketch, SelfJoinEstimator};
@@ -75,15 +84,21 @@ pub struct TugOfWarSketch<H: SignFamily = PolySign> {
 }
 
 /// Transient per-sketch ingestion state: the kernel scratch, the
-/// coalescing buffers, and the running workload-skew estimate that
-/// decides whether coalescing pays. Steady-state block ingestion
-/// touches only these reused buffers — zero heap allocations.
+/// coalescing buffers, the running workload-skew estimate that decides
+/// whether coalescing pays, and the hot-key sign cache that coalesced
+/// runs are applied through. Steady-state block ingestion touches only
+/// these reused buffers — zero heap allocations once the cache has
+/// reached its size. None of it is sketch state: it is never
+/// serialized or compared, and a clone starts with an empty cache.
 #[derive(Debug, Clone)]
 struct IngestScratch {
     /// Padded key/delta columns for the plane kernels.
     plane: PlaneScratch,
     /// Reusable net-coalescing map + output block.
     coalesce: CoalesceBuffer,
+    /// Sign bits of keys that recur within coalesced runs, bounded by
+    /// [`crate::SIGN_CACHE_BYTES`]; only the coalescing paths use it.
+    cache: SignCache,
     /// EWMA of the observed duplicate ratio `1 − distinct/len` over
     /// coalesced blocks and swept batches. Starts at 1.0 ("assume
     /// skewed") so the first blocks coalesce and the estimate converges
@@ -100,6 +115,7 @@ impl Default for IngestScratch {
         Self {
             plane: PlaneScratch::new(),
             coalesce: CoalesceBuffer::new(),
+            cache: SignCache::default(),
             dup_ratio: 1.0,
             skipped: 0,
         }
@@ -237,26 +253,42 @@ impl<H: SignFamily> TugOfWarSketch<H> {
         self.scratch.coalesce.fold(block.values(), block.deltas());
     }
 
-    /// Applies every block folded since the last sweep in one plane
-    /// sweep over their distinct values — bit-identical to applying
-    /// them one by one, because the counters are integer sums. The
-    /// batch's observed duplicate ratio feeds the coalescing gate like
-    /// a single coalesced block's. A no-op when nothing is folded.
+    /// Applies every block folded since the last sweep at once, over
+    /// their distinct values: cached and recurring keys through the
+    /// sign cache, the rest in one plane sweep — bit-identical to
+    /// applying the blocks one by one, because the counters are integer
+    /// sums. The batch's observed duplicate ratio feeds the coalescing
+    /// gate like a single coalesced block's. A no-op when nothing is
+    /// folded.
     pub fn sweep_folded(&mut self) {
+        if self.scratch.coalesce.folded() > 0 {
+            self.apply_run();
+        }
+    }
+
+    /// What the sign cache did with coalesced runs since the last call:
+    /// net entries served from cached sign bits, admitted to the cache,
+    /// and sent to the plane kernel. Resets the counts.
+    pub fn take_sign_cache_stats(&mut self) -> SignCacheStats {
+        self.scratch.cache.take_stats()
+    }
+
+    /// Ends the run folded into the coalescing scratch and applies its
+    /// net block through the sign cache. A run of at least 16 entries
+    /// feeds its duplicate ratio to the coalescing gate.
+    fn apply_run(&mut self) {
         let scratch = &mut self.scratch;
         let folded = scratch.coalesce.folded();
-        if folded == 0 {
-            return;
-        }
-        let net = scratch.coalesce.finish();
+        let (net, counts) = scratch.coalesce.finish();
         if self.counters.len() >= 4 && folded >= 16 {
             let observed = 1.0 - net.len() as f32 / folded as f32;
             scratch.dup_ratio += DUP_EWMA_ALPHA * (observed - scratch.dup_ratio);
             scratch.skipped = 0;
         }
-        self.plane.accumulate_block_into(
-            net.values(),
-            net.deltas(),
+        scratch.cache.apply(
+            &self.plane,
+            net,
+            counts,
             &mut self.counters,
             &mut scratch.plane,
         );
@@ -273,21 +305,16 @@ impl<H: SignFamily> TugOfWarSketch<H> {
         // skip straight to the lane sweep (with a periodic probe so the
         // estimate tracks workload shifts). Either path yields
         // bit-identical counters (linearity), only the cost differs.
+        // Both callers sweep any pending run first, so the coalescing
+        // branch folds into an empty run.
         let rows = self.counters.len();
         let scratch = &mut self.scratch;
         if rows >= 4 && values.len() >= 16 {
             let probe = scratch.skipped >= PROBE_EVERY;
             if probe || scratch.dup_ratio * rows as f32 > COALESCE_THRESHOLD {
-                let net = scratch.coalesce.coalesce(values, deltas);
-                let observed = 1.0 - net.len() as f32 / values.len() as f32;
-                scratch.dup_ratio += DUP_EWMA_ALPHA * (observed - scratch.dup_ratio);
-                scratch.skipped = 0;
-                self.plane.accumulate_block_into(
-                    net.values(),
-                    net.deltas(),
-                    &mut self.counters,
-                    &mut scratch.plane,
-                );
+                debug_assert_eq!(scratch.coalesce.folded(), 0, "a run is pending");
+                scratch.coalesce.fold(values, deltas);
+                self.apply_run();
                 return;
             }
             scratch.skipped += 1;

@@ -2,10 +2,51 @@
 
 use ams_core::{
     JoinSignatureFamily, NaiveSampling, SampleCount, SampleCountFastQuery, SelfJoinEstimator,
-    SketchParams, ThreeWayFamily, ThreeWayRole, TugOfWarSketch,
+    SketchParams, ThreeWayFamily, ThreeWayRole, TugOfWarSketch, SIGN_CACHE_BYTES,
 };
+use ams_hash::lanes::LANES;
+use ams_hash::plane::{PolySignPlane, SignPlane};
+use ams_hash::rng::SplitMix64;
 use ams_stream::{Multiset, Op, OpBlock};
 use proptest::prelude::*;
+
+/// `count` blocks of `len` raw entries each. Skewed blocks draw from 24
+/// hot keys (0 and `u64::MAX` among them), so keys recur within a run
+/// and across runs; distinct blocks draw fresh random keys. Deltas mix
+/// inserts and deletes, and some recurring keys cancel within a run.
+fn cache_blocks(seed: u64, count: usize, len: usize, skewed: bool) -> Vec<(Vec<u64>, Vec<i64>)> {
+    let mut rng = SplitMix64::new(seed);
+    (0..count)
+        .map(|_| {
+            let values: Vec<u64> = (0..len)
+                .map(|_| match rng.next_below(24) {
+                    _ if !skewed => rng.next_u64(),
+                    0 => 0,
+                    1 => u64::MAX,
+                    k => k * 0x9E37_79B9,
+                })
+                .collect();
+            let deltas = (0..len).map(|_| rng.next_below(7) as i64 - 3).collect();
+            (values, deltas)
+        })
+        .collect()
+}
+
+/// The counters of the plain plane — the sketch's own functions, drawn
+/// from the same seed — summed over `blocks` with no coalescing and no
+/// cache.
+fn plain_plane_counters(
+    params: SketchParams,
+    seed: u64,
+    blocks: &[(Vec<u64>, Vec<i64>)],
+) -> Vec<i64> {
+    let plane = PolySignPlane::draw(params.total(), &mut SplitMix64::new(seed));
+    let mut counters = vec![0i64; params.total()];
+    for (values, deltas) in blocks {
+        plane.accumulate_block(values, deltas, &mut counters);
+    }
+    counters
+}
 
 /// Well-formed op sequences (every delete matches a live insert).
 fn wellformed_ops(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
@@ -26,7 +67,81 @@ fn wellformed_ops(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
     })
 }
 
+/// A sign cache driven far past its byte budget evicts and re-admits
+/// keys, and its counters still equal the plain plane's.
+#[test]
+fn sign_cache_past_its_budget_evicts_and_stays_exact() {
+    let params = SketchParams::new(8, 1).unwrap();
+    let mut sketch: TugOfWarSketch = TugOfWarSketch::new(params, 11);
+    // Each block carries 2,048 keys twice each; four rounds of fresh
+    // keys, then the first round again.
+    let mut blocks = Vec::new();
+    for round in [0u64, 1, 2, 3, 0] {
+        let keys: Vec<u64> = (0..2_048u64).map(|k| (round << 32) | k).collect();
+        let values: Vec<u64> = keys.iter().chain(&keys).copied().collect();
+        blocks.push((values, vec![1i64; 4_096]));
+    }
+    for (values, deltas) in &blocks {
+        sketch.update_columns(values, deltas);
+    }
+    assert_eq!(sketch.counters(), plain_plane_counters(params, 11, &blocks));
+    let stats = sketch.take_sign_cache_stats();
+    // At s = 8 a cached key costs at least 16 bytes (its key and one
+    // sign word), so the budget holds at most this many keys.
+    let most_resident = (SIGN_CACHE_BYTES / 16) as u64;
+    assert!(stats.admissions > most_resident, "{stats:?}");
+    assert!(stats.hits > 0, "{stats:?}");
+    assert_eq!(stats.hits + stats.admissions + stats.misses, 5 * 2_048);
+}
+
 proptest! {
+    /// Coalesced runs are applied through the hot-key sign cache, yet
+    /// the counters equal the plain plane's bit for bit: block lengths
+    /// 0, 1, LANES ± 1 and past 4 K; skewed and distinct streams; row
+    /// counts on and off the 64-bit word; per-block coalescing, folded
+    /// batches, and both on one sketch whose scratch and cache are
+    /// reused dirty from block to block.
+    #[test]
+    fn sign_cache_ingestion_equals_plain_plane(
+        seed in any::<u64>(),
+        len in (0usize..6).prop_map(|i| [0, 1, LANES - 1, LANES + 1, 4_096, 4_500][i]),
+        skewed in any::<bool>(),
+        batch in 1usize..4,
+        s1 in (0usize..3).prop_map(|i| [16, 33, 65][i]),
+    ) {
+        let params = SketchParams::new(s1, 2).unwrap();
+        let blocks = cache_blocks(seed, 6, len, skewed);
+        let plain = plain_plane_counters(params, seed, &blocks);
+
+        let mut per_block: TugOfWarSketch = TugOfWarSketch::new(params, seed);
+        let mut folded: TugOfWarSketch = TugOfWarSketch::new(params, seed);
+        let mut mixed: TugOfWarSketch = TugOfWarSketch::new(params, seed);
+        for (i, group) in blocks.chunks(batch).enumerate() {
+            for (values, deltas) in group {
+                per_block.update_columns(values, deltas);
+                folded.fold_block(&OpBlock::from_columns_coalesced(values, deltas));
+                let block = OpBlock::from_ops(values.iter().zip(deltas).flat_map(|(&v, &d)| {
+                    let op = if d > 0 { Op::Insert(v) } else { Op::Delete(v) };
+                    std::iter::repeat_n(op, d.unsigned_abs() as usize)
+                }));
+                if i % 2 == 0 {
+                    mixed.apply_block(&block);
+                } else {
+                    mixed.fold_block(&block);
+                }
+            }
+            folded.sweep_folded();
+            mixed.sweep_folded();
+        }
+        prop_assert_eq!(per_block.counters(), &plain[..], "per-block coalescing");
+        prop_assert_eq!(folded.counters(), &plain[..], "folded batches");
+        prop_assert_eq!(mixed.counters(), &plain[..], "mixed paths, dirty reuse");
+        if skewed && len >= 4_096 {
+            let stats = per_block.take_sign_cache_stats();
+            prop_assert!(stats.hits > 0 && stats.admissions > 0, "{:?}", stats);
+        }
+    }
+
     /// Tug-of-war is a linear sketch: processing Â equals processing the
     /// canonical insert-only sequence A, counter for counter.
     #[test]

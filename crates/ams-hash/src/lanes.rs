@@ -214,6 +214,49 @@ pub(crate) fn product_sweep<const K: usize>(
     scalar::product_sweep::<K>(xi, psi, rows, xs, ds, counters);
 }
 
+/// Key-major evaluation of a polynomial plane: the signs of rows
+/// `first_row, first_row + 1, …` at one key `x` (already reduced into
+/// the field), 64 rows per output word, bit `r % 64` set iff that row
+/// maps the key to −1. Rows past the plane's end leave zero bits. The
+/// rows sit in the lanes and the key is broadcast — the transpose of
+/// [`poly_sweep`], with the same split-limb steps and the same
+/// canonical parity, so every bit equals the block kernel's sign.
+#[inline]
+pub(crate) fn poly_sign_bits<const K: usize>(
+    cols: &[Vec<u64>; K],
+    first_row: usize,
+    x: u64,
+    bits: &mut [u64],
+) {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified at runtime.
+        #[allow(unsafe_code)]
+        unsafe {
+            avx2::poly_sign_bits::<K>(cols, first_row, x, bits)
+        };
+        return;
+    }
+    scalar::poly_sign_bits::<K>(cols, first_row, x, bits);
+}
+
+/// Adds `delta` to each counter whose sign bit is clear and subtracts
+/// it from each whose bit is set (bit `r % 64` of `bits[r / 64]` for
+/// counter `r`), branch-free.
+#[inline]
+pub(crate) fn apply_sign_bits(bits: &[u64], delta: i64, counters: &mut [i64]) {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified at runtime.
+        #[allow(unsafe_code)]
+        unsafe {
+            avx2::apply_sign_bits(bits, delta, counters)
+        };
+        return;
+    }
+    scalar::apply_sign_bits(bits, delta, counters);
+}
+
 /// Evaluates one polynomial sign function over a block of raw keys,
 /// writing ±1 per key — the lane formulation of
 /// [`crate::sign::SignHash::sign_block`]. Allocation-free: whole
@@ -251,7 +294,7 @@ pub(crate) fn poly_sign_block<const K: usize>(coeffs: &[u64; K], values: &[u64],
 // ---------------------------------------------------------------------
 
 mod scalar {
-    use super::{LANES, P, TILE_ROWS};
+    use super::{field, LANES, P, TILE_ROWS};
 
     /// One split-limb Horner step across all lanes — [`super::split_mul_add`]
     /// per lane. The explicit 32-bit masks/shifts in that helper let
@@ -341,6 +384,62 @@ mod scalar {
 
     fn row_coeffs<const K: usize>(cols: &[Vec<u64>; K], row: usize) -> [u64; K] {
         std::array::from_fn(|c| cols[c][row])
+    }
+
+    /// One row's Horner chain at one key, parity out.
+    #[inline(always)]
+    pub(super) fn row_parity<const K: usize>(cols: &[Vec<u64>; K], row: usize, x: u64) -> u64 {
+        let mut h = cols[K - 1][row];
+        for col in cols[..K - 1].iter().rev() {
+            h = super::split_mul_add(h, x, col[row]);
+        }
+        field::reduce64(h) & 1
+    }
+
+    pub(super) fn poly_sign_bits<const K: usize>(
+        cols: &[Vec<u64>; K],
+        first_row: usize,
+        x: u64,
+        bits: &mut [u64],
+    ) {
+        let rows = cols[0].len();
+        for (w, word) in bits.iter_mut().enumerate() {
+            let start = (first_row + 64 * w).min(rows);
+            let end = (start + 64).min(rows);
+            let mut out = 0u64;
+            let mut row = start;
+            while row + LANES <= end {
+                // LANES rows at once: their coefficients are contiguous
+                // in the columns, the key is the same in every lane.
+                let lane = |col: &Vec<u64>| -> [u64; LANES] {
+                    col[row..row + LANES].try_into().expect("exact lanes")
+                };
+                let mut acc = lane(&cols[K - 1]);
+                for col in cols[..K - 1].iter().rev() {
+                    for (a, c) in acc.iter_mut().zip(lane(col)) {
+                        *a = super::split_mul_add(*a, x, c);
+                    }
+                }
+                for (i, &h) in acc.iter().enumerate() {
+                    out |= (field::reduce64(h) & 1) << (row - start + i);
+                }
+                row += LANES;
+            }
+            for r in row..end {
+                out |= row_parity(cols, r, x) << (r - start);
+            }
+            *word = out;
+        }
+    }
+
+    #[inline(always)]
+    pub(super) fn apply_sign_bits(bits: &[u64], delta: i64, counters: &mut [i64]) {
+        for (&word, chunk) in bits.iter().zip(counters.chunks_mut(64)) {
+            for (j, z) in chunk.iter_mut().enumerate() {
+                let mask = (((word >> j) & 1) as i64).wrapping_neg();
+                *z += (delta ^ mask) - mask;
+            }
+        }
     }
 
     /// Rows per tile for the auto-vectorized path: narrower than the
@@ -572,6 +671,81 @@ mod avx2 {
             sweep_tile::<K, 1>(cols, row, xs, ds, &mut out);
             counters[row] += out[0];
             row += 1;
+        }
+    }
+
+    /// Key-major sign bits: four rows per vector against the broadcast
+    /// key, each vector's four sign masks packed by `movemask`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn poly_sign_bits<const K: usize>(
+        cols: &[Vec<u64>; K],
+        first_row: usize,
+        x: u64,
+        bits: &mut [u64],
+    ) {
+        let pv = _mm256_set1_epi64x(P as i64);
+        let pm1 = _mm256_set1_epi64x((P - 1) as i64);
+        let one = _mm256_set1_epi64x(1);
+        let xv = _mm256_set1_epi64x(x as i64);
+        let xhi = _mm256_srli_epi64::<32>(xv);
+        let rows = cols[0].len();
+        for (w, word) in bits.iter_mut().enumerate() {
+            let start = (first_row + 64 * w).min(rows);
+            let end = (start + 64).min(rows);
+            let mut out = 0u64;
+            let mut row = start;
+            while row + 4 <= end {
+                let mut acc = _mm256_loadu_si256(cols[K - 1][row..row + 4].as_ptr().cast());
+                for col in cols[..K - 1].iter().rev() {
+                    let cv = _mm256_loadu_si256(col[row..row + 4].as_ptr().cast());
+                    acc = mul_add4(acc, xv, xhi, cv, pv);
+                }
+                let mask = sign_mask4(acc, pv, pm1, one);
+                let nibble = _mm256_movemask_pd(_mm256_castsi256_pd(mask)) as u64;
+                out |= nibble << (row - start);
+                row += 4;
+            }
+            for r in row..end {
+                out |= super::scalar::row_parity(cols, r, x) << (r - start);
+            }
+            *word = out;
+        }
+    }
+
+    /// `±delta` into four counters per vector, each lane's mask taken
+    /// from its bit by a variable shift.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn apply_sign_bits(bits: &[u64], delta: i64, counters: &mut [i64]) {
+        let d = _mm256_set1_epi64x(delta);
+        let one = _mm256_set1_epi64x(1);
+        let zero = _mm256_setzero_si256();
+        for (&word, chunk) in bits.iter().zip(counters.chunks_mut(64)) {
+            // Lane i holds the word shifted right by i; every step
+            // moves all four lanes on by four bits.
+            let mut shifted = _mm256_srlv_epi64(
+                _mm256_set1_epi64x(word as i64),
+                _mm256_setr_epi64x(0, 1, 2, 3),
+            );
+            let len = chunk.len();
+            let mut quads = chunk.chunks_exact_mut(4);
+            for quad in &mut quads {
+                let mask = _mm256_sub_epi64(zero, _mm256_and_si256(shifted, one));
+                let contrib = _mm256_sub_epi64(_mm256_xor_si256(d, mask), mask);
+                let z = _mm256_loadu_si256(quad.as_ptr().cast());
+                _mm256_storeu_si256(quad.as_mut_ptr().cast(), _mm256_add_epi64(z, contrib));
+                shifted = _mm256_srli_epi64::<4>(shifted);
+            }
+            let tail = quads.into_remainder();
+            if !tail.is_empty() {
+                let done = len - tail.len();
+                super::scalar::apply_sign_bits(&[word >> done], delta, tail);
+            }
         }
     }
 

@@ -62,6 +62,8 @@ pub mod universal;
 pub use fast::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use kwise::{FourWisePoly, PolyHash, TwoWisePoly};
 pub use lanes::PlaneScratch;
-pub use plane::{PolyPlane, PolySignPlane, RowPlane, SignPlane, TwoWiseSignPlane};
+pub use plane::{
+    apply_sign_bits, sign_words, PolyPlane, PolySignPlane, RowPlane, SignPlane, TwoWiseSignPlane,
+};
 pub use rng::SplitMix64;
 pub use sign::{BchSignHash, PolySign, SignFamily, SignHash, TabulationSign, TwoWiseSign};

@@ -25,6 +25,14 @@
 //!   the AoS struct per row but still gains the inverted loop nest (each
 //!   hash struct is loaded once per block, not once per item).
 //!
+//! Beside the row-major block sweep, every plane has a *key-major* path:
+//! [`SignPlane::sign_bits`] writes all rows' signs of one key as a bit
+//! vector and [`apply_sign_bits`] adds a key's delta into the counters
+//! from those bits. It serves the per-item update
+//! ([`SignPlane::accumulate_one`]) and lets a caller keep the bits of a
+//! recurring key and apply it again without evaluating any row (the
+//! tug-of-war sketch's sign cache).
+//!
 //! Every block kernel has two entry points: `accumulate_block`
 //! (self-contained, allocates a transient scratch) and the
 //! `*_into` variant taking a caller-owned
@@ -57,6 +65,30 @@ pub trait SignPlane: std::fmt::Debug + Clone + Serialize + DeserializeOwned {
 
     /// Evaluates one function on one key (the scalar path).
     fn sign(&self, row: usize, v: u64) -> i64;
+
+    /// Key-major evaluation: every row's sign at one key, as bits. Bit
+    /// `r % 64` of `bits[r / 64]` is set iff row `r` maps `v` to −1;
+    /// bits past the last row are zero. This default, the per-row
+    /// [`Self::sign`] loop, is the reference; planes override it to
+    /// evaluate many rows per step. [`apply_sign_bits`] adds the result
+    /// into counters, so a caller that keeps the bits of a recurring key
+    /// applies it again without evaluating a single row.
+    ///
+    /// # Panics
+    /// Panics if `bits.len() != sign_words(self.rows())`.
+    fn sign_bits(&self, v: u64, bits: &mut [u64]) {
+        assert_eq!(
+            bits.len(),
+            sign_words(self.rows()),
+            "sign-bit/plane shape mismatch"
+        );
+        bits.fill(0);
+        for row in 0..self.rows() {
+            if self.sign(row, v) < 0 {
+                bits[row / 64] |= 1 << (row % 64);
+            }
+        }
+    }
 
     /// Scalar update: adds `ε_row(v) · delta` to every counter.
     ///
@@ -93,6 +125,28 @@ pub trait SignPlane: std::fmt::Debug + Clone + Serialize + DeserializeOwned {
         counters: &mut [i64],
         scratch: &mut PlaneScratch,
     );
+}
+
+/// Number of `u64` words that hold one sign bit per row for `rows` rows
+/// (the length [`SignPlane::sign_bits`] fills).
+pub const fn sign_words(rows: usize) -> usize {
+    rows.div_ceil(64)
+}
+
+/// Adds `ε_r · delta` to `counters[r]` for every row, reading each sign
+/// from the bits [`SignPlane::sign_bits`] wrote (a set bit is −1).
+/// Branch-free: one mask, one xor and two adds per counter, with an
+/// AVX2 path under the `simd` feature.
+///
+/// # Panics
+/// Panics if `bits.len() != sign_words(counters.len())`.
+pub fn apply_sign_bits(bits: &[u64], delta: i64, counters: &mut [i64]) {
+    assert_eq!(
+        bits.len(),
+        sign_words(counters.len()),
+        "sign-bit/counter shape mismatch"
+    );
+    lanes::apply_sign_bits(bits, delta, counters);
 }
 
 // ---------------------------------------------------------------------
@@ -279,12 +333,24 @@ impl<const K: usize> SignPlane for PolyPlane<K> {
         }
     }
 
+    fn sign_bits(&self, v: u64, bits: &mut [u64]) {
+        assert_eq!(
+            bits.len(),
+            sign_words(self.rows),
+            "sign-bit/plane shape mismatch"
+        );
+        lanes::poly_sign_bits::<K>(&self.cols, 0, field::reduce64(v), bits);
+    }
+
+    /// The key-major kernel of [`Self::sign_bits`] and
+    /// [`apply_sign_bits`], 64 rows at a time from one stack word.
     fn accumulate_one(&self, v: u64, delta: i64, counters: &mut [i64]) {
         assert_eq!(counters.len(), self.rows, "counter/plane shape mismatch");
         let x = field::reduce64(v);
-        for (row, z) in counters.iter_mut().enumerate() {
-            let parity = self.hash_reduced(row, x) & 1;
-            *z += if parity == 1 { -delta } else { delta };
+        for (w, chunk) in counters.chunks_mut(64).enumerate() {
+            let mut word = [0u64];
+            lanes::poly_sign_bits::<K>(&self.cols, 64 * w, x, &mut word);
+            lanes::apply_sign_bits(&word, delta, chunk);
         }
     }
 

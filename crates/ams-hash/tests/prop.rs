@@ -4,7 +4,7 @@ use ams_hash::field;
 use ams_hash::gf2;
 use ams_hash::kwise::{FourWisePoly, TwoWisePoly};
 use ams_hash::lanes::{self, PlaneScratch, LANES};
-use ams_hash::plane::{PolySignPlane, SignPlane, TwoWiseSignPlane};
+use ams_hash::plane::{apply_sign_bits, sign_words, PolySignPlane, SignPlane, TwoWiseSignPlane};
 use ams_hash::rng::SplitMix64;
 use ams_hash::sign::{BchSignHash, PolySign, SignFamily, SignHash, TabulationSign, TwoWiseSign};
 use ams_hash::universal::BucketHash;
@@ -48,7 +48,45 @@ fn plane_matches_per_item<H: SignFamily>(seed: u64, rows: usize, keys: &[u64]) -
     scalar_ok && block_counters == item_counters
 }
 
+/// A plane's key-major `sign_bits` must equal its per-row `sign` on
+/// every row, leave the bits past the last row clear, and — through
+/// `apply_sign_bits` — move the counters exactly like `accumulate_one`.
+fn sign_bits_match_per_row_sign<H: SignFamily>(seed: u64, rows: usize, keys: &[u64]) -> bool {
+    let plane = H::Plane::draw(rows, &mut SplitMix64::new(seed));
+    let mut bits = vec![u64::MAX; sign_words(rows)];
+    let mut via_bits = vec![0i64; rows];
+    let mut via_one = vec![0i64; rows];
+    keys.iter().enumerate().all(|(i, &key)| {
+        plane.sign_bits(key, &mut bits);
+        let rows_ok = (0..rows).all(|r| {
+            let negative = bits[r / 64] >> (r % 64) & 1 == 1;
+            negative == (plane.sign(r, key) == -1)
+        });
+        let tail_ok = rows.is_multiple_of(64) || bits[rows / 64] >> (rows % 64) == 0;
+        let delta = i as i64 % 7 - 3;
+        apply_sign_bits(&bits, delta, &mut via_bits);
+        plane.accumulate_one(key, delta, &mut via_one);
+        rows_ok && tail_ok && via_bits == via_one
+    })
+}
+
 proptest! {
+    /// Key-major sign bits ≡ per-row signs for every plane, at row
+    /// counts around the 64-bit word boundary and at s = 256, always
+    /// including the keys 0 and `u64::MAX`.
+    #[test]
+    fn sign_bits_equal_per_row_sign_for_all_planes(
+        seed in any::<u64>(),
+        rows in (0usize..5).prop_map(|i| [1, 63, 64, 65, 256][i]),
+        drawn in proptest::collection::vec(any::<u64>(), 0..16),
+    ) {
+        let keys: Vec<u64> = [0, u64::MAX].into_iter().chain(drawn).collect();
+        prop_assert!(sign_bits_match_per_row_sign::<PolySign>(seed, rows, &keys), "PolySignPlane");
+        prop_assert!(sign_bits_match_per_row_sign::<TwoWiseSign>(seed, rows, &keys), "TwoWiseSignPlane");
+        prop_assert!(sign_bits_match_per_row_sign::<BchSignHash>(seed, rows, &keys), "RowPlane<BchSignHash>");
+        prop_assert!(sign_bits_match_per_row_sign::<TabulationSign>(seed, rows, &keys), "RowPlane<TabulationSign>");
+    }
+
     #[test]
     fn field_add_commutes(a in field_elem(), b in field_elem()) {
         prop_assert_eq!(field::add(a, b), field::add(b, a));

@@ -596,20 +596,6 @@ impl AmsService {
         ServiceStats { shards }
     }
 
-    /// Like [`Self::stats`], but additionally rebases every queue's
-    /// high-water depth mark to its current occupancy after reading, so
-    /// consecutive calls describe disjoint observation windows instead
-    /// of the whole service lifetime. Cumulative counters (enqueued /
-    /// ingested blocks and ops, backpressure events) are untouched and
-    /// stay monotone across calls; only `max_queue_depth` is windowed.
-    pub fn take_snapshot_and_reset_window(&self) -> ServiceStats {
-        let stats = self.stats();
-        for queue in &self.queues {
-            queue.reset_window();
-        }
-        stats
-    }
-
     /// The metrics registry behind this service's instruments. Other
     /// layers (e.g. a network front-end) register their own series
     /// here so one [`Self::metrics_snapshot`] covers the whole stack.
@@ -949,6 +935,54 @@ mod tests {
             .seed(0xC0FFEE)
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn a_dead_worker_releases_producers_blocked_on_its_queue() {
+        use crate::shard::fault;
+        use std::sync::atomic::Ordering;
+        use std::time::{Duration, Instant};
+
+        let cfg = ServiceConfig::builder()
+            .shards(1)
+            .queue_capacity(1)
+            .sketch_params(SketchParams::single_group(8).unwrap())
+            .build()
+            .unwrap();
+        let service = Arc::new(AmsService::start(cfg, &["a"]).unwrap());
+        let block = || OpBlock::from_values([1u64, 2, 3]);
+        // The poisoned task holds the worker; the next one fills the
+        // queue.
+        service
+            .submit("a", block(), None, fault::POISON_TRACE, Wait::Block)
+            .unwrap();
+        ingest(&service, "a", &[4, 5]).unwrap();
+        let waits = service.stats().shards[0].backpressure_events;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let producer = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || tx.send(ingest(&service, "a", &[6])).unwrap())
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while service.stats().shards[0].backpressure_events == waits {
+            assert!(Instant::now() < deadline, "the producer never blocked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        fault::RELEASE.store(true, Ordering::Release);
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a producer blocked on a dead shard's queue must return");
+        assert_eq!(outcome, Err(ServiceError::Closed));
+        producer.join().unwrap();
+        assert_eq!(
+            ingest(&service, "a", &[7]),
+            Err(ServiceError::Closed),
+            "later submissions fail at once"
+        );
+        // Shutdown still reports the worker's death.
+        let service = Arc::try_unwrap(service).expect("sole owner");
+        let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(service)));
+        assert!(joined.is_err(), "the worker panic surfaces at shutdown");
     }
 
     #[test]
@@ -1384,33 +1418,6 @@ mod tests {
             Some(0),
             "workers release their memory accounting at exit"
         );
-    }
-
-    #[test]
-    fn windowed_stats_reset_high_water_but_keep_counters_monotone() {
-        let service = AmsService::start(config(2), &["a"]).unwrap();
-        for chunk in (0..400u64).collect::<Vec<_>>().chunks(16) {
-            ingest(&service, "a", chunk).unwrap();
-        }
-        service.drain();
-        let first = service.take_snapshot_and_reset_window();
-        assert!(first.max_queue_depth() >= 1, "pushes raised the mark");
-        // The queues are drained, so the rebased window starts at zero.
-        let idle = service.take_snapshot_and_reset_window();
-        assert_eq!(idle.max_queue_depth(), 0, "window rebased to occupancy");
-        // Cumulative counters never went backwards.
-        assert_eq!(idle.blocks_enqueued(), first.blocks_enqueued());
-        assert_eq!(idle.ops_ingested(), first.ops_ingested());
-        // More traffic raises the windowed mark again and advances the
-        // cumulative counters monotonically.
-        for chunk in (0..200u64).collect::<Vec<_>>().chunks(16) {
-            ingest(&service, "a", chunk).unwrap();
-        }
-        service.drain();
-        let second = service.take_snapshot_and_reset_window();
-        assert!(second.max_queue_depth() >= 1);
-        assert!(second.blocks_enqueued() > idle.blocks_enqueued());
-        assert!(second.ops_ingested() > idle.ops_ingested());
     }
 
     #[test]

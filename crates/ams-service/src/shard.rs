@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ams_core::{SelfJoinEstimator, SketchParams, TugOfWarSketch};
+use ams_core::{SelfJoinEstimator, SignCacheStats, SketchParams, TugOfWarSketch};
 use ams_durable::{RecoveredShard, ShardDurable};
 use ams_stream::OpBlock;
 use ams_telemetry::{
@@ -138,11 +138,12 @@ impl ShardWorker {
     /// checkpoint — after the queue closes. Returns when the queue is
     /// closed and fully drained.
     pub(crate) fn run(mut self) {
+        let _close_on_unwind = CloseOnUnwind(Arc::clone(&self.queue));
         self.events.emit(EventCode::ShardStart, self.shard, 0);
         let mut durable = self.durable.take();
         let recovered = durable.as_mut().and_then(|d| d.recovered.take());
         let wal_segments = durable.as_ref().map_or(0, |d| d.wal.segment_count());
-        let (sketches, blocks, ops, epoch, producers) = match recovered {
+        let (mut sketches, blocks, ops, epoch, producers) = match recovered {
             Some(r) => (r.sketches, r.blocks, r.ops, r.epoch, r.producers),
             None => (
                 (0..self.attrs)
@@ -154,6 +155,10 @@ impl ShardWorker {
                 HashMap::new(),
             ),
         };
+        // Counts from recovery's replay are not this worker's.
+        for sketch in &mut sketches {
+            sketch.take_sign_cache_stats();
+        }
         let mut state = ShardState {
             sketches,
             blocks,
@@ -189,6 +194,8 @@ impl ShardWorker {
         let mut taken: Vec<ShardTask> = Vec::new();
         let mut batch: Vec<Folded> = Vec::new();
         while let Some(task) = self.queue.pop() {
+            #[cfg(test)]
+            fault::inject(&task);
             if state.sketches[task.attr].coalesces()
                 && self.queue.take_queued(batch_room(&state), &mut taken) > 0
             {
@@ -247,6 +254,7 @@ impl ShardWorker {
                     self.recorder.record_since(trace, TraceStage::Kernel, t0);
                 }
             }
+            self.count_sign_cache(&mut state.sketches[task.attr]);
             self.count_applied(state, &task.block);
         }
         if let Some((t0, dur)) = self.settle(state, trace != 0) {
@@ -293,6 +301,7 @@ impl ShardWorker {
             sketch.sweep_folded();
             let sweep_ns = trace_clock_ns().saturating_sub(t0);
             kernel_ns += sweep_ns;
+            self.count_sign_cache(sketch);
             for t in folded() {
                 self.recorder
                     .record(t.trace, TraceStage::Kernel, t0, sweep_ns);
@@ -382,6 +391,17 @@ impl ShardWorker {
         }
         state.wal_segments = segments;
         true
+    }
+
+    /// Moves a sketch's sign-cache counts into the shard's counters.
+    fn count_sign_cache(&self, sketch: &mut TugOfWarSketch) {
+        let stats = sketch.take_sign_cache_stats();
+        if stats != SignCacheStats::default() {
+            let i = &self.instruments;
+            i.sign_cache_hits.add(stats.hits);
+            i.sign_cache_admissions.add(stats.admissions);
+            i.sign_cache_misses.add(stats.misses);
+        }
     }
 
     /// Counts one applied block.
@@ -496,6 +516,47 @@ impl ShardWorker {
     }
 }
 
+/// Closes the shard's queue when the worker unwinds. Nothing else pops
+/// that queue, so a worker that died with it open would leave every
+/// producer waiting for room (`Wait::Block`) parked forever; closed,
+/// they return `ServiceError::Closed`. The drop-time guard runs however
+/// `run` is left and acts only on a panic: a clean exit follows the
+/// queue's own close.
+struct CloseOnUnwind(Arc<BlockQueue>);
+
+impl Drop for CloseOnUnwind {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.close();
+        }
+    }
+}
+
+/// Test-only fault injection: a worker that pops a task traced with
+/// [`fault::POISON_TRACE`] waits until [`fault::RELEASE`] is set, then
+/// panics.
+#[cfg(test)]
+pub(crate) mod fault {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    use crate::queue::ShardTask;
+
+    /// The trace id that poisons a task.
+    pub(crate) const POISON_TRACE: u64 = 0xDEAD_0000_0000_0001;
+
+    /// Lets the poisoned worker panic.
+    pub(crate) static RELEASE: AtomicBool = AtomicBool::new(false);
+
+    pub(super) fn inject(task: &ShardTask) {
+        if task.trace == POISON_TRACE {
+            while !RELEASE.load(Ordering::Acquire) {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            panic!("injected shard worker panic");
+        }
+    }
+}
+
 /// How many queued tasks a batch may take besides the popped one: the
 /// whole queue, except that a batch never crosses a checkpoint boundary
 /// (so checkpoints land exactly on the block cadence) and a wedged
@@ -577,6 +638,11 @@ mod tests {
             1,
             "one publish step per sweep"
         );
+        // The sweep's nine recurring values were admitted to the sign
+        // cache; nothing went to the plane kernel.
+        assert_eq!(metrics.counter_total("service_sign_cache_admissions"), 9);
+        assert_eq!(metrics.counter_total("service_sign_cache_hits"), 0);
+        assert_eq!(metrics.counter_total("service_sign_cache_misses"), 0);
         let traced = traces.assemble_all();
         let trace = traced.iter().find(|t| t.trace_id == 0x5EED).unwrap();
         assert!(trace.spans.iter().any(|s| s.stage == "queue"));

@@ -12,6 +12,9 @@
 //! | `service_publishes{shard}` | counter | snapshot publishes (cadence + drain + idle) |
 //! | `service_queue_wait_ns{shard}` | histogram | enqueue → pop latency per block |
 //! | `service_batched_blocks{shard}` | counter | blocks applied through a multi-block sweep |
+//! | `service_sign_cache_hits{shard}` | counter | net entries of coalesced runs applied from cached sign bits |
+//! | `service_sign_cache_admissions{shard}` | counter | net entries whose key was admitted to the sign cache |
+//! | `service_sign_cache_misses{shard}` | counter | net entries of coalesced runs sent to the plane kernel |
 //! | `service_ingest_ns{shard}` | histogram | kernel latency per applied block (a batched block records its entry-weighted share of the batch's sweep) |
 //! | `service_queue_depth{shard}` | gauge | queued blocks, sampled on push/pop |
 //! | `service_sketch_memory_words{attribute}` | gauge | live sketch words across all shards |
@@ -57,6 +60,12 @@ pub(crate) struct ShardInstruments {
     pub queue_wait_ns: Arc<LatencyHistogram>,
     /// Blocks applied through a multi-block sweep (the batch path).
     pub batched_blocks: Arc<Counter>,
+    /// Net entries of coalesced runs applied from cached sign bits.
+    pub sign_cache_hits: Arc<Counter>,
+    /// Net entries whose key a sketch's sign cache admitted.
+    pub sign_cache_admissions: Arc<Counter>,
+    /// Net entries of coalesced runs sent to the plane kernel.
+    pub sign_cache_misses: Arc<Counter>,
     /// Kernel latency of each applied block; a batched block records
     /// its entry-weighted share of the batch's fold and sweep time.
     pub ingest_ns: Arc<LatencyHistogram>,
@@ -89,6 +98,10 @@ impl ServiceTelemetry {
                     blocks_ingested: registry.counter("service_blocks_ingested", &labels),
                     ops_ingested: registry.counter("service_ops_ingested", &labels),
                     batched_blocks: registry.counter("service_batched_blocks", &labels),
+                    sign_cache_hits: registry.counter("service_sign_cache_hits", &labels),
+                    sign_cache_admissions: registry
+                        .counter("service_sign_cache_admissions", &labels),
+                    sign_cache_misses: registry.counter("service_sign_cache_misses", &labels),
                     routed_ops: registry.counter("service_routed_ops", &labels),
                     publishes: registry.counter("service_publishes", &labels),
                     queue_wait_ns: registry.histogram("service_queue_wait_ns", &labels),

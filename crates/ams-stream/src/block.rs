@@ -331,6 +331,10 @@ impl OpBlock {
 /// values, and the folded blocks can be dropped as soon as they are
 /// folded.
 ///
+/// [`finish`](Self::finish) also reports how many entries were folded
+/// into each net entry, so a consumer can tell the values that recur
+/// within a run from those seen once.
+///
 /// Holders: `ams-core`'s tug-of-war sketch (the adaptive-coalescing
 /// ingest path and its multi-block fold) and `ams-relation`'s tracker
 /// (the per-attribute column path).
@@ -338,6 +342,8 @@ impl OpBlock {
 pub struct CoalesceBuffer {
     index: FxHashMap<Value, usize>,
     block: OpBlock,
+    /// Occurrences in the current run, parallel to `block`'s entries.
+    counts: Vec<u32>,
     /// Entries folded since the last [`Self::finish`]; zero means the
     /// next fold starts a fresh run.
     folded: usize,
@@ -359,7 +365,7 @@ impl CoalesceBuffer {
     pub fn coalesce(&mut self, values: &[Value], deltas: &[i64]) -> &OpBlock {
         self.folded = 0;
         self.fold(values, deltas);
-        self.finish()
+        self.finish().0
     }
 
     /// Adds the columns to the running per-value net deltas of the
@@ -373,17 +379,23 @@ impl CoalesceBuffer {
         if self.folded == 0 {
             self.index.clear();
             out.clear();
+            self.counts.clear();
             out.values.reserve(values.len());
             out.deltas.reserve(values.len());
+            self.counts.reserve(values.len());
         }
         self.folded += values.len();
         for (&v, &d) in values.iter().zip(deltas.iter()) {
             match self.index.get(&v) {
-                Some(&i) => out.deltas[i] += d,
+                Some(&i) => {
+                    out.deltas[i] += d;
+                    self.counts[i] = self.counts[i].saturating_add(1);
+                }
                 None => {
                     self.index.insert(v, out.values.len());
                     out.values.push(v);
                     out.deltas.push(d);
+                    self.counts.push(1);
                 }
             }
         }
@@ -397,10 +409,14 @@ impl CoalesceBuffer {
     /// Ends the current run and returns its net block: one entry per
     /// distinct value folded since the last finish, net delta, zeros
     /// dropped, entry order = first appearance (empty when nothing was
-    /// folded). The result is valid until the next call on this buffer.
-    pub fn finish(&mut self) -> &OpBlock {
+    /// folded). Beside it come the entries' occurrence counts: how many
+    /// folded entries of the run carried each value (at least 1;
+    /// saturates at `u32::MAX`). Both are valid until the next call on
+    /// this buffer.
+    pub fn finish(&mut self) -> (&OpBlock, &[u32]) {
         if self.folded == 0 {
             self.block.clear();
+            self.counts.clear();
         }
         self.folded = 0;
         let out = &mut self.block;
@@ -410,13 +426,15 @@ impl CoalesceBuffer {
             if out.deltas[r] != 0 {
                 out.values[w] = out.values[r];
                 out.deltas[w] = out.deltas[r];
+                self.counts[w] = self.counts[r];
                 w += 1;
             }
         }
         out.values.truncate(w);
         out.deltas.truncate(w);
+        self.counts.truncate(w);
         out.net = true;
-        &self.block
+        (&self.block, &self.counts)
     }
 }
 
@@ -475,17 +493,37 @@ mod tests {
             buffer.fold(block.values(), block.deltas());
         }
         assert_eq!(buffer.folded(), 5);
-        let net: Vec<_> = buffer.finish().entries().collect();
+        let net: Vec<_> = buffer.finish().0.entries().collect();
         // Value 1 cancels across blocks and is dropped.
         assert_eq!(net, vec![(2, 1), (3, 1)]);
         assert!(
-            buffer.finish().is_empty(),
+            buffer.finish().0.is_empty(),
             "a finish with no folds is empty"
         );
-        assert!(buffer.finish().is_coalesced());
+        assert!(buffer.finish().0.is_coalesced());
         // The next fold starts a fresh run.
         buffer.fold(&[4], &[2]);
-        assert_eq!(buffer.finish().entries().collect::<Vec<_>>(), vec![(4, 2)]);
+        assert_eq!(
+            buffer.finish().0.entries().collect::<Vec<_>>(),
+            vec![(4, 2)]
+        );
+    }
+
+    #[test]
+    fn finish_counts_occurrences_per_net_entry() {
+        let mut buffer = CoalesceBuffer::new();
+        buffer.fold(&[5, 6, 5, 7], &[1, 1, 2, 1]);
+        buffer.fold(&[7, 5, 8], &[-1, 1, 3]);
+        let (net, counts) = buffer.finish();
+        // 7 nets to zero and is dropped with its count; run-coalesced
+        // entries count once each.
+        assert_eq!(net.entries().collect::<Vec<_>>(), [(5, 4), (6, 1), (8, 3)]);
+        assert_eq!(counts, [3, 1, 1]);
+        let (net, counts) = buffer.finish();
+        assert!(
+            net.is_empty() && counts.is_empty(),
+            "an empty run counts nothing"
+        );
     }
 
     #[test]
