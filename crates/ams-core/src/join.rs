@@ -101,7 +101,7 @@ impl JoinSignatureFamily {
 /// The k-TW join signature of one relation: `k` tug-of-war counters
 /// `S_m(F) = Σ_v f_v · ε_m(v)`, maintained under inserts and deletes of
 /// join-attribute values.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TwJoinSignature {
     sketch: TugOfWarSketch<PolySign>,
 }
@@ -304,7 +304,7 @@ impl SampleJoinSignature {
 /// `S(F) = Σ f_v·ξ_v·ψ_v`, `S(G) = Σ g_v·ξ_v`, `S(H) = Σ h_v·ψ_v`, so
 /// `E[S(F)·S(G)·S(H)] = Σ_v f_v·g_v·h_v` (cross terms vanish because each
 /// surviving expectation needs ξ-indices and ψ-indices to pair up).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreeWayRole {
     /// Folds ξ·ψ.
     Center,
@@ -315,7 +315,7 @@ pub enum ThreeWayRole {
 }
 
 /// Factory for compatible three-way signatures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreeWayFamily {
     k: usize,
     seed: u64,
@@ -397,64 +397,8 @@ pub struct ThreeWaySignature {
     counters: Vec<i64>,
     xi: PolySignPlane,
     psi: PolySignPlane,
-    /// Reusable kernel scratch (transient — not serialized).
+    /// Reusable kernel scratch (transient).
     scratch: PlaneScratch,
-}
-
-/// Borrowed wire form of [`ThreeWaySignature`] (the serde
-/// representation omits the transient kernel scratch).
-#[derive(Serialize)]
-struct ThreeWayWire<'a> {
-    family: &'a ThreeWayFamily,
-    role: ThreeWayRole,
-    counters: &'a [i64],
-    xi: &'a PolySignPlane,
-    psi: &'a PolySignPlane,
-}
-
-/// Owned wire form for decoding.
-#[derive(Deserialize)]
-struct ThreeWayWireOwned {
-    family: ThreeWayFamily,
-    role: ThreeWayRole,
-    counters: Vec<i64>,
-    xi: PolySignPlane,
-    psi: PolySignPlane,
-}
-
-impl Serialize for ThreeWaySignature {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        ThreeWayWire {
-            family: &self.family,
-            role: self.role,
-            counters: &self.counters,
-            xi: &self.xi,
-            psi: &self.psi,
-        }
-        .serialize(serializer)
-    }
-}
-
-impl<'de> Deserialize<'de> for ThreeWaySignature {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let wire = ThreeWayWireOwned::deserialize(deserializer)?;
-        if wire.counters.len() != wire.family.k
-            || wire.xi.rows() != wire.family.k
-            || wire.psi.rows() != wire.family.k
-        {
-            return Err(serde::de::Error::custom(
-                "three-way wire shape does not match its family",
-            ));
-        }
-        Ok(Self {
-            family: wire.family,
-            role: wire.role,
-            counters: wire.counters,
-            xi: wire.xi,
-            psi: wire.psi,
-            scratch: PlaneScratch::new(),
-        })
-    }
 }
 
 impl ThreeWaySignature {
@@ -792,8 +736,8 @@ mod tests {
         }
         let wire_f = f.to_bytes();
         let wire_g = g.to_bytes();
-        // Compact: header (20 bytes) + k counters.
-        assert_eq!(wire_f.len(), 20 + 32 * 8);
+        // Compact: header (24 bytes) + k counters.
+        assert_eq!(wire_f.len(), 24 + 32 * 8);
         let f2 = TwJoinSignature::from_bytes(&wire_f).unwrap();
         let g2 = TwJoinSignature::from_bytes(&wire_g).unwrap();
         assert_eq!(f.estimate_join(&g).unwrap(), f2.estimate_join(&g2).unwrap());

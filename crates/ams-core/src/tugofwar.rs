@@ -25,7 +25,6 @@ use ams_hash::lanes::PlaneScratch;
 use ams_hash::plane::SignPlane;
 use ams_hash::rng::SplitMix64;
 use ams_hash::sign::{PolySign, SignFamily};
-use serde::{Deserialize, Serialize};
 
 use ams_stream::{CoalesceBuffer, OpBlock, SelfJoinEstimator, Value};
 
@@ -447,57 +446,6 @@ impl<H: SignFamily> SelfJoinEstimator for TugOfWarSketch<H> {
     }
 }
 
-/// Borrowed wire form (portable serde representation: shape, seed,
-/// counters, and the hash bank — the robust self-contained encoding;
-/// [`crate::codec`] is the compact seed-only alternative).
-#[derive(Serialize)]
-struct SketchWire<'a, P> {
-    params: &'a SketchParams,
-    seed: u64,
-    counters: &'a [i64],
-    plane: &'a P,
-}
-
-/// Owned wire form for decoding.
-#[derive(Deserialize)]
-struct SketchWireOwned<P> {
-    params: SketchParams,
-    seed: u64,
-    counters: Vec<i64>,
-    plane: P,
-}
-
-impl<H: SignFamily> Serialize for TugOfWarSketch<H> {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        SketchWire {
-            params: &self.params,
-            seed: self.seed,
-            counters: &self.counters,
-            plane: &self.plane,
-        }
-        .serialize(serializer)
-    }
-}
-
-impl<'de, H: SignFamily> Deserialize<'de> for TugOfWarSketch<H> {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let wire = SketchWireOwned::<H::Plane>::deserialize(deserializer)?;
-        let total = wire.params.total();
-        if wire.counters.len() != total || wire.plane.rows() != total {
-            return Err(serde::de::Error::custom(
-                "tug-of-war wire shape does not match its parameters",
-            ));
-        }
-        Ok(Self {
-            params: wire.params,
-            seed: wire.seed,
-            counters: wire.counters,
-            plane: wire.plane,
-            scratch: IngestScratch::default(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -722,19 +670,6 @@ mod tests {
             let rel = (est - exact).abs() / exact;
             assert!(rel < tolerance, "{name}: rel error {rel}");
         }
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_behaviour() {
-        let mut tw: TugOfWarSketch = TugOfWarSketch::new(params(8, 2), 42);
-        tw.extend_values([1u64, 2, 3, 2]);
-        let json = serde_json::to_string(&tw).unwrap();
-        let mut back: TugOfWarSketch = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.estimate(), tw.estimate());
-        // The deserialized sketch keeps tracking consistently.
-        back.insert(9);
-        tw.insert(9);
-        assert_eq!(back.counters(), tw.counters());
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //! * [`DurabilityConfig`] / [`FsyncPolicy`] — the durability dial:
 //!   fsync per append, group-commit at an interval, or OS-buffered.
 //! * [`ShardCheckpoint`] — epoch-stamped atomic snapshots
-//!   (tmp + fsync + rename) recording the log position they cover;
-//!   recovery falls back a checkpoint when the newest is corrupt.
+//!   (tmp + fsync + rename) recording the log position they cover: the
+//!   sketches as seed + counters (`ams_core::codec`) behind a CRC-32, so
+//!   recovery falls back a checkpoint when the newest is damaged at all.
 //! * [`FaultPlan`] — deterministic test-only crash injection
 //!   (mid-record, mid-rotation, mid-checkpoint) for the
 //!   kill-and-restart proofs.

@@ -5,9 +5,9 @@
 //! Each shard owns `dir/shard-<i>/` containing:
 //!
 //! * segment files `seg-<index:08>.wal` — append-only record logs,
-//! * checkpoint files `ckpt-<epoch:012>.json` — atomic snapshots
-//!   (see [`crate::checkpoint`]),
-//! * transient `*.json.tmp` files mid-checkpoint (removed on open).
+//! * checkpoint files `ckpt-<epoch:012>.bin` — atomic, checksummed
+//!   snapshots (see [`crate::checkpoint`]),
+//! * transient `*.bin.tmp` files mid-checkpoint (removed on open).
 //!
 //! A segment starts with a 16-byte header:
 //!
@@ -34,10 +34,11 @@
 //!
 //! ## Recovery
 //!
-//! [`ShardDurable::open`] picks the newest checkpoint that parses *and*
-//! validates (deleting and reporting newer corrupt ones — fallback),
-//! then replays every record at or past the checkpoint's covered
-//! position through [`SelfJoinEstimator::apply_block`]. The first
+//! [`ShardDurable::open`] picks the newest checkpoint whose checksum
+//! holds and that parses *and* validates (deleting and reporting newer
+//! corrupt ones — fallback), then replays every record at or past the
+//! checkpoint's covered position through
+//! [`SelfJoinEstimator::apply_block`]. The first
 //! record that fails its length, CRC, or decode check ends the log:
 //! the tail is truncated there and later segments (if any) are removed,
 //! so a torn tail from a crash mid-write is clipped, never panicked on.
@@ -179,59 +180,44 @@ impl ShardDurable {
         let mut skipped: Vec<SkippedArtifact> = Vec::new();
         let (mut ckpts, mut segments) = scan_shard_dir(&dir, &mut skipped)?;
 
-        // Pick the newest checkpoint that loads and validates; delete
-        // newer corrupt ones (fallback). Older valid ones stay retained.
+        // Newest first: the first checkpoint that loads and validates is
+        // the base, and older valid ones stay retained (replayable across
+        // the restart) within the budget. Corrupt ones are reported and
+        // deleted — newer than the base, they are what recovery fell
+        // back from.
         ckpts.sort_by_key(|(epoch, _)| *epoch);
         let mut base: Option<ShardCheckpoint> = None;
         let mut retained: Vec<Retained> = Vec::new();
-        while let Some((epoch, path)) = ckpts.pop() {
-            match ShardCheckpoint::load(&path, shard, shape) {
-                Ok(ckpt) => {
-                    retained.push(Retained {
-                        epoch,
-                        position: WalPosition {
-                            segment: ckpt.wal_segment,
-                            offset: ckpt.wal_offset,
-                        },
-                        path,
-                    });
-                    base = Some(ckpt);
-                    break;
-                }
-                Err(err) => {
-                    skipped.push(SkippedArtifact {
-                        path: path.display().to_string(),
-                        offset: None,
-                        reason: format!("unusable checkpoint, falling back: {err}"),
-                    });
-                    let _ = fs::remove_file(&path);
-                }
-            }
-        }
-        // Keep older checkpoints (still within the retention budget)
-        // replayable across the restart.
         for (epoch, path) in ckpts.into_iter().rev() {
             if retained.len() >= cfg.keep_checkpoints {
                 let _ = fs::remove_file(&path);
                 continue;
             }
             match ShardCheckpoint::load(&path, shard, shape) {
-                Ok(ckpt) => retained.insert(
-                    0,
-                    Retained {
-                        epoch,
-                        position: WalPosition {
-                            segment: ckpt.wal_segment,
-                            offset: ckpt.wal_offset,
+                Ok(ckpt) => {
+                    let position = WalPosition {
+                        segment: ckpt.wal_segment,
+                        offset: ckpt.wal_offset,
+                    };
+                    retained.insert(
+                        0,
+                        Retained {
+                            epoch,
+                            position,
+                            path,
                         },
-                        path,
-                    },
-                ),
+                    );
+                    base.get_or_insert(ckpt);
+                }
                 Err(err) => {
+                    let what = match base {
+                        None => "unusable checkpoint, falling back",
+                        Some(_) => "unusable retained checkpoint, removed",
+                    };
                     skipped.push(SkippedArtifact {
                         path: path.display().to_string(),
                         offset: None,
-                        reason: format!("unusable retained checkpoint, removed: {err}"),
+                        reason: format!("{what}: {err}"),
                     });
                     let _ = fs::remove_file(&path);
                 }
@@ -700,7 +686,7 @@ impl ShardDurable {
         };
         let mut producer_list: Vec<(u64, u64)> = producers.iter().map(|(&p, &s)| (p, s)).collect();
         producer_list.sort_unstable();
-        let ckpt = ShardCheckpoint {
+        let bytes = ShardCheckpoint {
             shard: self.shard as u64,
             epoch,
             blocks,
@@ -710,12 +696,8 @@ impl ShardDurable {
             attributes: self.attributes.clone(),
             sketches: sketches.to_vec(),
             producers: producer_list,
-        };
-        let json = serde_json::to_vec(&ckpt).map_err(|e| DurableError::Io {
-            path: self.dir.display().to_string(),
-            op: "serialize checkpoint",
-            source: std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()),
-        })?;
+        }
+        .encode();
 
         let final_path = self.dir.join(checkpoint_file_name(epoch));
         let tmp_path = self
@@ -725,7 +707,7 @@ impl ShardDurable {
         if self.clock.checkpoint_fault(&self.plan) {
             // Injected crash mid-checkpoint: a torn tmp, never renamed.
             if let Ok(mut f) = File::create(&tmp_path) {
-                let _ = f.write_all(&json[..json.len() / 2]);
+                let _ = f.write_all(&bytes[..bytes.len() / 2]);
             }
             self.wedge("checkpoint");
             return Err(DurableError::Injected { what: "checkpoint" });
@@ -736,7 +718,7 @@ impl ShardDurable {
                 .create(true)
                 .truncate(true)
                 .open(&tmp_path)?;
-            f.write_all(&json)?;
+            f.write_all(&bytes)?;
             f.sync_data()?;
             fs::rename(&tmp_path, &final_path)?;
             Ok(())

@@ -5,7 +5,8 @@
 //! artifact — and reopened. Recovery must either return a *prefix* of
 //! the logged stream (bit-identical counters to a never-crashed twin
 //! fed that prefix) or a structured error; it must never panic and
-//! never fabricate state that was not written.
+//! never fabricate state that was not written. A deterministic sweep
+//! adds that no single-bit flip in a checkpoint goes unnoticed.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -233,34 +234,117 @@ proptest! {
         let newest = ckpts.last().unwrap().clone();
         let (_, kind, frac, mask) = damage;
         let name = newest.file_name().unwrap().to_str().unwrap().to_string();
-        {
-            let mut bytes = std::fs::read(&newest).unwrap();
-            prop_assert!(!bytes.is_empty(), "a checkpoint file is never empty");
+        let changed = {
+            let original = std::fs::read(&newest).unwrap();
+            prop_assert!(!original.is_empty(), "a checkpoint file is never empty");
+            let mut bytes = original.clone();
             let at = (bytes.len() * frac as usize / 1000).min(bytes.len() - 1);
             match kind {
                 Damage::Truncate => bytes.truncate(at),
                 Damage::FlipBit => bytes[at] ^= mask,
                 Damage::Stomp => bytes[at] = 0xFF,
             }
-            std::fs::write(&newest, bytes).unwrap();
-        }
+            std::fs::write(&newest, &bytes).unwrap();
+            bytes != original
+        };
 
         let (_wal, recovered, report) =
             ShardDurable::open(&cfg, 0, &shape(), WalInstruments::unregistered()).unwrap();
-        // The log is intact, so the full stream must come back — via
-        // the damaged checkpoint if the damage happened to keep it
-        // valid JSON of the right shape, via fallback + replay if not.
+        // The log is intact, so the full stream must come back through
+        // fallback + replay.
         prop_assert_eq!(recovered.blocks, n_blocks);
         let expected = twin(n_blocks);
         prop_assert_eq!(recovered.sketches[0].counters(), expected.counters());
-        // If the newest checkpoint was rejected, the report must name
-        // it (provenance for operators).
-        if !report.skipped.is_empty() {
+        // Damage that changed the bytes always fails the checksum, and
+        // the report names the file (provenance for operators).
+        if changed {
             prop_assert!(
                 report.skipped.iter().any(|s| s.path.contains(&name)),
                 "skip reports {:?} must name the damaged file {name}",
                 report.skipped
             );
         }
+    }
+}
+
+/// Every single-bit flip in a checkpoint is caught. Bit 0 of each byte
+/// of the newest checkpoint is flipped in turn over a fresh copy of one
+/// shard directory (12 logged blocks, then a checkpoint). Each reopen
+/// must report the file as skipped and replay the log instead, and the
+/// recovered sketch must equal the never-crashed twin at recovery and
+/// again after 10 more blocks — so neither its counters nor its hash
+/// functions came back altered.
+#[test]
+fn checkpoint_bit_flips_are_skipped_and_replayed() {
+    let pristine = TempDir::new("flip-src");
+    let config = |dir: &Path| DurabilityConfig::new(dir).with_fsync(FsyncPolicy::OsBuffered);
+    {
+        let (mut wal, _, _) = ShardDurable::open(
+            &config(pristine.path()),
+            0,
+            &shape(),
+            WalInstruments::unregistered(),
+        )
+        .unwrap();
+        for i in 0..12 {
+            wal.append(0, 0, 0, &block(i)).unwrap();
+        }
+        wal.write_checkpoint(12, 12, 0, &[twin(12)], &HashMap::new())
+            .unwrap();
+        wal.sync().unwrap();
+    }
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(pristine.path().join("shard-0"))
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_str().unwrap().to_string();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect();
+    files.sort();
+    let (ckpt_name, ckpt) = files
+        .iter()
+        .find(|(name, _)| name.starts_with("ckpt-"))
+        .expect("one checkpoint")
+        .clone();
+    let (at_recovery, after_more) = (twin(12), twin(22));
+    for at in 0..ckpt.len() {
+        let dir = TempDir::new("flip");
+        let shard_dir = dir.path().join("shard-0");
+        std::fs::create_dir_all(&shard_dir).unwrap();
+        for (name, bytes) in &files {
+            let mut bytes = bytes.clone();
+            if *name == ckpt_name {
+                bytes[at] ^= 0x01;
+            }
+            std::fs::write(shard_dir.join(name), bytes).unwrap();
+        }
+        let (_wal, recovered, report) = ShardDurable::open(
+            &config(dir.path()),
+            0,
+            &shape(),
+            WalInstruments::unregistered(),
+        )
+        .unwrap();
+        assert!(
+            report.skipped.iter().any(|s| s.path.contains(&ckpt_name)),
+            "flip at byte {at} of {ckpt_name} went unreported: {:?}",
+            report.skipped
+        );
+        assert_eq!(recovered.blocks, 12, "flip at byte {at}");
+        let mut sketch = recovered.sketches.into_iter().next().unwrap();
+        assert_eq!(
+            sketch.counters(),
+            at_recovery.counters(),
+            "flip at byte {at}: wrong counters at recovery"
+        );
+        for i in 12..22 {
+            sketch.apply_block(&block(i));
+        }
+        assert_eq!(
+            sketch.counters(),
+            after_more.counters(),
+            "flip at byte {at}: tracking diverged after recovery"
+        );
     }
 }

@@ -17,13 +17,11 @@
 //! properties make any four ε-coordinates jointly uniform — i.e. the family
 //! is exactly 4-wise independent, with a 3-word seed.
 
-use serde::{Deserialize, Serialize};
-
 use crate::gf2;
 use crate::rng::SplitMix64;
 
 /// A 4-wise independent ±1 function drawn from the BCH family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BchSign {
     a0: bool,
     a1: u64,

@@ -7,40 +7,15 @@
 //! rule — (k−1) multiply-adds per key — which for k = 4 is three widening
 //! multiplies, cheap enough to sit on the sketch update hot path.
 
-use serde::{Deserialize, Serialize};
-
 use crate::field;
 use crate::rng::SplitMix64;
 
 /// A hash function drawn from a k-wise independent polynomial family over
 /// GF(2⁶¹−1). `K` is the independence level (polynomial degree + 1).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolyHash<const K: usize> {
     /// Coefficients `c_0 … c_{K−1}`, each uniform in `[0, P)`.
-    #[serde(with = "coeff_serde")]
     coeffs: [u64; K],
-}
-
-/// Serde adapter for const-generic coefficient arrays (serialized as a
-/// sequence; length-checked on deserialization).
-mod coeff_serde {
-    use serde::de::Error as DeError;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer, const K: usize>(
-        coeffs: &[u64; K],
-        s: S,
-    ) -> Result<S::Ok, S::Error> {
-        coeffs.as_slice().serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>, const K: usize>(
-        d: D,
-    ) -> Result<[u64; K], D::Error> {
-        let v = Vec::<u64>::deserialize(d)?;
-        <[u64; K]>::try_from(v.as_slice())
-            .map_err(|_| D::Error::custom(format!("expected {K} coefficients, got {}", v.len())))
-    }
 }
 
 /// A pairwise (2-wise) independent polynomial hash.
@@ -225,13 +200,5 @@ mod tests {
                 "pattern {pattern:04b}: count {c} vs expected {expect}"
             );
         }
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let h = FourWisePoly::from_seed(31);
-        let json = serde_json::to_string(&h).unwrap();
-        let back: FourWisePoly = serde_json::from_str(&json).unwrap();
-        assert_eq!(h, back);
     }
 }

@@ -45,9 +45,6 @@
 //! implementation — a property the block/scalar equivalence property
 //! tests pin down.
 
-use serde::de::DeserializeOwned;
-use serde::{Deserialize, Serialize};
-
 use crate::field;
 use crate::lanes::{self, PlaneScratch};
 use crate::rng::SplitMix64;
@@ -55,7 +52,7 @@ use crate::sign::SignFamily;
 
 /// A bank of independently drawn ±1 hash functions ("rows") with a
 /// columnar block-evaluation kernel.
-pub trait SignPlane: std::fmt::Debug + Clone + Serialize + DeserializeOwned {
+pub trait SignPlane: std::fmt::Debug + Clone {
     /// Draws `rows` functions from the family, consuming the generator
     /// exactly as `rows` successive [`SignFamily::draw`] calls would.
     fn draw(rows: usize, rng: &mut SplitMix64) -> Self;
@@ -155,7 +152,7 @@ pub fn apply_sign_bits(bits: &[u64], delta: i64, counters: &mut [i64]) {
 
 /// Structure-of-arrays bank of degree-(K−1) polynomial sign functions
 /// over GF(2⁶¹−1): column `c` holds coefficient `c` of every row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolyPlane<const K: usize> {
     /// `cols[c][row]` is coefficient `c` of function `row`.
     cols: [Vec<u64>; K],
@@ -181,11 +178,6 @@ impl<const K: usize> PolyPlane<K> {
             acc = field::add(field::mul(acc, x), self.cols[c][row]);
         }
         acc
-    }
-
-    /// The coefficients of one row (lowest degree first), for tests.
-    pub fn row_coeffs(&self, row: usize) -> [u64; K] {
-        std::array::from_fn(|c| self.cols[c][row])
     }
 
     /// Accumulates the *product* of two planes' signs over a block:
@@ -377,21 +369,14 @@ impl<const K: usize> SignPlane for PolyPlane<K> {
 /// The generic plane: one hash struct per row (array-of-structs), with
 /// the block kernel's inverted loop nest but no layout change. Used by
 /// families without a dedicated columnar form (BCH, tabulation).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RowPlane<H> {
     rows: Vec<H>,
 }
 
-impl<H> RowPlane<H> {
-    /// The per-row hash functions.
-    pub fn hashes(&self) -> &[H] {
-        &self.rows
-    }
-}
-
 impl<H> SignPlane for RowPlane<H>
 where
-    H: SignFamily + std::fmt::Debug + Clone + Serialize + DeserializeOwned,
+    H: SignFamily + std::fmt::Debug + Clone,
 {
     fn draw(rows: usize, rng: &mut SplitMix64) -> Self {
         Self {
@@ -560,14 +545,5 @@ mod tests {
             plane.accumulate_block(&values, &deltas, &mut fresh);
         }
         assert_eq!(reused, fresh);
-    }
-
-    #[test]
-    fn poly_plane_serde_roundtrip() {
-        let mut rng = SplitMix64::new(12);
-        let plane = PolySignPlane::draw(4, &mut rng);
-        let json = serde_json::to_string(&plane).unwrap();
-        let back: PolySignPlane = serde_json::from_str(&json).unwrap();
-        assert_eq!(plane, back);
     }
 }

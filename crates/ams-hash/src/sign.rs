@@ -16,8 +16,6 @@
 //! independence; the weaker families are provided to *demonstrate* that
 //! requirement empirically, not as production defaults.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bch::BchSign;
 use crate::kwise::{FourWisePoly, TwoWisePoly};
 use crate::plane::{PolySignPlane, RowPlane, SignPlane, TwoWiseSignPlane};
@@ -57,6 +55,12 @@ pub trait SignFamily: SignHash + Sized {
     /// are bit-identical.
     type Plane: SignPlane;
 
+    /// The family's persisted id. Serialized sketch state names the
+    /// family it was drawn from, because only the seed and the counters
+    /// are stored: decoding under another family would re-derive
+    /// different functions from the same seed. Ids are never reused.
+    const ID: u32;
+
     /// Draws one function from the family.
     fn draw(rng: &mut SplitMix64) -> Self;
 }
@@ -66,7 +70,7 @@ pub trait SignFamily: SignHash + Sized {
 /// The sign is the low bit of the field value. Because the field has odd
 /// order `P`, the bit carries a bias of `1/P ≈ 4.3·10⁻¹⁹` — negligible
 /// against the sketch's sampling error at any realistic size.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolySign {
     poly: FourWisePoly,
 }
@@ -101,6 +105,7 @@ impl SignHash for PolySign {
 
 impl SignFamily for PolySign {
     type Plane = PolySignPlane;
+    const ID: u32 = 1;
 
     fn draw(rng: &mut SplitMix64) -> Self {
         Self {
@@ -111,7 +116,7 @@ impl SignFamily for PolySign {
 
 /// 2-wise independent sign (ablation backend — *violates* the paper's
 /// 4-wise requirement; the fourth-moment bound no longer holds).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TwoWiseSign {
     poly: TwoWisePoly,
 }
@@ -142,6 +147,7 @@ impl SignHash for TwoWiseSign {
 
 impl SignFamily for TwoWiseSign {
     type Plane = TwoWiseSignPlane;
+    const ID: u32 = 2;
 
     fn draw(rng: &mut SplitMix64) -> Self {
         Self {
@@ -153,7 +159,7 @@ impl SignFamily for TwoWiseSign {
 /// 4-wise independent sign from the BCH-code construction
 /// ([`crate::bch`]): the family used in the original AMS paper, with a
 /// 3-word seed per function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BchSignHash {
     inner: BchSign,
 }
@@ -176,6 +182,7 @@ impl SignHash for BchSignHash {
 
 impl SignFamily for BchSignHash {
     type Plane = RowPlane<Self>;
+    const ID: u32 = 3;
 
     fn draw(rng: &mut SplitMix64) -> Self {
         Self {
@@ -187,7 +194,7 @@ impl SignFamily for BchSignHash {
 /// 3-wise independent sign from simple tabulation hashing (ablation
 /// backend; fastest evaluation, one independence level short of the
 /// paper's requirement).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TabulationSign {
     table: TabulationHash,
 }
@@ -214,6 +221,7 @@ impl SignHash for TabulationSign {
 
 impl SignFamily for TabulationSign {
     type Plane = RowPlane<Self>;
+    const ID: u32 = 4;
 
     fn draw(rng: &mut SplitMix64) -> Self {
         Self {
@@ -285,6 +293,19 @@ mod tests {
         assert!(second_moment::<TwoWiseSign>(8).abs() < 0.03);
         assert!(second_moment::<BchSignHash>(9).abs() < 0.03);
         assert!(second_moment::<TabulationSign>(10).abs() < 0.03);
+    }
+
+    #[test]
+    fn family_ids_are_distinct() {
+        let ids = [
+            PolySign::ID,
+            TwoWiseSign::ID,
+            BchSignHash::ID,
+            TabulationSign::ID,
+        ];
+        for (i, id) in ids.iter().enumerate() {
+            assert!(!ids[..i].contains(id), "family id {id} reused");
+        }
     }
 
     #[test]

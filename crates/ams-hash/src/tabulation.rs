@@ -10,8 +10,6 @@
 //! 3-independent family probes how much that assumption matters in
 //! practice.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::SplitMix64;
 
 /// Number of byte positions in a 64-bit key.
@@ -20,24 +18,10 @@ const POSITIONS: usize = 8;
 const TABLE_SIZE: usize = 256;
 
 /// A simple tabulation hash over 64-bit keys (3-independent).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TabulationHash {
     /// Eight tables of 256 random words, flattened for locality.
-    #[serde(with = "table_serde")]
     tables: Box<[u64]>,
-}
-
-/// Serde helpers for the flattened table (serialized as a plain Vec).
-mod table_serde {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(t: &[u64], s: S) -> Result<S::Ok, S::Error> {
-        t.serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Box<[u64]>, D::Error> {
-        Vec::<u64>::deserialize(d).map(Vec::into_boxed_slice)
-    }
 }
 
 impl TabulationHash {

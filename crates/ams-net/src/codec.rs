@@ -20,14 +20,19 @@
 //! slice-by-8 kernel from [`crate::crc`] (re-exported here), and both
 //! sides encode into reusable buffers via the `*_into` entry points so
 //! steady-state framing allocates nothing. Blocks reuse the columnar
-//! [`OpBlock`] wire form from `ams-stream`; snapshots and stats reuse
-//! the service layer's serde wire impls (shipped as JSON documents
-//! inside the checksummed frame — self-describing, so they can also be
-//! archived and diffed offline).
+//! [`OpBlock`] wire form from `ams-stream`, and snapshots the binary
+//! form of [`ServiceSnapshot::encode`]: the stamps plus each attribute's
+//! merged counters, with the shared seed standing in for the hash
+//! functions. Stats, metrics, traces, events and health travel as JSON
+//! documents inside the checksummed frame (self-describing, so they can
+//! also be archived and diffed offline). Each snapshot and document
+//! rides behind a `u32` length.
 
 use bytes::{Buf, BufMut};
 
-use ams_service::{HealthReport, MetricsSnapshot, ServiceEvent, ServiceSnapshot, ServiceStats};
+use ams_service::{
+    HealthReport, MetricsSnapshot, ServiceEvent, ServiceSnapshot, ServiceStats, SketchError,
+};
 use ams_stream::OpBlock;
 use ams_telemetry::AssembledTrace;
 
@@ -47,11 +52,11 @@ pub const PROTOCOL_VERSION: u8 = 2;
 pub const MAX_INGEST_BLOCKS: usize = 64;
 
 /// Hard upper bound on a frame's payload (everything after the length
-/// prefix). Frames declaring more are rejected before buffering. Sized
-/// so a snapshot response of a large sketch configuration (~1M
-/// counters per attribute in the self-describing JSON wire form) still
-/// fits one frame; per-connection memory stays bounded at one frame
-/// plus one read burst.
+/// prefix). Frames declaring more are rejected before buffering. A
+/// snapshot response costs 8 bytes per counter plus a few bytes per
+/// attribute, so one frame carries about two million counters over all
+/// attributes (4 attributes at s = 2¹⁸ take 8 MiB); per-connection
+/// memory stays bounded at one frame plus one read burst.
 pub const MAX_FRAME_PAYLOAD: usize = 16 << 20;
 
 /// Bytes of header between the length prefix and the body
@@ -424,21 +429,19 @@ fn get_str(data: &mut &[u8]) -> Result<String, FrameError> {
     Ok(s)
 }
 
-fn put_json<T: serde::Serialize>(out: &mut Vec<u8>, value: &T) -> Result<(), FrameError> {
-    let json = serde_json::to_string(value).map_err(|_| FrameError::Malformed {
-        reason: "unserializable document",
-    })?;
-    if json.len() > u32::MAX as usize {
-        return Err(FrameError::Oversized {
-            declared: json.len(),
-        });
-    }
-    out.put_u32_le(json.len() as u32);
-    out.put_slice(json.as_bytes());
-    Ok(())
+/// Writes what `write` appends behind its `u32` length (a snapshot or
+/// a JSON document). A length past 4 GiB would wrap, but such a body
+/// never leaves: `finish_frame` refuses anything past the frame limit.
+fn put_sized(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.put_u32_le(0);
+    write(out);
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-fn get_json<T: for<'de> serde::Deserialize<'de>>(data: &mut &[u8]) -> Result<T, FrameError> {
+/// Reads the bytes [`put_sized`] wrote.
+fn get_sized<'a>(data: &mut &'a [u8]) -> Result<&'a [u8], FrameError> {
     if data.remaining() < 4 {
         return Err(FrameError::Malformed {
             reason: "truncated document length",
@@ -451,14 +454,34 @@ fn get_json<T: for<'de> serde::Deserialize<'de>>(data: &mut &[u8]) -> Result<T, 
         });
     }
     let (head, tail) = data.split_at(len);
-    let text = std::str::from_utf8(head).map_err(|_| FrameError::Malformed {
+    *data = tail;
+    Ok(head)
+}
+
+fn put_json<T: serde::Serialize>(out: &mut Vec<u8>, value: &T) -> Result<(), FrameError> {
+    let json = serde_json::to_string(value).map_err(|_| FrameError::Malformed {
+        reason: "unserializable document",
+    })?;
+    put_sized(out, |out| out.put_slice(json.as_bytes()));
+    Ok(())
+}
+
+fn get_json<T: for<'de> serde::Deserialize<'de>>(data: &mut &[u8]) -> Result<T, FrameError> {
+    let text = std::str::from_utf8(get_sized(data)?).map_err(|_| FrameError::Malformed {
         reason: "document is not UTF-8",
     })?;
-    let value = serde_json::from_str(text).map_err(|_| FrameError::Malformed {
+    serde_json::from_str(text).map_err(|_| FrameError::Malformed {
         reason: "document failed validation",
-    })?;
-    *data = tail;
-    Ok(value)
+    })
+}
+
+fn get_snapshot(data: &mut &[u8]) -> Result<ServiceSnapshot, FrameError> {
+    ServiceSnapshot::decode(get_sized(data)?).map_err(|e| FrameError::Malformed {
+        reason: match e {
+            SketchError::Codec { reason } => reason,
+            _ => "invalid snapshot",
+        },
+    })
 }
 
 fn get_block(data: &mut &[u8]) -> Result<OpBlock, FrameError> {
@@ -778,7 +801,7 @@ impl Response {
             }
             Response::Snapshot { snapshot } => {
                 out.put_u8(RESP_SNAPSHOT);
-                put_json(out, snapshot)?;
+                put_sized(out, |out| snapshot.encode(out));
             }
             Response::Stats { stats } => {
                 out.put_u8(RESP_STATS);
@@ -806,7 +829,7 @@ impl Response {
             }
             Response::Goodbye { snapshot, stats } => {
                 out.put_u8(RESP_GOODBYE);
-                put_json(out, snapshot)?;
+                put_sized(out, |out| snapshot.encode(out));
                 put_json(out, stats)?;
             }
             Response::Error { code, message } => {
@@ -872,7 +895,7 @@ impl Response {
                 }
             }
             RESP_SNAPSHOT => Response::Snapshot {
-                snapshot: get_json(&mut data)?,
+                snapshot: get_snapshot(&mut data)?,
             },
             RESP_STATS => Response::Stats {
                 stats: get_json(&mut data)?,
@@ -896,7 +919,7 @@ impl Response {
                 }
             }
             RESP_GOODBYE => Response::Goodbye {
-                snapshot: get_json(&mut data)?,
+                snapshot: get_snapshot(&mut data)?,
                 stats: get_json(&mut data)?,
             },
             RESP_ERROR => {

@@ -47,10 +47,21 @@ const WRITE_VEC: usize = 16;
 /// forever.
 const POOL_CAP: usize = 64;
 
+/// Largest buffer capacity a pool retains. Acks, `Busy` answers,
+/// estimates, drains and stats frames take well under 1 KiB, and a
+/// snapshot of a few attributes at s = 256 (about 2 KiB each) fits too,
+/// so the recurring responses keep reusing their buffers. A metrics dump
+/// or a large snapshot (up to the 16 MiB frame limit) is freed after
+/// its flush, instead of staying pinned for the reactor's life to carry
+/// 20-byte acks.
+const POOL_BUF_MAX: usize = 16 * 1024;
+
 /// A reactor-owned free list of encoded-frame buffers. Responses are
 /// encoded into a pooled buffer ([`take`](Self::take)), queued on the
 /// connection, and returned ([`put`](Self::put)) once flushed — after
 /// warm-up the response path recycles capacity instead of allocating.
+/// The pool holds at most `POOL_CAP` buffers of at most `POOL_BUF_MAX`
+/// bytes each: 1 MiB per reactor.
 #[derive(Debug, Default)]
 pub(crate) struct FramePool {
     free: Vec<Vec<u8>>,
@@ -68,9 +79,10 @@ impl FramePool {
         buf
     }
 
-    /// Returns a drained buffer to the pool (dropped when full).
+    /// Returns a drained buffer to the pool (dropped when the pool is
+    /// full or the buffer is larger than `POOL_BUF_MAX`).
     pub(crate) fn put(&mut self, buf: Vec<u8>) {
-        if self.free.len() < POOL_CAP {
+        if self.free.len() < POOL_CAP && buf.capacity() <= POOL_BUF_MAX {
             self.free.push(buf);
         }
     }
@@ -346,5 +358,26 @@ impl Connection {
     /// read from again (server-side close or client EOF).
     pub(crate) fn dead(&self) -> bool {
         self.io_failed || ((self.closing || self.peer_gone) && self.flushed())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn frame_pool_frees_oversized_buffers_and_stays_bounded() {
+        let mut pool = FramePool::new();
+        pool.put(Vec::with_capacity(POOL_BUF_MAX + 1));
+        assert!(pool.free.is_empty(), "an oversized buffer is freed");
+        pool.put(Vec::with_capacity(64));
+        let reused = pool.take();
+        assert!(reused.is_empty() && reused.capacity() >= 64);
+        for _ in 0..2 * POOL_CAP {
+            pool.put(Vec::with_capacity(POOL_BUF_MAX));
+        }
+        assert_eq!(pool.free.len(), POOL_CAP);
+        let held: usize = pool.free.iter().map(Vec::capacity).sum();
+        assert!(held <= POOL_CAP * POOL_BUF_MAX, "{held} bytes pooled");
     }
 }

@@ -1,12 +1,16 @@
 //! Property tests for the frame codec: encode ≡ decode round-trips for
 //! arbitrary blocks and queries, and clean (panic-free) rejection of
-//! truncated, corrupted, and arbitrary byte prefixes.
+//! truncated, corrupted, and arbitrary byte prefixes — snapshot bodies
+//! included.
 
+use ams_core::{codec, SelfJoinEstimator, SketchParams, TugOfWarSketch};
 use ams_net::codec::{encode_ingest_frame_into, MAX_FRAME_PAYLOAD, MAX_INGEST_BLOCKS};
 use ams_net::crc::{crc32, crc32_bytewise};
-use ams_net::{FrameDecoder, Request, Response};
+use ams_net::{FrameDecoder, FrameError, Request, Response};
+use ams_service::{ServiceSnapshot, ServiceStats};
 use ams_stream::OpBlock;
 use proptest::prelude::*;
+use proptest::TestCaseError;
 
 /// Arbitrary attribute names: short ASCII with an occasional
 /// multi-byte UTF-8 character.
@@ -98,7 +102,139 @@ fn decode_one(bytes: &[u8]) -> Result<Option<Vec<u8>>, ams_net::FrameError> {
     decoder.next_frame()
 }
 
+/// A real snapshot: four stamps, then three attributes' sketches as a
+/// named set.
+fn real_snapshot() -> ServiceSnapshot {
+    let params = SketchParams::new(8, 2).unwrap();
+    let names: Vec<String> = ["u", "v", "w"].iter().map(|n| n.to_string()).collect();
+    let sketches: Vec<TugOfWarSketch> = (1..=3u64)
+        .map(|k| {
+            let mut sketch = TugOfWarSketch::new(params, 9);
+            sketch.extend_values((0..40).map(|v| v * k));
+            sketch
+        })
+        .collect();
+    let mut bytes = Vec::new();
+    for stamp in [3u64, 5, 40, 120] {
+        bytes.extend_from_slice(&stamp.to_le_bytes());
+    }
+    codec::encode_set(&names, &sketches, &mut bytes);
+    ServiceSnapshot::decode(&bytes).unwrap()
+}
+
+/// The verified bodies of a `Snapshot` and a `Goodbye` response
+/// carrying `snapshot`.
+fn snapshot_bodies(snapshot: &ServiceSnapshot) -> [Vec<u8>; 2] {
+    [
+        Response::Snapshot {
+            snapshot: snapshot.clone(),
+        },
+        Response::Goodbye {
+            snapshot: snapshot.clone(),
+            stats: ServiceStats { shards: Vec::new() },
+        },
+    ]
+    .map(|response| {
+        decode_one(&response.encode().unwrap())
+            .unwrap()
+            .expect("whole frame decodes")
+    })
+}
+
+/// A response body must decode or fail as `Malformed` — never panic,
+/// never fail any other way.
+fn decodes_or_malformed(body: &[u8]) -> Result<(), TestCaseError> {
+    match Response::decode(body) {
+        Ok(_) | Err(FrameError::Malformed { .. }) => Ok(()),
+        Err(e) => Err(TestCaseError::fail(format!("{e:?}"))),
+    }
+}
+
+/// Body offsets: kind byte, `u32` snapshot length, 32 bytes of stamps,
+/// then the set's 24-byte header and its `u32` count.
+const SET_COUNT_AT: usize = 1 + 4 + 32 + codec::HEADER_LEN;
+
+#[test]
+fn snapshot_bodies_roundtrip() {
+    let snapshot = real_snapshot();
+    for body in snapshot_bodies(&snapshot) {
+        match Response::decode(&body).unwrap() {
+            Response::Snapshot { snapshot: back } | Response::Goodbye { snapshot: back, .. } => {
+                assert_eq!(back, snapshot)
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+}
+
+/// Declared counts past the remaining bytes are refused before any
+/// allocation: the snapshot length, the set count, a name length. (A
+/// count of 2³² − 1 sketches, if trusted, would allocate terabytes.)
+#[test]
+fn overdeclared_snapshot_counts_rejected_before_allocation() {
+    for body in snapshot_bodies(&real_snapshot()) {
+        for (at, reason) in [
+            (1, "truncated document bytes"),
+            (SET_COUNT_AT, "set count is zero or exceeds the payload"),
+            (SET_COUNT_AT + 4, "truncated set entry"),
+        ] {
+            let mut bad = body.clone();
+            bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert_eq!(
+                Response::decode(&bad).unwrap_err(),
+                FrameError::Malformed { reason },
+                "count at byte {at}"
+            );
+        }
+    }
+}
+
 proptest! {
+    /// `Snapshot` and `Goodbye` bodies of random bytes — raw, behind a
+    /// consistent snapshot length, and spliced after a real snapshot's
+    /// first bytes — decode or fail as `Malformed`, never panic.
+    #[test]
+    fn snapshot_bodies_of_random_bytes_never_panic(
+        goodbye in any::<bool>(),
+        keep in 0usize..256,
+        bytes in proptest::collection::vec(any::<u8>(), 0..512),
+    ) {
+        let real = &snapshot_bodies(&real_snapshot())[goodbye as usize];
+        let mut raw = vec![real[0]];
+        raw.extend_from_slice(&bytes);
+        decodes_or_malformed(&raw)?;
+        let mut sized = vec![real[0]];
+        sized.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        sized.extend_from_slice(&bytes);
+        decodes_or_malformed(&sized)?;
+        let keep = 5 + keep % (real.len() - 5);
+        let mut spliced = real[..keep].to_vec();
+        spliced.extend_from_slice(&bytes);
+        let len = (spliced.len() - 5) as u32;
+        spliced[1..5].copy_from_slice(&len.to_le_bytes());
+        decodes_or_malformed(&spliced)?;
+    }
+
+    /// Truncations and byte flips of a real `Snapshot` or `Goodbye`
+    /// body decode or fail as `Malformed`; a strict prefix always
+    /// fails.
+    #[test]
+    fn snapshot_bodies_truncated_or_flipped_never_panic(
+        goodbye in any::<bool>(),
+        cut in 0usize..4096,
+        at in 0usize..4096,
+        flip in 1u8..255,
+    ) {
+        let body = &snapshot_bodies(&real_snapshot())[goodbye as usize];
+        let cut = cut % body.len();
+        decodes_or_malformed(&body[..cut])?;
+        prop_assert!(Response::decode(&body[..cut]).is_err(), "prefix of {cut} bytes decoded");
+        // Byte 0 is the kind: flipping it makes another message.
+        let mut flipped = body.clone();
+        flipped[1 + at % (body.len() - 1)] ^= flip;
+        decodes_or_malformed(&flipped)?;
+    }
+
     #[test]
     fn request_encode_decode_roundtrips(request in request()) {
         let frame = request.encode().unwrap();

@@ -53,6 +53,45 @@ fn ingest_all(client: &mut AmsClient, attribute: &str, blocks: &[OpBlock]) -> us
     busy
 }
 
+/// A snapshot of 4 attributes at s = 65,536 fits one frame: it travels
+/// as seed + counters (about 2 MiB), where a form that also carried
+/// every row's hash coefficients would have outgrown the 16 MiB frame
+/// limit. The decoded counters equal in-process sketches fed the same
+/// blocks, bit for bit, and so does the `Goodbye` snapshot.
+#[test]
+fn large_snapshot_fits_one_frame_and_is_bit_identical() {
+    let params = SketchParams::new(65_536, 1).unwrap();
+    let attrs = ["a", "b", "c", "d"];
+    let server = NetServer::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    let handle = server.spawn(service(2, 32, params, &attrs));
+    let mut client = AmsClient::connect(addr).unwrap();
+    let mut references = Vec::new();
+    for (i, attr) in attrs.iter().enumerate() {
+        let values: Vec<u64> = (0..24u64).map(|v| v * 7 + i as u64).collect();
+        ingest_all(
+            &mut client,
+            attr,
+            &value_blocks(&values, 8).collect::<Vec<_>>(),
+        );
+        let mut reference: TugOfWarSketch = TugOfWarSketch::new(params, 0xBEEF);
+        reference.extend_values(values.iter().copied());
+        references.push(reference);
+    }
+    client.drain().unwrap();
+    let snapshot = client.snapshot().unwrap();
+    for (attr, reference) in attrs.iter().zip(&references) {
+        assert_eq!(
+            snapshot.sketch(attr).unwrap().counters(),
+            reference.counters(),
+            "attribute {attr}"
+        );
+    }
+    let (goodbye, _) = client.shutdown().unwrap();
+    assert_eq!(goodbye, snapshot);
+    let _ = handle.join();
+}
+
 #[test]
 fn client_streamed_ingest_is_bit_identical_to_in_process() {
     let params = SketchParams::new(64, 3).unwrap();

@@ -95,6 +95,10 @@ pub use service::{AmsService, DrainCut, DurableCut};
 pub use snapshot::ServiceSnapshot;
 pub use stats::{ServiceStats, ShardStats};
 
+// Snapshot decoding reports the sketch codec's errors; re-exported so
+// front-ends can match on them without a separate dependency.
+pub use ams_core::SketchError;
+
 // The service's observability surface is built on `ams-telemetry`;
 // re-exported so front-ends can name the snapshot/registry types
 // without a separate dependency declaration.

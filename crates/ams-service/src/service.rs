@@ -920,7 +920,7 @@ fn reassemble(mut routed: RoutedBlocks) -> OpBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ams_core::{SelfJoinEstimator, SketchParams, TugOfWarSketch};
+    use ams_core::{SelfJoinEstimator, SketchError, SketchParams, TugOfWarSketch};
     use ams_stream::Multiset;
 
     /// Submits `values` as one block, waiting for room.
@@ -1300,14 +1300,16 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_serde_roundtrip_preserves_counters_and_queries() {
+    fn snapshot_codec_roundtrip_preserves_counters_and_queries() {
         let service = AmsService::start(config(2), &["f", "g"]).unwrap();
         ingest(&service, "f", &[1, 2, 2, 3, 9]).unwrap();
         ingest(&service, "g", &[2, 2, 4]).unwrap();
         service.drain();
         let snapshot = service.snapshot();
-        let json = serde_json::to_string(&snapshot).unwrap();
-        let back: ServiceSnapshot = serde_json::from_str(&json).unwrap();
+        let mut wire = Vec::new();
+        snapshot.encode(&mut wire);
+        let back = ServiceSnapshot::decode(&wire).unwrap();
+        assert_eq!(back, snapshot);
         assert_eq!(
             back.sketch("f").unwrap().counters(),
             snapshot.sketch("f").unwrap().counters()
@@ -1336,18 +1338,55 @@ mod tests {
 
     #[test]
     fn snapshot_deserialize_rejects_malformed_wire_forms() {
+        use ams_core::codec::HEADER_LEN;
         let service = AmsService::start(config(1), &["f", "g"]).unwrap();
         ingest(&service, "f", &[1, 2]).unwrap();
         service.drain();
-        let json = serde_json::to_string(&service.snapshot()).unwrap();
-        // Dropping one attribute name breaks the name/sketch pairing.
-        let mismatched = json.replacen("\"g\"", "\"f\"", 1);
+        let mut wire = Vec::new();
+        service.snapshot().encode(&mut wire);
+        let decode = ServiceSnapshot::decode;
+        let rejected = |bytes: &[u8], why: &'static str| {
+            assert_eq!(
+                decode(bytes).unwrap_err(),
+                SketchError::Codec { reason: why },
+                "expected: {why}"
+            );
+        };
+        // Layout: 32 bytes of stamps, the set header (family id at +4,
+        // s1 at +8), the set count, then per attribute a 4-byte name
+        // length, the name, and the counters.
+        let set = 32;
+        let count = set + HEADER_LEN;
+        let counters = 8 * config(1).params().total();
+        // The count disagrees with the entries that follow.
+        let mut over = wire.clone();
+        over[count..count + 4].copy_from_slice(&3u32.to_le_bytes());
+        rejected(&over, "set count is zero or exceeds the payload");
+        // A repeated attribute name ("g" → "f").
+        let second_name = count + 4 + 4 + 1 + counters + 4;
+        assert_eq!(wire[second_name], b'g');
+        let mut repeated = wire.clone();
+        repeated[second_name] = b'f';
+        rejected(&repeated, "sketch set repeats a name");
+        // Sketches of another sign family.
+        let mut foreign = wire.clone();
+        foreign[set + 4..set + 8].copy_from_slice(&2u32.to_le_bytes());
+        rejected(&foreign, "encoded under another sign family");
+        // Another shape than the counters that follow.
+        let mut reshaped = wire.clone();
+        reshaped[set + 8..set + 12].copy_from_slice(&7u32.to_le_bytes());
         assert!(
-            serde_json::from_str::<ServiceSnapshot>(&mismatched).is_err(),
-            "duplicate attribute names must be rejected"
+            decode(&reshaped).is_err(),
+            "a reshaped header must be rejected"
         );
-        let truncated = &json[..json.len() - 2];
-        assert!(serde_json::from_str::<ServiceSnapshot>(truncated).is_err());
+        // Sketches of mixed shape or seed cannot be expressed: a set
+        // carries one header, and its encoder refuses such a set.
+        for cut in 0..wire.len() {
+            assert!(decode(&wire[..cut]).is_err(), "truncation at {cut}");
+        }
+        let mut long = wire.clone();
+        long.push(0);
+        rejected(&long, "trailing bytes after the snapshot");
     }
 
     #[test]

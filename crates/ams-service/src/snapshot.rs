@@ -12,12 +12,15 @@
 //! [`TugOfWarSketch::merge_from`]'s linearity), and restores them into
 //! sketches cloned from the service's pre-built template — a
 //! consistent, queryable [`ServiceSnapshot`] stamped with the publish
-//! epochs it reflects.
+//! epochs it reflects. A snapshot leaves the process in the same spirit
+//! ([`ServiceSnapshot::encode`]): its stamps, then the merged counters
+//! as one named set of [`ams_core::codec`], the seed standing in for
+//! the hash planes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
-use ams_core::{SelfJoinEstimator, TugOfWarSketch};
+use ams_core::{codec, SelfJoinEstimator, SketchError, TugOfWarSketch};
 
 use crate::error::ServiceError;
 use crate::wake::WakeHook;
@@ -183,18 +186,15 @@ pub struct ServiceSnapshot {
 
 impl PartialEq for ServiceSnapshot {
     /// Snapshots compare by their information content — names, sketch
-    /// shape/seed/counters, and stamps — which is what offline diffing
-    /// (and the wire round-trip tests) care about.
+    /// family/shape/seed/counters, and stamps — that is, by their
+    /// encoded form.
     fn eq(&self, other: &Self) -> bool {
-        self.attributes == other.attributes
-            && self.epoch_min == other.epoch_min
-            && self.epoch_max == other.epoch_max
-            && self.blocks == other.blocks
-            && self.ops == other.ops
-            && self.merged.len() == other.merged.len()
-            && self.merged.iter().zip(other.merged.iter()).all(|(a, b)| {
-                a.params() == b.params() && a.seed() == b.seed() && a.counters() == b.counters()
-            })
+        let encoded = |snapshot: &Self| {
+            let mut out = Vec::new();
+            snapshot.encode(&mut out);
+            out
+        };
+        encoded(self) == encoded(other)
     }
 }
 
@@ -305,80 +305,53 @@ impl ServiceSnapshot {
         let b = self.index(other)?;
         Ok(self.merged[a].join_estimate(&self.merged[b])?)
     }
-}
 
-/// Borrowed wire form of a [`ServiceSnapshot`] (same style as the
-/// tug-of-war sketch's): attribute names, one merged sketch each, and
-/// the epoch/progress stamps — everything needed to re-query or diff a
-/// snapshot offline, on another host.
-#[derive(serde::Serialize)]
-struct SnapshotWire<'a> {
-    attributes: &'a [String],
-    merged: &'a [TugOfWarSketch],
-    epoch_min: u64,
-    epoch_max: u64,
-    blocks: u64,
-    ops: u64,
-}
-
-/// Owned wire form for decoding.
-#[derive(serde::Deserialize)]
-struct SnapshotWireOwned {
-    attributes: Vec<String>,
-    merged: Vec<TugOfWarSketch>,
-    epoch_min: u64,
-    epoch_max: u64,
-    blocks: u64,
-    ops: u64,
-}
-
-impl serde::Serialize for ServiceSnapshot {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        SnapshotWire {
-            attributes: &self.attributes,
-            merged: &self.merged,
-            epoch_min: self.epoch_min,
-            epoch_max: self.epoch_max,
-            blocks: self.blocks,
-            ops: self.ops,
+    /// Appends the snapshot's binary form to `out`: the epoch and
+    /// progress stamps (`epoch_min`, `epoch_max`, `blocks`, `ops`, each
+    /// a little-endian `u64`), then the merged sketches as one named
+    /// set of [`ams_core::codec`] — seed and counters, never the hash
+    /// planes. Everything needed to re-query or diff the snapshot
+    /// offline, on another host.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        for stamp in [self.epoch_min, self.epoch_max, self.blocks, self.ops] {
+            out.extend_from_slice(&stamp.to_le_bytes());
         }
-        .serialize(serializer)
+        codec::encode_set(&self.attributes, &self.merged, out);
     }
-}
 
-impl<'de> serde::Deserialize<'de> for ServiceSnapshot {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let wire = SnapshotWireOwned::deserialize(deserializer)?;
-        if wire.attributes.len() != wire.merged.len() {
-            return Err(serde::de::Error::custom(
-                "snapshot wire form has mismatched attribute and sketch counts",
-            ));
+    /// Decodes a snapshot from exactly the bytes [`Self::encode`]
+    /// wrote.
+    ///
+    /// # Errors
+    /// [`SketchError::Codec`] on truncated stamps, any malformed set
+    /// (another sign family, a bad shape, a count past the remaining
+    /// bytes, a repeated attribute name), or bytes left after the set.
+    pub fn decode(data: &[u8]) -> Result<Self, SketchError> {
+        if data.len() < STAMPS_LEN {
+            return Err(SketchError::Codec {
+                reason: "truncated snapshot stamps",
+            });
         }
-        for (i, name) in wire.attributes.iter().enumerate() {
-            if wire.attributes[..i].contains(name) {
-                return Err(serde::de::Error::custom(
-                    "snapshot wire form repeats an attribute name",
-                ));
-            }
-        }
-        // All attributes of one service share hash functions (that is
-        // what makes them joinable); reject wire forms that don't.
-        if let Some(first) = wire.merged.first() {
-            for sketch in &wire.merged[1..] {
-                if sketch.params() != first.params() || sketch.seed() != first.seed() {
-                    return Err(serde::de::Error::custom(
-                        "snapshot wire form mixes incompatible sketches",
-                    ));
-                }
-            }
+        let (stamps, mut rest) = data.split_at(STAMPS_LEN);
+        let stamp = |i: usize| {
+            u64::from_le_bytes(stamps[8 * i..8 * i + 8].try_into().expect("8-byte stamp"))
+        };
+        let (attributes, merged) = codec::decode_set(&mut rest)?;
+        if !rest.is_empty() {
+            return Err(SketchError::Codec {
+                reason: "trailing bytes after the snapshot",
+            });
         }
         Ok(Self {
-            attributes: wire.attributes,
-            merged: wire.merged,
-            epoch_min: wire.epoch_min,
-            epoch_max: wire.epoch_max,
-            blocks: wire.blocks,
-            ops: wire.ops,
+            attributes,
+            merged,
+            epoch_min: stamp(0),
+            epoch_max: stamp(1),
+            blocks: stamp(2),
+            ops: stamp(3),
         })
     }
 }
+
+/// Bytes of the stamps that lead a snapshot's binary form.
+const STAMPS_LEN: usize = 4 * 8;

@@ -5,9 +5,9 @@
 //! go"; the event log answers "**what happened**" — shard lifecycle,
 //! publishes, checkpoints, recovery, WAL rotation, shedding — as a
 //! bounded stream of structured records (level, code, timestamp, and a
-//! two-word key/value payload). The storage discipline is identical to
-//! the span rings of [`crate::trace`]: each emitting thread owns one
-//! single-writer [`EventRing`] — lock-free on the hot path, fixed
+//! two-word key/value payload). The storage is the span rings' own
+//! [`crate::ring`]: each emitting thread owns one single-writer
+//! [`EventRing`] — lock-free on the hot path, fixed
 //! [`EventHub::memory_words`], overwrite-oldest on overflow with an
 //! exact drop counter — and a disabled hub turns every emission into
 //! one relaxed load + branch (the noop twin used to price the
@@ -17,11 +17,9 @@
 //! ([`crate::trace_clock_ns`]), so events emitted by different threads
 //! interleave in true order at collection time.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
 use serde::{Deserialize, Serialize};
 
+use crate::ring::{Recorder, Ring, RingHub, RingRecord};
 use crate::trace::trace_clock_ns;
 
 /// Event severity.
@@ -159,140 +157,35 @@ pub struct EventRecord {
     pub value: u64,
 }
 
-/// Words per ring slot: the per-slot seqlock word, a presence flag,
-/// and the four event fields.
-const SLOT_WORDS: usize = 6;
-
-/// A bounded single-writer event ring: fixed memory, relaxed-atomic
-/// writes, overwrite-oldest on overflow with an exact drop counter.
-///
-/// Each slot is guarded by a per-slot sequence word (odd while a write
-/// is in flight), so a scrape-time reader skips slots it raced with
-/// instead of observing a torn event — every field is an atomic, so a
-/// race is a dropped observation, never undefined behavior.
-#[derive(Debug)]
-pub struct EventRing {
-    slots: Box<[SlotCells]>,
-    cursor: AtomicU64,
-    dropped: AtomicU64,
-}
-
-#[derive(Debug)]
-struct SlotCells {
-    seq: AtomicU64,
-    /// `code + 1` so 0 means "never written" (events are timestamped
-    /// from process start, so `at_ns == 0` is a legal value and can't
-    /// play the presence-flag role trace ids play in span rings).
-    code_plus_one: AtomicU64,
-    at_ns: AtomicU64,
-    key: AtomicU64,
-    value: AtomicU64,
-}
-
-impl EventRing {
-    /// A ring holding at most `capacity` events (`capacity ≥ 1`).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            slots: (0..capacity)
-                .map(|_| SlotCells {
-                    seq: AtomicU64::new(0),
-                    code_plus_one: AtomicU64::new(0),
-                    at_ns: AtomicU64::new(0),
-                    key: AtomicU64::new(0),
-                    value: AtomicU64::new(0),
-                })
-                .collect(),
-            cursor: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
+impl RingRecord for EventRecord {
+    fn to_words(self) -> [u64; 4] {
+        [self.code.code(), self.at_ns, self.key, self.value]
     }
 
-    /// Records one event, overwriting the oldest when full.
-    pub fn push(&self, event: EventRecord) {
-        let n = self.slots.len() as u64;
-        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        let slot = &self.slots[(i % n) as usize];
-        slot.seq.fetch_add(1, Ordering::Release); // odd: write in flight
-        slot.code_plus_one
-            .store(event.code.code() + 1, Ordering::Relaxed);
-        slot.at_ns.store(event.at_ns, Ordering::Relaxed);
-        slot.key.store(event.key, Ordering::Relaxed);
-        slot.value.store(event.value, Ordering::Relaxed);
-        slot.seq.fetch_add(1, Ordering::Release); // even: settled
-    }
-
-    /// Events recorded in total (including any later overwritten).
-    pub fn pushed(&self) -> u64 {
-        self.cursor.load(Ordering::Relaxed)
-    }
-
-    /// Events lost to overwrite-oldest — exactly
-    /// `pushed().saturating_sub(capacity)` for a single writer.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Events currently resident.
-    pub fn len(&self) -> usize {
-        (self.pushed() as usize).min(self.slots.len())
-    }
-
-    /// Whether no event was ever recorded.
-    pub fn is_empty(&self) -> bool {
-        self.pushed() == 0
-    }
-
-    /// Fixed footprint in 64-bit words, independent of traffic.
-    pub fn memory_words(&self) -> usize {
-        self.slots.len() * SLOT_WORDS + 2
-    }
-
-    /// A point-in-time copy of every resident event, skipping slots a
-    /// concurrent writer had in flight.
-    pub fn snapshot(&self) -> Vec<EventRecord> {
-        let mut out = Vec::with_capacity(self.len());
-        for slot in self.slots.iter().take(self.len()) {
-            let s1 = slot.seq.load(Ordering::Acquire);
-            let tag = slot.code_plus_one.load(Ordering::Relaxed);
-            let record = EventRecord {
-                code: match EventCode::from_code(tag.wrapping_sub(1)) {
-                    Some(code) => code,
-                    None => continue,
-                },
-                at_ns: slot.at_ns.load(Ordering::Relaxed),
-                key: slot.key.load(Ordering::Relaxed),
-                value: slot.value.load(Ordering::Relaxed),
-            };
-            let s2 = slot.seq.load(Ordering::Acquire);
-            if s1 == s2 && s1 % 2 == 0 && tag != 0 {
-                out.push(record);
-            }
-        }
-        out
+    fn from_words([code, at_ns, key, value]: [u64; 4]) -> Option<Self> {
+        Some(EventRecord {
+            code: EventCode::from_code(code)?,
+            at_ns,
+            key,
+            value,
+        })
     }
 }
+
+/// A bounded single-writer event ring (see [`crate::ring`]).
+pub type EventRing = Ring<EventRecord>;
 
 /// A cloneable handle emitting events into one [`EventRing`]; each
-/// emitting thread holds its own (the ring is single-writer by
-/// construction when each thread takes its own recorder from
-/// [`EventHub::recorder`]).
-#[derive(Debug, Clone)]
-pub struct EventRecorder {
-    ring: Arc<EventRing>,
-    enabled: Arc<AtomicBool>,
-}
+/// emitting thread holds its own, taken from [`EventHub::recorder`].
+pub type EventRecorder = Recorder<EventRecord>;
 
-impl EventRecorder {
+impl Recorder<EventRecord> {
     /// Emits one event stamped now (no-op when the hub is disabled —
     /// the disabled hot path is one relaxed load + branch, before the
     /// clock read).
     #[inline]
     pub fn emit(&self, code: EventCode, key: u64, value: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
+        if !self.armed() {
             return;
         }
         self.ring.push(EventRecord {
@@ -301,17 +194,6 @@ impl EventRecorder {
             key,
             value,
         });
-    }
-
-    /// Whether the hub is armed.
-    #[inline]
-    pub fn armed(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// The recorder's ring (for direct inspection in tests).
-    pub fn ring(&self) -> &EventRing {
-        &self.ring
     }
 }
 
@@ -346,88 +228,32 @@ impl From<EventRecord> for ServiceEvent {
 /// and collects every resident event at scrape time. Registration and
 /// collection take a mutex; emission never does (the hub's hot-path
 /// surface is exactly [`EventRecorder::emit`]).
-#[derive(Debug)]
-pub struct EventHub {
-    rings: Mutex<Vec<Arc<EventRing>>>,
-    ring_capacity: usize,
-    enabled: Arc<AtomicBool>,
-}
+pub type EventHub = RingHub<EventRecord>;
 
 /// Default events per ring.
 pub const DEFAULT_EVENT_RING_CAPACITY: usize = 256;
 
-impl Default for EventHub {
+impl Default for RingHub<EventRecord> {
     fn default() -> Self {
         Self::with_capacity(DEFAULT_EVENT_RING_CAPACITY)
     }
 }
 
-impl EventHub {
+impl RingHub<EventRecord> {
     /// A hub with the default ring capacity.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// A hub whose recorders hold `ring_capacity` events each.
-    pub fn with_capacity(ring_capacity: usize) -> Self {
-        Self {
-            rings: Mutex::new(Vec::new()),
-            ring_capacity: ring_capacity.max(1),
-            enabled: Arc::new(AtomicBool::new(true)),
-        }
-    }
-
-    /// Creates and registers a new single-writer recorder; each
-    /// emitting thread should take exactly one.
-    pub fn recorder(&self) -> EventRecorder {
-        let ring = Arc::new(EventRing::new(self.ring_capacity));
-        self.rings
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Arc::clone(&ring));
-        EventRecorder {
-            ring,
-            enabled: Arc::clone(&self.enabled),
-        }
-    }
-
-    /// Globally arms or disarms emission (the noop twin for overhead
-    /// pricing: a disabled hub turns every emit into one relaxed
-    /// load + branch).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether emission is armed.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Events lost to ring overwrite, summed over recorders.
     pub fn dropped_events(&self) -> u64 {
-        self.rings
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|r| r.dropped())
-            .sum()
-    }
-
-    /// Total footprint in 64-bit words: every ring — fixed once every
-    /// emitting thread has registered, independent of traffic.
-    pub fn memory_words(&self) -> usize {
-        let rings = self.rings.lock().unwrap_or_else(|e| e.into_inner());
-        rings.iter().map(|r| r.memory_words()).sum::<usize>() + 1
+        self.dropped()
     }
 
     /// Every resident event across every ring, in timestamp order
     /// (ties broken by code for determinism).
     pub fn collect(&self) -> Vec<EventRecord> {
-        let rings = self.rings.lock().unwrap_or_else(|e| e.into_inner());
-        let mut events = Vec::new();
-        for ring in rings.iter() {
-            events.extend(ring.snapshot());
-        }
+        let mut events = self.records();
         events.sort_by_key(|e| (e.at_ns, e.code.code(), e.key));
         events
     }
@@ -487,7 +313,7 @@ mod tests {
     #[test]
     fn zero_timestamp_events_survive_snapshot() {
         // `at_ns == 0` is legal (process-start instant); presence is
-        // tracked by the code tag, not the timestamp.
+        // tracked by the slot's sequence word, not by any field.
         let ring = EventRing::new(4);
         ring.push(event(EventCode::ShardStart, 0, 3, 0));
         let snap = ring.snapshot();
@@ -559,7 +385,8 @@ mod tests {
 
     proptest! {
         /// Overflow never panics, the drop counter is exact, residency
-        /// is capped at capacity, and the footprint never moves.
+        /// is capped at capacity, the footprint never moves, and every
+        /// resident event decodes to exactly the event that was pushed.
         #[test]
         fn event_ring_overflow_is_exact(
             capacity in 1usize..32,
@@ -568,15 +395,18 @@ mod tests {
             let ring = EventRing::new(capacity);
             let words = ring.memory_words();
             for i in 0..pushes {
-                ring.push(event(EventCode::Publish, i, 0, i + 1));
+                let code = EVENT_CODES[i as usize % EVENT_CODES.len()];
+                ring.push(event(code, i, i ^ 0x5a, i + 1));
             }
             prop_assert_eq!(ring.pushed(), pushes);
             prop_assert_eq!(ring.dropped(), pushes.saturating_sub(capacity as u64));
             prop_assert_eq!(ring.len() as u64, pushes.min(capacity as u64));
             prop_assert_eq!(ring.memory_words(), words);
-            // Everything resident is readable and well-formed.
             for e in ring.snapshot() {
                 prop_assert!(e.value >= 1 && e.value <= pushes);
+                let i = e.value - 1;
+                let code = EVENT_CODES[i as usize % EVENT_CODES.len()];
+                prop_assert_eq!(e, event(code, i, i ^ 0x5a, i + 1));
             }
         }
     }

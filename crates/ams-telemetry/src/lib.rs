@@ -27,15 +27,17 @@
 //!   `name{label="v"} value` text exposition.
 //! * [`noop`] — API-identical zero-cost twins, the baseline a bench
 //!   harness compares against to price the instrumentation itself.
-//! * [`trace`] — per-request tracing: bounded per-thread span rings
-//!   ([`SpanRing`]: overwrite-oldest, exact drop counter, fixed
-//!   footprint), a completion-time tail sampler keeping the slowest-N
-//!   requests per window, and scrape-time assembly of complete
-//!   stage-by-stage traces ([`TraceHub::assemble`]).
-//! * [`event`] — the structured event log: bounded per-thread event
-//!   rings ([`EventRing`]: level, code, timestamp, key/value payload;
-//!   same overwrite-oldest + exact-drop-counter discipline as the span
-//!   rings) collected into timestamp order at scrape time
+//! * [`ring`] — the bounded single-writer ring both logs below store
+//!   into: fixed four-word records, overwrite-oldest, an exact drop
+//!   counter and a fixed footprint, handed out one per thread by a
+//!   [`RingHub`].
+//! * [`trace`] — per-request tracing: per-thread span rings
+//!   ([`SpanRing`]), a completion-time tail sampler keeping the
+//!   slowest-N requests per window, and scrape-time assembly of
+//!   complete stage-by-stage traces ([`TraceHub::assemble`]).
+//! * [`event`] — the structured event log: per-thread event rings
+//!   ([`EventRing`]: level, code, timestamp, key/value payload)
+//!   collected into timestamp order at scrape time
 //!   ([`EventHub::collect`]).
 //! * [`health`] — windowed health grading: derived signals compared
 //!   against degraded/unhealthy thresholds, folded into a
@@ -58,6 +60,7 @@ pub mod histogram;
 pub mod memory;
 pub mod noop;
 pub mod registry;
+pub mod ring;
 pub mod timer;
 pub mod trace;
 
@@ -70,6 +73,7 @@ pub use health::{AccuracyReport, HealthReport, HealthSignal, HealthVerdict, Sign
 pub use histogram::{HistogramSnapshot, LatencyHistogram, BUCKETS};
 pub use memory::MemoryTracker;
 pub use registry::{MetricSample, MetricValue, MetricsRegistry, MetricsSnapshot};
+pub use ring::{Recorder, Ring, RingHub, RingRecord};
 pub use timer::ScopedTimer;
 pub use trace::{
     trace_clock_ns, AssembledTrace, SpanRecord, SpanRing, TailSampler, TraceCtx, TraceHub,

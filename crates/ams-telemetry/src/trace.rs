@@ -6,10 +6,11 @@
 //! requests. A traced request carries a nonzero `trace_id` from the
 //! client through decode, routing, the shard queue, the ingest kernel,
 //! the WAL, and the ack, and every stage stamps a [`TraceStage`] span
-//! into a bounded per-thread [`SpanRing`] — lock-free on the hot path,
-//! fixed [`TraceHub::memory_words`], overwrite-oldest on overflow with
-//! an exact drop counter, the same constant-memory discipline as the
-//! log₂ histograms. Nothing is correlated while the request is in
+//! into a bounded per-thread [`SpanRing`] (a [`crate::ring`], shared
+//! with the event log) — lock-free on the hot path, fixed
+//! [`TraceHub::memory_words`], overwrite-oldest on overflow with an
+//! exact drop counter, the same constant-memory discipline as the log₂
+//! histograms. Nothing is correlated while the request is in
 //! flight; complete traces are assembled only at scrape time
 //! ([`TraceHub::assemble`]), and a **tail sampler** keeps the ids of
 //! the slowest-N requests per window so the interesting traces survive
@@ -19,11 +20,12 @@
 //! clock ([`trace_clock_ns`]), so spans recorded by different threads
 //! order correctly within a trace.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
+
+use crate::ring::{Recorder, Ring, RingHub, RingRecord};
 
 /// The process-wide monotonic clock every span is stamped against:
 /// nanoseconds since the first call in this process.
@@ -143,133 +145,34 @@ pub struct SpanRecord {
     pub dur_ns: u64,
 }
 
-/// Words per ring slot: per-slot seqlock word + the four span fields.
-const SLOT_WORDS: usize = 5;
-
-/// A bounded single-writer span ring: fixed memory, relaxed-atomic
-/// writes, overwrite-oldest on overflow with an exact drop counter.
-///
-/// Each slot is guarded by a per-slot sequence word (odd while a write
-/// is in flight), so a scrape-time reader skips slots it raced with
-/// instead of observing a torn span — every field is an atomic, so a
-/// race is a dropped observation, never undefined behavior.
-#[derive(Debug)]
-pub struct SpanRing {
-    slots: Box<[SlotCells]>,
-    cursor: AtomicU64,
-    dropped: AtomicU64,
-}
-
-#[derive(Debug)]
-struct SlotCells {
-    seq: AtomicU64,
-    id: AtomicU64,
-    stage: AtomicU64,
-    start_ns: AtomicU64,
-    dur_ns: AtomicU64,
-}
-
-impl SpanRing {
-    /// A ring holding at most `capacity` spans (`capacity ≥ 1`).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            slots: (0..capacity)
-                .map(|_| SlotCells {
-                    seq: AtomicU64::new(0),
-                    id: AtomicU64::new(0),
-                    stage: AtomicU64::new(0),
-                    start_ns: AtomicU64::new(0),
-                    dur_ns: AtomicU64::new(0),
-                })
-                .collect(),
-            cursor: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
+impl RingRecord for SpanRecord {
+    fn to_words(self) -> [u64; 4] {
+        [self.trace_id, self.stage.code(), self.start_ns, self.dur_ns]
     }
 
-    /// Records one span, overwriting the oldest when full.
-    pub fn push(&self, span: SpanRecord) {
-        let n = self.slots.len() as u64;
-        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        let slot = &self.slots[(i % n) as usize];
-        slot.seq.fetch_add(1, Ordering::Release); // odd: write in flight
-        slot.id.store(span.trace_id, Ordering::Relaxed);
-        slot.stage.store(span.stage.code(), Ordering::Relaxed);
-        slot.start_ns.store(span.start_ns, Ordering::Relaxed);
-        slot.dur_ns.store(span.dur_ns, Ordering::Relaxed);
-        slot.seq.fetch_add(1, Ordering::Release); // even: settled
-    }
-
-    /// Spans recorded in total (including any later overwritten).
-    pub fn pushed(&self) -> u64 {
-        self.cursor.load(Ordering::Relaxed)
-    }
-
-    /// Spans lost to overwrite-oldest — exactly
-    /// `pushed().saturating_sub(capacity)` for a single writer.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Spans currently resident.
-    pub fn len(&self) -> usize {
-        (self.pushed() as usize).min(self.slots.len())
-    }
-
-    /// Whether no span was ever recorded.
-    pub fn is_empty(&self) -> bool {
-        self.pushed() == 0
-    }
-
-    /// Fixed footprint in 64-bit words, independent of traffic.
-    pub fn memory_words(&self) -> usize {
-        self.slots.len() * SLOT_WORDS + 2
-    }
-
-    /// A point-in-time copy of every resident span, skipping slots a
-    /// concurrent writer had in flight.
-    pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let mut out = Vec::with_capacity(self.len());
-        for slot in self.slots.iter().take(self.len()) {
-            let s1 = slot.seq.load(Ordering::Acquire);
-            let record = SpanRecord {
-                trace_id: slot.id.load(Ordering::Relaxed),
-                stage: match TraceStage::from_code(slot.stage.load(Ordering::Relaxed)) {
-                    Some(stage) => stage,
-                    None => continue,
-                },
-                start_ns: slot.start_ns.load(Ordering::Relaxed),
-                dur_ns: slot.dur_ns.load(Ordering::Relaxed),
-            };
-            let s2 = slot.seq.load(Ordering::Acquire);
-            if s1 == s2 && s1 % 2 == 0 && record.trace_id != 0 {
-                out.push(record);
-            }
-        }
-        out
+    fn from_words([trace_id, stage, start_ns, dur_ns]: [u64; 4]) -> Option<Self> {
+        Some(SpanRecord {
+            trace_id,
+            stage: TraceStage::from_code(stage)?,
+            start_ns,
+            dur_ns,
+        })
     }
 }
+
+/// A bounded single-writer span ring (see [`crate::ring`]).
+pub type SpanRing = Ring<SpanRecord>;
 
 /// A cloneable handle recording spans into one [`SpanRing`]; each
-/// recording thread holds its own (the ring is single-writer by
-/// construction when each thread takes its own recorder from
-/// [`TraceHub::recorder`]).
-#[derive(Debug, Clone)]
-pub struct TraceRecorder {
-    ring: Arc<SpanRing>,
-    enabled: Arc<AtomicBool>,
-}
+/// recording thread holds its own, taken from [`TraceHub::recorder`].
+pub type TraceRecorder = Recorder<SpanRecord>;
 
-impl TraceRecorder {
+impl Recorder<SpanRecord> {
     /// Records a span for `trace_id` (no-op when the id is 0 or the
     /// hub is disabled — the untraced hot path is one branch).
     #[inline]
     pub fn record(&self, trace_id: u64, stage: TraceStage, start_ns: u64, dur_ns: u64) {
-        if trace_id == 0 || !self.enabled.load(Ordering::Relaxed) {
+        if trace_id == 0 || !self.armed() {
             return;
         }
         self.ring.push(SpanRecord {
@@ -292,18 +195,6 @@ impl TraceRecorder {
     pub fn record_ending_now(&self, trace_id: u64, stage: TraceStage, dur_ns: u64) {
         let now = trace_clock_ns();
         self.record(trace_id, stage, now.saturating_sub(dur_ns), dur_ns);
-    }
-
-    /// Whether the hub is armed — callers that would otherwise pay a
-    /// clock read to build a span can skip it when recording is off.
-    #[inline]
-    pub fn armed(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// The recorder's ring (for direct inspection in tests).
-    pub fn ring(&self) -> &SpanRing {
-        &self.ring
     }
 }
 
@@ -435,10 +326,8 @@ impl AssembledTrace {
 /// (the hub's hot-path surface is exactly [`TraceRecorder::record`]).
 #[derive(Debug)]
 pub struct TraceHub {
-    rings: Mutex<Vec<Arc<SpanRing>>>,
+    rings: RingHub<SpanRecord>,
     sampler: TailSampler,
-    ring_capacity: usize,
-    enabled: Arc<AtomicBool>,
 }
 
 /// Default spans per ring.
@@ -468,37 +357,27 @@ impl TraceHub {
     /// ring, the slowest `keep` traces kept per `window` completions.
     pub fn with_shape(ring_capacity: usize, keep: usize, window: u64) -> Self {
         Self {
-            rings: Mutex::new(Vec::new()),
+            rings: RingHub::with_capacity(ring_capacity),
             sampler: TailSampler::new(keep, window),
-            ring_capacity: ring_capacity.max(1),
-            enabled: Arc::new(AtomicBool::new(true)),
         }
     }
 
     /// Creates and registers a new single-writer recorder; each
     /// recording thread should take exactly one.
     pub fn recorder(&self) -> TraceRecorder {
-        let ring = Arc::new(SpanRing::new(self.ring_capacity));
-        self.rings
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Arc::clone(&ring));
-        TraceRecorder {
-            ring,
-            enabled: Arc::clone(&self.enabled),
-        }
+        self.rings.recorder()
     }
 
     /// Globally arms or disarms recording (the noop twin for overhead
     /// pricing: a disabled hub turns every record into one relaxed
     /// load + branch).
     pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
+        self.rings.set_enabled(enabled);
     }
 
     /// Whether recording is armed.
     pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        self.rings.enabled()
     }
 
     /// The completion-time tail sampler.
@@ -508,33 +387,18 @@ impl TraceHub {
 
     /// Spans lost to ring overwrite, summed over recorders.
     pub fn dropped_spans(&self) -> u64 {
-        self.rings
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|r| r.dropped())
-            .sum()
+        self.rings.dropped()
     }
 
     /// Total footprint in 64-bit words: every ring plus the sampler —
     /// fixed once every recording thread has registered, independent
     /// of traffic.
     pub fn memory_words(&self) -> usize {
-        let rings = self.rings.lock().unwrap_or_else(|e| e.into_inner());
-        rings.iter().map(|r| r.memory_words()).sum::<usize>() + self.sampler.memory_words() + 1
-    }
-
-    fn collect(&self) -> Vec<SpanRecord> {
-        let rings = self.rings.lock().unwrap_or_else(|e| e.into_inner());
-        let mut spans = Vec::new();
-        for ring in rings.iter() {
-            spans.extend(ring.snapshot());
-        }
-        spans
+        self.rings.memory_words() + self.sampler.memory_words()
     }
 
     fn assemble_ids(&self, ids: &[(u64, u64)]) -> Vec<AssembledTrace> {
-        let spans = self.collect();
+        let spans = self.rings.records();
         let mut out = Vec::with_capacity(ids.len());
         for &(trace_id, total_ns) in ids {
             let mut trace_spans: Vec<TraceSpan> = spans
@@ -569,7 +433,7 @@ impl TraceHub {
     /// client rings; end-to-end from span extents when the sampler
     /// never priced the id).
     pub fn assemble_all(&self) -> Vec<AssembledTrace> {
-        let spans = self.collect();
+        let spans = self.rings.records();
         let mut ids: Vec<u64> = spans.iter().map(|s| s.trace_id).collect();
         ids.sort_unstable();
         ids.dedup();
@@ -734,7 +598,8 @@ mod tests {
 
     proptest! {
         /// Overflow never panics, the drop counter is exact, residency
-        /// is capped at capacity, and the footprint never moves.
+        /// is capped at capacity, the footprint never moves, and every
+        /// resident span decodes to exactly the span that was pushed.
         #[test]
         fn ring_overflow_is_exact(
             capacity in 1usize..32,
@@ -743,15 +608,16 @@ mod tests {
             let ring = SpanRing::new(capacity);
             let words = ring.memory_words();
             for i in 0..pushes {
-                ring.push(span(i + 1, TraceStage::Kernel, i, 1));
+                ring.push(span(i + 1, STAGES[i as usize % STAGES.len()], i, 1));
             }
             prop_assert_eq!(ring.pushed(), pushes);
             prop_assert_eq!(ring.dropped(), pushes.saturating_sub(capacity as u64));
             prop_assert_eq!(ring.len() as u64, pushes.min(capacity as u64));
             prop_assert_eq!(ring.memory_words(), words);
-            // Everything resident is readable and well-formed.
             for s in ring.snapshot() {
                 prop_assert!(s.trace_id >= 1 && s.trace_id <= pushes);
+                let i = s.trace_id - 1;
+                prop_assert_eq!(s, span(s.trace_id, STAGES[i as usize % STAGES.len()], i, 1));
             }
         }
 
