@@ -13,7 +13,7 @@ use ams_core::{
     TugOfWarSketch,
 };
 use ams_datagen::DatasetId;
-use ams_hash::lanes::PlaneScratch;
+use ams_hash::lanes::{self, PlaneScratch};
 use ams_hash::plane::SignPlane;
 use ams_hash::{PolySignPlane, SplitMix64};
 use ams_stream::{value_blocks, OpBlock};
@@ -219,19 +219,19 @@ fn bench_scalar_vs_block(c: &mut Criterion) {
 }
 
 /// The plane kernels head to head, outside the sketch machinery: the
-/// retired serial u128 Horner kernel vs the split-limb lane/tile kernel
-/// (which is the auto-vectorized scalar path in a default build and the
-/// runtime-dispatched `std::arch` AVX2 path when this bench is compiled
-/// with `--features simd` — the label records which). One 256-key block
-/// of Zipf keys, s ∈ {256, 4096} plane rows.
+/// retired serial u128 Horner kernel vs the split-limb lane/tile kernel,
+/// which runs the `std::arch` AVX2 path on a CPU with AVX2 and the
+/// auto-vectorized scalar lane path elsewhere. The label names the one
+/// the dispatcher picked at run time (`lane-avx2` or `lane-scalar`).
+/// One 256-key block of Zipf keys, s ∈ {256, 4096} plane rows.
 fn bench_kernels(c: &mut Criterion) {
     const BLOCK: usize = 256;
     let workload = Workload::from_dataset(DatasetId::Zipf10, Some(BLOCK));
     let deltas = vec![1i64; workload.values.len()];
-    let lane_label = if cfg!(feature = "simd") {
-        "lane-simd"
+    let lane_label = if lanes::uses_avx2() {
+        "lane-avx2"
     } else {
-        "lane"
+        "lane-scalar"
     };
     let mut group = c.benchmark_group("kernels");
     group.sample_size(30);

@@ -129,17 +129,23 @@ const DUP_EWMA_ALPHA: f32 = 0.25;
 /// hash-map pass's cost: one map op costs about this many lane-kernel
 /// row evaluations, so coalesce iff `dup_ratio · rows > THRESHOLD`.
 ///
-/// Re-measured after the split-limb lane/SIMD kernels landed (the
-/// `ingest_sweep` bench records the calibration as
-/// `implied_coalesce_threshold`): with the reusable `CoalesceBuffer`
-/// the map pass runs at ~66–126 Melem/s on 256-entry blocks (zipf1.0
-/// duplicate-heavy and duplicate-free, across runs), while the AVX2
-/// lane kernel evaluates ~300 M rows/s at s = 256 — one map element
-/// costs ≈ 2.4–4.6 row evals, not the 12 assumed before the kernels
-/// sped up. Set to 4, the middle of the measured band (the gate is
-/// insensitive to small shifts: for any realistic s ≥ 64, `dup·rows`
-/// crosses 4 at under 7 % duplicates); the default non-SIMD kernel
-/// makes row evals dearer, pushing the true break-even lower still.
+/// Both costs are measured in place. The map pass is perfbench's
+/// per-layer `stream.coalesce_ns_per_op` (the reusable
+/// `CoalesceBuffer` over the workload's 256-entry blocks). A row
+/// evaluation is the lane kernel's time per key over s: the criterion
+/// `kernels` group (`cargo bench -p ams-bench --bench throughput --
+/// kernels`, s = 256 and 4096) and perfbench's
+/// `hash.kernel_ns_per_elem` (s = 256) time it. perfbench's
+/// `core.apply_ns_per_op` prices the whole block apply this gate
+/// steers, so a change of threshold shows there. On a 2-core AVX2
+/// host, traced `ingest-zipf` and `durable-churn` runs (seed 1) read
+/// 16.6–18.6 ns per map op and 1.01–1.10 µs per key, i.e. 3.9–4.3 ns
+/// per row at s = 256 (`kernels/lane-avx2/256`: 4.5 ns per row), so
+/// one map op costs about 3.7–4.8 row evaluations. Set to 4 (the gate
+/// is insensitive to small shifts: for any realistic s ≥ 64,
+/// `dup·rows` crosses 4 at under 7 % duplicates). A CPU without AVX2
+/// runs the scalar lane path, whose row evaluations are dearer, which
+/// pushes the true break-even lower still.
 const COALESCE_THRESHOLD: f32 = 4.0;
 
 /// While skipping, re-run the coalescing pass every this many blocks to

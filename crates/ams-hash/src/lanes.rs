@@ -35,11 +35,11 @@
 //! and one more fold `(t ≫ 61) + (t & p) < 2⁶¹ + 8 < 2⁶²` restores the
 //! redundant-range invariant for the next step. Three 32×32→64
 //! multiplies plus shifts/masks/adds per step — exactly the operations
-//! SSE2/AVX2 provide per 64-bit lane (`pmuludq`), so the
-//! per-lane loops in this module auto-vectorize on stable Rust, and the
-//! `simd` cargo feature adds an explicit `std::arch` AVX2 path
-//! (runtime-dispatched via `is_x86_feature_detected!`, bit-identical to
-//! the scalar fallback).
+//! SSE2/AVX2 provide per 64-bit lane (`pmuludq`). Every x86_64 build
+//! carries an explicit `std::arch` AVX2 path, chosen at run time with
+//! `is_x86_feature_detected!` ([`uses_avx2`]); on any other CPU the
+//! scalar lane path runs, whose per-lane loops auto-vectorize on stable
+//! Rust and are bit-identical to the AVX2 kernels.
 //!
 //! # Tile kernel
 //!
@@ -56,10 +56,12 @@
 //! ingestion allocation-free.
 //!
 //! Equivalence with the serial u128 kernels is pinned down by unit and
-//! property tests (all alignments, both feature configurations): both
-//! formulations agree with the true polynomial modulo p, and the sign
-//! bit is read from the *canonical* value, so counters match bit for
-//! bit.
+//! property tests over all alignments: both formulations agree with the
+//! true polynomial modulo p, and the sign bit is read from the
+//! *canonical* value, so counters match bit for bit. The dispatchers
+//! reach only one kernel set per CPU, so this module's
+//! `both_kernel_sets_match_the_u128_reference` test runs the scalar set
+//! directly and the AVX2 set through the dispatchers, in one test run.
 
 use crate::field::{self, P};
 
@@ -163,13 +165,24 @@ impl PlaneScratch {
 // dispatch
 // ---------------------------------------------------------------------
 
+/// Whether the kernels below run their AVX2 path: true on an x86_64
+/// CPU with AVX2, checked at run time (`std` caches the answer). The
+/// four dispatchers branch on it, and nothing else selects a kernel.
+#[inline]
+pub fn uses_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx2 = false;
+    avx2
+}
+
 /// Sweeps every row of a polynomial plane over a loaded scratch block:
 /// `counters[row] += Σ_j sign_row(xs[j]) · ds[j]`.
 ///
 /// Columns must be padded to a `LANES` multiple (what
-/// [`PlaneScratch::load`] produces). Dispatches to the AVX2 path when
-/// the `simd` feature is enabled and the CPU supports it; the scalar
-/// lane path is bit-identical.
+/// [`PlaneScratch::load`] produces). Runs the AVX2 path when
+/// [`uses_avx2`] holds and the bit-identical scalar lane path otherwise.
 #[inline]
 pub(crate) fn poly_sweep<const K: usize>(
     cols: &[Vec<u64>; K],
@@ -178,9 +191,9 @@ pub(crate) fn poly_sweep<const K: usize>(
     ds: &[i64],
     counters: &mut [i64],
 ) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
+    #[cfg(target_arch = "x86_64")]
+    if uses_avx2() {
+        // SAFETY: the CPU supports AVX2, checked at run time just above.
         #[allow(unsafe_code)]
         unsafe {
             avx2::poly_sweep::<K>(cols, rows, xs, ds, counters)
@@ -202,9 +215,9 @@ pub(crate) fn product_sweep<const K: usize>(
     ds: &[i64],
     counters: &mut [i64],
 ) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
+    #[cfg(target_arch = "x86_64")]
+    if uses_avx2() {
+        // SAFETY: the CPU supports AVX2, checked at run time just above.
         #[allow(unsafe_code)]
         unsafe {
             avx2::product_sweep::<K>(xi, psi, rows, xs, ds, counters)
@@ -228,9 +241,9 @@ pub(crate) fn poly_sign_bits<const K: usize>(
     x: u64,
     bits: &mut [u64],
 ) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
+    #[cfg(target_arch = "x86_64")]
+    if uses_avx2() {
+        // SAFETY: the CPU supports AVX2, checked at run time just above.
         #[allow(unsafe_code)]
         unsafe {
             avx2::poly_sign_bits::<K>(cols, first_row, x, bits)
@@ -245,9 +258,9 @@ pub(crate) fn poly_sign_bits<const K: usize>(
 /// counter `r`), branch-free.
 #[inline]
 pub(crate) fn apply_sign_bits(bits: &[u64], delta: i64, counters: &mut [i64]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
+    #[cfg(target_arch = "x86_64")]
+    if uses_avx2() {
+        // SAFETY: the CPU supports AVX2, checked at run time just above.
         #[allow(unsafe_code)]
         unsafe {
             avx2::apply_sign_bits(bits, delta, counters)
@@ -508,15 +521,18 @@ mod scalar {
 }
 
 // ---------------------------------------------------------------------
-// explicit AVX2 path (feature `simd`)
+// explicit AVX2 path (every x86_64 build, chosen at run time)
 // ---------------------------------------------------------------------
 
 /// `std::arch` AVX2 kernels: the same split-limb tile sweep with the
 /// partial products on `_mm256_mul_epu32` (packed 32×32→64) and the
 /// folds on packed shifts/masks — four keys per vector, two vectors per
 /// `LANES` step. Bit-identical to the scalar path (same intermediate
-/// values lane for lane); selected at runtime by the dispatchers above.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+/// values lane for lane). Compiled on every x86_64 build; only the four
+/// dispatchers above call into it, each behind its [`uses_avx2`]
+/// check, so this module and those call sites hold the crate's only
+/// `unsafe` code.
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
     use super::{LANES, P, TILE_ROWS};
@@ -649,6 +665,10 @@ mod avx2 {
         }
     }
 
+    /// Row-major block sweep: [`TILE_ROWS`]-row tiles, then single rows.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn poly_sweep<const K: usize>(
         cols: &[Vec<u64>; K],
@@ -749,6 +769,10 @@ mod avx2 {
         }
     }
 
+    /// Two-plane product sweep: half-height tiles, then single rows.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn product_sweep<const K: usize>(
         xi: &[Vec<u64>; K],
@@ -863,5 +887,173 @@ mod tests {
         let mut scratch = PlaneScratch::new();
         scratch.load(&[], &[]);
         assert!(scratch.xs().is_empty() && scratch.ds().is_empty());
+    }
+
+    type Sweep<const K: usize> = fn(&[Vec<u64>; K], usize, &[u64], &[i64], &mut [i64]);
+    type ProductSweep<const K: usize> =
+        fn(&[Vec<u64>; K], &[Vec<u64>; K], usize, &[u64], &[i64], &mut [i64]);
+
+    /// One kernel set as plain function pointers.
+    struct Kernels<const K: usize> {
+        name: &'static str,
+        sweep: Sweep<K>,
+        product: ProductSweep<K>,
+        sign_bits: fn(&[Vec<u64>; K], usize, u64, &mut [u64]),
+        apply: fn(&[u64], i64, &mut [i64]),
+    }
+
+    /// The scalar lane path, called directly, and the dispatchers, which
+    /// are the only way into the AVX2 kernels (so the `unsafe` stays at
+    /// the dispatch sites). On a CPU without AVX2 the second set is the
+    /// scalar path again.
+    fn kernel_sets<const K: usize>() -> [Kernels<K>; 2] {
+        [
+            Kernels {
+                name: "scalar",
+                sweep: scalar::poly_sweep::<K>,
+                product: scalar::product_sweep::<K>,
+                sign_bits: scalar::poly_sign_bits::<K>,
+                apply: scalar::apply_sign_bits,
+            },
+            Kernels {
+                name: if uses_avx2() {
+                    "avx2"
+                } else {
+                    "dispatched scalar"
+                },
+                sweep: poly_sweep::<K>,
+                product: product_sweep::<K>,
+                sign_bits: poly_sign_bits::<K>,
+                apply: apply_sign_bits,
+            },
+        ]
+    }
+
+    /// Row `row`'s sign parity at the reduced key `x`, by the serial
+    /// u128 Horner chain.
+    fn reference_parity<const K: usize>(cols: &[Vec<u64>; K], row: usize, x: u64) -> u64 {
+        let mut h = cols[K - 1][row];
+        for col in cols[..K - 1].iter().rev() {
+            h = field::lazy_mul_add(h, x, col[row]);
+        }
+        field::reduce64(h) & 1
+    }
+
+    /// `delta` signed by a parity bit (set = −1).
+    fn signed(parity: u64, delta: i64) -> i64 {
+        if parity == 1 {
+            -delta
+        } else {
+            delta
+        }
+    }
+
+    fn draw_plane<const K: usize>(rows: usize, rng: &mut SplitMix64) -> [Vec<u64>; K] {
+        std::array::from_fn(|_| (0..rows).map(|_| rng.next_below(P)).collect())
+    }
+
+    fn draw_counters(rows: usize, rng: &mut SplitMix64) -> Vec<i64> {
+        (0..rows)
+            .map(|_| rng.next_below(1_000) as i64 - 500)
+            .collect()
+    }
+
+    fn check_kernel_sets<const K: usize>() {
+        let sets = kernel_sets::<K>();
+        let mut rng = SplitMix64::new(0x5EED + K as u64);
+        // The longest block first, so every later load reuses a dirty
+        // scratch.
+        let lengths = [257, 0, 1, LANES - 1, LANES, LANES + 1, 3 * LANES + 5];
+        let mut scratch = PlaneScratch::new();
+        for len in lengths {
+            let mut values: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
+            if let Some(v) = values.first_mut() {
+                *v = u64::MAX; // a key above p
+            }
+            let deltas: Vec<i64> = (0..len).map(|_| rng.next_below(7) as i64 - 3).collect();
+            scratch.load(&values, &deltas);
+            let keys = &scratch.xs()[..len];
+
+            // Row-major block sweeps, one plane and a product pair.
+            for rows in 1..=2 * TILE_ROWS + 1 {
+                let xi = draw_plane::<K>(rows, &mut rng);
+                let psi = draw_plane::<K>(rows, &mut rng);
+                let start = draw_counters(rows, &mut rng);
+                let (mut want, mut want_product) = (start.clone(), start.clone());
+                for r in 0..rows {
+                    for (&x, &d) in keys.iter().zip(&deltas) {
+                        let (a, b) = (reference_parity(&xi, r, x), reference_parity(&psi, r, x));
+                        want[r] += signed(a, d);
+                        want_product[r] += signed(a ^ b, d);
+                    }
+                }
+                for set in &sets {
+                    let what = format!("{} K={K} len={len} rows={rows}", set.name);
+                    let mut got = start.clone();
+                    (set.sweep)(&xi, rows, scratch.xs(), scratch.ds(), &mut got);
+                    assert_eq!(got, want, "poly_sweep {what}");
+                    let mut got = start.clone();
+                    (set.product)(&xi, &psi, rows, scratch.xs(), scratch.ds(), &mut got);
+                    assert_eq!(got, want_product, "product_sweep {what}");
+                }
+            }
+
+            // Key-major: each key's bits, then its delta applied from them.
+            for rows in (1..=2 * TILE_ROWS + 1).chain([63, 64, 65, 256]) {
+                let cols = draw_plane::<K>(rows, &mut rng);
+                let start = draw_counters(rows, &mut rng);
+                let words = rows.div_ceil(64);
+                let mut want = start.clone();
+                let want_bits: Vec<Vec<u64>> = keys
+                    .iter()
+                    .zip(&deltas)
+                    .map(|(&x, &d)| {
+                        let mut bits = vec![0u64; words];
+                        for (r, z) in want.iter_mut().enumerate() {
+                            let parity = reference_parity(&cols, r, x);
+                            bits[r / 64] |= parity << (r % 64);
+                            *z += signed(parity, d);
+                        }
+                        bits
+                    })
+                    .collect();
+                for set in &sets {
+                    let what = format!("{} K={K} len={len} rows={rows}", set.name);
+                    let mut got = start.clone();
+                    for ((&x, &d), want_bits) in keys.iter().zip(&deltas).zip(&want_bits) {
+                        // Dirty words, one past the plane's end that must
+                        // come back zero.
+                        let mut bits = vec![u64::MAX; words + 1];
+                        (set.sign_bits)(&cols, 0, x, &mut bits);
+                        assert_eq!(bits[..words], want_bits[..], "poly_sign_bits {what}");
+                        assert_eq!(bits[words], 0, "poly_sign_bits past the end {what}");
+                        for (w, &want_word) in want_bits.iter().enumerate() {
+                            let mut word = [u64::MAX];
+                            (set.sign_bits)(&cols, 64 * w, x, &mut word);
+                            assert_eq!(word[0], want_word, "poly_sign_bits word {w} {what}");
+                        }
+                        (set.apply)(&bits[..words], d, &mut got);
+                    }
+                    assert_eq!(got, want, "apply_sign_bits {what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn both_kernel_sets_match_the_u128_reference() {
+        check_kernel_sets::<2>();
+        check_kernel_sets::<4>();
+    }
+
+    /// The kernel choice is the CPU's alone: no cargo feature or build
+    /// option turns the AVX2 path on or off.
+    #[test]
+    fn dispatch_follows_the_cpu_in_every_build() {
+        #[cfg(target_arch = "x86_64")]
+        let cpu = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let cpu = false;
+        assert_eq!(uses_avx2(), cpu);
     }
 }

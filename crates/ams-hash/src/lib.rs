@@ -40,11 +40,10 @@
 //! # let _ = FourWisePoly::from_seed(1);
 //! ```
 
-// The only unsafe in this crate is the runtime-dispatched `std::arch`
-// AVX2 kernel path of `lanes`, which exists only under the `simd`
-// feature; without it the whole crate is forbidden from unsafe.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+// The only unsafe code is the `std::arch` AVX2 kernel module of `lanes`
+// and the four dispatch sites that call it after a run-time AVX2 check;
+// everything else is denied unsafe.
+#![deny(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod bch;

@@ -17,10 +17,11 @@
 //! * [`PolyPlane`] — the SoA fast path for polynomial families
 //!   ([`PolySign`]/[`TwoWiseSign`]): `K` coefficient columns over
 //!   GF(2⁶¹−1), swept by the lane-parallel split-limb tile kernels of
-//!   [`crate::lanes`] (auto-vectorizing on stable Rust, explicit AVX2
-//!   under the `simd` feature; the retired serial u128 Horner kernel
-//!   survives as [`PolyPlane::accumulate_block_serial`], the
-//!   equivalence-test and benchmark reference).
+//!   [`crate::lanes`] (explicit AVX2 where the CPU has it, chosen at run
+//!   time, otherwise the auto-vectorizing scalar lane path; the retired
+//!   serial u128 Horner kernel survives as
+//!   [`PolyPlane::accumulate_block_serial`], the equivalence-test and
+//!   benchmark reference).
 //! * [`RowPlane`] — the generic fallback for any [`SignFamily`]: keeps
 //!   the AoS struct per row but still gains the inverted loop nest (each
 //!   hash struct is loaded once per block, not once per item).
@@ -132,8 +133,8 @@ pub const fn sign_words(rows: usize) -> usize {
 
 /// Adds `ε_r · delta` to `counters[r]` for every row, reading each sign
 /// from the bits [`SignPlane::sign_bits`] wrote (a set bit is −1).
-/// Branch-free: one mask, one xor and two adds per counter, with an
-/// AVX2 path under the `simd` feature.
+/// Branch-free: one mask, one xor and two adds per counter, on AVX2
+/// where the CPU has it.
 ///
 /// # Panics
 /// Panics if `bits.len() != sign_words(counters.len())`.

@@ -25,8 +25,6 @@
 //!   handles; [`MetricsRegistry::snapshot`] produces a serializable
 //!   [`MetricsSnapshot`] with Prometheus-style
 //!   `name{label="v"} value` text exposition.
-//! * [`noop`] — API-identical zero-cost twins, the baseline a bench
-//!   harness compares against to price the instrumentation itself.
 //! * [`ring`] — the bounded single-writer ring both logs below store
 //!   into: fixed four-word records, overwrite-oldest, an exact drop
 //!   counter and a fixed footprint, handed out one per thread by a
@@ -58,7 +56,6 @@ pub mod event;
 pub mod health;
 pub mod histogram;
 pub mod memory;
-pub mod noop;
 pub mod registry;
 pub mod ring;
 pub mod timer;
