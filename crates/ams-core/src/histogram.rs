@@ -1,4 +1,4 @@
-//! Compressed-histogram signatures: the [Poo97] baseline from the
+//! Compressed-histogram signatures: the \[Poo97\] baseline from the
 //! paper's related work.
 //!
 //! Poosala proposed estimating join sizes from each relation's
@@ -138,7 +138,7 @@ impl CompressedHistogram {
 
     /// Estimates the join size against another compressed histogram:
     /// exact products for values hot in both, uniform-tail cross terms
-    /// for the rest (the [Poo97] combination rule).
+    /// for the rest (the \[Poo97\] combination rule).
     pub fn estimate_join(&self, other: &CompressedHistogram) -> f64 {
         if self.n == 0 || other.n == 0 {
             return 0.0;

@@ -16,7 +16,7 @@
 //!
 //! Deletions: the paper analyzes naive-sampling for insert-only streams.
 //! To let the tracker participate in mixed-stream experiments we apply the
-//! standard correction ([GMP97]-style): a delete removes a sampled copy of
+//! standard correction (\[GMP97\]-style): a delete removes a sampled copy of
 //! the value if one exists with probability `s_live/n` (matching the
 //! chance the deleted element was sampled); this keeps the sample
 //! approximately uniform but is *not* exactly uniform — documented, and

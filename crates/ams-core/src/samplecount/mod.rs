@@ -9,7 +9,7 @@
 //! average-then-median aggregation yields Theorem 2.1's guarantee with a
 //! `Θ(√t)` sample-size requirement in the worst case.
 //!
-//! Two variants share one sampling engine ([`table`]):
+//! Two variants share one sampling engine (the private `table` module):
 //!
 //! * [`SampleCount`] — the paper's headline configuration: **O(1)
 //!   amortized updates** (reservoir skipping + deferred `N_v` counters)
@@ -146,7 +146,7 @@ impl SelfJoinEstimator for SampleCount {
 
     /// Columnar batch skipping: each `(v, +k)` entry advances the
     /// positional reservoirs segment-at-a-time between firings
-    /// ([`table`]'s `insert_run`), so a whole block costs
+    /// (`table`'s `insert_run`), so a whole block costs
     /// O(entries + firings) instead of O(ops) on the O(1)-amortized
     /// path; delete entries replay in order. Bit-identical to the
     /// default in-order expansion on run-coalesced blocks (pinned by

@@ -8,7 +8,7 @@
 //! updates are O(s), so a naive replay of the largest cells would cost
 //! ~10¹⁰ hash evaluations; instead the runner **bulk-loads** the
 //! frequency histogram as one fully-coalesced
-//! [`OpBlock`](ams_stream::OpBlock) through
+//! [`OpBlock`] through
 //! [`TugOfWarSketch::update_block`] — by linearity the resulting
 //! counters are *identical* to a full replay (a tested invariant), at
 //! O(t·s) instead of O(n·s), with the plane kernel sweeping all t

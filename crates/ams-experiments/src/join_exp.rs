@@ -59,7 +59,7 @@ pub struct JoinExpRow {
     pub ktw_predicted: f64,
     /// Mean relative error of an equal-words sampling signature.
     pub sampling_error: f64,
-    /// Relative error of an equal-words compressed histogram ([Poo97]
+    /// Relative error of an equal-words compressed histogram (\[Poo97\]
     /// baseline; deterministic, so a single run).
     pub histogram_error: f64,
 }

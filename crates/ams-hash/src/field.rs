@@ -10,15 +10,17 @@
 //! Two multiply formulations coexist in this crate:
 //!
 //! * the **u128 widening** form here ([`mul`], [`lazy_mul_add`]) — one
-//!   `mulx` per step, the cheapest *scalar* evaluation, but opaque to
-//!   vectorization (x86 has no packed 64×64 multiply below AVX-512DQ);
+//!   `mulx` per step, the cheapest *scalar* evaluation (the serial
+//!   kernels), but opaque to vectorization (x86 has no packed 64×64
+//!   multiply below AVX-512DQ);
 //! * the **split-limb** form in [`crate::lanes`]
 //!   ([`crate::lanes::split_mul_add`]) — both operands split into
 //!   2×32-bit limbs so the three partial products and the Mersenne
 //!   folds stay inside u64 lanes (`pmuludq` shapes). Slightly more ops
-//!   per element, but data-parallel across a block; see the `lanes`
-//!   module docs for the full bound analysis (redundant accumulators
-//!   `< 2⁶²`, fold identity `v·2ᵏ ≡ (v ≫ (61−k)) + ((v ≪ k) & p)`).
+//!   per element, but data-parallel across a block (the AVX2 kernels);
+//!   see the `lanes` module docs for the full bound analysis (redundant
+//!   accumulators `< 2⁶²`, fold identity
+//!   `v·2ᵏ ≡ (v ≫ (61−k)) + ((v ≪ k) & p)`).
 //!
 //! Both agree with canonical arithmetic modulo p on every input —
 //! pinned by property tests — so kernels built on either produce

@@ -1,14 +1,17 @@
-//! Lane-parallel split-limb Mersenne kernels: the data-parallel core of
-//! the sign-plane hot path.
+//! The sign-plane kernels. Each has exactly two implementations: an
+//! explicit `std::arch` AVX2 split-limb tile kernel, compiled into every
+//! x86_64 build and chosen at run time ([`uses_avx2`]), and the serial
+//! u128 Horner kernel that every other CPU runs.
 //!
-//! The original block kernels ([`crate::plane`]) evaluate each Horner
-//! step with [`crate::field::lazy_mul_add`] — a widening `u64 × u64 →
-//! u128` multiply. That is the cheapest *scalar* formulation, but LLVM
-//! cannot vectorize a loop of 128-bit multiplies: x86 has no packed
-//! 64×64 multiply below AVX-512DQ, so the O(s)-per-update arithmetic of
-//! the tug-of-war sketch runs one element at a time. This module
-//! reformulates the Horner step so every intermediate fits a **u64
-//! lane**, making the sweep data-parallel across block elements:
+//! The serial kernels evaluate each Horner step with
+//! [`crate::field::lazy_mul_add`] — a widening `u64 × u64 → u128`
+//! multiply. That is the cheapest *scalar* formulation, but LLVM cannot
+//! vectorize a loop of 128-bit multiplies: x86 has no packed 64×64
+//! multiply below AVX-512DQ. The AVX2 kernels reformulate the Horner
+//! step so every intermediate fits a **u64 lane**, making the sweep
+//! data-parallel across block elements. Without AVX2 that buys nothing:
+//! a lane-parallel version at the baseline x86-64 instruction set
+//! measured no faster than the serial chain.
 //!
 //! # Split-limb multiply-add in GF(2⁶¹−1)
 //!
@@ -35,15 +38,13 @@
 //! and one more fold `(t ≫ 61) + (t & p) < 2⁶¹ + 8 < 2⁶²` restores the
 //! redundant-range invariant for the next step. Three 32×32→64
 //! multiplies plus shifts/masks/adds per step — exactly the operations
-//! SSE2/AVX2 provide per 64-bit lane (`pmuludq`). Every x86_64 build
-//! carries an explicit `std::arch` AVX2 path, chosen at run time with
-//! `is_x86_feature_detected!` ([`uses_avx2`]); on any other CPU the
-//! scalar lane path runs, whose per-lane loops auto-vectorize on stable
-//! Rust and are bit-identical to the AVX2 kernels.
+//! AVX2 provides per 64-bit lane (`vpmuludq`). [`split_mul_add`] is that
+//! step on one lane, property-tested against the field; the AVX2
+//! kernels perform it four lanes at a time.
 //!
 //! # Tile kernel
 //!
-//! The block sweep is register-blocked: each tile evaluates
+//! The AVX2 block sweep is register-blocked: each tile evaluates
 //! [`TILE_ROWS`] plane rows over [`LANES`] keys at once, so a loaded key
 //! vector is reused across all rows of the tile before the next vector
 //! is touched. Tails are masked, not branched: the key/delta columns
@@ -53,14 +54,15 @@
 //! `TILE_ROWS` finish with single-row tiles. Loading the scratch also
 //! reduces every key into the field **once per block** instead of once
 //! per row, and reusing one scratch across blocks makes steady-state
-//! ingestion allocation-free.
+//! ingestion allocation-free on both paths (the serial sweep reads the
+//! same columns).
 //!
-//! Equivalence with the serial u128 kernels is pinned down by unit and
-//! property tests over all alignments: both formulations agree with the
-//! true polynomial modulo p, and the sign bit is read from the
-//! *canonical* value, so counters match bit for bit. The dispatchers
-//! reach only one kernel set per CPU, so this module's
-//! `both_kernel_sets_match_the_u128_reference` test runs the scalar set
+//! Equivalence of the two paths is pinned down by unit and property
+//! tests over all alignments: both formulations agree with the true
+//! polynomial modulo p, and the sign bit is read from the *canonical*
+//! value, so counters match bit for bit. The dispatchers reach only one
+//! kernel set per CPU, so this module's
+//! `both_kernel_sets_match_the_u128_reference` test runs the serial set
 //! directly and the AVX2 set through the dispatchers, in one test run.
 
 use crate::field::{self, P};
@@ -99,9 +101,8 @@ pub fn split_mul_add(acc: u64, x: u64, c: u64) -> u64 {
     (t >> 61) + (t & P) // < 2^61 + 8 < 2^62
 }
 
-/// Reusable block-ingestion scratch: the padded key/delta columns (and
-/// the per-row sign buffer of the generic fallback plane) that every
-/// block kernel sweeps.
+/// Reusable block-ingestion scratch: the padded key/delta columns that
+/// every polynomial block kernel sweeps.
 ///
 /// Holding one `PlaneScratch` per sketch (what
 /// `ams-core::TugOfWarSketch` and the join signatures do) makes
@@ -114,8 +115,6 @@ pub struct PlaneScratch {
     /// Deltas, padded to the same length with 0 (the tail mask: a zero
     /// delta contributes nothing whatever the padded key hashes to).
     ds: Vec<i64>,
-    /// Per-row ±1 scratch for [`crate::plane::RowPlane`]'s kernel.
-    signs: Vec<i64>,
 }
 
 impl PlaneScratch {
@@ -151,14 +150,6 @@ impl PlaneScratch {
     pub fn ds(&self) -> &[i64] {
         &self.ds
     }
-
-    /// A reusable `len`-sized ±1 buffer (the [`crate::plane::RowPlane`]
-    /// sign row).
-    pub fn signs(&mut self, len: usize) -> &mut [i64] {
-        self.signs.clear();
-        self.signs.resize(len, 0);
-        &mut self.signs
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -182,7 +173,7 @@ pub fn uses_avx2() -> bool {
 ///
 /// Columns must be padded to a `LANES` multiple (what
 /// [`PlaneScratch::load`] produces). Runs the AVX2 path when
-/// [`uses_avx2`] holds and the bit-identical scalar lane path otherwise.
+/// [`uses_avx2`] holds and the bit-identical serial u128 path otherwise.
 #[inline]
 pub(crate) fn poly_sweep<const K: usize>(
     cols: &[Vec<u64>; K],
@@ -200,7 +191,7 @@ pub(crate) fn poly_sweep<const K: usize>(
         };
         return;
     }
-    scalar::poly_sweep::<K>(cols, rows, xs, ds, counters);
+    serial::poly_sweep::<K>(cols, rows, xs, ds, counters);
 }
 
 /// Sweeps every row of a *pair* of polynomial planes over a loaded
@@ -224,16 +215,17 @@ pub(crate) fn product_sweep<const K: usize>(
         };
         return;
     }
-    scalar::product_sweep::<K>(xi, psi, rows, xs, ds, counters);
+    serial::product_sweep::<K>(xi, psi, rows, xs, ds, counters);
 }
 
 /// Key-major evaluation of a polynomial plane: the signs of rows
 /// `first_row, first_row + 1, …` at one key `x` (already reduced into
 /// the field), 64 rows per output word, bit `r % 64` set iff that row
-/// maps the key to −1. Rows past the plane's end leave zero bits. The
-/// rows sit in the lanes and the key is broadcast — the transpose of
-/// [`poly_sweep`], with the same split-limb steps and the same
-/// canonical parity, so every bit equals the block kernel's sign.
+/// maps the key to −1. Rows past the plane's end leave zero bits. On
+/// the AVX2 path the rows sit in the lanes and the key is broadcast —
+/// the transpose of [`poly_sweep`]; the serial path runs each row's
+/// chain in turn. Both read the canonical parity, so every bit equals
+/// the block kernel's sign.
 #[inline]
 pub(crate) fn poly_sign_bits<const K: usize>(
     cols: &[Vec<u64>; K],
@@ -250,7 +242,7 @@ pub(crate) fn poly_sign_bits<const K: usize>(
         };
         return;
     }
-    scalar::poly_sign_bits::<K>(cols, first_row, x, bits);
+    serial::poly_sign_bits::<K>(cols, first_row, x, bits);
 }
 
 /// Adds `delta` to each counter whose sign bit is clear and subtracts
@@ -267,149 +259,88 @@ pub(crate) fn apply_sign_bits(bits: &[u64], delta: i64, counters: &mut [i64]) {
         };
         return;
     }
-    scalar::apply_sign_bits(bits, delta, counters);
-}
-
-/// Evaluates one polynomial sign function over a block of raw keys,
-/// writing ±1 per key — the lane formulation of
-/// [`crate::sign::SignHash::sign_block`]. Allocation-free: whole
-/// `LANES`-chunks run the lane kernel from stack tiles, the tail runs
-/// the scalar split-limb step.
-pub(crate) fn poly_sign_block<const K: usize>(coeffs: &[u64; K], values: &[u64], out: &mut [i64]) {
-    assert_eq!(values.len(), out.len(), "sign_block shape mismatch");
-    let mut chunks = values.chunks_exact(LANES);
-    let mut outs = out.chunks_exact_mut(LANES);
-    for (chunk, o) in (&mut chunks).zip(&mut outs) {
-        let mut xv = [0u64; LANES];
-        for (x, &v) in xv.iter_mut().zip(chunk.iter()) {
-            *x = field::reduce64(v);
-        }
-        let mut acc = [coeffs[K - 1]; LANES];
-        for c in coeffs[..K - 1].iter().rev() {
-            scalar::lane_mul_add(&mut acc, &xv, *c);
-        }
-        for (s, &h) in o.iter_mut().zip(acc.iter()) {
-            *s = 1 - 2 * ((field::reduce64(h) & 1) as i64);
-        }
-    }
-    for (s, &v) in outs.into_remainder().iter_mut().zip(chunks.remainder()) {
-        let x = field::reduce64(v);
-        let mut h = coeffs[K - 1];
-        for c in coeffs[..K - 1].iter().rev() {
-            h = split_mul_add(h, x, *c);
-        }
-        *s = 1 - 2 * ((field::reduce64(h) & 1) as i64);
-    }
+    serial::apply_sign_bits(bits, delta, counters);
 }
 
 // ---------------------------------------------------------------------
-// scalar lane path (auto-vectorizing)
+// serial u128 fallback (any CPU)
 // ---------------------------------------------------------------------
 
-mod scalar {
-    use super::{field, LANES, P, TILE_ROWS};
+/// The serial kernels: one [`field::lazy_mul_add`] widening multiply per
+/// Horner step, one row and one key at a time. They run wherever the
+/// AVX2 path cannot, and [`crate::plane::PolyPlane`]'s `_serial` methods
+/// call them directly as the bit-for-bit reference.
+pub(crate) mod serial {
+    use super::field;
 
-    /// One split-limb Horner step across all lanes — [`super::split_mul_add`]
-    /// per lane. The explicit 32-bit masks/shifts in that helper let
-    /// LLVM prove every multiply is 32×32→64 and emit packed `pmuludq`
-    /// under auto-vectorization.
+    /// Row `row`'s coefficients, lowest degree first.
     #[inline(always)]
-    pub(super) fn lane_mul_add(acc: &mut [u64; LANES], x: &[u64; LANES], c: u64) {
-        for (a, &xw) in acc.iter_mut().zip(x.iter()) {
-            *a = super::split_mul_add(*a, xw, c);
-        }
-    }
-
-    /// Branch-free sign fold: adds `±delta` per lane into the running
-    /// sums, reading the sign from the canonical low bit.
-    #[inline(always)]
-    fn lane_sign_fold(acc: &[u64; LANES], ds: &[i64], sums: &mut [i64; LANES]) {
-        for ((s, &h), &d) in sums.iter_mut().zip(acc.iter()).zip(ds.iter()) {
-            let folded = (h >> 61) + (h & P);
-            let canon = if folded >= P { folded - P } else { folded };
-            let mask = ((canon & 1) as i64).wrapping_neg();
-            *s += (d ^ mask) - mask;
-        }
-    }
-
-    /// Register-blocked tile: `R` rows × the whole block, `LANES` keys
-    /// per step, each loaded key vector reused across all `R` rows.
-    #[inline]
-    fn sweep_tile<const K: usize, const R: usize>(
-        coeffs: &[[u64; K]; R],
-        xs: &[u64],
-        ds: &[i64],
-        out: &mut [i64; R],
-    ) {
-        debug_assert!(xs.len().is_multiple_of(LANES) && xs.len() == ds.len());
-        let mut sums = [[0i64; LANES]; R];
-        for (xc, dc) in xs.chunks_exact(LANES).zip(ds.chunks_exact(LANES)) {
-            let xv: &[u64; LANES] = xc.try_into().expect("exact chunk");
-            for (cs, sum) in coeffs.iter().zip(sums.iter_mut()) {
-                let mut acc = [cs[K - 1]; LANES];
-                for c in cs[..K - 1].iter().rev() {
-                    lane_mul_add(&mut acc, xv, *c);
-                }
-                lane_sign_fold(&acc, dc, sum);
-            }
-        }
-        for (o, sum) in out.iter_mut().zip(sums.iter()) {
-            *o = sum.iter().sum();
-        }
-    }
-
-    /// Fused two-plane tile: evaluates both sign banks per row and folds
-    /// the product sign (`−1` iff the parities differ).
-    #[inline]
-    fn sweep_product_tile<const K: usize, const R: usize>(
-        xi: &[[u64; K]; R],
-        psi: &[[u64; K]; R],
-        xs: &[u64],
-        ds: &[i64],
-        out: &mut [i64; R],
-    ) {
-        debug_assert!(xs.len().is_multiple_of(LANES) && xs.len() == ds.len());
-        let mut sums = [[0i64; LANES]; R];
-        for (xc, dc) in xs.chunks_exact(LANES).zip(ds.chunks_exact(LANES)) {
-            let xv: &[u64; LANES] = xc.try_into().expect("exact chunk");
-            for r in 0..R {
-                let (cx, cp) = (&xi[r], &psi[r]);
-                let mut ax = [cx[K - 1]; LANES];
-                let mut ap = [cp[K - 1]; LANES];
-                for c in (0..K - 1).rev() {
-                    lane_mul_add(&mut ax, xv, cx[c]);
-                    lane_mul_add(&mut ap, xv, cp[c]);
-                }
-                for (i, (s, &d)) in sums[r].iter_mut().zip(dc.iter()).enumerate() {
-                    let fx = (ax[i] >> 61) + (ax[i] & P);
-                    let gx = if fx >= P { fx - P } else { fx };
-                    let fp = (ap[i] >> 61) + (ap[i] & P);
-                    let gp = if fp >= P { fp - P } else { fp };
-                    let mask = (((gx ^ gp) & 1) as i64).wrapping_neg();
-                    *s += (d ^ mask) - mask;
-                }
-            }
-        }
-        for (o, sum) in out.iter_mut().zip(sums.iter()) {
-            *o = sum.iter().sum();
-        }
-    }
-
     fn row_coeffs<const K: usize>(cols: &[Vec<u64>; K], row: usize) -> [u64; K] {
         std::array::from_fn(|c| cols[c][row])
     }
 
-    /// One row's Horner chain at one key, parity out.
+    /// One Horner chain at one reduced key, in the redundant
+    /// representation, with one canonicalization for the parity.
     #[inline(always)]
-    pub(super) fn row_parity<const K: usize>(cols: &[Vec<u64>; K], row: usize, x: u64) -> u64 {
-        let mut h = cols[K - 1][row];
-        for col in cols[..K - 1].iter().rev() {
-            h = super::split_mul_add(h, x, col[row]);
+    fn parity<const K: usize>(coeffs: &[u64; K], x: u64) -> u64 {
+        let mut h = coeffs[K - 1];
+        for &c in coeffs[..K - 1].iter().rev() {
+            h = field::lazy_mul_add(h, x, c);
         }
         field::reduce64(h) & 1
     }
 
-    pub(super) fn poly_sign_bits<const K: usize>(
+    /// Row `row`'s sign parity at the reduced key `x`.
+    #[inline(always)]
+    pub(crate) fn row_parity<const K: usize>(cols: &[Vec<u64>; K], row: usize, x: u64) -> u64 {
+        parity(&row_coeffs(cols, row), x)
+    }
+
+    /// `delta` signed by a parity bit (set = −1), branch-free.
+    #[inline(always)]
+    fn signed(parity: u64, delta: i64) -> i64 {
+        let mask = (parity as i64).wrapping_neg();
+        (delta ^ mask) - mask
+    }
+
+    pub(crate) fn poly_sweep<const K: usize>(
+        cols: &[Vec<u64>; K],
+        rows: usize,
+        xs: &[u64],
+        ds: &[i64],
+        counters: &mut [i64],
+    ) {
+        for (row, z) in counters[..rows].iter_mut().enumerate() {
+            // The row's coefficients stay in registers for the block.
+            let c = row_coeffs(cols, row);
+            *z += xs
+                .iter()
+                .zip(ds)
+                .map(|(&x, &d)| signed(parity(&c, x), d))
+                .sum::<i64>();
+        }
+    }
+
+    pub(crate) fn product_sweep<const K: usize>(
+        xi: &[Vec<u64>; K],
+        psi: &[Vec<u64>; K],
+        rows: usize,
+        xs: &[u64],
+        ds: &[i64],
+        counters: &mut [i64],
+    ) {
+        for (row, z) in counters[..rows].iter_mut().enumerate() {
+            let (cx, cp) = (row_coeffs(xi, row), row_coeffs(psi, row));
+            // Product sign: −1 iff exactly one parity is odd.
+            *z += xs
+                .iter()
+                .zip(ds)
+                .map(|(&x, &d)| signed(parity(&cx, x) ^ parity(&cp, x), d))
+                .sum::<i64>();
+        }
+    }
+
+    pub(crate) fn poly_sign_bits<const K: usize>(
         cols: &[Vec<u64>; K],
         first_row: usize,
         x: u64,
@@ -419,103 +350,16 @@ mod scalar {
         for (w, word) in bits.iter_mut().enumerate() {
             let start = (first_row + 64 * w).min(rows);
             let end = (start + 64).min(rows);
-            let mut out = 0u64;
-            let mut row = start;
-            while row + LANES <= end {
-                // LANES rows at once: their coefficients are contiguous
-                // in the columns, the key is the same in every lane.
-                let lane = |col: &Vec<u64>| -> [u64; LANES] {
-                    col[row..row + LANES].try_into().expect("exact lanes")
-                };
-                let mut acc = lane(&cols[K - 1]);
-                for col in cols[..K - 1].iter().rev() {
-                    for (a, c) in acc.iter_mut().zip(lane(col)) {
-                        *a = super::split_mul_add(*a, x, c);
-                    }
-                }
-                for (i, &h) in acc.iter().enumerate() {
-                    out |= (field::reduce64(h) & 1) << (row - start + i);
-                }
-                row += LANES;
-            }
-            for r in row..end {
-                out |= row_parity(cols, r, x) << (r - start);
-            }
-            *word = out;
+            *word = (start..end).fold(0, |out, r| out | row_parity(cols, r, x) << (r - start));
         }
     }
 
     #[inline(always)]
-    pub(super) fn apply_sign_bits(bits: &[u64], delta: i64, counters: &mut [i64]) {
+    pub(crate) fn apply_sign_bits(bits: &[u64], delta: i64, counters: &mut [i64]) {
         for (&word, chunk) in bits.iter().zip(counters.chunks_mut(64)) {
             for (j, z) in chunk.iter_mut().enumerate() {
-                let mask = (((word >> j) & 1) as i64).wrapping_neg();
-                *z += (delta ^ mask) - mask;
+                *z += signed((word >> j) & 1, delta);
             }
-        }
-    }
-
-    /// Rows per tile for the auto-vectorized path: narrower than the
-    /// AVX2 tile because baseline x86-64 has only 16 xmm registers —
-    /// wider tiles spill the Horner accumulators to the stack.
-    const SCALAR_TILE_ROWS: usize = TILE_ROWS / 2;
-
-    pub(super) fn poly_sweep<const K: usize>(
-        cols: &[Vec<u64>; K],
-        rows: usize,
-        xs: &[u64],
-        ds: &[i64],
-        counters: &mut [i64],
-    ) {
-        const R: usize = SCALAR_TILE_ROWS;
-        let mut row = 0;
-        while row + R <= rows {
-            let coeffs: [[u64; K]; R] = std::array::from_fn(|r| row_coeffs(cols, row + r));
-            let mut out = [0i64; R];
-            sweep_tile::<K, R>(&coeffs, xs, ds, &mut out);
-            for (z, o) in counters[row..row + R].iter_mut().zip(out) {
-                *z += o;
-            }
-            row += R;
-        }
-        while row < rows {
-            let coeffs = [row_coeffs(cols, row)];
-            let mut out = [0i64; 1];
-            sweep_tile::<K, 1>(&coeffs, xs, ds, &mut out);
-            counters[row] += out[0];
-            row += 1;
-        }
-    }
-
-    pub(super) fn product_sweep<const K: usize>(
-        xi: &[Vec<u64>; K],
-        psi: &[Vec<u64>; K],
-        rows: usize,
-        xs: &[u64],
-        ds: &[i64],
-        counters: &mut [i64],
-    ) {
-        // Two Horner chains per row double the register pressure, so the
-        // product tile blocks half as many rows.
-        const R: usize = TILE_ROWS / 2;
-        let mut row = 0;
-        while row + R <= rows {
-            let cx: [[u64; K]; R] = std::array::from_fn(|r| row_coeffs(xi, row + r));
-            let cp: [[u64; K]; R] = std::array::from_fn(|r| row_coeffs(psi, row + r));
-            let mut out = [0i64; R];
-            sweep_product_tile::<K, R>(&cx, &cp, xs, ds, &mut out);
-            for (z, o) in counters[row..row + R].iter_mut().zip(out) {
-                *z += o;
-            }
-            row += R;
-        }
-        while row < rows {
-            let cx = [row_coeffs(xi, row)];
-            let cp = [row_coeffs(psi, row)];
-            let mut out = [0i64; 1];
-            sweep_product_tile::<K, 1>(&cx, &cp, xs, ds, &mut out);
-            counters[row] += out[0];
-            row += 1;
         }
     }
 }
@@ -524,11 +368,12 @@ mod scalar {
 // explicit AVX2 path (every x86_64 build, chosen at run time)
 // ---------------------------------------------------------------------
 
-/// `std::arch` AVX2 kernels: the same split-limb tile sweep with the
-/// partial products on `_mm256_mul_epu32` (packed 32×32→64) and the
-/// folds on packed shifts/masks — four keys per vector, two vectors per
-/// `LANES` step. Bit-identical to the scalar path (same intermediate
-/// values lane for lane). Compiled on every x86_64 build; only the four
+/// `std::arch` AVX2 kernels: the split-limb tile sweep with the partial
+/// products on `_mm256_mul_epu32` (packed 32×32→64) and the folds on
+/// packed shifts/masks — four keys per vector, two vectors per `LANES`
+/// step. Each lane computes [`super::split_mul_add`]; the canonical
+/// parity makes the counters bit-identical to the serial path.
+/// Compiled on every x86_64 build; only the four
 /// dispatchers above call into it, each behind its [`uses_avx2`]
 /// check, so this module and those call sites hold the crate's only
 /// `unsafe` code.
@@ -729,7 +574,7 @@ mod avx2 {
                 row += 4;
             }
             for r in row..end {
-                out |= super::scalar::row_parity(cols, r, x) << (r - start);
+                out |= super::serial::row_parity(cols, r, x) << (r - start);
             }
             *word = out;
         }
@@ -764,7 +609,7 @@ mod avx2 {
             let tail = quads.into_remainder();
             if !tail.is_empty() {
                 let done = len - tail.len();
-                super::scalar::apply_sign_bits(&[word >> done], delta, tail);
+                super::serial::apply_sign_bits(&[word >> done], delta, tail);
             }
         }
     }
@@ -902,24 +747,24 @@ mod tests {
         apply: fn(&[u64], i64, &mut [i64]),
     }
 
-    /// The scalar lane path, called directly, and the dispatchers, which
+    /// The serial fallback, called directly, and the dispatchers, which
     /// are the only way into the AVX2 kernels (so the `unsafe` stays at
     /// the dispatch sites). On a CPU without AVX2 the second set is the
-    /// scalar path again.
+    /// serial path again.
     fn kernel_sets<const K: usize>() -> [Kernels<K>; 2] {
         [
             Kernels {
-                name: "scalar",
-                sweep: scalar::poly_sweep::<K>,
-                product: scalar::product_sweep::<K>,
-                sign_bits: scalar::poly_sign_bits::<K>,
-                apply: scalar::apply_sign_bits,
+                name: "serial",
+                sweep: serial::poly_sweep::<K>,
+                product: serial::product_sweep::<K>,
+                sign_bits: serial::poly_sign_bits::<K>,
+                apply: serial::apply_sign_bits,
             },
             Kernels {
                 name: if uses_avx2() {
                     "avx2"
                 } else {
-                    "dispatched scalar"
+                    "dispatched serial"
                 },
                 sweep: poly_sweep::<K>,
                 product: product_sweep::<K>,

@@ -20,8 +20,6 @@
 //! * [`tabulation::TabulationHash`] — simple tabulation hashing
 //!   (3-independent, fastest per evaluation); useful for ablations that show
 //!   what independence level the sketch guarantees actually need.
-//! * [`universal::BucketHash`] — a 2-universal bucket hash for hash-table
-//!   style partitioning.
 //! * [`fast::FxHasher`] — a fast non-cryptographic `std::hash::Hasher` used
 //!   for the internal integer-keyed lookup tables of the sample-count
 //!   algorithm (the standard-library SipHash default would dominate its
@@ -56,7 +54,6 @@ pub mod plane;
 pub mod rng;
 pub mod sign;
 pub mod tabulation;
-pub mod universal;
 
 pub use fast::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use kwise::{FourWisePoly, PolyHash, TwoWisePoly};

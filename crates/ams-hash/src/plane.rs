@@ -15,13 +15,13 @@
 //! Two implementations:
 //!
 //! * [`PolyPlane`] — the SoA fast path for polynomial families
-//!   ([`PolySign`]/[`TwoWiseSign`]): `K` coefficient columns over
-//!   GF(2⁶¹−1), swept by the lane-parallel split-limb tile kernels of
-//!   [`crate::lanes`] (explicit AVX2 where the CPU has it, chosen at run
-//!   time, otherwise the auto-vectorizing scalar lane path; the retired
-//!   serial u128 Horner kernel survives as
-//!   [`PolyPlane::accumulate_block_serial`], the equivalence-test and
-//!   benchmark reference).
+//!   ([`PolySign`](crate::sign::PolySign)/[`TwoWiseSign`](crate::sign::TwoWiseSign)):
+//!   `K` coefficient columns over GF(2⁶¹−1), swept by the kernels of
+//!   [`crate::lanes`] — the AVX2 split-limb tiles where the CPU has
+//!   AVX2, chosen at run time, and the serial u128 Horner chain
+//!   everywhere else. [`PolyPlane::accumulate_block_serial`] calls the
+//!   serial kernel directly on any CPU: the equivalence-test and
+//!   benchmark reference.
 //! * [`RowPlane`] — the generic fallback for any [`SignFamily`]: keeps
 //!   the AoS struct per row but still gains the inverted loop nest (each
 //!   hash struct is loaded once per block, not once per item).
@@ -36,9 +36,8 @@
 //!
 //! Every block kernel has two entry points: `accumulate_block`
 //! (self-contained, allocates a transient scratch) and the
-//! `*_into` variant taking a caller-owned
-//! [`PlaneScratch`](crate::lanes::PlaneScratch) — the zero-allocation
-//! path sketches use for steady-state ingestion.
+//! `*_into` variant taking a caller-owned [`PlaneScratch`] — the
+//! zero-allocation path sketches use for steady-state ingestion.
 //!
 //! Drawing a plane consumes the seed stream *identically* to drawing the
 //! same number of individual functions with [`SignFamily::draw`], so a
@@ -208,8 +207,8 @@ impl<const K: usize> PolyPlane<K> {
 
     /// The zero-allocation form of
     /// [`Self::accumulate_block_signed_product`]: keys are reduced once
-    /// into the caller's scratch and each row tile runs two fused
-    /// split-limb lane chains (the sign product is `−1` iff the two
+    /// into the caller's scratch and each row runs the two planes'
+    /// Horner chains side by side (the sign product is `−1` iff the two
     /// parities differ).
     ///
     /// # Panics
@@ -235,34 +234,18 @@ impl<const K: usize> PolyPlane<K> {
         );
     }
 
-    /// The retired serial u128 Horner kernel (one
-    /// [`field::lazy_mul_add`] widening multiply per step), kept as the
-    /// bit-for-bit reference the lane/tile kernels are property-tested
-    /// and benchmarked against.
+    /// [`SignPlane::accumulate_block`] on the serial u128 Horner kernel
+    /// whatever the CPU: the kernel a CPU without AVX2 runs, and the
+    /// bit-for-bit reference the AVX2 kernels are tested and benchmarked
+    /// against.
     ///
     /// # Panics
     /// Panics if the slice lengths disagree with the plane shape.
     pub fn accumulate_block_serial(&self, values: &[u64], deltas: &[i64], counters: &mut [i64]) {
-        assert_eq!(values.len(), deltas.len(), "values/deltas length mismatch");
         assert_eq!(counters.len(), self.rows, "counter/plane shape mismatch");
-        // Reduce each key into the field once for the whole plane.
-        let xs: Vec<u64> = values.iter().map(|&v| field::reduce64(v)).collect();
-        for (row, z) in counters.iter_mut().enumerate() {
-            // Row coefficients hoisted into registers; the Horner chain
-            // runs in the branch-free redundant representation with one
-            // canonicalization per key.
-            let coeffs: [u64; K] = std::array::from_fn(|c| self.cols[c][row]);
-            let mut acc = 0i64;
-            for (&x, &d) in xs.iter().zip(deltas.iter()) {
-                let mut h = coeffs[K - 1];
-                for &c in coeffs[..K - 1].iter().rev() {
-                    h = field::lazy_mul_add(h, x, c);
-                }
-                let parity_mask = ((field::reduce64(h) & 1) as i64).wrapping_neg();
-                acc += (d ^ parity_mask) - parity_mask;
-            }
-            *z += acc;
-        }
+        let mut scratch = PlaneScratch::new();
+        scratch.load(values, deltas);
+        lanes::serial::poly_sweep::<K>(&self.cols, self.rows, scratch.xs(), scratch.ds(), counters);
     }
 
     /// Serial u128 reference for the fused two-plane product kernel
@@ -277,27 +260,18 @@ impl<const K: usize> PolyPlane<K> {
         deltas: &[i64],
         counters: &mut [i64],
     ) {
-        assert_eq!(values.len(), deltas.len(), "values/deltas length mismatch");
         assert_eq!(self.rows, other.rows, "plane shape mismatch");
         assert_eq!(counters.len(), self.rows, "counter/plane shape mismatch");
-        let xs: Vec<u64> = values.iter().map(|&v| field::reduce64(v)).collect();
-        for (row, z) in counters.iter_mut().enumerate() {
-            let xi: [u64; K] = std::array::from_fn(|c| self.cols[c][row]);
-            let psi: [u64; K] = std::array::from_fn(|c| other.cols[c][row]);
-            let mut acc = 0i64;
-            for (&x, &d) in xs.iter().zip(deltas.iter()) {
-                let mut hx = xi[K - 1];
-                let mut hp = psi[K - 1];
-                for c in (0..K - 1).rev() {
-                    hx = field::lazy_mul_add(hx, x, xi[c]);
-                    hp = field::lazy_mul_add(hp, x, psi[c]);
-                }
-                let parity = (field::reduce64(hx) ^ field::reduce64(hp)) & 1;
-                let mask = (parity as i64).wrapping_neg();
-                acc += (d ^ mask) - mask;
-            }
-            *z += acc;
-        }
+        let mut scratch = PlaneScratch::new();
+        scratch.load(values, deltas);
+        lanes::serial::product_sweep::<K>(
+            &self.cols,
+            &other.cols,
+            self.rows,
+            scratch.xs(),
+            scratch.ds(),
+            counters,
+        );
     }
 }
 
@@ -356,8 +330,8 @@ impl<const K: usize> SignPlane for PolyPlane<K> {
     ) {
         assert_eq!(counters.len(), self.rows, "counter/plane shape mismatch");
         // Keys are reduced into the field once for the whole plane (and
-        // padded to a lane multiple) by the scratch load; the tile
-        // kernel then sweeps TILE_ROWS rows per loaded key vector.
+        // padded to a lane multiple) by the scratch load; both kernels
+        // then sweep those columns.
         scratch.load(values, deltas);
         lanes::poly_sweep::<K>(&self.cols, self.rows, scratch.xs(), scratch.ds(), counters);
     }
@@ -394,12 +368,14 @@ where
         self.rows[row].sign(v)
     }
 
+    /// Needs no scratch: each row's hash struct is loaded once and
+    /// swept over the raw keys.
     fn accumulate_block_into(
         &self,
         values: &[u64],
         deltas: &[i64],
         counters: &mut [i64],
-        scratch: &mut PlaneScratch,
+        _scratch: &mut PlaneScratch,
     ) {
         assert_eq!(values.len(), deltas.len(), "values/deltas length mismatch");
         assert_eq!(
@@ -407,18 +383,12 @@ where
             self.rows.len(),
             "counter/plane shape mismatch"
         );
-        // Route through the family's `sign_block` so any per-family
-        // batch specialization applies here too; one scratch row of
-        // signs is reused across all plane rows (and across blocks, via
-        // the caller's scratch).
-        let signs = scratch.signs(values.len());
         for (h, z) in self.rows.iter().zip(counters.iter_mut()) {
-            h.sign_block(values, signs);
-            let mut acc = 0i64;
-            for (&s, &d) in signs.iter().zip(deltas.iter()) {
-                acc += s * d;
-            }
-            *z += acc;
+            *z += values
+                .iter()
+                .zip(deltas)
+                .map(|(&v, &d)| h.sign(v) * d)
+                .sum::<i64>();
         }
     }
 }

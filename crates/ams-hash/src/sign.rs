@@ -3,14 +3,15 @@
 //!
 //! The [`SignHash`] trait abstracts over constructions with different
 //! independence levels so the sketch code is generic and the ablation
-//! benches can swap families:
+//! benches can swap families. A family evaluates one key at a time;
+//! blocks of keys go through its [`SignFamily::Plane`]:
 //!
-//! | implementation      | independence | evaluation cost            |
-//! |---------------------|--------------|----------------------------|
-//! | [`PolySign`]        | 4-wise       | 3 widening multiplies      |
-//! | [`BchSignHash`]     | 4-wise       | 2 carry-less multiplies    |
-//! | [`TwoWiseSign`]     | 2-wise       | 1 widening multiply        |
-//! | [`TabulationSign`]  | 3-wise       | 8 table lookups            |
+//! | implementation      | independence | evaluation cost         | plane                         |
+//! |---------------------|--------------|-------------------------|-------------------------------|
+//! | [`PolySign`]        | 4-wise       | 3 widening multiplies   | [`PolySignPlane`]: AVX2 or serial u128 |
+//! | [`BchSignHash`]     | 4-wise       | 2 carry-less multiplies | [`RowPlane`]: per-row `sign`  |
+//! | [`TwoWiseSign`]     | 2-wise       | 1 widening multiply     | [`TwoWiseSignPlane`]: AVX2 or serial u128 |
+//! | [`TabulationSign`]  | 3-wise       | 8 table lookups         | [`RowPlane`]: per-row `sign`  |
 //!
 //! The paper's variance analysis (Theorem 2.2, Lemma 4.4) requires 4-wise
 //! independence; the weaker families are provided to *demonstrate* that
@@ -29,21 +30,6 @@ use crate::tabulation::TabulationHash;
 pub trait SignHash {
     /// Evaluates the sign of `v`.
     fn sign(&self, v: u64) -> i64;
-
-    /// Evaluates the signs of a whole block of keys into `out`.
-    ///
-    /// Semantically identical to calling [`Self::sign`] per key (a
-    /// property the hash test-suite pins down); implementations override
-    /// it to hoist per-function state out of the loop.
-    ///
-    /// # Panics
-    /// Panics if `values.len() != out.len()`.
-    fn sign_block(&self, values: &[u64], out: &mut [i64]) {
-        assert_eq!(values.len(), out.len(), "sign_block shape mismatch");
-        for (o, &v) in out.iter_mut().zip(values.iter()) {
-            *o = self.sign(v);
-        }
-    }
 }
 
 /// Builder for sign-hash families: lets sketch constructors draw any number
@@ -93,14 +79,6 @@ impl SignHash for PolySign {
             1
         }
     }
-
-    fn sign_block(&self, values: &[u64], out: &mut [i64]) {
-        // Coefficients in registers for the whole block; full lane
-        // chunks run the split-limb tile kernel (data-parallel across
-        // keys), the tail the scalar split-limb step — allocation-free
-        // either way.
-        crate::lanes::poly_sign_block::<4>(self.poly.coeffs(), values, out);
-    }
 }
 
 impl SignFamily for PolySign {
@@ -138,10 +116,6 @@ impl SignHash for TwoWiseSign {
         } else {
             1
         }
-    }
-
-    fn sign_block(&self, values: &[u64], out: &mut [i64]) {
-        crate::lanes::poly_sign_block::<2>(self.poly.coeffs(), values, out);
     }
 }
 

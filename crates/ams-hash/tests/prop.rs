@@ -7,20 +7,10 @@ use ams_hash::lanes::{self, PlaneScratch, LANES};
 use ams_hash::plane::{apply_sign_bits, sign_words, PolySignPlane, SignPlane, TwoWiseSignPlane};
 use ams_hash::rng::SplitMix64;
 use ams_hash::sign::{BchSignHash, PolySign, SignFamily, SignHash, TabulationSign, TwoWiseSign};
-use ams_hash::universal::BucketHash;
 use proptest::prelude::*;
 
 fn field_elem() -> impl Strategy<Value = u64> {
     (0..field::P).prop_map(|x| x)
-}
-
-/// `sign_block` must agree with per-item `sign` on every key.
-fn sign_block_matches_per_item<H: SignFamily>(seed: u64, keys: &[u64]) -> bool {
-    let mut rng = SplitMix64::new(seed);
-    let h = H::draw(&mut rng);
-    let mut out = vec![0i64; keys.len()];
-    h.sign_block(keys, &mut out);
-    keys.iter().zip(out.iter()).all(|(&k, &s)| s == h.sign(k))
 }
 
 /// A plane drawn from a seed must evaluate every row exactly like the
@@ -160,17 +150,6 @@ proptest! {
     }
 
     #[test]
-    fn sign_block_equals_per_item_sign_for_all_families(
-        seed in any::<u64>(),
-        keys in proptest::collection::vec(any::<u64>(), 1..200),
-    ) {
-        prop_assert!(sign_block_matches_per_item::<PolySign>(seed, &keys), "PolySign");
-        prop_assert!(sign_block_matches_per_item::<TwoWiseSign>(seed, &keys), "TwoWiseSign");
-        prop_assert!(sign_block_matches_per_item::<BchSignHash>(seed, &keys), "BchSignHash");
-        prop_assert!(sign_block_matches_per_item::<TabulationSign>(seed, &keys), "TabulationSign");
-    }
-
-    #[test]
     fn sign_planes_equal_per_item_families(
         seed in any::<u64>(),
         rows in 1usize..24,
@@ -280,12 +259,6 @@ proptest! {
         xi.accumulate_block_signed_product_into(&psi, &keys, &deltas, &mut lane, &mut scratch);
         xi.accumulate_block_signed_product_serial(&psi, &keys, &deltas, &mut serial);
         prop_assert_eq!(&lane, &serial, "rows={} len={}", rows, keys.len());
-    }
-
-    #[test]
-    fn bucket_hash_in_range(seed in any::<u64>(), key in any::<u64>(), m in 1u64..1_000) {
-        let h = BucketHash::from_seed(seed, m);
-        prop_assert!(h.bucket(key) < m);
     }
 
     #[test]

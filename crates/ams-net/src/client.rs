@@ -467,7 +467,7 @@ impl AmsClient {
     /// takes. Blocks are coalesced into `Ingest` frames of up to
     /// [`Self::INGEST_BATCH`] (one frame header + checksum per batch
     /// instead of per block), streamed down the socket a bounded window
-    /// of [`PIPELINE_WINDOW`] *blocks* ahead of the responses, and each
+    /// of `PIPELINE_WINDOW` *blocks* ahead of the responses, and each
     /// block's outcome is returned in order — the server answers per
     /// block, so batching never changes the backpressure contract. One
     /// encode buffer is reused across the whole pipeline (zero

@@ -36,7 +36,7 @@
 //! the refusing queue, acknowledged once it lands). Parked blocks land in order — later
 //! blocks park behind them, and the connection is not read until they
 //! land — and only past the ring's bound is a block answered with an
-//! explicit [`Response::Busy`](codec::Response::Busy) carrying a retry
+//! explicit [`Response::Busy`] carrying a retry
 //! hint. So a fast producer sees backpressure, memory stays bounded by
 //! the service's bounded queues plus one parked frame per connection,
 //! and every other connection keeps making progress. Queries (self-join, two-way join, full

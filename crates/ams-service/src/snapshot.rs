@@ -2,7 +2,7 @@
 //! merge.
 //!
 //! Each shard worker owns its sketches outright (zero contention on the
-//! ingest hot path) and periodically *publishes* into its [`ShardCell`].
+//! ingest hot path) and periodically *publishes* into its `ShardCell`.
 //! Published snapshots carry only the **counter vectors** — the hash
 //! planes are identical across shards and derivable from the service
 //! seed, so shipping them would be pure waste; this keeps a publish to

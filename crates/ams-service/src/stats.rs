@@ -6,8 +6,8 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Counters for one shard at the moment [`AmsService::stats`]
-/// (crate::AmsService::stats) was called.
+/// Counters for one shard at the moment
+/// [`AmsService::stats`](crate::AmsService::stats) was called.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardStats {
     /// Shard index.

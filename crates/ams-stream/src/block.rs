@@ -1,6 +1,6 @@
 //! Columnar operation blocks: the unit of batch ingestion.
 //!
-//! Estimators historically consumed one [`Op`](crate::op::Op) at a time,
+//! Estimators historically consumed one [`Op`] at a time,
 //! which pins the sketch hot path on per-item dispatch. An [`OpBlock`]
 //! carries a *column* of values and a parallel column of signed
 //! multiplicities, so linear estimators can sweep a whole block per

@@ -29,7 +29,7 @@
 //! * [`build`] — stream builders that interleave deletions into a base
 //!   value sequence under the paper's constraints (deletions at most a
 //!   configurable fraction of every prefix).
-//! * [`replay`] — drivers that run any estimator over an operation
+//! * [`replay`](mod@replay) — drivers that run any estimator over an operation
 //!   sequence, with ground-truth checkpoints.
 
 #![forbid(unsafe_code)]
