@@ -4,6 +4,7 @@
 //! | metric | kind | meaning |
 //! |---|---|---|
 //! | `wal_append_bytes{shard}` | histogram | bytes per appended record (header + payload) |
+//! | `wal_append_failures{shard}` | counter | appends that failed (the first one wedges the writer) |
 //! | `wal_fsync_ns{shard}` | histogram | `fsync` latency per sync point |
 //! | `wal_segments{shard}` | gauge | live segment files on disk |
 //! | `checkpoint_write_ns{shard}` | histogram | serialize + write + fsync + rename latency |
@@ -22,6 +23,8 @@ use ams_telemetry::{Counter, Gauge, LatencyHistogram, MetricsRegistry};
 pub struct WalInstruments {
     /// Bytes of each appended record.
     pub append_bytes: Arc<LatencyHistogram>,
+    /// Appends that failed; monotone, unlike the event rings.
+    pub append_failures: Arc<Counter>,
     /// Latency of each fsync point.
     pub fsync_ns: Arc<LatencyHistogram>,
     /// Live segment files.
@@ -39,6 +42,7 @@ impl WalInstruments {
         let labels: [(&str, &str); 1] = [("shard", id.as_str())];
         Self {
             append_bytes: registry.histogram("wal_append_bytes", &labels),
+            append_failures: registry.counter("wal_append_failures", &labels),
             fsync_ns: registry.histogram("wal_fsync_ns", &labels),
             segments: registry.gauge("wal_segments", &labels),
             checkpoint_write_ns: registry.histogram("checkpoint_write_ns", &labels),
@@ -51,6 +55,7 @@ impl WalInstruments {
     pub fn unregistered() -> Self {
         Self {
             append_bytes: Arc::new(LatencyHistogram::new()),
+            append_failures: Arc::new(Counter::new()),
             fsync_ns: Arc::new(LatencyHistogram::new()),
             segments: Arc::new(Gauge::new()),
             checkpoint_write_ns: Arc::new(LatencyHistogram::new()),

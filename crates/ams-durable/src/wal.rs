@@ -507,8 +507,23 @@ impl ShardDurable {
     /// # Errors
     /// [`DurableError::Injected`] when the fault plan fires (the writer
     /// wedges), [`DurableError::Io`] on a real write failure (ditto),
-    /// [`DurableError::Wedged`] ever after.
+    /// [`DurableError::Wedged`] ever after. Every failure counts in
+    /// `wal_append_failures`.
     pub fn append(
+        &mut self,
+        attr: u32,
+        producer: u64,
+        seq: u64,
+        block: &OpBlock,
+    ) -> Result<(), DurableError> {
+        let appended = self.try_append(attr, producer, seq, block);
+        if appended.is_err() {
+            self.instruments.append_failures.inc();
+        }
+        appended
+    }
+
+    fn try_append(
         &mut self,
         attr: u32,
         producer: u64,

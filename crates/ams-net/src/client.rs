@@ -8,7 +8,7 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ams_service::{HealthReport, MetricsSnapshot, ServiceEvent, ServiceSnapshot, ServiceStats};
+use ams_service::{MetricsSnapshot, Scrape, ServiceEvent, ServiceSnapshot, ServiceStats};
 use ams_stream::OpBlock;
 use ams_telemetry::{
     trace_clock_ns, AssembledTrace, Counter, EventCode, EventHub, EventRecorder, Gauge,
@@ -104,7 +104,7 @@ pub enum IngestOutcome {
 }
 
 /// The client's own instrument handles, backed by a private registry
-/// (the server's registry is a separate scrape via [`AmsClient::metrics`]).
+/// (the server's registry is a separate scrape via [`AmsClient::scrape`]).
 ///
 /// | metric | kind | meaning |
 /// |---|---|---|
@@ -180,7 +180,7 @@ pub struct AmsClient {
     trace_tick: u64,
     /// Local span hub for the client-side stages of traced requests
     /// (`client_encode`, `client_recv`); the server's stages live in
-    /// the server's hub and are scraped via [`Self::traces`].
+    /// the server's hub and are scraped via [`Self::scrape`].
     trace_hub: TraceHub,
     /// Recorder into `trace_hub` (one per client — the connection is
     /// driven by one thread).
@@ -715,76 +715,48 @@ impl AmsClient {
         }
     }
 
-    /// The per-shard service statistics.
+    /// Scrapes the server in one round trip: one [`Scrape`] document
+    /// with the sections `sections` names, a nonempty bit set of the
+    /// [`Scrape`] constants, e.g. `Scrape::METRICS | Scrape::HEALTH`.
+    /// The metrics section carries every `service_*`, `wal_*` and
+    /// reactor `net_*` series (render it with
+    /// [`MetricsSnapshot::render_text`] for a Prometheus-style dump);
+    /// traces are the tail-sampled slowest requests with every
+    /// server-side stage span still resident; events are the merged
+    /// structured event rings, oldest first; health grades signals over
+    /// a window this connection owns, from its previous health scrape
+    /// (or its connect) to now, so other scrapers never move it.
+    ///
+    /// # Errors
+    /// [`NetError::Frame`] for an empty or unknown section set;
+    /// transport or server errors as usual.
+    pub fn scrape(&mut self, sections: u8) -> Result<Scrape, NetError> {
+        match self.call(&Request::Scrape { sections })? {
+            Response::Scrape { scrape } => Ok(scrape),
+            _ => Err(NetError::UnexpectedResponse { expected: "Scrape" }),
+        }
+    }
+
+    /// The per-shard service statistics: the stats section of a
+    /// [`Self::scrape`].
     ///
     /// # Errors
     /// Transport or server errors.
     pub fn stats(&mut self) -> Result<ServiceStats, NetError> {
-        match self.call(&Request::Stats)? {
-            Response::Stats { stats } => Ok(stats),
-            _ => Err(NetError::UnexpectedResponse { expected: "Stats" }),
-        }
+        let stats = self.scrape(Scrape::STATS)?.stats;
+        stats.ok_or(NetError::UnexpectedResponse { expected: "stats" })
     }
 
-    /// Scrapes the server's metrics registry over the wire: every
-    /// `service_*` series (per-shard counters, latency histograms,
-    /// sketch memory gauges) plus the reactor's `net_*` series, as a
-    /// typed [`MetricsSnapshot`]. Render it with
-    /// [`MetricsSnapshot::render_text`] for a Prometheus-style dump.
+    /// The server's metrics registry: the metrics section of a
+    /// [`Self::scrape`].
     ///
     /// # Errors
     /// Transport or server errors.
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, NetError> {
-        match self.call(&Request::Metrics)? {
-            Response::Metrics { snapshot } => Ok(snapshot),
-            _ => Err(NetError::UnexpectedResponse {
-                expected: "Metrics",
-            }),
-        }
-    }
-
-    /// Scrapes the server's tail-sampled request traces over the wire:
-    /// the slowest-N traced requests of the current sampling window,
-    /// each assembled from every server-side stage span still resident
-    /// (decode, route, queue, kernel, and — durability on — wal_append,
-    /// fsync, durable_wait, plus the ack). Slowest first.
-    ///
-    /// # Errors
-    /// Transport or server errors.
-    pub fn traces(&mut self) -> Result<Vec<AssembledTrace>, NetError> {
-        match self.call(&Request::Traces)? {
-            Response::Traces { traces } => Ok(traces),
-            _ => Err(NetError::UnexpectedResponse { expected: "Traces" }),
-        }
-    }
-
-    /// Scrapes the server's structured event rings over the wire:
-    /// shard lifecycle (start/stop, recovery, publishes, checkpoints),
-    /// WAL rotation and failures, dedup skips, sheds, read gates, and
-    /// reactor start/stop — merged oldest first.
-    ///
-    /// # Errors
-    /// Transport or server errors.
-    pub fn events(&mut self) -> Result<Vec<ServiceEvent>, NetError> {
-        match self.call(&Request::Events)? {
-            Response::Events { events } => Ok(events),
-            _ => Err(NetError::UnexpectedResponse { expected: "Events" }),
-        }
-    }
-
-    /// Scrapes the server's health report over the wire: windowed
-    /// derived signals graded against thresholds, per-attribute
-    /// estimator accuracy (estimate, confidence interval, audited
-    /// error, skew), and the folded Healthy/Degraded/Unhealthy
-    /// verdict.
-    ///
-    /// # Errors
-    /// Transport or server errors.
-    pub fn health(&mut self) -> Result<HealthReport, NetError> {
-        match self.call(&Request::Health)? {
-            Response::Health { health } => Ok(health),
-            _ => Err(NetError::UnexpectedResponse { expected: "Health" }),
-        }
+        let metrics = self.scrape(Scrape::METRICS)?.metrics;
+        metrics.ok_or(NetError::UnexpectedResponse {
+            expected: "metrics",
+        })
     }
 
     /// Assembles the client's *own* span rings (`client_encode`,

@@ -6,7 +6,7 @@
 //! ```text
 //! [0..4)   u32   payload length L (bytes after this field); 9 ≤ L ≤ 2^24
 //! [4..8)   magic b"AMSN"
-//! [8..9)   u8    protocol version (currently 2)
+//! [8..9)   u8    protocol version (currently 3)
 //! [9..13)  u32   CRC-32 (IEEE) of the body
 //! [13..13+L-9) body: kind byte + kind-specific fields
 //! ```
@@ -23,26 +23,26 @@
 //! [`OpBlock`] wire form from `ams-stream`, and snapshots the binary
 //! form of [`ServiceSnapshot::encode`]: the stamps plus each attribute's
 //! merged counters, with the shared seed standing in for the hash
-//! functions. Stats, metrics, traces, events and health travel as JSON
-//! documents inside the checksummed frame (self-describing, so they can
-//! also be archived and diffed offline). Each snapshot and document
-//! rides behind a `u32` length.
+//! functions. A scrape asks for its sections with one bit-set byte and
+//! comes back as one JSON [`Scrape`] document inside the checksummed
+//! frame (self-describing, so it can also be archived and diffed
+//! offline); the `Goodbye` stats travel as JSON too. Each snapshot and
+//! document rides behind a `u32` length, checked against the body
+//! before anything is allocated for it.
 
 use bytes::{Buf, BufMut};
 
-use ams_service::{
-    HealthReport, MetricsSnapshot, ServiceEvent, ServiceSnapshot, ServiceStats, SketchError,
-};
+use ams_service::{Scrape, ServiceSnapshot, ServiceStats, SketchError};
 use ams_stream::OpBlock;
-use ams_telemetry::AssembledTrace;
 
 /// Frame magic: "AMS" + "N" for the network protocol.
 pub const MAGIC: [u8; 4] = *b"AMSN";
 
 /// Current protocol version, carried in every frame header. Version 2
 /// folded the four ingest requests of version 1 into one
-/// [`Request::Ingest`].
-pub const PROTOCOL_VERSION: u8 = 2;
+/// [`Request::Ingest`]; version 3 folded the five scrape requests of
+/// version 2 into one [`Request::Scrape`].
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Most blocks one [`Request::Ingest`] frame may carry — the client's
 /// pipeline window (it sends at most `AmsClient::INGEST_BATCH`). The
@@ -73,13 +73,9 @@ const REQ_INGEST: u8 = 0x01;
 const REQ_QUERY_SELF_JOIN: u8 = 0x02;
 const REQ_QUERY_TWO_WAY_JOIN: u8 = 0x03;
 const REQ_SNAPSHOT: u8 = 0x04;
-const REQ_STATS: u8 = 0x05;
+const REQ_SCRAPE: u8 = 0x05;
 const REQ_DRAIN: u8 = 0x06;
 const REQ_SHUTDOWN: u8 = 0x07;
-const REQ_METRICS: u8 = 0x08;
-const REQ_TRACES: u8 = 0x0C;
-const REQ_EVENTS: u8 = 0x0D;
-const REQ_HEALTH: u8 = 0x0E;
 
 /// Ingest option flag: acknowledge only after the block's effects
 /// are on stable storage (WAL appended + fsynced per the server's
@@ -102,13 +98,9 @@ const RESP_BUSY: u8 = 0x82;
 const RESP_SELF_JOIN: u8 = 0x83;
 const RESP_TWO_WAY_JOIN: u8 = 0x84;
 const RESP_SNAPSHOT: u8 = 0x85;
-const RESP_STATS: u8 = 0x86;
+const RESP_SCRAPE: u8 = 0x86;
 const RESP_DRAINED: u8 = 0x87;
 const RESP_GOODBYE: u8 = 0x88;
-const RESP_METRICS: u8 = 0x89;
-const RESP_TRACES: u8 = 0x8A;
-const RESP_EVENTS: u8 = 0x8B;
-const RESP_HEALTH: u8 = 0x8C;
 const RESP_ERROR: u8 = 0xFF;
 
 /// Why a frame (or its body) failed to decode. The framing layer is
@@ -251,26 +243,15 @@ pub enum Request {
     },
     /// Ask for the full merged [`ServiceSnapshot`].
     Snapshot,
-    /// Ask for the per-shard [`ServiceStats`].
-    Stats,
-    /// Ask for the full telemetry [`MetricsSnapshot`]: every counter,
-    /// gauge, and latency histogram registered across the service and
-    /// network layers — the wire scraping endpoint.
-    Metrics,
-    /// Ask for the tail-sampled request traces assembled from every
-    /// stage's span ring: the slowest-N traced requests of the current
-    /// sampling window, each with its per-stage spans.
-    Traces,
-    /// Ask for the structured lifecycle events resident in every
-    /// stage's bounded event ring (shard start/stop, recovery,
-    /// publishes, checkpoints, WAL rotation/failure, sheds, gates,
-    /// reconnects), merged in timestamp order.
-    Events,
-    /// Ask for the health scrape: windowed derived signals graded
-    /// against thresholds, per-attribute estimator accuracy (estimate,
-    /// confidence interval, audited error, skew), and the folded
-    /// Healthy/Degraded/Unhealthy verdict.
-    Health,
+    /// Ask for one [`Scrape`] document (see
+    /// [`AmsService::scrape`](ams_service::AmsService::scrape)); its
+    /// health section is windowed over this connection's own baseline.
+    Scrape {
+        /// Which sections: a nonempty bit set of the [`Scrape`]
+        /// constants ([`Scrape::STATS`] … [`Scrape::HEALTH`]). An empty
+        /// set or an unknown bit fails to encode and to decode.
+        sections: u8,
+    },
     /// Wait (server-side, without blocking the reactor) until every
     /// block accepted before this request is reflected in snapshots.
     Drain,
@@ -309,30 +290,10 @@ pub enum Response {
         /// The merged service snapshot.
         snapshot: ServiceSnapshot,
     },
-    /// Answer to [`Request::Stats`].
-    Stats {
-        /// The per-shard statistics.
-        stats: ServiceStats,
-    },
-    /// Answer to [`Request::Metrics`].
-    Metrics {
-        /// The full instrument snapshot (service + reactor series).
-        snapshot: MetricsSnapshot,
-    },
-    /// Answer to [`Request::Traces`].
-    Traces {
-        /// The assembled tail-sampled traces, slowest first.
-        traces: Vec<AssembledTrace>,
-    },
-    /// Answer to [`Request::Events`].
-    Events {
-        /// The resident structured events, oldest first.
-        events: Vec<ServiceEvent>,
-    },
-    /// Answer to [`Request::Health`].
-    Health {
-        /// The full health scrape.
-        health: HealthReport,
+    /// Answer to [`Request::Scrape`].
+    Scrape {
+        /// The document: its instant plus the sections asked for.
+        scrape: Scrape,
     },
     /// Answer to [`Request::Drain`]: the drain cut was reached.
     Drained {
@@ -498,6 +459,17 @@ fn finish(data: &[u8]) -> Result<(), FrameError> {
     }
 }
 
+/// Checks a scrape's section set: nonempty, and no bit outside
+/// [`Scrape::ALL`].
+fn scrape_sections(sections: u8) -> Result<u8, FrameError> {
+    if sections == 0 || sections & !Scrape::ALL != 0 {
+        return Err(FrameError::Malformed {
+            reason: "empty or unknown scrape sections",
+        });
+    }
+    Ok(sections)
+}
+
 /// Reads the ingest option prefix written by
 /// [`encode_ingest_frame_into`]: `(durable, producer, seq, trace)`.
 fn get_ingest_options(data: &mut &[u8]) -> Result<(bool, u64, u64, u64), FrameError> {
@@ -642,25 +614,10 @@ impl Request {
                 begin_frame(out);
                 out.put_u8(REQ_SNAPSHOT);
             }
-            Request::Stats => {
+            Request::Scrape { sections } => {
                 begin_frame(out);
-                out.put_u8(REQ_STATS);
-            }
-            Request::Metrics => {
-                begin_frame(out);
-                out.put_u8(REQ_METRICS);
-            }
-            Request::Traces => {
-                begin_frame(out);
-                out.put_u8(REQ_TRACES);
-            }
-            Request::Events => {
-                begin_frame(out);
-                out.put_u8(REQ_EVENTS);
-            }
-            Request::Health => {
-                begin_frame(out);
-                out.put_u8(REQ_HEALTH);
+                out.put_u8(REQ_SCRAPE);
+                out.put_u8(scrape_sections(*sections)?);
             }
             Request::Drain => {
                 begin_frame(out);
@@ -756,11 +713,16 @@ impl Request {
                 right: get_str(&mut data)?,
             },
             REQ_SNAPSHOT => Request::Snapshot,
-            REQ_STATS => Request::Stats,
-            REQ_METRICS => Request::Metrics,
-            REQ_TRACES => Request::Traces,
-            REQ_EVENTS => Request::Events,
-            REQ_HEALTH => Request::Health,
+            REQ_SCRAPE => {
+                if data.is_empty() {
+                    return Err(FrameError::Malformed {
+                        reason: "truncated scrape sections",
+                    });
+                }
+                Request::Scrape {
+                    sections: scrape_sections(data.get_u8())?,
+                }
+            }
             REQ_DRAIN => Request::Drain,
             REQ_SHUTDOWN => Request::Shutdown,
             kind => return Err(FrameError::UnknownKind { kind }),
@@ -803,25 +765,9 @@ impl Response {
                 out.put_u8(RESP_SNAPSHOT);
                 put_sized(out, |out| snapshot.encode(out));
             }
-            Response::Stats { stats } => {
-                out.put_u8(RESP_STATS);
-                put_json(out, stats)?;
-            }
-            Response::Metrics { snapshot } => {
-                out.put_u8(RESP_METRICS);
-                put_json(out, snapshot)?;
-            }
-            Response::Traces { traces } => {
-                out.put_u8(RESP_TRACES);
-                put_json(out, traces)?;
-            }
-            Response::Events { events } => {
-                out.put_u8(RESP_EVENTS);
-                put_json(out, events)?;
-            }
-            Response::Health { health } => {
-                out.put_u8(RESP_HEALTH);
-                put_json(out, health)?;
+            Response::Scrape { scrape } => {
+                out.put_u8(RESP_SCRAPE);
+                put_json(out, scrape)?;
             }
             Response::Drained { epoch } => {
                 out.put_u8(RESP_DRAINED);
@@ -897,20 +843,8 @@ impl Response {
             RESP_SNAPSHOT => Response::Snapshot {
                 snapshot: get_snapshot(&mut data)?,
             },
-            RESP_STATS => Response::Stats {
-                stats: get_json(&mut data)?,
-            },
-            RESP_METRICS => Response::Metrics {
-                snapshot: get_json(&mut data)?,
-            },
-            RESP_TRACES => Response::Traces {
-                traces: get_json(&mut data)?,
-            },
-            RESP_EVENTS => Response::Events {
-                events: get_json(&mut data)?,
-            },
-            RESP_HEALTH => Response::Health {
-                health: get_json(&mut data)?,
+            RESP_SCRAPE => Response::Scrape {
+                scrape: get_json(&mut data)?,
             },
             RESP_DRAINED => {
                 need(8, &data)?;
@@ -1032,6 +966,7 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ams_service::{AssembledTrace, ServiceEvent};
 
     fn ingest(
         blocks: Vec<OpBlock>,
@@ -1121,16 +1056,42 @@ mod tests {
                 right: "r".into(),
             },
             Request::Snapshot,
-            Request::Stats,
-            Request::Metrics,
-            Request::Traces,
-            Request::Events,
-            Request::Health,
+            Request::Scrape {
+                sections: Scrape::STATS,
+            },
+            Request::Scrape {
+                sections: Scrape::METRICS | Scrape::HEALTH,
+            },
+            Request::Scrape {
+                sections: Scrape::TRACES,
+            },
+            Request::Scrape {
+                sections: Scrape::EVENTS,
+            },
+            Request::Scrape {
+                sections: Scrape::ALL,
+            },
             Request::Drain,
             Request::Shutdown,
         ];
         for request in requests {
             assert_eq!(roundtrip_request(&request), request);
+        }
+    }
+
+    /// Encodes a scrape response, decodes it back, and returns the
+    /// document (asserting the round trip is exact).
+    fn roundtrip_scrape(scrape: Scrape) -> Scrape {
+        let response = Response::Scrape { scrape };
+        let frame = response.encode().unwrap();
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(&frame);
+        let body = decoder.next_frame().unwrap().unwrap();
+        let back = Response::decode(&body).unwrap();
+        assert_eq!(back, response);
+        match back {
+            Response::Scrape { scrape } => scrape,
+            other => panic!("wrong kind: {other:?}"),
         }
     }
 
@@ -1171,25 +1132,19 @@ mod tests {
         registry
             .histogram("service_ingest_ns", &[("shard", "0")])
             .record(12_345);
-        let response = Response::Metrics {
-            snapshot: registry.snapshot(),
-        };
-        let frame = response.encode().unwrap();
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&frame);
-        let body = decoder.next_frame().unwrap().unwrap();
-        let back = Response::decode(&body).unwrap();
-        assert_eq!(back, response);
-        match back {
-            Response::Metrics { snapshot } => {
-                assert_eq!(snapshot.counter("net_frames_decoded", &[]), Some(17));
-                let h = snapshot
-                    .histogram("service_ingest_ns", &[("shard", "0")])
-                    .unwrap();
-                assert_eq!(h.count, 1);
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
+        let back = roundtrip_scrape(Scrape {
+            at_ns: 41,
+            metrics: Some(registry.snapshot()),
+            ..Scrape::default()
+        });
+        let snapshot = back.metrics.unwrap();
+        assert_eq!(snapshot.counter("net_frames_decoded", &[]), Some(17));
+        let h = snapshot
+            .histogram("service_ingest_ns", &[("shard", "0")])
+            .unwrap();
+        assert_eq!(h.count, 1);
+        assert_eq!(back.at_ns, 41);
+        assert!(back.health.is_none(), "only the sections asked for");
     }
 
     #[test]
@@ -1216,7 +1171,11 @@ mod tests {
 
     #[test]
     fn corrupted_frames_rejected() {
-        let frame = Request::Stats.encode().unwrap();
+        let frame = Request::Scrape {
+            sections: Scrape::STATS,
+        }
+        .encode()
+        .unwrap();
         // Body corruption → checksum mismatch.
         let mut bad = frame.clone();
         *bad.last_mut().unwrap() ^= 0xFF;
@@ -1235,12 +1194,17 @@ mod tests {
         let mut decoder = FrameDecoder::new();
         decoder.feed(&bad);
         assert_eq!(decoder.next_frame(), Err(FrameError::BadVersion { got: 9 }));
-        // A frame from a version-1 peer.
-        let mut bad = frame.clone();
-        bad[8] = 1;
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&bad);
-        assert_eq!(decoder.next_frame(), Err(FrameError::BadVersion { got: 1 }));
+        // Frames from version-1 and version-2 peers.
+        for old in [1, 2] {
+            let mut bad = frame.clone();
+            bad[8] = old;
+            let mut decoder = FrameDecoder::new();
+            decoder.feed(&bad);
+            assert_eq!(
+                decoder.next_frame(),
+                Err(FrameError::BadVersion { got: old })
+            );
+        }
         // Oversized declaration is rejected before buffering the body.
         let mut bad = frame;
         bad[0..4].copy_from_slice(&(MAX_FRAME_PAYLOAD as u32 + 1).to_le_bytes());
@@ -1363,19 +1327,20 @@ mod tests {
                 spans: Vec::new(),
             },
         ];
-        let response = Response::Traces { traces };
-        let frame = response.encode().unwrap();
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&frame);
-        let body = decoder.next_frame().unwrap().unwrap();
-        assert_eq!(Response::decode(&body).unwrap(), response);
-        // The empty scrape (nothing sampled yet) is also a valid frame.
-        let empty = Response::Traces { traces: Vec::new() };
-        let frame = empty.encode().unwrap();
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&frame);
-        let body = decoder.next_frame().unwrap().unwrap();
-        assert_eq!(Response::decode(&body).unwrap(), empty);
+        let back = roundtrip_scrape(Scrape {
+            at_ns: 7,
+            traces: Some(traces.clone()),
+            ..Scrape::default()
+        });
+        assert_eq!(back.traces, Some(traces));
+        // The empty section (nothing sampled yet) is distinct from a
+        // section not asked for.
+        let empty = roundtrip_scrape(Scrape {
+            traces: Some(Vec::new()),
+            ..Scrape::default()
+        });
+        assert_eq!(empty.traces, Some(Vec::new()));
+        assert_eq!(roundtrip_scrape(Scrape::default()).traces, None);
     }
 
     #[test]
@@ -1396,19 +1361,21 @@ mod tests {
                 value: 42,
             },
         ];
-        let response = Response::Events { events };
-        let frame = response.encode().unwrap();
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&frame);
-        let body = decoder.next_frame().unwrap().unwrap();
-        assert_eq!(Response::decode(&body).unwrap(), response);
-        // The empty scrape (no events resident) is also a valid frame.
-        let empty = Response::Events { events: Vec::new() };
-        let frame = empty.encode().unwrap();
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&frame);
-        let body = decoder.next_frame().unwrap().unwrap();
-        assert_eq!(Response::decode(&body).unwrap(), empty);
+        let back = roundtrip_scrape(Scrape {
+            at_ns: 1_000,
+            events: Some(events.clone()),
+            events_dropped: Some(3),
+            ..Scrape::default()
+        });
+        assert_eq!(back.events, Some(events));
+        assert_eq!(back.events_dropped, Some(3));
+        // The empty section (no events resident) is also a valid frame.
+        let empty = roundtrip_scrape(Scrape {
+            events: Some(Vec::new()),
+            events_dropped: Some(0),
+            ..Scrape::default()
+        });
+        assert_eq!(empty.events, Some(Vec::new()));
     }
 
     #[test]
@@ -1428,20 +1395,16 @@ mod tests {
                 skew_score: 0.31,
             }],
         };
-        let response = Response::Health { health };
-        let frame = response.encode().unwrap();
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&frame);
-        let body = decoder.next_frame().unwrap().unwrap();
-        let back = Response::decode(&body).unwrap();
-        assert_eq!(back, response);
-        match back {
-            Response::Health { health } => {
-                assert_eq!(health.verdict.name(), "Degraded");
-                assert!(health.accuracy_for("clicks").unwrap().covers(1000.0));
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
+        let back = roundtrip_scrape(Scrape {
+            at_ns: 99,
+            stats: Some(ServiceStats { shards: Vec::new() }),
+            health: Some(health),
+            ..Scrape::default()
+        });
+        let health = back.health.unwrap();
+        assert_eq!(health.verdict.name(), "Degraded");
+        assert!(health.accuracy_for("clicks").unwrap().covers(1000.0));
+        assert!(back.stats.is_some() && back.metrics.is_none());
     }
 
     #[test]

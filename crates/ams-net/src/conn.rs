@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
 
-use ams_service::{DrainCut, DurableCut, IngestTag};
+use ams_service::{DrainCut, DurableCut, HealthWindow, IngestTag};
 use ams_stream::OpBlock;
 use ams_telemetry::TraceCtx;
 
@@ -181,6 +181,10 @@ pub(crate) struct Connection {
     /// ingests: a block shed behind parked ones (past the park bound,
     /// without a submit attempt of its own) is answered `Busy` for it.
     pub(crate) waiting_on: usize,
+    /// This connection's health baseline: its scrapes' windowed signals
+    /// run from its previous health scrape, whatever other connections
+    /// scrape in between.
+    pub(crate) health: HealthWindow,
 }
 
 impl Connection {
@@ -201,6 +205,7 @@ impl Connection {
             io_failed: false,
             wants_goodbye: false,
             waiting_on: 0,
+            health: HealthWindow::default(),
         })
     }
 

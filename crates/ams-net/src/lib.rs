@@ -40,8 +40,9 @@
 //! hint. So a fast producer sees backpressure, memory stays bounded by
 //! the service's bounded queues plus one parked frame per connection,
 //! and every other connection keeps making progress. Queries (self-join, two-way join, full
-//! snapshot, stats) answer from the service's merge-on-query snapshot
-//! register; `Drain` uses the service's non-blocking drain cut and is
+//! snapshot) answer from the service's merge-on-query snapshot
+//! register; one `Scrape` answers stats, metrics, traces, events and
+//! health as one document; `Drain` uses the service's non-blocking drain cut and is
 //! re-checked on every publish until it completes, and `Shutdown` gracefully
 //! lands parked ingests, stops the service, and ships the final
 //! snapshot and lifetime stats back over the wire.
@@ -74,7 +75,9 @@ pub use codec::{ErrorCode, FrameDecoder, FrameError, Request, Response};
 pub use error::NetError;
 pub use server::{NetServer, NetServerConfig, ServerHandle, StopHandle};
 
-// Assembled traces travel over the wire (`Request::Traces`);
-// re-exported so wire consumers can name the span types without a
-// separate `ams-telemetry` dependency declaration.
+// The scrape document and the assembled traces in it travel over the
+// wire (`Request::Scrape`); re-exported so wire consumers can name them
+// without separate `ams-service` / `ams-telemetry` dependency
+// declarations.
+pub use ams_service::Scrape;
 pub use ams_telemetry::{AssembledTrace, TraceSpan};

@@ -63,9 +63,9 @@ const SHUTDOWN_FLUSH_DEADLINE: Duration = Duration::from_secs(2);
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// One reactor's instrument handles, registered into the *service's*
-/// registry with a `reactor="i"` label so one `Request::Metrics`
-/// scrape (or one [`AmsService::metrics_snapshot`] call) covers both
-/// layers, per reactor.
+/// registry with a `reactor="i"` label so one scrape's metrics section
+/// (or one [`AmsService::metrics_snapshot`] call) covers both layers,
+/// per reactor.
 ///
 /// | metric | kind | meaning |
 /// |---|---|---|
@@ -90,7 +90,7 @@ struct NetInstruments {
     retry_ring: Arc<Gauge>,
     /// This thread's structured-event recorder on the service's event
     /// hub: sheds and read gates land next to the shard lifecycle
-    /// events in one `Request::Events` scrape. Per-thread rings mean a
+    /// events in one scrape's events section. Per-thread rings mean a
     /// shedding storm here can never evict a shard worker's events.
     events: EventRecorder,
 }
@@ -482,42 +482,15 @@ fn dispatch(
             conn.slots
                 .push_back(Slot::Ready(encoded(pool, &Response::Snapshot { snapshot })));
         }
-        Request::Stats => {
-            let stats = service.stats();
+        Request::Scrape { sections } => {
+            // One document from one registry read: each reactor
+            // registers its labeled instruments into the service's
+            // registry, so the metrics section carries `service_*` and
+            // per-reactor `net_*` series alike. The health window is
+            // this connection's own.
+            let scrape = service.scrape(sections, &mut conn.health);
             conn.slots
-                .push_back(Slot::Ready(encoded(pool, &Response::Stats { stats })));
-        }
-        Request::Metrics => {
-            // One scrape covers both layers: each reactor registers its
-            // own labeled instruments into the service's registry, so
-            // the snapshot carries `service_*` and per-reactor `net_*`
-            // series alike.
-            let snapshot = service.metrics_snapshot();
-            conn.slots
-                .push_back(Slot::Ready(encoded(pool, &Response::Metrics { snapshot })));
-        }
-        Request::Traces => {
-            // Scrape-time assembly: group the span rings by trace id
-            // for the tail-sampled (slowest) requests of the window.
-            let traces = service.traces();
-            conn.slots
-                .push_back(Slot::Ready(encoded(pool, &Response::Traces { traces })));
-        }
-        Request::Events => {
-            // Scrape-time merge of every thread's event ring (shard
-            // workers and reactors alike), oldest first.
-            let events = service.events();
-            conn.slots
-                .push_back(Slot::Ready(encoded(pool, &Response::Events { events })));
-        }
-        Request::Health => {
-            // The full scrape: windowed signals, per-attribute
-            // accuracy, folded verdict — and the mirrored gauges land
-            // in the registry as a side effect, so a Metrics scrape
-            // right after sees the same numbers.
-            let health = service.health();
-            conn.slots
-                .push_back(Slot::Ready(encoded(pool, &Response::Health { health })));
+                .push_back(Slot::Ready(encoded(pool, &Response::Scrape { scrape })));
         }
         Request::Drain => {
             // The cut must cover every ingest this connection was (or

@@ -1,13 +1,16 @@
 //! Property tests for the frame codec: encode ≡ decode round-trips for
-//! arbitrary blocks and queries, and clean (panic-free) rejection of
-//! truncated, corrupted, and arbitrary byte prefixes — snapshot bodies
-//! included.
+//! arbitrary blocks, queries and scrape section sets, and clean
+//! (panic-free) rejection of truncated, corrupted, and arbitrary byte
+//! prefixes — snapshot and scrape bodies included.
 
 use ams_core::{codec, SelfJoinEstimator, SketchParams, TugOfWarSketch};
 use ams_net::codec::{encode_ingest_frame_into, MAX_FRAME_PAYLOAD, MAX_INGEST_BLOCKS};
 use ams_net::crc::{crc32, crc32_bytewise};
-use ams_net::{FrameDecoder, FrameError, Request, Response};
-use ams_service::{ServiceSnapshot, ServiceStats};
+use ams_net::{FrameDecoder, FrameError, Request, Response, Scrape};
+use ams_service::{
+    AccuracyReport, AssembledTrace, HealthReport, HealthSignal, HealthVerdict, MetricsRegistry,
+    ServiceEvent, ServiceSnapshot, ServiceStats, ShardStats, TraceSpan,
+};
 use ams_stream::OpBlock;
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -66,15 +69,22 @@ fn ingest() -> impl Strategy<Value = Request> {
 }
 
 fn request() -> impl Strategy<Value = Request> {
-    (0u8..8, attr_name(), attr_name(), ingest()).prop_map(|(kind, a, b, ingest)| match kind {
-        0 | 6 => ingest,
-        1 => Request::QuerySelfJoin { attribute: a },
-        2 => Request::QueryTwoWayJoin { left: a, right: b },
-        3 => Request::Snapshot,
-        4 => Request::Stats,
-        5 => Request::Drain,
-        _ => Request::Shutdown,
-    })
+    (
+        0u8..8,
+        attr_name(),
+        attr_name(),
+        ingest(),
+        1u8..Scrape::ALL + 1,
+    )
+        .prop_map(|(kind, a, b, ingest, sections)| match kind {
+            0 | 6 => ingest,
+            1 => Request::QuerySelfJoin { attribute: a },
+            2 => Request::QueryTwoWayJoin { left: a, right: b },
+            3 => Request::Snapshot,
+            4 => Request::Scrape { sections },
+            5 => Request::Drain,
+            _ => Request::Shutdown,
+        })
 }
 
 /// Encodes an `Ingest` request through the borrowed-parts encoder.
@@ -148,6 +158,155 @@ fn decodes_or_malformed(body: &[u8]) -> Result<(), TestCaseError> {
         Ok(_) | Err(FrameError::Malformed { .. }) => Ok(()),
         Err(e) => Err(TestCaseError::fail(format!("{e:?}"))),
     }
+}
+
+/// A scrape document with every section populated, as a server sends
+/// it (the registry carries one series of each kind).
+fn full_scrape() -> Scrape {
+    let registry = MetricsRegistry::new();
+    registry
+        .counter("service_ops_ingested", &[("shard", "0")])
+        .add(12);
+    registry
+        .gauge("service_queue_depth", &[("shard", "0")])
+        .set(2);
+    registry
+        .histogram("service_ingest_ns", &[("shard", "1")])
+        .record(4_096);
+    Scrape {
+        at_ns: 123_456_789,
+        stats: Some(ServiceStats {
+            shards: vec![ShardStats {
+                shard: 0,
+                queue_depth: 2,
+                queue_capacity: 64,
+                max_queue_depth: 9,
+                blocks_enqueued: 40,
+                backpressure_events: 1,
+                queue_rejections: 1,
+                blocks_ingested: 38,
+                ops_ingested: 9_728,
+                epoch: 17,
+            }],
+        }),
+        metrics: Some(registry.snapshot()),
+        traces: Some(vec![AssembledTrace {
+            trace_id: 0xAB,
+            total_ns: 5_000,
+            spans: vec![TraceSpan {
+                stage: "kernel".into(),
+                start_ns: 10,
+                dur_ns: 900,
+            }],
+        }]),
+        events: Some(vec![ServiceEvent {
+            level: "info".into(),
+            code: "publish".into(),
+            at_ns: 99,
+            key: 1,
+            value: 38,
+        }]),
+        events_dropped: Some(0),
+        health: Some(HealthReport {
+            verdict: HealthVerdict::Healthy,
+            signals: vec![HealthSignal::grade("shed_rate", 0.0, 0.01, 0.25)],
+            accuracy: vec![AccuracyReport {
+                attribute: "v".into(),
+                estimate: 10.0,
+                ci_lower: 5.0,
+                ci_upper: 15.0,
+                error_bound: 0.5,
+                audited_exact: None,
+                observed_rel_error: None,
+                skew_score: 0.0,
+            }],
+        }),
+    }
+}
+
+/// The verified body of a `Scrape` response carrying `scrape`.
+fn scrape_body(scrape: &Scrape) -> Vec<u8> {
+    let response = Response::Scrape {
+        scrape: scrape.clone(),
+    };
+    decode_one(&response.encode().unwrap())
+        .unwrap()
+        .expect("whole frame decodes")
+}
+
+/// Every section bit set: exactly the nonempty subsets of
+/// `Scrape::ALL` encode and decode; every other byte fails both ways
+/// with the same reason, and a scrape frame without its byte fails too.
+#[test]
+fn scrape_section_sets_checked_both_ways() {
+    let reason = "empty or unknown scrape sections";
+    let stats = Request::Scrape {
+        sections: Scrape::STATS,
+    };
+    let kind = decode_one(&stats.encode().unwrap()).unwrap().unwrap()[0];
+    for sections in 0..=u8::MAX {
+        let valid = sections != 0 && sections & !Scrape::ALL == 0;
+        let request = Request::Scrape { sections };
+        let decoded = Request::decode(&[kind, sections]);
+        if valid {
+            let body = decode_one(&request.encode().unwrap()).unwrap().unwrap();
+            assert_eq!(Request::decode(&body).unwrap(), request);
+            assert_eq!(decoded.unwrap(), request);
+        } else {
+            assert_eq!(request.encode(), Err(FrameError::Malformed { reason }));
+            assert_eq!(decoded, Err(FrameError::Malformed { reason }));
+        }
+    }
+    assert_eq!(
+        Request::decode(&[kind]),
+        Err(FrameError::Malformed {
+            reason: "truncated scrape sections"
+        })
+    );
+    assert!(Request::decode(&[kind, Scrape::STATS, 0]).is_err());
+}
+
+/// A scrape document round-trips exactly, section by section, and the
+/// JSON form carries only the sections asked for.
+#[test]
+fn scrape_bodies_roundtrip_with_only_the_sections_asked_for() {
+    let full = full_scrape();
+    let body = scrape_body(&full);
+    assert_eq!(
+        Response::decode(&body).unwrap(),
+        Response::Scrape {
+            scrape: full.clone()
+        }
+    );
+    let stats_only = Scrape {
+        at_ns: 5,
+        stats: full.stats.clone(),
+        ..Scrape::default()
+    };
+    let body = scrape_body(&stats_only);
+    let json = std::str::from_utf8(&body[5..]).unwrap();
+    assert!(json.contains("\"stats\""), "{json}");
+    for absent in ["metrics", "traces", "events", "health"] {
+        assert!(!json.contains(&format!("\"{absent}")), "{json}");
+    }
+    match Response::decode(&body).unwrap() {
+        Response::Scrape { scrape } => assert_eq!(scrape, stats_only),
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+/// A document length past the remaining body is refused before any
+/// allocation sized by it.
+#[test]
+fn overdeclared_scrape_document_length_rejected_before_allocation() {
+    let mut bad = scrape_body(&full_scrape());
+    bad[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(
+        Response::decode(&bad).unwrap_err(),
+        FrameError::Malformed {
+            reason: "truncated document bytes"
+        }
+    );
 }
 
 /// Body offsets: kind byte, `u32` snapshot length, 32 bytes of stamps,
@@ -226,6 +385,48 @@ proptest! {
         flip in 1u8..255,
     ) {
         let body = &snapshot_bodies(&real_snapshot())[goodbye as usize];
+        let cut = cut % body.len();
+        decodes_or_malformed(&body[..cut])?;
+        prop_assert!(Response::decode(&body[..cut]).is_err(), "prefix of {cut} bytes decoded");
+        // Byte 0 is the kind: flipping it makes another message.
+        let mut flipped = body.clone();
+        flipped[1 + at % (body.len() - 1)] ^= flip;
+        decodes_or_malformed(&flipped)?;
+    }
+
+    /// `Scrape` bodies of random bytes — raw, behind a consistent
+    /// document length, and spliced after a real document's first
+    /// bytes — decode or fail as `Malformed`, never panic.
+    #[test]
+    fn scrape_bodies_of_random_bytes_never_panic(
+        keep in 0usize..4096,
+        bytes in proptest::collection::vec(any::<u8>(), 0..512),
+    ) {
+        let real = scrape_body(&full_scrape());
+        let mut raw = vec![real[0]];
+        raw.extend_from_slice(&bytes);
+        decodes_or_malformed(&raw)?;
+        let mut sized = vec![real[0]];
+        sized.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        sized.extend_from_slice(&bytes);
+        decodes_or_malformed(&sized)?;
+        let keep = 5 + keep % (real.len() - 5);
+        let mut spliced = real[..keep].to_vec();
+        spliced.extend_from_slice(&bytes);
+        let len = (spliced.len() - 5) as u32;
+        spliced[1..5].copy_from_slice(&len.to_le_bytes());
+        decodes_or_malformed(&spliced)?;
+    }
+
+    /// Truncations and byte flips of a real `Scrape` body decode or
+    /// fail as `Malformed`; a strict prefix always fails.
+    #[test]
+    fn scrape_bodies_truncated_or_flipped_never_panic(
+        cut in 0usize..8192,
+        at in 0usize..8192,
+        flip in 1u8..255,
+    ) {
+        let body = scrape_body(&full_scrape());
         let cut = cut % body.len();
         decodes_or_malformed(&body[..cut])?;
         prop_assert!(Response::decode(&body[..cut]).is_err(), "prefix of {cut} bytes decoded");

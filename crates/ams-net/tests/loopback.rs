@@ -313,8 +313,8 @@ fn drained_covers_ingests_parked_before_the_drain() {
 
 #[test]
 fn metrics_scrape_covers_service_and_net_layers_end_to_end() {
-    // The PR's acceptance pin: after a pipelined ingest + drain, one
-    // `Request::Metrics` scrape over loopback returns per-shard ingest
+    // The acceptance pin: after a pipelined ingest + drain, one
+    // metrics scrape over loopback returns per-shard ingest
     // histograms and routed-ops counters that account for the whole
     // stream, plus the reactor's own frame/byte counters.
     let shards = 2;
@@ -419,7 +419,10 @@ fn malformed_frames_never_crash_the_reactor() {
         },
         // A valid frame with its checksum stomped.
         {
-            let mut frame = ams_net::Request::Stats.encode().unwrap();
+            let stats = ams_net::Request::Scrape {
+                sections: ams_net::Scrape::STATS,
+            };
+            let mut frame = stats.encode().unwrap();
             frame[10] ^= 0x55;
             frame
         },
@@ -474,8 +477,8 @@ fn malformed_frames_never_crash_the_reactor() {
 
 #[test]
 fn requests_pipelined_after_shutdown_get_no_answer_before_goodbye() {
-    // [Shutdown, Stats] in one burst: the server must not answer the
-    // trailing Stats ahead of the Goodbye — in-order responses are
+    // [Shutdown, Scrape] in one burst: the server must not answer the
+    // trailing Scrape ahead of the Goodbye — in-order responses are
     // part of the protocol contract.
     let params = SketchParams::new(16, 3).unwrap();
     let server = NetServer::bind("127.0.0.1:0").unwrap();
@@ -483,7 +486,10 @@ fn requests_pipelined_after_shutdown_get_no_answer_before_goodbye() {
     let handle = server.spawn(service(1, 8, params, &["v"]));
 
     let mut wire = ams_net::Request::Shutdown.encode().unwrap();
-    wire.extend_from_slice(&ams_net::Request::Stats.encode().unwrap());
+    let stats = ams_net::Request::Scrape {
+        sections: ams_net::Scrape::STATS,
+    };
+    wire.extend_from_slice(&stats.encode().unwrap());
     let mut raw = TcpStream::connect(addr).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     raw.write_all(&wire).unwrap();
@@ -500,7 +506,7 @@ fn requests_pipelined_after_shutdown_get_no_answer_before_goodbye() {
         matches!(responses.first(), Some(ams_net::Response::Goodbye { .. })),
         "first (and only) answer must be the Goodbye, got {responses:?}"
     );
-    assert_eq!(responses.len(), 1, "the post-Shutdown Stats is dropped");
+    assert_eq!(responses.len(), 1, "the post-Shutdown Scrape is dropped");
     handle.join();
 }
 

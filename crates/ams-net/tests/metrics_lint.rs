@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ams_core::SketchParams;
-use ams_net::{AmsClient, NetServer};
+use ams_net::{AmsClient, NetServer, Scrape};
 use ams_service::{AmsService, DurabilityConfig, FsyncPolicy, MetricsSnapshot, ServiceConfig};
 use ams_stream::OpBlock;
 
@@ -55,8 +55,8 @@ fn is_snake_case(name: &str) -> bool {
             .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
 }
 
-/// Registers the full metric surface — service shards, WAL, health
-/// gauges, reactors, client — by actually running every layer once.
+/// Registers the full metric surface — service shards, WAL, reactors,
+/// client — by actually running every layer once.
 fn full_surface() -> (MetricsSnapshot, MetricsSnapshot) {
     let dir = TempDir::new();
     let config = ServiceConfig::builder()
@@ -79,9 +79,11 @@ fn full_surface() -> (MetricsSnapshot, MetricsSnapshot) {
             .unwrap();
     }
     client.drain().unwrap();
-    // The health scrape lazily registers its gauge mirror.
-    client.health().unwrap();
-    let server_side = client.metrics().unwrap();
+    // A full scrape; its health section registers nothing, so the
+    // metrics section is the registration surface itself.
+    let scrape = client.scrape(Scrape::ALL).unwrap();
+    assert!(scrape.health.is_some());
+    let server_side = scrape.metrics.unwrap();
     let client_side = client.local_metrics();
     let _ = client.shutdown().unwrap();
     handle.join();

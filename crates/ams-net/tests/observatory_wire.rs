@@ -1,13 +1,13 @@
-//! End-to-end observatory scrape over real sockets: one wire `Health`
-//! request returns per-attribute confidence intervals that cover the
-//! exact answer on a seeded zipf stream, and one wire `Events` request
-//! shows the lifecycle (shard start → publish) plus the reactor's own
-//! start event — the acceptance pins of the health observatory at the
-//! network layer.
+//! End-to-end observatory scrape over real sockets: one wire `Scrape`
+//! request returns a health section whose per-attribute confidence
+//! intervals cover the exact answer on a seeded zipf stream, and an
+//! events section that shows the lifecycle (shard start → publish) plus
+//! the reactor's own start event — the acceptance pins of the health
+//! observatory at the network layer.
 
 use ams_core::SketchParams;
 use ams_datagen::zipf::ZipfGenerator;
-use ams_net::{AmsClient, NetServer};
+use ams_net::{AmsClient, NetServer, Scrape};
 use ams_service::{AmsService, HealthVerdict, ServiceConfig, SignalStatus};
 use ams_stream::{value_blocks, Multiset, OpBlock};
 
@@ -37,10 +37,14 @@ fn wire_health_scrape_covers_exact_and_events_show_lifecycle() {
     }
     client.drain().unwrap();
 
-    // One wire Health scrape: the interval must cover the exact
-    // answer, the audit substream must be populated, and a drained
-    // balanced service must grade Healthy.
-    let health = client.health().unwrap();
+    // One wire scrape: the interval must cover the exact answer, the
+    // audit substream must be populated, and a drained balanced
+    // service must grade Healthy.
+    let scrape = client
+        .scrape(Scrape::HEALTH | Scrape::EVENTS | Scrape::METRICS)
+        .unwrap();
+    assert!(scrape.stats.is_none() && scrape.traces.is_none());
+    let health = scrape.health.expect("health section");
     assert_eq!(
         health.verdict,
         HealthVerdict::Healthy,
@@ -64,9 +68,9 @@ fn wire_health_scrape_covers_exact_and_events_show_lifecycle() {
     assert_eq!(imbalance.status, SignalStatus::Ok);
     assert!(imbalance.value < 2.0, "round-robin: {}", imbalance.value);
 
-    // One wire Events scrape: shard lifecycle in timestamp order, and
-    // the reactor's own start event sits in the same merged stream.
-    let events = client.events().unwrap();
+    // The same document's events: shard lifecycle in timestamp order,
+    // and the reactor's own start event sits in the same merged stream.
+    let events = scrape.events.expect("events section");
     let position = |code: &str| events.iter().position(|e| e.code == code);
     let start = position("shard_start").expect("shard_start");
     let publish = position("publish").expect("publish (cadence 8 fired)");
@@ -76,14 +80,22 @@ fn wire_health_scrape_covers_exact_and_events_show_lifecycle() {
     // No reconnect happened, so the client's local hub is empty.
     assert!(client.local_events().is_empty());
 
-    // The health gauges the scrape mirrored are visible to a plain
-    // Metrics scrape over the same connection.
-    let metrics = client.metrics().unwrap();
-    assert_eq!(metrics.gauge("service_health_status", &[]), Some(0));
-    let labels = [("attribute", "zipf")];
-    let lower = metrics.gauge("service_estimate_ci_lower", &labels).unwrap();
-    let upper = metrics.gauge("service_estimate_ci_upper", &labels).unwrap();
-    assert!(lower as f64 <= exact && exact <= upper as f64);
+    // The verdict and the interval live in the health section only:
+    // grading writes nothing into the registry, so neither this
+    // document's metrics section nor a later plain metrics scrape
+    // carries a health series.
+    assert_eq!(health.verdict.code(), 0);
+    assert!(accuracy.ci_lower <= exact && exact <= accuracy.ci_upper);
+    for metrics in [scrape.metrics.unwrap(), client.metrics().unwrap()] {
+        assert!(
+            metrics
+                .samples
+                .iter()
+                .all(|s| !s.name.starts_with("service_health")
+                    && !s.name.starts_with("service_estimate")),
+            "health wrote into the registry"
+        );
+    }
 
     let _ = client.shutdown().unwrap();
     handle.join();

@@ -1,5 +1,5 @@
 //! End-to-end tracing over the loopback wire: a traced durable ingest
-//! must come back from a `Traces` scrape as one assembled trace whose
+//! must come back from a scrape's traces section as one assembled trace whose
 //! stage spans cover the whole server-side pipeline (decode → route →
 //! queue → wal_append → kernel → durable_wait → ack), start in
 //! pipeline order, and sum to no more than the latency the client
@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use ams_core::SketchParams;
-use ams_net::{AckMode, AmsClient, AssembledTrace, NetServer, ServerHandle};
+use ams_net::{AckMode, AmsClient, AssembledTrace, NetServer, Scrape, ServerHandle};
 use ams_service::{AmsService, DurabilityConfig, RouterPolicy, ServiceConfig};
 use ams_stream::OpBlock;
 
@@ -68,6 +68,12 @@ fn spawn_service(durable_dir: Option<&Path>) -> ServerHandle {
     NetServer::bind("127.0.0.1:0").unwrap().spawn(service)
 }
 
+/// The traces section of one wire scrape.
+fn traces(client: &mut AmsClient) -> Vec<AssembledTrace> {
+    let scrape = client.scrape(Scrape::TRACES).unwrap();
+    scrape.traces.expect("the traces section was asked for")
+}
+
 /// Index of the first span of `stage`, by start time, or a panic
 /// naming the stage the trace is missing.
 fn first_start(trace: &AssembledTrace, stage: &str) -> u64 {
@@ -97,7 +103,7 @@ fn durable_traced_ingest_assembles_a_full_pipeline_trace() {
     client.ingest_block("v", &block(1)).unwrap();
     let e2e_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap();
 
-    let traces = client.traces().unwrap();
+    let traces = traces(&mut client);
     assert_eq!(traces.len(), 1, "one traced ingest, one tail sample");
     let trace = &traces[0];
     assert_ne!(trace.trace_id, 0);
@@ -175,7 +181,7 @@ fn in_memory_traced_ingest_has_no_durability_spans() {
     // In-memory acks fire at acceptance, so the shard-side spans land
     // asynchronously; a drain is the barrier that makes them visible.
     client.drain().unwrap();
-    let traces = client.traces().unwrap();
+    let traces = traces(&mut client);
     assert_eq!(traces.len(), 1);
     let trace = &traces[0];
     for stage in ["decode", "route", "queue", "kernel", "ack"] {
@@ -207,7 +213,7 @@ fn untraced_ingest_leaves_the_sampler_empty() {
     for i in 0..8 {
         client.ingest_block("v", &block(i)).unwrap();
     }
-    assert!(client.traces().unwrap().is_empty());
+    assert!(traces(&mut client).is_empty());
     assert!(client.local_traces().is_empty());
 
     handle.stop();
@@ -222,7 +228,7 @@ fn sampled_tracing_traces_every_nth_ingest() {
         client.ingest_block("v", &block(i)).unwrap();
     }
     client.drain().unwrap();
-    let traces = client.traces().unwrap();
+    let traces = traces(&mut client);
     assert_eq!(traces.len(), 3, "12 ingests at every=4 yield 3 traces");
     for trace in &traces {
         assert!(trace.spans.iter().any(|s| s.stage == "kernel"));

@@ -2,15 +2,15 @@
 //! window, and the load-imbalance rule.
 //!
 //! [`crate::AmsService::health`] turns raw telemetry into graded
-//! signals. The *window* is the span since the previous health scrape
-//! (the first scrape's window starts at service start): rates and the
-//! imbalance ratio are computed over counter **deltas** inside that
+//! signals. The *window* is the span since the same scraper's previous
+//! health scrape (its first window starts at service start): rates and
+//! the imbalance ratio are computed over counter **deltas** inside that
 //! window, so a long-running service reports current behaviour, not
-//! lifetime averages. This module owns the pieces that are pure data
-//! plumbing — the baselines, the thresholds, and the imbalance rule —
-//! so they can be tested without spinning up a service.
-
-use std::sync::Mutex;
+//! lifetime averages. Each scraper owns its [`HealthWindow`], so one
+//! scraper's cadence never moves another's baseline. This module owns
+//! the pieces that are pure data plumbing — the baselines, the
+//! thresholds, and the imbalance rule — so they can be tested without
+//! spinning up a service.
 
 /// Grading thresholds for the derived health signals. Every signal is
 /// oriented so *higher is worse*; a value `>=` the degraded/unhealthy
@@ -84,64 +84,39 @@ pub fn imbalance_ratio(deltas: &[u64]) -> f64 {
     }
 }
 
-/// Counter deltas over one scrape-to-scrape window.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct WindowDeltas {
-    /// Routed ops per shard.
-    pub routed: Vec<u64>,
-    /// Ops applied by workers, summed over shards.
-    pub ingested_ops: u64,
-    /// Busy responses shed by the net layer.
-    pub busy: u64,
-    /// Frames decoded by the net layer.
-    pub decoded: u64,
-}
-
-/// The rolling baseline: cumulative counter values at the previous
-/// health scrape.
-#[derive(Debug, Default)]
-pub(crate) struct HealthWindow {
-    prev: Mutex<Baseline>,
-}
-
-#[derive(Debug, Default)]
-struct Baseline {
-    routed: Vec<u64>,
-    ingested_ops: u64,
-    busy: u64,
-    decoded: u64,
+/// The window counters: routed ops per shard, ops applied by the
+/// workers, and the net layer's Busy answers and decoded frames. As one
+/// scraper's baseline they hold the cumulative values at its previous
+/// health scrape; each health scrape grades the same counters accrued
+/// since then and moves the baseline. A wire connection keeps one
+/// baseline; an in-process caller of [`crate::AmsService::health`] or
+/// [`crate::AmsService::scrape`] keeps its own.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct HealthWindow {
+    pub(crate) routed: Vec<u64>,
+    pub(crate) ingested_ops: u64,
+    pub(crate) busy: u64,
+    pub(crate) decoded: u64,
 }
 
 impl HealthWindow {
-    /// Computes the deltas since the previous scrape and advances the
-    /// baseline to the given cumulative values. Counters are monotone;
-    /// `saturating_sub` guards the (restart) edge anyway.
-    pub fn advance(
-        &self,
-        routed: &[u64],
-        ingested_ops: u64,
-        busy: u64,
-        decoded: u64,
-    ) -> WindowDeltas {
-        let mut prev = self.prev.lock().unwrap_or_else(|e| e.into_inner());
-        if prev.routed.len() != routed.len() {
-            prev.routed = vec![0; routed.len()];
-        }
-        let deltas = WindowDeltas {
-            routed: routed
+    /// Makes the cumulative counters `now` the baseline and returns the
+    /// deltas since the previous one (the first window starts at zero).
+    /// Counters are monotone; `saturating_sub` guards the (restart)
+    /// edge anyway.
+    pub(crate) fn advance(&mut self, now: Self) -> Self {
+        let then = std::mem::replace(self, now);
+        Self {
+            routed: self
+                .routed
                 .iter()
-                .zip(prev.routed.iter())
-                .map(|(&now, &then)| now.saturating_sub(then))
+                .zip(then.routed.iter().chain(std::iter::repeat(&0)))
+                .map(|(now, then)| now.saturating_sub(*then))
                 .collect(),
-            ingested_ops: ingested_ops.saturating_sub(prev.ingested_ops),
-            busy: busy.saturating_sub(prev.busy),
-            decoded: decoded.saturating_sub(prev.decoded),
-        };
-        prev.routed.copy_from_slice(routed);
-        prev.ingested_ops = ingested_ops;
-        prev.busy = busy;
-        prev.decoded = decoded;
-        deltas
+            ingested_ops: self.ingested_ops.saturating_sub(then.ingested_ops),
+            busy: self.busy.saturating_sub(then.busy),
+            decoded: self.decoded.saturating_sub(then.decoded),
+        }
     }
 }
 
@@ -165,19 +140,21 @@ mod tests {
 
     #[test]
     fn window_advances_and_deltas_are_per_scrape() {
-        let window = HealthWindow::default();
-        let first = window.advance(&[10, 20], 25, 1, 100);
-        assert_eq!(first.routed, vec![10, 20], "first window starts at zero");
+        let counters = |routed: &[u64], ingested_ops, busy, decoded| HealthWindow {
+            routed: routed.to_vec(),
+            ingested_ops,
+            busy,
+            decoded,
+        };
+        let mut window = HealthWindow::default();
+        let first = window.advance(counters(&[10, 20], 25, 1, 100));
         assert_eq!(
-            (first.ingested_ops, first.busy, first.decoded),
-            (25, 1, 100)
+            first,
+            counters(&[10, 20], 25, 1, 100),
+            "first window starts at zero"
         );
-        let second = window.advance(&[15, 30], 40, 1, 150);
-        assert_eq!(second.routed, vec![5, 10]);
-        assert_eq!(
-            (second.ingested_ops, second.busy, second.decoded),
-            (15, 0, 50)
-        );
+        let second = window.advance(counters(&[15, 30], 40, 1, 150));
+        assert_eq!(second, counters(&[5, 10], 15, 0, 50));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! moment's heavy hitters: a fixed-capacity SpaceSaving summary per
 //! attribute, fed by the router with every accepted submission, whose
 //! top-`k` keys are mirrored into `service_heavy_keys{attribute,rank}`
-//! gauges so a metrics scrape (or the wire `Metrics` request) shows
+//! gauges so a metrics scrape (in process or over the wire) shows
 //! which keys dominate the stream. Observation only: routing decisions
 //! are untouched — this is the measurement a future skew-aware router
 //! would act on.

@@ -46,8 +46,7 @@
 //!   shard path; workers stamp queue/kernel/WAL/fsync spans into
 //!   bounded per-thread rings on the service's [`TraceHub`], the tail
 //!   sampler keeps the slowest requests per window, and
-//!   [`AmsService::traces`] assembles them on demand (the wire
-//!   `Traces` request is exactly this call).
+//!   [`AmsService::traces`] assembles them on demand.
 //! * Heavy-key observation (opt-in via
 //!   [`ServiceConfigBuilder::heavy_keys`]) — a fixed-capacity
 //!   SpaceSaving summary per attribute, surfaced as
@@ -57,15 +56,20 @@
 //!   (start/stop, recovery, publish, checkpoint, WAL rotation and
 //!   failures, dedup skips) into bounded per-thread rings on the
 //!   service's event hub; [`AmsService::events`] collects them in
-//!   timestamp order (the wire `Events` request is exactly this call).
-//! * Health scrapes — [`AmsService::health`] grades windowed signals
-//!   (queue saturation, shed rate, shard imbalance, WAL fsync budget)
-//!   against [`HealthThresholds`], pairs every attribute's estimate
-//!   with its median-of-means confidence interval, the shadow audit's
-//!   observed relative error (opt-in via
-//!   [`ServiceConfigBuilder::audit_every`]) and the heavy-key skew
-//!   score, and folds one Healthy/Degraded/Unhealthy verdict (the wire
-//!   `Health` request is exactly this call).
+//!   timestamp order.
+//! * Health — [`AmsService::health`] grades signals windowed over the
+//!   caller's own [`HealthWindow`] (queue saturation, shed rate, shard
+//!   imbalance, WAL fsync budget and failures) against
+//!   [`HealthThresholds`], pairs every attribute's estimate with its
+//!   median-of-means confidence interval, the shadow audit's observed
+//!   relative error (opt-in via [`ServiceConfigBuilder::audit_every`])
+//!   and the heavy-key skew score, and folds one
+//!   Healthy/Degraded/Unhealthy verdict.
+//! * Scrapes — [`AmsService::scrape`] builds one [`Scrape`] document
+//!   with any of the stats, metrics, traces, events and health
+//!   sections, metrics and health from one registry read (the wire
+//!   `Scrape` request is exactly this call). No scrape writes into the
+//!   registry, so no scrape changes what another one sees.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -77,6 +81,7 @@ pub mod health;
 pub mod heavy;
 pub mod queue;
 pub mod router;
+pub mod scrape;
 mod shard;
 pub mod snapshot;
 pub mod stats;
@@ -87,10 +92,11 @@ mod wake;
 
 pub use config::{ServiceConfig, ServiceConfigBuilder};
 pub use error::ServiceError;
-pub use health::{imbalance_ratio, HealthThresholds};
+pub use health::{imbalance_ratio, HealthThresholds, HealthWindow};
 pub use heavy::{HeavyEntry, HeavyKeys, SpaceSaving};
 pub use queue::{IngestTag, Wait};
 pub use router::{Router, RouterPolicy};
+pub use scrape::Scrape;
 pub use service::{AmsService, DrainCut, DurableCut};
 pub use snapshot::ServiceSnapshot;
 pub use stats::{ServiceStats, ShardStats};

@@ -10,8 +10,8 @@ use ams_core::{SelfJoinEstimator, TugOfWarSketch};
 use ams_durable::{ShardDurable, ShardRecovery, ShardShape, WalInstruments};
 use ams_stream::OpBlock;
 use ams_telemetry::{
-    trace_clock_ns, AccuracyReport, AssembledTrace, EventCode, EventHub, HealthReport,
-    HealthSignal, HealthVerdict, MetricsRegistry, MetricsSnapshot, ServiceEvent, TraceHub,
+    trace_clock_ns, AccuracyReport, AssembledTrace, EventHub, HealthReport, HealthSignal,
+    HealthVerdict, MetricsRegistry, MetricsSnapshot, ServiceEvent, TraceHub,
 };
 
 use crate::audit::AuditSampler;
@@ -21,6 +21,7 @@ use crate::health::{imbalance_ratio, HealthThresholds, HealthWindow};
 use crate::heavy::{HeavyEntry, HeavyKeys};
 use crate::queue::{BlockQueue, IngestTag, ShardTask, Wait};
 use crate::router::{RoutedBlocks, Router, RouterPolicy};
+use crate::scrape::Scrape;
 use crate::shard::{DurableShardState, ShardWorker};
 use crate::snapshot::{ServiceSnapshot, ShardCell};
 use crate::stats::{ServiceStats, ShardStats};
@@ -102,9 +103,6 @@ pub struct AmsService {
     /// The shadow-audit sampler (`None` when
     /// [`ServiceConfig::audit_every`] is zero).
     audit: Option<AuditSampler>,
-    /// Scrape-to-scrape counter baselines for the windowed health
-    /// signals.
-    health_window: HealthWindow,
     /// Wakers of front-ends that park work without a thread, rung by
     /// the queues, the snapshot cells and the durable watermarks.
     wake: Arc<WakeHook>,
@@ -246,7 +244,6 @@ impl AmsService {
             heavy,
             event_hub,
             audit,
-            health_window: HealthWindow::default(),
             wake,
         })
     }
@@ -623,7 +620,7 @@ impl AmsService {
 
     /// Assembles the tail-sampled traces — the slowest requests of the
     /// current window, each with its recorded stage spans grouped and
-    /// ordered. This is what the wire `Traces` request returns.
+    /// ordered: a scrape's traces section.
     pub fn traces(&self) -> Vec<AssembledTrace> {
         self.trace_hub.assemble()
     }
@@ -641,25 +638,46 @@ impl AmsService {
     /// publishes, checkpoints, WAL rotation/truncation/failures, dedup
     /// skips, plus whatever events front-ends recorded. Rings are
     /// bounded and overwrite their oldest entries; the exact overwrite
-    /// count is `EventHub::dropped_events`. This is what the wire
-    /// `Events` request returns.
+    /// count is `EventHub::dropped_events`. A scrape's events section.
     pub fn events(&self) -> Vec<ServiceEvent> {
         self.event_hub.collect_wire()
     }
 
-    /// One health scrape with the default [`HealthThresholds`]: grades
-    /// the windowed signals, assembles per-attribute accuracy reports,
-    /// folds the verdict, and mirrors everything into gauges. This is
-    /// what the wire `Health` request returns.
-    pub fn health(&self) -> HealthReport {
-        self.health_with(&HealthThresholds::default())
+    /// One scrape in one pass: the sections `sections` names (a bit
+    /// set of the [`Scrape`] constants; unknown bits are ignored), with
+    /// metrics and health read from the same registry snapshot. The
+    /// health section is graded against the default
+    /// [`HealthThresholds`] over `window`, the caller's own baseline,
+    /// which the scrape advances. A stats-only scrape reads no registry.
+    pub fn scrape(&self, sections: u8, window: &mut HealthWindow) -> Scrape {
+        let wants = |section: u8| sections & section != 0;
+        let snap = wants(Scrape::METRICS | Scrape::HEALTH).then(|| self.metrics_snapshot());
+        let at_ns = trace_clock_ns();
+        let events = wants(Scrape::EVENTS).then(|| self.events());
+        Scrape {
+            at_ns,
+            stats: wants(Scrape::STATS).then(|| self.stats()),
+            traces: wants(Scrape::TRACES).then(|| self.traces()),
+            events_dropped: events.as_ref().map(|_| self.event_hub.dropped_events()),
+            events,
+            health: snap
+                .as_ref()
+                .filter(|_| wants(Scrape::HEALTH))
+                .map(|snap| self.grade(snap, &HealthThresholds::default(), window)),
+            metrics: snap.filter(|_| wants(Scrape::METRICS)),
+        }
     }
 
-    /// [`Self::health`] graded against caller-supplied thresholds.
+    /// One health scrape graded against `thresholds` over the caller's
+    /// `window` (a scrape's health section is this under the default
+    /// [`HealthThresholds`]): grades the windowed signals, assembles
+    /// per-attribute accuracy reports and folds the verdict.
     ///
     /// The *window* for rates and the imbalance ratio is the span since
-    /// the previous health scrape (first scrape: since start). Signals,
-    /// all oriented higher-is-worse:
+    /// the previous scrape through the same `window` (first scrape:
+    /// since start); no scrape writes into the registry, so scrapes
+    /// never change what another scraper sees. Signals, all oriented
+    /// higher-is-worse:
     ///
     /// * `queue_saturation` — worst shard's queue depth / capacity.
     /// * `shed_rate` — net-layer Busy responses per decoded frame in
@@ -671,13 +689,23 @@ impl AmsService {
     ///   least `imbalance_min_ops` ops.
     /// * `wal_fsync_p99_budget` — lifetime fsync p99 over the budget
     ///   (durability only, once any fsync happened).
-    /// * `wal_append_failures` — WAL append failures resident in the
-    ///   event rings (durability only; any failure is Unhealthy).
+    /// * `wal_append_failures` — WAL appends that failed over the
+    ///   service's lifetime (durability only; any failure is
+    ///   Unhealthy).
     /// * `audit_rel_error_bounds` — worst observed audit relative error
     ///   as a multiple of the sketch's a-priori `error_bound()` (audit
     ///   sampler only).
-    pub fn health_with(&self, thresholds: &HealthThresholds) -> HealthReport {
-        let snap = self.metrics_snapshot();
+    pub fn health(&self, thresholds: &HealthThresholds, window: &mut HealthWindow) -> HealthReport {
+        self.grade(&self.metrics_snapshot(), thresholds, window)
+    }
+
+    /// The health report for one registry snapshot.
+    fn grade(
+        &self,
+        snap: &MetricsSnapshot,
+        thresholds: &HealthThresholds,
+        window: &mut HealthWindow,
+    ) -> HealthReport {
         let routed: Vec<u64> = (0..self.config.shards())
             .map(|shard| {
                 let id = shard.to_string();
@@ -685,12 +713,12 @@ impl AmsService {
                     .unwrap_or(0)
             })
             .collect();
-        let deltas = self.health_window.advance(
-            &routed,
-            snap.counter_total("service_ops_ingested"),
-            snap.counter_total("net_busy_responses"),
-            snap.counter_total("net_frames_decoded"),
-        );
+        let deltas = window.advance(HealthWindow {
+            routed,
+            ingested_ops: snap.counter_total("service_ops_ingested"),
+            busy: snap.counter_total("net_busy_responses"),
+            decoded: snap.counter_total("net_frames_decoded"),
+        });
 
         let mut signals = Vec::new();
         let saturation = self
@@ -722,11 +750,10 @@ impl AmsService {
             0.0
         };
         signals.push(HealthSignal::grade("ingest_stall", stall, 1.0, 2.0));
-        let ratio = imbalance_ratio(&deltas.routed);
         if window_ops >= thresholds.imbalance_min_ops {
             signals.push(HealthSignal::grade(
                 "shard_imbalance_ratio",
-                ratio,
+                imbalance_ratio(&deltas.routed),
                 thresholds.imbalance_degraded,
                 thresholds.imbalance_unhealthy,
             ));
@@ -741,15 +768,9 @@ impl AmsService {
                     thresholds.fsync_unhealthy,
                 ));
             }
-            let failures = self
-                .event_hub
-                .collect()
-                .iter()
-                .filter(|e| e.code == EventCode::WalAppendFailed)
-                .count();
             signals.push(HealthSignal::grade(
                 "wal_append_failures",
-                failures as f64,
+                snap.counter_total("wal_append_failures") as f64,
                 1.0,
                 1.0,
             ));
@@ -805,54 +826,10 @@ impl AmsService {
             ));
         }
 
-        let verdict = HealthVerdict::from_signals(&signals);
-        self.export_health_gauges(&verdict, ratio, &accuracy);
         HealthReport {
-            verdict,
+            verdict: HealthVerdict::from_signals(&signals),
             signals,
             accuracy,
-        }
-    }
-
-    /// Mirrors a health scrape into gauges, so a plain Prometheus
-    /// scrape sees the verdict and accuracy without speaking the wire
-    /// `Health` frame. Gauges are integers; ratio-valued series carry
-    /// the value × 1000 (`_milli`, and `service_shard_imbalance_ratio`).
-    fn export_health_gauges(
-        &self,
-        verdict: &HealthVerdict,
-        imbalance: f64,
-        accuracy: &[AccuracyReport],
-    ) {
-        let registry = self.telemetry.registry();
-        registry
-            .gauge("service_health_status", &[])
-            .set(verdict.code());
-        registry
-            .gauge("service_shard_imbalance_ratio", &[])
-            .set((imbalance * 1000.0) as i64);
-        registry
-            .gauge("service_events_dropped", &[])
-            .set(self.event_hub.dropped_events() as i64);
-        for report in accuracy {
-            let labels = [("attribute", report.attribute.as_str())];
-            registry
-                .gauge("service_estimate", &labels)
-                .set(report.estimate as i64);
-            registry
-                .gauge("service_estimate_ci_lower", &labels)
-                .set(report.ci_lower as i64);
-            registry
-                .gauge("service_estimate_ci_upper", &labels)
-                .set(report.ci_upper as i64);
-            if let Some(rel) = report.observed_rel_error {
-                registry
-                    .gauge("service_audit_rel_error_milli", &labels)
-                    .set((rel * 1000.0) as i64);
-            }
-            registry
-                .gauge("service_skew_score_milli", &labels)
-                .set((report.skew_score * 1000.0) as i64);
         }
     }
 

@@ -21,20 +21,9 @@
 //! | `service_heavy_keys{attribute,rank}` | gauge | estimated count of the rank-th heaviest key (opt-in, see [`crate::heavy`]) |
 //! | `service_heavy_key_value{attribute,rank}` | gauge | that key's value as `i64` (opt-in, see [`crate::heavy`]) |
 //!
-//! Health scrapes ([`crate::AmsService::health`]) additionally mirror
-//! their derived signals into gauges, registered lazily at the first
-//! scrape; ratio-valued series carry the value × 1000:
-//!
-//! | metric | kind | meaning |
-//! |---|---|---|
-//! | `service_health_status` | gauge | folded verdict: 0 healthy, 1 degraded, 2 unhealthy |
-//! | `service_shard_imbalance_ratio` | gauge | max/min windowed routed ops across shards, × 1000 |
-//! | `service_events_dropped` | gauge | events lost to ring overwrite, exact count |
-//! | `service_estimate{attribute}` | gauge | merged self-join estimate |
-//! | `service_estimate_ci_lower{attribute}` | gauge | confidence interval lower bound |
-//! | `service_estimate_ci_upper{attribute}` | gauge | confidence interval upper bound |
-//! | `service_audit_rel_error_milli{attribute}` | gauge | shadow audit's observed relative error, × 1000 (audit opt-in) |
-//! | `service_skew_score_milli{attribute}` | gauge | heaviest key's share of observed ops, × 1000 (heavy-keys opt-in) |
+//! Health grading ([`crate::AmsService::health`]) registers and writes
+//! nothing: its verdict, signals and per-attribute accuracy travel only
+//! in the health section of a [`crate::Scrape`].
 //!
 //! All handles are `Arc`s over relaxed atomics (see `ams-telemetry`):
 //! the workers and producers record without locks; the registry's

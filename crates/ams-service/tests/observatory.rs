@@ -2,7 +2,7 @@
 //! level: lifecycle events land in order, the windowed health signals
 //! are hand-computable from the routed ops, the per-attribute
 //! confidence interval covers the exact answer on a seeded zipf
-//! stream, and a wedged WAL turns the verdict Unhealthy.
+//! stream, and a wedged WAL turns the verdict Unhealthy for good.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,7 +11,7 @@ use ams_core::SketchParams;
 use ams_datagen::zipf::ZipfGenerator;
 use ams_service::{
     AmsService, DurabilityConfig, FaultPlan, FsyncPolicy, HealthThresholds, HealthVerdict,
-    ServiceConfig, ServiceEvent, SignalStatus,
+    HealthWindow, MetricsSnapshot, Scrape, ServiceConfig, ServiceEvent, SignalStatus,
 };
 use ams_stream::{Multiset, OpBlock};
 
@@ -48,6 +48,20 @@ impl Drop for TempDir {
 
 fn first_index(events: &[ServiceEvent], code: &str) -> Option<usize> {
     events.iter().position(|e| e.code == code)
+}
+
+/// Whether any health-derived series sits in the registry (grading
+/// must write nothing there).
+fn has_health_series(snap: &MetricsSnapshot) -> bool {
+    snap.samples.iter().any(|s| {
+        [
+            "service_health",
+            "service_estimate",
+            "service_shard_imbalance",
+        ]
+        .iter()
+        .any(|prefix| s.name.starts_with(prefix))
+    })
 }
 
 #[test]
@@ -153,22 +167,23 @@ fn imbalance_ratio_matches_hand_computed_routed_ops() {
         imbalance_min_ops: 0,
         ..HealthThresholds::default()
     };
-    let report = service.health_with(&thresholds);
+    let mut window = HealthWindow::default();
+    let report = service.health(&thresholds, &mut window);
     let signal = report.signal("shard_imbalance_ratio").expect("graded");
     assert_eq!(signal.value, 4.0, "max/min of the hand-computed deltas");
     assert_eq!(signal.status, SignalStatus::Degraded, "4.0 >= 4.0");
-    assert_eq!(
-        service
-            .metrics_snapshot()
-            .gauge("service_shard_imbalance_ratio", &[]),
-        Some(4000),
-        "gauge carries the ratio x1000"
+    assert!(
+        !has_health_series(&service.metrics_snapshot()),
+        "the ratio lives in the report, not in a mirrored gauge"
     );
 
-    // The next scrape opens a fresh window: nothing new was routed, so
-    // the window is idle and perfectly balanced.
-    let report = service.health_with(&thresholds);
+    // The next scrape through the same window opens a fresh one:
+    // nothing new was routed, so it is idle and perfectly balanced.
+    let report = service.health(&thresholds, &mut window);
     assert_eq!(report.signal("shard_imbalance_ratio").unwrap().value, 1.0);
+    // A scraper with its own window still sees everything since start.
+    let report = service.health(&thresholds, &mut HealthWindow::default());
+    assert_eq!(report.signal("shard_imbalance_ratio").unwrap().value, 4.0);
 }
 
 #[test]
@@ -193,7 +208,11 @@ fn health_interval_covers_exact_on_seeded_zipf_stream() {
     }
     service.drain();
 
-    let report = service.health();
+    let scrape = service.scrape(
+        Scrape::HEALTH | Scrape::METRICS,
+        &mut HealthWindow::default(),
+    );
+    let report = scrape.health.expect("health section");
     assert_eq!(
         report.verdict,
         HealthVerdict::Healthy,
@@ -227,17 +246,14 @@ fn health_interval_covers_exact_on_seeded_zipf_stream() {
         accuracy.skew_score
     );
 
-    // The scrape mirrored the interval into gauges a plain Prometheus
-    // scrape can read; the interval covers the exact answer there too.
-    let snap = service.metrics_snapshot();
-    let labels = [("attribute", "zipf")];
-    let lower = snap.gauge("service_estimate_ci_lower", &labels).unwrap();
-    let upper = snap.gauge("service_estimate_ci_upper", &labels).unwrap();
-    assert!(lower as f64 <= exact && exact <= upper as f64);
-    assert!(snap.gauge("service_health_status", &[]) == Some(0));
-    assert!(snap
-        .gauge("service_audit_rel_error_milli", &labels)
-        .is_some());
+    // The interval, the audit error and the verdict live in the health
+    // section alone: the same document's metrics section, read from
+    // the same registry snapshot, carries no mirror of them.
+    assert_eq!(report.verdict.code(), 0);
+    assert!(!has_health_series(
+        &scrape.metrics.expect("metrics section")
+    ));
+    assert!(!has_health_series(&service.metrics_snapshot()));
 }
 
 #[test]
@@ -249,7 +265,8 @@ fn audit_off_reports_no_observed_error_and_idle_service_is_healthy() {
         .build()
         .unwrap();
     let service = AmsService::start(config, &["v"]).unwrap();
-    let report = service.health();
+    let mut window = HealthWindow::default();
+    let report = service.health(&HealthThresholds::default(), &mut window);
     assert_eq!(report.verdict, HealthVerdict::Healthy);
     let accuracy = report.accuracy_for("v").unwrap();
     assert!(accuracy.observed_rel_error.is_none());
@@ -268,7 +285,7 @@ fn audit_off_reports_no_observed_error_and_idle_service_is_healthy() {
         queue_saturation_degraded: 0.0,
         ..HealthThresholds::default()
     };
-    let report = service.health_with(&strict);
+    let report = service.health(&strict, &mut window);
     match &report.verdict {
         HealthVerdict::Degraded(reasons) => {
             assert!(reasons.iter().any(|r| r.starts_with("queue_saturation")));
@@ -317,7 +334,7 @@ fn wedged_wal_turns_the_verdict_unhealthy() {
         "error"
     );
 
-    let report = service.health();
+    let report = service.health(&HealthThresholds::default(), &mut HealthWindow::default());
     let failures = report
         .signal("wal_append_failures")
         .expect("durable service");
@@ -336,11 +353,78 @@ fn wedged_wal_turns_the_verdict_unhealthy() {
         }
         other => panic!("expected Unhealthy, got {other:?}"),
     }
+    assert_eq!(report.verdict.code(), 2);
     assert_eq!(
         service
             .metrics_snapshot()
-            .gauge("service_health_status", &[]),
-        Some(2)
+            .counter_total("wal_append_failures"),
+        1,
+        "the writer wedged at its first failed append"
     );
+    let _ = service.shutdown();
+}
+
+/// The event ring a WAL failure lands in holds 256 events and the shard
+/// emits a `publish` on every queue drain, so the failure event is soon
+/// overwritten. The verdict must not forget it: it reads a monotone
+/// failure counter, not the ring.
+#[test]
+fn wedged_wal_verdict_holds_past_the_event_ring() {
+    let dir = TempDir::new("wedged-ring");
+    let config = ServiceConfig::builder()
+        .shards(1)
+        .sketch_params(SketchParams::new(16, 3).unwrap())
+        .seed(3)
+        .durability(
+            DurabilityConfig::new(dir.path())
+                .with_fsync(FsyncPolicy::PerAppend)
+                .with_fault(FaultPlan {
+                    fail_after_appends: Some(3),
+                    ..FaultPlan::default()
+                }),
+        )
+        .build()
+        .unwrap();
+    let service = AmsService::start(config, &["v"]).unwrap();
+    let mut window = HealthWindow::default();
+    let block = |i: u64| OpBlock::from_values((0..4).map(|j| i * 31 + j));
+    for i in 0..4 {
+        service.ingest_block("v", block(i)).unwrap();
+    }
+    service.drain();
+    let report = service.health(&HealthThresholds::default(), &mut window);
+    assert_eq!(report.verdict.code(), 2, "wedged: {report:?}");
+
+    // Every later block is drained one at a time, so each pop empties
+    // the queue and publishes; far more publishes than the ring holds.
+    let publishes = |service: &AmsService| {
+        service
+            .metrics_snapshot()
+            .counter_total("service_publishes")
+    };
+    let before = publishes(&service);
+    for i in 4..400 {
+        service.ingest_block("v", block(i)).unwrap();
+        service.drain();
+    }
+    assert!(publishes(&service) - before >= 300);
+    assert!(
+        first_index(&service.events(), "wal_append_failed").is_none(),
+        "the failure event was overwritten"
+    );
+    assert_eq!(service.stats().blocks_ingested(), 3, "only 3 blocks landed");
+
+    let report = service.health(&HealthThresholds::default(), &mut window);
+    let failures = report.signal("wal_append_failures").expect("durable");
+    assert_eq!(failures.value, 1.0);
+    match &report.verdict {
+        HealthVerdict::Unhealthy(reasons) => {
+            assert!(
+                reasons.iter().any(|r| r.starts_with("wal_append_failures")),
+                "{reasons:?}"
+            );
+        }
+        other => panic!("the wedge was forgotten: {other:?}"),
+    }
     let _ = service.shutdown();
 }

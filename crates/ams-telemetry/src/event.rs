@@ -197,7 +197,7 @@ impl Recorder<EventRecord> {
     }
 }
 
-/// One event in wire/JSON form (the `Response::Events` payload).
+/// One event in wire/JSON form (an entry of a scrape's events section).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServiceEvent {
     /// Severity name ([`EventLevel::name`]).

@@ -8,15 +8,16 @@
 //! estimates are queried mid-stream, and at the end the **snapshot
 //! fetched over the wire** is compared counter-for-counter against an
 //! in-process sketch of the same stream — the network path changes
-//! nothing about the mathematics. A graceful wire `Shutdown` ships the
-//! final snapshot and the per-shard saturation stats back to the
+//! nothing about the mathematics. One wire `Scrape` returns metrics,
+//! health and events as one document. A graceful wire `Shutdown` ships
+//! the final snapshot and the per-shard saturation stats back to the
 //! client.
 //!
 //! ```text
 //! cargo run --release --example net_tracking
 //! ```
 
-use ams::net::IngestOutcome;
+use ams::net::{IngestOutcome, Scrape};
 use ams::service::RouterPolicy;
 use ams::stream::value_blocks;
 use ams::{
@@ -91,9 +92,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rel = (est - exact_sj).abs() / exact_sj;
     assert!(rel < 0.25, "merged estimate off by {rel}");
 
-    // Scrape the server's metrics registry over the wire: one frame
-    // returns every service_* and net_* series as a typed snapshot.
-    let metrics = client.metrics()?;
+    // Scrape the server over the wire: one frame returns a document
+    // with every service_* and net_* series as a typed snapshot, the
+    // health report and the structured events.
+    let scrape = client.scrape(Scrape::METRICS | Scrape::HEALTH | Scrape::EVENTS)?;
+    let metrics = scrape.metrics.expect("metrics section");
     assert_eq!(
         metrics.counter_total("service_routed_ops"),
         values.len() as u64,
@@ -128,10 +131,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {line}");
     }
 
-    // One wire `Health` frame folds windowed service signals and
+    // The health section folds windowed service signals and
     // per-attribute estimator accuracy (median-of-means confidence
     // interval, shadow audit, heavy-key skew) into a single verdict.
-    let health = client.health()?;
+    let health = scrape.health.expect("health section");
     println!("\nhealth verdict: {}", health.verdict.name());
     for signal in &health.signals {
         println!(
@@ -159,9 +162,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         accuracy.skew_score,
     );
 
-    // One wire `Events` frame drains the merged per-thread event rings:
-    // shard lifecycle, publishes, and the reactor's own events.
-    let events = client.events()?;
+    // The events section merges the per-thread event rings: shard
+    // lifecycle, publishes, and the reactor's own events.
+    let events = scrape.events.expect("events section");
     let publishes = events.iter().filter(|e| e.code == "publish").count();
     assert!(publishes > 0, "publish cadence fired during ingest");
     println!(
@@ -180,7 +183,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // every submission. Each ingest carries a trace id on the wire;
     // the reactor, shard worker, and WAL stamp their stages into
     // bounded span rings; the slowest requests survive tail sampling
-    // and come back fully assembled from a `Traces` scrape.
+    // and come back fully assembled in a scrape's traces section.
     let trace_dir = std::env::temp_dir().join(format!("ams-net-tracking-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&trace_dir);
     let durable_config = ServiceConfig::builder()
@@ -201,7 +204,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for block in blocks.iter().take(8) {
         traced.ingest_block("v", block)?;
     }
-    let traces = traced.traces()?;
+    let traces = traced.scrape(Scrape::TRACES)?.traces.expect("traces");
     println!(
         "\nassembled traces from the tail sampler ({} kept), slowest first:",
         traces.len()
@@ -235,7 +238,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Restart over the same WAL directory: each shard replays its tail
     // on start and emits a structured `recovery` event, visible to a
-    // wire `Events` scrape before any new traffic arrives.
+    // wire scrape's events section before any new traffic arrives.
     let recovered_config = ServiceConfig::builder()
         .shards(SHARDS)
         .queue_capacity(64)
@@ -249,7 +252,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let recovered_addr = recovered_server.local_addr();
     let recovered_handle = recovered_server.spawn(recovered_service);
     let mut observer = AmsClient::connect(recovered_addr)?;
-    let restart_events = observer.events()?;
+    let restart = observer.scrape(Scrape::EVENTS | Scrape::HEALTH)?;
+    let restart_events = restart.events.expect("events section");
     let replayed: u64 = restart_events
         .iter()
         .filter(|e| e.code == "recovery")
@@ -257,7 +261,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .sum();
     assert!(replayed > 0, "restart over a populated WAL replays blocks");
     println!("\nrecovery event after restart: replayed {replayed} blocks across shards");
-    let restart_health = observer.health()?;
+    let restart_health = restart.health.expect("health section");
     println!(
         "restarted service health verdict: {}",
         restart_health.verdict.name()
