@@ -47,5 +47,5 @@ pub use config::{DurabilityConfig, FsyncPolicy};
 pub use error::DurableError;
 pub use fault::FaultPlan;
 pub use recover::{RecoveredShard, ShardRecovery, SkippedArtifact};
-pub use telemetry::WalInstruments;
+pub use telemetry::{WalInstruments, WalOp};
 pub use wal::{ShardDurable, WalPosition};

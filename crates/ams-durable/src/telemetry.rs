@@ -4,8 +4,8 @@
 //! | metric | kind | meaning |
 //! |---|---|---|
 //! | `wal_append_bytes{shard}` | histogram | bytes per appended record (header + payload) |
-//! | `wal_append_failures{shard}` | counter | appends that failed (the first one wedges the writer) |
-//! | `wal_fsync_ns{shard}` | histogram | `fsync` latency per sync point |
+//! | `wal_failures{shard,op}` | counter | failures that wedged the writer, by [`WalOp`] (a writer wedges once) |
+//! | `wal_fsync_ns{shard}` | histogram | latency of each fsync: segment data, directories, checkpoint files, clipped tails |
 //! | `wal_segments{shard}` | gauge | live segment files on disk |
 //! | `checkpoint_write_ns{shard}` | histogram | serialize + write + fsync + rename latency |
 //! | `recovery_replayed_blocks{shard}` | counter | blocks replayed from the log tail at startup |
@@ -13,6 +13,44 @@
 use std::sync::Arc;
 
 use ams_telemetry::{Counter, Gauge, LatencyHistogram, MetricsRegistry};
+
+/// A writer operation whose failure wedges the writer: the `op` label
+/// of `wal_failures`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WalOp {
+    /// Writing a record.
+    Append,
+    /// Forcing a segment's records to stable storage.
+    Fsync,
+    /// Forcing the shard directory's entries to stable storage.
+    FsyncDir,
+    /// Starting the next segment.
+    Rotation,
+    /// Writing, syncing or renaming a checkpoint file.
+    Checkpoint,
+}
+
+impl WalOp {
+    /// Every operation, in label order.
+    pub const ALL: [WalOp; 5] = [
+        WalOp::Append,
+        WalOp::Fsync,
+        WalOp::FsyncDir,
+        WalOp::Rotation,
+        WalOp::Checkpoint,
+    ];
+
+    /// The `op` label value.
+    pub fn name(self) -> &'static str {
+        match self {
+            WalOp::Append => "append",
+            WalOp::Fsync => "fsync",
+            WalOp::FsyncDir => "fsync_dir",
+            WalOp::Rotation => "rotation",
+            WalOp::Checkpoint => "checkpoint",
+        }
+    }
+}
 
 /// Handles for the per-shard durability instruments (clones share the
 /// underlying atomics). The histogram type is the telemetry kernel's
@@ -23,9 +61,10 @@ use ams_telemetry::{Counter, Gauge, LatencyHistogram, MetricsRegistry};
 pub struct WalInstruments {
     /// Bytes of each appended record.
     pub append_bytes: Arc<LatencyHistogram>,
-    /// Appends that failed; monotone, unlike the event rings.
-    pub append_failures: Arc<Counter>,
-    /// Latency of each fsync point.
+    /// Failures that wedged the writer, indexed by `WalOp as usize`;
+    /// monotone, unlike the event rings.
+    pub failures: [Arc<Counter>; 5],
+    /// Latency of each fsync.
     pub fsync_ns: Arc<LatencyHistogram>,
     /// Live segment files.
     pub segments: Arc<Gauge>,
@@ -42,7 +81,9 @@ impl WalInstruments {
         let labels: [(&str, &str); 1] = [("shard", id.as_str())];
         Self {
             append_bytes: registry.histogram("wal_append_bytes", &labels),
-            append_failures: registry.counter("wal_append_failures", &labels),
+            failures: WalOp::ALL.map(|op| {
+                registry.counter("wal_failures", &[("shard", id.as_str()), ("op", op.name())])
+            }),
             fsync_ns: registry.histogram("wal_fsync_ns", &labels),
             segments: registry.gauge("wal_segments", &labels),
             checkpoint_write_ns: registry.histogram("checkpoint_write_ns", &labels),
@@ -55,7 +96,7 @@ impl WalInstruments {
     pub fn unregistered() -> Self {
         Self {
             append_bytes: Arc::new(LatencyHistogram::new()),
-            append_failures: Arc::new(Counter::new()),
+            failures: WalOp::ALL.map(|_| Arc::new(Counter::new())),
             fsync_ns: Arc::new(LatencyHistogram::new()),
             segments: Arc::new(Gauge::new()),
             checkpoint_write_ns: Arc::new(LatencyHistogram::new()),
@@ -75,6 +116,7 @@ mod tests {
         wal.append_bytes.record(128);
         wal.segments.set(2);
         wal.replayed_blocks.add(7);
+        wal.failures[WalOp::FsyncDir as usize].inc();
         let snap = registry.snapshot();
         assert_eq!(
             snap.histogram("wal_append_bytes", &[("shard", "3")])
@@ -84,5 +126,10 @@ mod tests {
         );
         assert_eq!(snap.gauge("wal_segments", &[("shard", "3")]), Some(2));
         assert_eq!(snap.counter_total("recovery_replayed_blocks"), 7);
+        assert_eq!(
+            snap.counter("wal_failures", &[("shard", "3"), ("op", "fsync_dir")]),
+            Some(1)
+        );
+        assert_eq!(snap.counter_total("wal_failures"), 1);
     }
 }

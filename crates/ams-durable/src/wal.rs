@@ -38,22 +38,36 @@
 //! holds and that parses *and* validates (deleting and reporting newer
 //! corrupt ones — fallback), then replays every record at or past the
 //! checkpoint's covered position through
-//! [`SelfJoinEstimator::apply_block`]. The first
+//! [`SelfJoinEstimator::apply_block`]. Segments are read front to back
+//! through one buffer of [`REPLAY_BUF_BYTES`], grown only to hold a
+//! record larger than that, so replay memory does not grow with the
+//! segment size. The first
 //! record that fails its length, CRC, or decode check ends the log:
 //! the tail is truncated there and later segments (if any) are removed,
 //! so a torn tail from a crash mid-write is clipped, never panicked on.
 //! Because sketches are linear, the recovered counters are bit-identical
-//! to a never-crashed twin fed the logged prefix.
+//! to a never-crashed twin fed the logged prefix, and each shard's log
+//! replays on its own: a service opens its shards in parallel.
+//!
+//! ## Syncs
+//!
+//! A segment created at open or at rotation is not synced when it is
+//! created. The writer's next [`ShardDurable::sync`] forces the
+//! segment's header and records and then the shard directory, so a
+//! record is durable only once its segment's directory entry is too.
+//! Every fsync — segment data, directories, checkpoint files, clipped
+//! tails — is timed into `wal_fsync_ns`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use ams_core::{SelfJoinEstimator, TugOfWarSketch};
 use ams_stream::block::OpBlock;
 use ams_stream::crc::crc32;
+use ams_telemetry::LatencyHistogram;
 use bytes::BufMut;
 use serde::{Deserialize, Serialize};
 
@@ -62,7 +76,7 @@ use crate::config::{DurabilityConfig, FsyncPolicy};
 use crate::error::DurableError;
 use crate::fault::FaultClock;
 use crate::recover::{RecoveredShard, ShardRecovery, SkippedArtifact};
-use crate::telemetry::WalInstruments;
+use crate::telemetry::{WalInstruments, WalOp};
 
 /// Magic prefix of every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"AMSW";
@@ -76,6 +90,9 @@ pub const RECORD_HEADER_LEN: u64 = 8;
 pub const RECORD_PAYLOAD_PREFIX: usize = 20;
 /// Sanity cap on a record payload; anything larger is corruption.
 pub const MAX_RECORD_PAYLOAD: u32 = 64 << 20;
+/// Bytes the recovery scan reads from a segment at a time. Its buffer
+/// holds this many bytes, or one record when a record is larger.
+pub const REPLAY_BUF_BYTES: usize = 64 << 10;
 
 /// A byte position in the shard's log: `(segment index, offset within
 /// the segment)`. Derived `Ord` is lexicographic, which is exactly log
@@ -111,10 +128,24 @@ fn segment_header(index: u64) -> [u8; 16] {
     header
 }
 
-fn sync_dir(dir: &Path) -> Result<(), DurableError> {
-    File::open(dir)
-        .and_then(|d| d.sync_all())
-        .map_err(|e| DurableError::io(dir, "fsync dir", e))
+/// Forces `file` to stable storage — its data, or with `all` its
+/// metadata too, as a directory needs — and times the call into
+/// `wal_fsync_ns`. Every fsync of the writer and of recovery runs here.
+fn fsync(file: &File, all: bool, fsync_ns: &LatencyHistogram) -> std::io::Result<()> {
+    let t0 = Instant::now();
+    if all {
+        file.sync_all()?;
+    } else {
+        file.sync_data()?;
+    }
+    fsync_ns.record(t0.elapsed().as_nanos() as u64);
+    Ok(())
+}
+
+/// Forces the entries of directory `dir` (created, renamed and removed
+/// files) to stable storage.
+fn sync_dir(dir: &Path, fsync_ns: &LatencyHistogram) -> std::io::Result<()> {
+    fsync(&File::open(dir)?, true, fsync_ns)
 }
 
 /// A checkpoint the writer still retains (and therefore must keep
@@ -141,12 +172,16 @@ pub struct ShardDurable {
     keep_checkpoints: usize,
     plan: crate::fault::FaultPlan,
     clock: FaultClock,
-    failed: Option<&'static str>,
+    failed: Option<WalOp>,
     file: File,
     segment: u64,
     offset: u64,
     lowest_segment: u64,
     unsynced: u64,
+    /// Whether the directory entry of the current segment is known
+    /// durable: false from open and from each rotation until the next
+    /// sync that has records to force.
+    dir_synced: bool,
     last_sync: Instant,
     retained: Vec<Retained>,
     buf: Vec<u8>,
@@ -158,6 +193,13 @@ impl ShardDurable {
     /// recovering state from the newest valid checkpoint plus the log
     /// tail. Returns the writer positioned at the log end, the
     /// recovered state, and a report of everything recovery skipped.
+    ///
+    /// Replay reads the log through one buffer: besides the recovered
+    /// sketches and one decoded block at a time, it holds at most
+    /// [`REPLAY_BUF_BYTES`] plus the largest record. A segment this
+    /// opens is not synced here; the writer's first [`Self::sync`] with
+    /// records to force syncs it and the shard directory. A fresh open
+    /// therefore makes no fsync at all.
     ///
     /// The configuration is assumed valid
     /// ([`DurabilityConfig::validate`] is the caller's gate).
@@ -266,31 +308,31 @@ impl ShardDurable {
         }
 
         // Seed state from the checkpoint (or fresh).
-        let (mut sketches, mut blocks, mut ops, epoch, mut producers) = match base {
-            Some(ckpt) => (
-                ckpt.sketches,
-                ckpt.blocks,
-                ckpt.ops,
-                ckpt.epoch,
-                ckpt.producers.into_iter().collect::<HashMap<u64, u64>>(),
-            ),
-            None => (
-                shape
+        let mut recovered = match base {
+            Some(ckpt) => RecoveredShard {
+                sketches: ckpt.sketches,
+                blocks: ckpt.blocks,
+                ops: ckpt.ops,
+                epoch: ckpt.epoch,
+                producers: ckpt.producers.into_iter().collect(),
+            },
+            None => RecoveredShard {
+                sketches: shape
                     .attributes
                     .iter()
                     .map(|_| TugOfWarSketch::new(shape.params, shape.seed))
                     .collect(),
-                0,
-                0,
-                0,
-                HashMap::new(),
-            ),
+                blocks: 0,
+                ops: 0,
+                epoch: 0,
+                producers: HashMap::new(),
+            },
         };
+        let (base_blocks, base_ops) = (recovered.blocks, recovered.ops);
 
         // Replay the log tail.
-        let mut replayed_blocks = 0u64;
-        let mut replayed_ops = 0u64;
         let mut resume = position;
+        let mut read_buf = Vec::new();
         let tail: Vec<(u64, PathBuf)> = segments
             .range(position.segment..)
             .map(|(&i, p)| (i, p.clone()))
@@ -318,18 +360,7 @@ impl ShardDurable {
             } else {
                 SEGMENT_HEADER_LEN
             };
-            let scan = scan_segment(
-                path,
-                *index,
-                start,
-                &mut sketches,
-                &mut producers,
-                &mut blocks,
-                &mut ops,
-                &mut replayed_blocks,
-                &mut replayed_ops,
-            )?;
-            match scan {
+            match scan_segment(path, *index, start, &mut read_buf, &mut recovered)? {
                 SegmentScan::Clean { end } => {
                     resume = WalPosition {
                         segment: *index,
@@ -351,7 +382,7 @@ impl ShardDurable {
                         segments.remove(index);
                         SEGMENT_HEADER_LEN
                     } else {
-                        clip_segment(path, offset)?;
+                        clip_segment(path, offset, &instruments.fsync_ns)?;
                         offset
                     };
                     for (later_idx, later) in &tail[pos + 1..] {
@@ -387,9 +418,10 @@ impl ShardDurable {
             };
         }
 
-        // Open the writer at the resume position.
+        // Open the writer at the resume position. A segment created
+        // here is not synced: the first sync with records does it.
         let seg_path = dir.join(segment_file_name(resume.segment));
-        let file = match segments.entry(resume.segment) {
+        let mut file = match segments.entry(resume.segment) {
             std::collections::btree_map::Entry::Occupied(_) => {
                 let file = OpenOptions::new()
                     .write(true)
@@ -408,37 +440,26 @@ impl ShardDurable {
                     .map_err(|e| DurableError::io(&seg_path, "create segment", e))?;
                 file.write_all(&segment_header(resume.segment))
                     .map_err(|e| DurableError::io(&seg_path, "write segment header", e))?;
-                file.sync_data()
-                    .map_err(|e| DurableError::io(&seg_path, "fsync", e))?;
-                sync_dir(&dir)?;
                 entry.insert(seg_path.clone());
                 file
             }
         };
         // The writer appends at the truncated length; `set_len` leaves
         // the cursor at 0, so position explicitly.
-        use std::io::Seek;
-        let mut file = file;
-        file.seek(std::io::SeekFrom::Start(resume.offset))
+        file.seek(SeekFrom::Start(resume.offset))
             .map_err(|e| DurableError::io(&dir, "seek", e))?;
 
         let lowest_segment = segments.keys().next().copied().unwrap_or(resume.segment);
+        let replayed_blocks = recovered.blocks - base_blocks;
         instruments.segments.set(segments.len() as i64);
         instruments.replayed_blocks.add(replayed_blocks);
 
-        let recovered = RecoveredShard {
-            sketches,
-            blocks,
-            ops,
-            epoch,
-            producers,
-        };
         let report = ShardRecovery {
             shard,
             checkpoint_epoch: retained.last().map(|r| r.epoch),
-            checkpoint_blocks: recovered.blocks - replayed_blocks,
+            checkpoint_blocks: base_blocks,
             replayed_blocks,
-            replayed_ops,
+            replayed_ops: recovered.ops - base_ops,
             resumed_at: resume,
             skipped,
         };
@@ -457,6 +478,7 @@ impl ShardDurable {
             offset: resume.offset,
             lowest_segment,
             unsynced: 0,
+            dir_synced: false,
             last_sync: Instant::now(),
             retained,
             buf: Vec::with_capacity(4096),
@@ -479,6 +501,11 @@ impl ShardDurable {
         self.failed.is_some()
     }
 
+    /// The operation whose failure wedged the writer, if one did.
+    pub fn wedged_by(&self) -> Option<WalOp> {
+        self.failed
+    }
+
     /// Live segment files.
     pub fn segment_count(&self) -> u64 {
         self.segment - self.lowest_segment + 1
@@ -486,13 +513,18 @@ impl ShardDurable {
 
     fn check_ok(&self) -> Result<(), DurableError> {
         match self.failed {
-            Some(what) => Err(DurableError::Wedged { what }),
+            Some(op) => Err(DurableError::Wedged { what: op.name() }),
             None => Ok(()),
         }
     }
 
-    fn wedge(&mut self, what: &'static str) {
-        self.failed = Some(what);
+    /// Wedges the writer after `op` failed, counting it once in
+    /// `wal_failures`.
+    fn wedge(&mut self, op: WalOp) {
+        if self.failed.is_none() {
+            self.failed = Some(op);
+            self.instruments.failures[op as usize].inc();
+        }
     }
 
     fn segment_path(&self, index: u64) -> PathBuf {
@@ -505,25 +537,13 @@ impl ShardDurable {
     /// when it is *durable*.
     ///
     /// # Errors
-    /// [`DurableError::Injected`] when the fault plan fires (the writer
-    /// wedges), [`DurableError::Io`] on a real write failure (ditto),
-    /// [`DurableError::Wedged`] ever after. Every failure counts in
-    /// `wal_append_failures`.
+    /// [`DurableError::Injected`] when the fault plan fires,
+    /// [`DurableError::Io`] on a real write failure or a record over
+    /// [`MAX_RECORD_PAYLOAD`], [`DurableError::Wedged`] ever after. The
+    /// first failure wedges the writer and counts in `wal_failures`
+    /// under the operation that failed: a rotation's sync or segment
+    /// creation, or the append itself.
     pub fn append(
-        &mut self,
-        attr: u32,
-        producer: u64,
-        seq: u64,
-        block: &OpBlock,
-    ) -> Result<(), DurableError> {
-        let appended = self.try_append(attr, producer, seq, block);
-        if appended.is_err() {
-            self.instruments.append_failures.inc();
-        }
-        appended
-    }
-
-    fn try_append(
         &mut self,
         attr: u32,
         producer: u64,
@@ -543,6 +563,7 @@ impl ShardDurable {
         block.encode_wire(&mut self.buf);
         let payload_len = self.buf.len() - RECORD_HEADER_LEN as usize;
         if payload_len > MAX_RECORD_PAYLOAD as usize {
+            self.wedge(WalOp::Append);
             return Err(DurableError::Io {
                 path: self.segment_path(self.segment).display().to_string(),
                 op: "append",
@@ -561,15 +582,15 @@ impl ShardDurable {
             // Injected crash: emit the planned torn prefix, then wedge.
             if short > 0 {
                 let _ = self.file.write_all(&self.buf[..short as usize]);
-                let _ = self.file.sync_data();
+                let _ = fsync(&self.file, false, &self.instruments.fsync_ns);
                 self.offset += short;
             }
-            self.wedge("append");
+            self.wedge(WalOp::Append);
             return Err(DurableError::Injected { what: "append" });
         }
 
         if let Err(e) = self.file.write_all(&self.buf) {
-            self.wedge("append");
+            self.wedge(WalOp::Append);
             return Err(DurableError::Io {
                 path: self.segment_path(self.segment).display().to_string(),
                 op: "append",
@@ -612,31 +633,36 @@ impl ShardDurable {
         }
     }
 
-    /// Forces appended records to stable storage now.
+    /// Forces appended records to stable storage now. The first sync
+    /// with records to force after [`Self::open`] or a rotation then
+    /// syncs the shard directory too, so no record is durable before
+    /// its segment's directory entry is.
     pub fn sync(&mut self) -> Result<(), DurableError> {
         self.check_ok()?;
-        if self.unsynced == 0 {
-            self.last_sync = Instant::now();
-            return Ok(());
+        if self.unsynced > 0 {
+            if let Err(e) = fsync(&self.file, false, &self.instruments.fsync_ns) {
+                self.wedge(WalOp::Fsync);
+                return Err(DurableError::io(
+                    &self.segment_path(self.segment),
+                    "fsync",
+                    e,
+                ));
+            }
+            if !self.dir_synced {
+                if let Err(e) = sync_dir(&self.dir, &self.instruments.fsync_ns) {
+                    self.wedge(WalOp::FsyncDir);
+                    return Err(DurableError::io(&self.dir, "fsync dir", e));
+                }
+                self.dir_synced = true;
+            }
+            self.unsynced = 0;
         }
-        let t0 = Instant::now();
-        if let Err(e) = self.file.sync_data() {
-            self.wedge("fsync");
-            return Err(DurableError::Io {
-                path: self.segment_path(self.segment).display().to_string(),
-                op: "fsync",
-                source: e,
-            });
-        }
-        self.instruments
-            .fsync_ns
-            .record(t0.elapsed().as_nanos() as u64);
-        self.unsynced = 0;
         self.last_sync = Instant::now();
         Ok(())
     }
 
-    /// Closes the current segment (durably) and starts the next one.
+    /// Closes the current segment (durably) and starts the next one,
+    /// which the next sync with records makes durable.
     fn rotate(&mut self) -> Result<(), DurableError> {
         // Rotation always syncs the closing segment, even `OsBuffered`:
         // a closed segment is never half-present after a host crash.
@@ -648,26 +674,25 @@ impl ShardDurable {
             if let Ok(mut f) = File::create(&path) {
                 let _ = f.write_all(&segment_header(next)[..8]);
             }
-            self.wedge("rotation");
+            self.wedge(WalOp::Rotation);
             return Err(DurableError::Injected { what: "rotation" });
         }
-        let mut file = OpenOptions::new()
+        let created = OpenOptions::new()
             .write(true)
             .create(true)
             .truncate(true)
             .open(&path)
-            .map_err(|e| DurableError::io(&path, "create segment", e))?;
-        if let Err(e) = file
-            .write_all(&segment_header(next))
-            .and_then(|()| file.sync_data())
-        {
-            self.wedge("rotation");
-            return Err(DurableError::io(&path, "write segment header", e));
-        }
-        sync_dir(&self.dir)?;
-        self.file = file;
+            .and_then(|mut file| file.write_all(&segment_header(next)).map(|()| file));
+        self.file = match created {
+            Ok(file) => file,
+            Err(e) => {
+                self.wedge(WalOp::Rotation);
+                return Err(DurableError::io(&path, "create segment", e));
+            }
+        };
         self.segment = next;
         self.offset = SEGMENT_HEADER_LEN;
+        self.dir_synced = false;
         self.instruments.segments.set(self.segment_count() as i64);
         Ok(())
     }
@@ -724,7 +749,7 @@ impl ShardDurable {
             if let Ok(mut f) = File::create(&tmp_path) {
                 let _ = f.write_all(&bytes[..bytes.len() / 2]);
             }
-            self.wedge("checkpoint");
+            self.wedge(WalOp::Checkpoint);
             return Err(DurableError::Injected { what: "checkpoint" });
         }
         let write = (|| -> std::io::Result<()> {
@@ -734,15 +759,18 @@ impl ShardDurable {
                 .truncate(true)
                 .open(&tmp_path)?;
             f.write_all(&bytes)?;
-            f.sync_data()?;
+            fsync(&f, false, &self.instruments.fsync_ns)?;
             fs::rename(&tmp_path, &final_path)?;
             Ok(())
         })();
         if let Err(e) = write {
-            self.wedge("checkpoint");
+            self.wedge(WalOp::Checkpoint);
             return Err(DurableError::io(&tmp_path, "write checkpoint", e));
         }
-        sync_dir(&self.dir)?;
+        if let Err(e) = sync_dir(&self.dir, &self.instruments.fsync_ns) {
+            self.wedge(WalOp::FsyncDir);
+            return Err(DurableError::io(&self.dir, "fsync dir", e));
+        }
         self.instruments
             .checkpoint_write_ns
             .record(t0.elapsed().as_nanos() as u64);
@@ -808,76 +836,124 @@ enum SegmentScan {
     Damaged { offset: u64, reason: String },
 }
 
+/// A segment read front to back through one reused buffer, which holds
+/// [`REPLAY_BUF_BYTES`] of the file, or one record when a record is
+/// larger.
+struct SegmentReader<'a> {
+    file: File,
+    /// The file's length at open; every verdict is taken against it.
+    len: u64,
+    /// Bytes `base..base + buf.len()` of the file; the file's cursor
+    /// sits at their end.
+    buf: &'a mut Vec<u8>,
+    base: u64,
+}
+
+impl SegmentReader<'_> {
+    /// The `n` bytes at `off`. Offsets never move backwards past the
+    /// previous call's, and `off + n` must not pass the file's end.
+    fn read(&mut self, off: u64, n: usize) -> std::io::Result<&[u8]> {
+        let held = self.base + self.buf.len() as u64;
+        if off + n as u64 > held {
+            // Keep the unread bytes from `off`, then refill behind them.
+            if off < held {
+                self.buf.drain(..(off - self.base) as usize);
+            } else {
+                self.buf.clear();
+                if off > held {
+                    self.file.seek(SeekFrom::Start(off))?;
+                }
+            }
+            self.base = off;
+            let kept = self.buf.len();
+            let want = n.max(REPLAY_BUF_BYTES).min((self.len - off) as usize);
+            self.buf.reserve_exact(want - kept);
+            self.buf.resize(want, 0);
+            self.file.read_exact(&mut self.buf[kept..])?;
+        }
+        let at = (off - self.base) as usize;
+        Ok(&self.buf[at..at + n])
+    }
+}
+
 /// Replays one segment's records from `start`, folding each block into
-/// the recovered state. Stops (without error) at the first invalid
-/// byte.
-#[allow(clippy::too_many_arguments)]
+/// `recovered` and reading through `buf`. Stops (without error) at the
+/// first invalid byte.
 fn scan_segment(
     path: &Path,
     index: u64,
     start: u64,
-    sketches: &mut [TugOfWarSketch],
-    producers: &mut HashMap<u64, u64>,
-    blocks: &mut u64,
-    ops: &mut u64,
-    replayed_blocks: &mut u64,
-    replayed_ops: &mut u64,
+    buf: &mut Vec<u8>,
+    recovered: &mut RecoveredShard,
 ) -> Result<SegmentScan, DurableError> {
-    let bytes = fs::read(path).map_err(|e| DurableError::io(path, "read segment", e))?;
-    if bytes.len() < SEGMENT_HEADER_LEN as usize {
+    let io = |e| DurableError::io(path, "read segment", e);
+    let file = File::open(path).map_err(io)?;
+    let len = file.metadata().map_err(io)?.len();
+    buf.clear();
+    let mut reader = SegmentReader {
+        file,
+        len,
+        buf,
+        base: 0,
+    };
+    if len < SEGMENT_HEADER_LEN {
         return Ok(SegmentScan::Damaged {
-            offset: bytes.len() as u64,
+            offset: len,
             reason: "torn segment header".to_string(),
         });
     }
-    if bytes[0..4] != SEGMENT_MAGIC {
+    let header = reader.read(0, SEGMENT_HEADER_LEN as usize).map_err(io)?;
+    if header[0..4] != SEGMENT_MAGIC {
         return Ok(SegmentScan::Damaged {
             offset: 0,
             reason: "bad segment magic".to_string(),
         });
     }
-    if bytes[4] != SEGMENT_VERSION {
+    if header[4] != SEGMENT_VERSION {
         return Ok(SegmentScan::Damaged {
             offset: 4,
-            reason: format!("unsupported segment version {}", bytes[4]),
+            reason: format!("unsupported segment version {}", header[4]),
         });
     }
-    let stamped = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+    let stamped = u64::from_le_bytes(header[8..16].try_into().unwrap());
     if stamped != index {
         return Ok(SegmentScan::Damaged {
             offset: 8,
             reason: format!("segment stamped {stamped} under file index {index}"),
         });
     }
-    if start > bytes.len() as u64 {
+    if start > len {
         return Ok(SegmentScan::Damaged {
-            offset: bytes.len() as u64,
+            offset: len,
             reason: format!("segment shorter than checkpoint coverage (expected ≥ {start} bytes)"),
         });
     }
 
-    let mut off = start as usize;
+    let mut off = start;
     loop {
-        if off == bytes.len() {
-            return Ok(SegmentScan::Clean { end: off as u64 });
+        if off == len {
+            return Ok(SegmentScan::Clean { end: off });
         }
         let damaged = |reason: &str| SegmentScan::Damaged {
-            offset: off as u64,
+            offset: off,
             reason: reason.to_string(),
         };
-        if off + RECORD_HEADER_LEN as usize > bytes.len() {
+        if off + RECORD_HEADER_LEN > len {
             return Ok(damaged("torn record header"));
         }
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().unwrap());
-        if len < RECORD_PAYLOAD_PREFIX as u32 || len > MAX_RECORD_PAYLOAD {
+        let head = reader.read(off, RECORD_HEADER_LEN as usize).map_err(io)?;
+        let payload_len = u32::from_le_bytes(head[0..4].try_into().unwrap());
+        let crc = u32::from_le_bytes(head[4..8].try_into().unwrap());
+        if payload_len < RECORD_PAYLOAD_PREFIX as u32 || payload_len > MAX_RECORD_PAYLOAD {
             return Ok(damaged("implausible record length"));
         }
-        let end = off + RECORD_HEADER_LEN as usize + len as usize;
-        if end > bytes.len() {
+        let end = off + RECORD_HEADER_LEN + u64::from(payload_len);
+        if end > len {
             return Ok(damaged("truncated record"));
         }
-        let payload = &bytes[off + RECORD_HEADER_LEN as usize..end];
+        let payload = reader
+            .read(off + RECORD_HEADER_LEN, payload_len as usize)
+            .map_err(io)?;
         if crc32(payload) != crc {
             return Ok(damaged("record CRC mismatch"));
         }
@@ -890,38 +966,35 @@ fn scan_segment(
             Ok(_) => return Ok(damaged("trailing bytes after block")),
             Err(_) => return Ok(damaged("undecodable block payload")),
         };
-        if attr as usize >= sketches.len() {
+        if attr as usize >= recovered.sketches.len() {
             return Ok(damaged("attribute index out of range"));
         }
         // Defensive replay-side dedup: a logged record always carried a
         // fresh sequence at log time, so this only ever skips if the
         // log itself was tampered into a duplicate.
+        let producers = &mut recovered.producers;
         let duplicate = producer != 0 && producers.get(&producer).is_some_and(|&max| seq <= max);
         if !duplicate {
             if producer != 0 {
                 producers.insert(producer, seq);
             }
-            sketches[attr as usize].apply_block(&block);
-            let block_ops = block.ops();
-            *blocks += 1;
-            *ops += block_ops;
-            *replayed_blocks += 1;
-            *replayed_ops += block_ops;
+            recovered.sketches[attr as usize].apply_block(&block);
+            recovered.blocks += 1;
+            recovered.ops += block.ops();
         }
         off = end;
     }
 }
 
 /// Truncates a segment at `offset` (clipping a torn or corrupt tail).
-fn clip_segment(path: &Path, offset: u64) -> Result<(), DurableError> {
+fn clip_segment(path: &Path, offset: u64, fsync_ns: &LatencyHistogram) -> Result<(), DurableError> {
     let file = OpenOptions::new()
         .write(true)
         .open(path)
         .map_err(|e| DurableError::io(path, "open segment", e))?;
     file.set_len(offset)
         .map_err(|e| DurableError::io(path, "truncate segment", e))?;
-    file.sync_data()
-        .map_err(|e| DurableError::io(path, "fsync", e))?;
+    fsync(&file, false, fsync_ns).map_err(|e| DurableError::io(path, "fsync", e))?;
     Ok(())
 }
 
@@ -931,6 +1004,7 @@ mod tests {
     use crate::fault::FaultPlan;
     use ams_core::SketchParams;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -1364,5 +1438,254 @@ mod tests {
         assert!(!wal.maybe_sync(false).unwrap(), "interval not elapsed");
         assert!(wal.maybe_sync(true).unwrap(), "forced sync");
         assert!(wal.maybe_sync(false).unwrap(), "nothing pending");
+    }
+
+    /// A block of `n` distinct values, so record sizes vary with `n`.
+    fn sized_block(i: u64, n: u64) -> OpBlock {
+        OpBlock::from_values((0..n).map(|j| i * 1_000_003 + j))
+    }
+
+    /// Record sizes of the streaming-replay test: mostly a few KiB, one
+    /// record larger than the read buffer.
+    fn sized(i: u64) -> u64 {
+        if i == 40 {
+            6_000
+        } else {
+            (i * 37) % 500 + 1
+        }
+    }
+
+    /// Sketches fed the first `k` blocks of the streaming-replay test.
+    fn sized_twin(k: u64) -> Vec<TugOfWarSketch> {
+        let shape = shape();
+        let mut sketches: Vec<TugOfWarSketch> = shape
+            .attributes
+            .iter()
+            .map(|_| TugOfWarSketch::new(shape.params, shape.seed))
+            .collect();
+        for i in 0..k {
+            sketches[(i % 2) as usize].apply_block(&sized_block(i, sized(i)));
+        }
+        sketches
+    }
+
+    #[test]
+    fn a_segment_larger_than_the_read_buffer_streams_bit_identically() {
+        let dir = TempDir::new("stream");
+        let cfg = config(dir.path())
+            .with_fsync(FsyncPolicy::OsBuffered)
+            .with_segment_max_bytes(64 << 20);
+        let (mut wal, _, _) = open(&cfg);
+        // Record boundaries: `starts[i]..starts[i + 1]` is record i.
+        let mut starts = vec![wal.position().offset];
+        let records = 120u64;
+        for i in 0..records {
+            wal.append((i % 2) as u32, 0, 0, &sized_block(i, sized(i)))
+                .unwrap();
+            starts.push(wal.position().offset);
+        }
+        wal.sync().unwrap();
+        assert_eq!(wal.position().segment, 0, "one segment holds the log");
+        drop(wal);
+        let end = *starts.last().unwrap();
+        assert!(
+            end > 6 * REPLAY_BUF_BYTES as u64,
+            "the segment spans several buffers ({end} bytes)"
+        );
+        let largest = starts.windows(2).map(|w| w[1] - w[0]).max().unwrap();
+        assert!(
+            largest > REPLAY_BUF_BYTES as u64,
+            "one record outgrows the buffer"
+        );
+
+        let (_, recovered, report) = open(&cfg);
+        assert!(report.is_clean(), "{:?}", report.skipped);
+        assert_eq!(recovered.blocks, records);
+        assert_eq!(report.resumed_at.offset, end);
+        for (got, want) in recovered.sketches.iter().zip(&sized_twin(records)) {
+            assert_eq!(got.counters(), want.counters(), "bit-identical replay");
+        }
+
+        // Damage around every buffer boundary of the scan: the verdict
+        // is the first damaged record's start, with the reason a
+        // whole-file reader gives.
+        let seg = dir.path().join("shard-0").join(segment_file_name(0));
+        let pristine = fs::read(&seg).unwrap();
+        let record_at = |t: u64| {
+            starts
+                .windows(2)
+                .position(|w| w[0] <= t && t < w[1])
+                .unwrap()
+        };
+        let mut cases = Vec::new();
+        for b in (1..)
+            .map(|k| k * REPLAY_BUF_BYTES as u64)
+            .take_while(|&b| b < end)
+        {
+            for t in [b - 3, b, b + 5] {
+                let i = record_at(t);
+                let reason = if t - starts[i] < RECORD_HEADER_LEN {
+                    "torn record header"
+                } else {
+                    "truncated record"
+                };
+                cases.push((pristine[..t as usize].to_vec(), i, reason));
+                // A flipped payload byte fails its record's CRC.
+                if t - starts[i] >= RECORD_HEADER_LEN {
+                    let mut flipped = pristine.clone();
+                    flipped[t as usize] ^= 0x20;
+                    cases.push((flipped, i, "record CRC mismatch"));
+                }
+            }
+        }
+        assert!(cases.len() >= 30, "{} cases", cases.len());
+        for (bytes, i, reason) in cases {
+            let copy = TempDir::new("stream-dmg");
+            let shard_dir = copy.path().join("shard-0");
+            fs::create_dir_all(&shard_dir).unwrap();
+            fs::write(shard_dir.join(segment_file_name(0)), &bytes).unwrap();
+            let (_, recovered, report) = open(&config(copy.path()));
+            assert_eq!(recovered.blocks, i as u64, "{reason} in record {i}");
+            assert_eq!(report.skipped.len(), 1, "{:?}", report.skipped);
+            assert_eq!(report.skipped[0].offset, Some(starts[i]));
+            assert_eq!(report.skipped[0].reason, reason);
+            for (got, want) in recovered.sketches.iter().zip(&sized_twin(i as u64)) {
+                assert_eq!(got.counters(), want.counters());
+            }
+        }
+    }
+
+    /// Opens with instruments the test can read, returning the fsync
+    /// histogram beside the writer.
+    fn open_counting(cfg: &DurabilityConfig) -> (ShardDurable, Arc<LatencyHistogram>) {
+        let instruments = WalInstruments::unregistered();
+        let fsyncs = Arc::clone(&instruments.fsync_ns);
+        let (wal, _, _) = ShardDurable::open(cfg, 0, &shape(), instruments).unwrap();
+        (wal, fsyncs)
+    }
+
+    const POLICIES: [FsyncPolicy; 3] = [
+        FsyncPolicy::PerAppend,
+        FsyncPolicy::GroupCommit {
+            interval: std::time::Duration::from_secs(3600),
+        },
+        FsyncPolicy::OsBuffered,
+    ];
+
+    #[test]
+    fn opening_syncs_nothing_and_the_first_sync_covers_the_directory() {
+        for policy in POLICIES {
+            let dir = TempDir::new("open-sync");
+            let cfg = config(dir.path()).with_fsync(policy);
+            let (mut wal, fsyncs) = open_counting(&cfg);
+            assert_eq!(fsyncs.count(), 0, "{policy:?}: a fresh open syncs nothing");
+            wal.append(0, 0, 0, &block(0)).unwrap();
+            let durable = wal.maybe_sync(false).unwrap();
+            match policy {
+                // The record, then its segment's directory entry.
+                FsyncPolicy::PerAppend => assert_eq!(fsyncs.count(), 2),
+                FsyncPolicy::GroupCommit { .. } => {
+                    assert!(!durable);
+                    assert_eq!(fsyncs.count(), 0);
+                    assert!(wal.maybe_sync(true).unwrap());
+                    assert_eq!(fsyncs.count(), 2);
+                }
+                FsyncPolicy::OsBuffered => {
+                    assert_eq!(fsyncs.count(), 0);
+                    wal.sync().unwrap();
+                    assert_eq!(fsyncs.count(), 2);
+                }
+            }
+            // Later syncs in the same segment force the records alone.
+            wal.append(1, 0, 0, &block(1)).unwrap();
+            wal.sync().unwrap();
+            assert_eq!(fsyncs.count(), 3, "{policy:?}");
+            drop(wal);
+
+            // Reopening a clean log syncs nothing either; the first
+            // sync after it covers the directory again.
+            let (mut wal, fsyncs) = open_counting(&cfg);
+            assert_eq!(
+                fsyncs.count(),
+                0,
+                "{policy:?}: a clean reopen syncs nothing"
+            );
+            wal.append(0, 0, 0, &block(2)).unwrap();
+            wal.sync().unwrap();
+            assert_eq!(fsyncs.count(), 2, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn a_rotated_segment_is_synced_with_its_directory_by_its_first_record() {
+        let dir = TempDir::new("rotate-sync");
+        let (mut wal, fsyncs) = open_counting(&config(dir.path()));
+        let mut last = 0;
+        for i in 0..20u64 {
+            let segment = wal.position().segment;
+            wal.append((i % 2) as u32, 0, 0, &block(i)).unwrap();
+            assert!(wal.maybe_sync(false).unwrap());
+            let rotated = wal.position().segment != segment;
+            // PerAppend already synced the closing segment, so a
+            // rotation adds only the new segment's directory sync.
+            let want = if i == 0 || rotated { 2 } else { 1 };
+            assert_eq!(fsyncs.count() - last, want, "append {i}");
+            last = fsyncs.count();
+        }
+        assert!(wal.segment_count() > 2, "512-byte segments rotate");
+    }
+
+    #[test]
+    fn a_fresh_segment_lost_before_reopen_recovers_the_checkpoint() {
+        for policy in POLICIES {
+            for header_only in [false, true] {
+                let what = format!("{policy:?}, header only: {header_only}");
+                let dir = TempDir::new("fresh-lost");
+                let cfg = config(dir.path()).with_fsync(policy);
+                let (mut wal, recovered, _) = open(&cfg);
+                let mut sketches = recovered.sketches;
+                // Fill segment 0 and checkpoint it.
+                let mut n = 0u64;
+                while wal.position().offset < cfg.segment_max_bytes {
+                    wal.append((n % 2) as u32, 0, 0, &block(n)).unwrap();
+                    sketches[(n % 2) as usize].apply_block(&block(n));
+                    n += 1;
+                }
+                wal.write_checkpoint(1, n, 0, &sketches, &HashMap::new())
+                    .unwrap();
+                // The next append rotates into segment 1, and the host
+                // crashes before any sync: segment 1 never reaches the
+                // disk (or, `header_only`, its entry does but none of
+                // its bytes).
+                wal.append((n % 2) as u32, 0, 0, &block(n)).unwrap();
+                assert_eq!(wal.position().segment, 1);
+                drop(wal);
+                let seg1 = dir.path().join("shard-0").join(segment_file_name(1));
+                if header_only {
+                    fs::write(&seg1, b"").unwrap();
+                } else {
+                    fs::remove_file(&seg1).unwrap();
+                }
+
+                let (mut wal, recovered, report) = open(&cfg);
+                assert_eq!(recovered.blocks, n, "{what}");
+                assert_eq!(report.checkpoint_blocks, n, "{what}");
+                assert_eq!(report.replayed_blocks, 0, "{what}");
+                for (got, want) in recovered.sketches.iter().zip(&twin(n)) {
+                    assert_eq!(got.counters(), want.counters(), "{what}");
+                }
+                // The log goes on from the checkpoint.
+                for i in n..n + 3 {
+                    wal.append((i % 2) as u32, 0, 0, &block(i)).unwrap();
+                }
+                wal.sync().unwrap();
+                drop(wal);
+                let (_, recovered, _) = open(&cfg);
+                assert_eq!(recovered.blocks, n + 3, "{what}");
+                for (got, want) in recovered.sketches.iter().zip(&twin(n + 3)) {
+                    assert_eq!(got.counters(), want.counters(), "{what}");
+                }
+            }
+        }
     }
 }

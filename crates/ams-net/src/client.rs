@@ -276,7 +276,8 @@ impl AmsClient {
     }
 
     /// Whether `error` is a transport failure the reconnect machinery
-    /// should absorb (remote/protocol errors are never retried).
+    /// should absorb (remote, protocol and encode errors are never
+    /// retried).
     fn reconnectable(&self, error: &NetError) -> bool {
         self.reconnect.is_some() && matches!(error, NetError::Io(_) | NetError::Frame(_))
     }
@@ -348,7 +349,7 @@ impl AmsClient {
     }
 
     fn send(&mut self, request: &Request) -> Result<(), NetError> {
-        let frame = request.encode()?;
+        let frame = request.encode().map_err(NetError::Encode)?;
         self.stream.write_all(&frame)?;
         Ok(())
     }
@@ -542,7 +543,8 @@ impl AmsClient {
                 seq,
                 trace,
                 &mut self.encode_buf,
-            )?;
+            )
+            .map_err(NetError::Encode)?;
             self.stream.write_all(&self.encode_buf)?;
         }
         while outcomes.len() < blocks.len() {
@@ -561,7 +563,8 @@ impl AmsClient {
                     first_seq,
                     trace,
                     &mut self.encode_buf,
-                )?;
+                )
+                .map_err(NetError::Encode)?;
                 if trace != 0 {
                     self.trace_recorder
                         .record_since(trace, TraceStage::ClientEncode, t0);
@@ -616,7 +619,8 @@ impl AmsClient {
         let frames = requests
             .iter()
             .map(Request::encode)
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(NetError::Encode)?;
         self.pipeline_frames(&frames)
     }
 
@@ -728,7 +732,7 @@ impl AmsClient {
     /// (or its connect) to now, so other scrapers never move it.
     ///
     /// # Errors
-    /// [`NetError::Frame`] for an empty or unknown section set;
+    /// [`NetError::Encode`] for an empty or unknown section set;
     /// transport or server errors as usual.
     pub fn scrape(&mut self, sections: u8) -> Result<Scrape, NetError> {
         match self.call(&Request::Scrape { sections })? {

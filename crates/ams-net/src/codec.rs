@@ -1355,7 +1355,7 @@ mod tests {
             },
             ServiceEvent {
                 level: "error".into(),
-                code: "wal_append_failed".into(),
+                code: "wal_failed".into(),
                 at_ns: 999,
                 key: 3,
                 value: 42,

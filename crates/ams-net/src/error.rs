@@ -11,6 +11,10 @@ pub enum NetError {
     /// The byte stream violated the framing protocol; the connection
     /// is no longer usable.
     Frame(FrameError),
+    /// A request could not be encoded (a field over the frame's
+    /// limits, an empty scrape section set). It is the caller's error,
+    /// not the transport's: it never triggers a reconnect.
+    Encode(FrameError),
     /// The server answered with a protocol-level error response.
     Remote {
         /// The failure class.
@@ -37,6 +41,7 @@ impl std::fmt::Display for NetError {
         match self {
             NetError::Io(e) => write!(f, "socket error: {e}"),
             NetError::Frame(e) => write!(f, "framing error: {e}"),
+            NetError::Encode(e) => write!(f, "request not encodable: {e}"),
             NetError::Remote { code, message } => {
                 write!(f, "server error ({code}): {message}")
             }
@@ -54,7 +59,7 @@ impl std::error::Error for NetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             NetError::Io(e) => Some(e),
-            NetError::Frame(e) => Some(e),
+            NetError::Frame(e) | NetError::Encode(e) => Some(e),
             _ => None,
         }
     }

@@ -13,7 +13,8 @@ use std::time::Duration;
 
 use ams_core::{SelfJoinEstimator, SketchParams, TugOfWarSketch};
 use ams_net::{
-    AckMode, AmsClient, IngestOutcome, NetServer, NetServerConfig, ReconnectPolicy, ServerHandle,
+    AckMode, AmsClient, IngestOutcome, NetError, NetServer, NetServerConfig, ReconnectPolicy,
+    ServerHandle,
 };
 use ams_service::{AmsService, DurabilityConfig, Router, RouterPolicy, ServiceConfig};
 use ams_stream::OpBlock;
@@ -254,6 +255,43 @@ fn a_later_block_never_overtakes_a_parked_one() {
         twin.apply_block(b);
     }
     assert_eq!(snapshot.sketch("v").unwrap().counters(), twin.counters());
+    drop(client);
+    let _ = handle.stop();
+}
+
+#[test]
+fn a_request_that_cannot_be_encoded_fails_without_redialing() {
+    let config = ServiceConfig::builder()
+        .shards(1)
+        .sketch_params(params())
+        .seed(SEED)
+        .build()
+        .unwrap();
+    let server = NetServer::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    let handle = server.spawn(AmsService::start(config, &["v"]).unwrap());
+
+    let mut client = AmsClient::connect(addr)
+        .unwrap()
+        .with_reconnect(ReconnectPolicy::default());
+    // An empty scrape section set and a name past the 64 KiB string
+    // field are the caller's errors: nothing is sent, nothing redials.
+    let long = "n".repeat(70_000);
+    let reconnects = |client: &AmsClient| client.local_metrics().counter_total("client_reconnects");
+    assert!(matches!(client.scrape(0), Err(NetError::Encode(_))));
+    assert!(matches!(client.self_join(&long), Err(NetError::Encode(_))));
+    assert_eq!(reconnects(&client), 0);
+    assert!(matches!(
+        client.ingest_blocks(&long, &[block(0)]),
+        Err(NetError::Encode(_))
+    ));
+    assert_eq!(reconnects(&client), 0);
+
+    // The connection is still in step.
+    client.ingest_block("v", &block(1)).unwrap();
+    client.drain().unwrap();
+    assert_eq!(client.snapshot().unwrap().blocks(), 1);
+    assert_eq!(reconnects(&client), 0);
     drop(client);
     let _ = handle.stop();
 }

@@ -33,7 +33,8 @@
 //!   it is applied, sketch state is checkpointed on a cadence, and
 //!   [`AmsService::start`] recovers checkpoint + log tail into
 //!   bit-identical counters (the sketches are linear, so replaying a
-//!   logged prefix *is* the never-crashed state). The
+//!   logged prefix *is* the never-crashed state), each shard on its
+//!   own worker, in parallel. The
 //!   [`AmsService::durability_cut`] / [`AmsService::poll_durable`]
 //!   pair gives front-ends ack-after-fsync.
 //! * The wake hook — a front-end that must never block (a network

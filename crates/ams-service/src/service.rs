@@ -2,12 +2,12 @@
 //! drain and shutdown.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::task::Waker;
 use std::thread::JoinHandle;
 
 use ams_core::{SelfJoinEstimator, TugOfWarSketch};
-use ams_durable::{ShardDurable, ShardRecovery, ShardShape, WalInstruments};
+use ams_durable::{ShardRecovery, ShardShape, WalInstruments};
 use ams_stream::OpBlock;
 use ams_telemetry::{
     trace_clock_ns, AccuracyReport, AssembledTrace, EventHub, HealthReport, HealthSignal,
@@ -22,7 +22,7 @@ use crate::heavy::{HeavyEntry, HeavyKeys};
 use crate::queue::{BlockQueue, IngestTag, ShardTask, Wait};
 use crate::router::{RoutedBlocks, Router, RouterPolicy};
 use crate::scrape::Scrape;
-use crate::shard::{DurableShardState, ShardWorker};
+use crate::shard::{DurableSetup, ShardWorker};
 use crate::snapshot::{ServiceSnapshot, ShardCell};
 use crate::stats::{ServiceStats, ShardStats};
 use crate::telemetry::ServiceTelemetry;
@@ -111,11 +111,16 @@ pub struct AmsService {
 impl AmsService {
     /// Starts the service: validates the attribute registration, builds
     /// the shard queues and snapshot cells, and spawns one worker
-    /// thread per shard.
+    /// thread per shard. With durability on, each worker recovers its
+    /// own shard from disk before its first pop, so the shards replay
+    /// in parallel, and this returns once every shard has recovered and
+    /// published its recovered state.
     ///
     /// # Errors
     /// [`ServiceError::DuplicateAttribute`] on repeated names,
-    /// [`ServiceError::InvalidConfig`] if no attribute is registered.
+    /// [`ServiceError::InvalidConfig`] if no attribute is registered,
+    /// [`ServiceError::Durability`] if a shard cannot recover (the first
+    /// failing shard's error, after every worker has stopped).
     pub fn start(config: ServiceConfig, attributes: &[&str]) -> Result<Self, ServiceError> {
         if attributes.is_empty() {
             return Err(ServiceError::InvalidConfig {
@@ -172,63 +177,80 @@ impl AmsService {
                 ))
             })
             .collect();
-        // Recover durable state before any worker runs: each shard's
-        // WAL is opened, its newest valid checkpoint loaded, and the
-        // log tail replayed; the worker seeds from the recovered state.
+        // Spawn the workers first: each opens its own shard's log
+        // (newest valid checkpoint, then the log tail replayed) before
+        // its first pop, so the shards recover in parallel.
+        let shape = ShardShape {
+            params: config.params(),
+            seed: config.seed(),
+            attributes: names.clone(),
+        };
         let mut durable_watermarks = Vec::new();
-        let mut recovery = Vec::new();
-        let mut durable_states: Vec<Option<DurableShardState>> =
-            (0..config.shards()).map(|_| None).collect();
-        if let Some(dcfg) = config.durability() {
-            let shape = ShardShape {
-                params: config.params(),
-                seed: config.seed(),
-                attributes: names.clone(),
-            };
-            for (shard, slot) in durable_states.iter_mut().enumerate() {
-                let instruments = WalInstruments::register(telemetry.registry(), shard);
-                let (wal, recovered, report) =
-                    ShardDurable::open(dcfg, shard, &shape, instruments)?;
+        let mut reports = Vec::new();
+        let mut workers = Vec::with_capacity(config.shards());
+        for (shard, (queue, cell)) in queues.iter().zip(&cells).enumerate() {
+            let durable = config.durability().map(|dcfg| {
                 let watermark = Arc::new(AtomicU64::new(0));
                 durable_watermarks.push(Arc::clone(&watermark));
-                *slot = Some(DurableShardState {
-                    wal,
-                    checkpointed_blocks: report.checkpoint_blocks,
-                    recovered: Some(recovered),
-                    checkpoint_every: dcfg.checkpoint_every_blocks,
+                let (report, recovered) = mpsc::sync_channel(1);
+                reports.push(recovered);
+                DurableSetup {
+                    config: dcfg.clone(),
+                    shape: shape.clone(),
+                    instruments: WalInstruments::register(telemetry.registry(), shard),
                     watermark,
                     wake: Arc::clone(&wake),
-                    failed: false,
-                });
-                recovery.push(report);
-            }
-        }
-        let workers = queues
-            .iter()
-            .zip(cells.iter())
-            .zip(durable_states)
-            .enumerate()
-            .map(|(shard, ((queue, cell), durable))| {
-                let worker = ShardWorker {
-                    queue: Arc::clone(queue),
-                    cell: Arc::clone(cell),
-                    params: config.params(),
-                    seed: config.seed(),
-                    attrs: names.len(),
-                    publish_every: config.publish_every(),
-                    instruments: telemetry.shards[shard].clone(),
-                    sketch_memory: telemetry.sketch_memory.clone(),
-                    durable,
-                    recorder: trace_hub.recorder(),
-                    shard: shard as u64,
-                    events: event_hub.recorder(),
-                };
+                    report,
+                }
+            });
+            let worker = ShardWorker {
+                queue: Arc::clone(queue),
+                cell: Arc::clone(cell),
+                params: config.params(),
+                seed: config.seed(),
+                attrs: names.len(),
+                publish_every: config.publish_every(),
+                instruments: telemetry.shards[shard].clone(),
+                sketch_memory: telemetry.sketch_memory.clone(),
+                durable,
+                recorder: trace_hub.recorder(),
+                shard: shard as u64,
+                events: event_hub.recorder(),
+            };
+            workers.push(
                 std::thread::Builder::new()
                     .name(format!("ams-shard-{shard}"))
                     .spawn(move || worker.run())
-                    .expect("spawn shard worker")
-            })
-            .collect();
+                    .expect("spawn shard worker"),
+            );
+        }
+        // Wait for every shard's recovery report, in shard order. On
+        // any failure, stop every worker before returning the first
+        // error, so no thread outlives a failed start.
+        let mut recovery = Vec::with_capacity(reports.len());
+        let mut failure = None;
+        for (shard, ready) in reports.iter().enumerate() {
+            match ready.recv() {
+                Ok(Ok(report)) => recovery.push(report),
+                Ok(Err(error)) => {
+                    failure.get_or_insert(ServiceError::from(error));
+                }
+                Err(_) => {
+                    failure.get_or_insert(ServiceError::Durability {
+                        reason: format!("shard {shard} worker died during recovery"),
+                    });
+                }
+            }
+        }
+        if let Some(error) = failure {
+            for queue in &queues {
+                queue.close();
+            }
+            for worker in workers {
+                let _ = worker.join();
+            }
+            return Err(error);
+        }
         Ok(Self {
             router: Router::new(config.router(), config.shards(), config.seed()),
             config,
@@ -689,9 +711,10 @@ impl AmsService {
     ///   least `imbalance_min_ops` ops.
     /// * `wal_fsync_p99_budget` — lifetime fsync p99 over the budget
     ///   (durability only, once any fsync happened).
-    /// * `wal_append_failures` — WAL appends that failed over the
-    ///   service's lifetime (durability only; any failure is
-    ///   Unhealthy).
+    /// * `wal_failures` — WAL operations (append, fsync, directory
+    ///   sync, rotation, checkpoint) whose failure wedged a shard's
+    ///   writer over the service's lifetime (durability only; any
+    ///   failure is Unhealthy).
     /// * `audit_rel_error_bounds` — worst observed audit relative error
     ///   as a multiple of the sketch's a-priori `error_bound()` (audit
     ///   sampler only).
@@ -769,8 +792,8 @@ impl AmsService {
                 ));
             }
             signals.push(HealthSignal::grade(
-                "wal_append_failures",
-                snap.counter_total("wal_append_failures") as f64,
+                "wal_failures",
+                snap.counter_total("wal_failures") as f64,
                 1.0,
                 1.0,
             ));

@@ -1,8 +1,9 @@
 //! The shard worker loop: drain the shard's bounded queue through the
 //! zero-allocation block kernels, publish snapshots on a cadence —
-//! and, when durability is configured, write-ahead-log every block
-//! before applying it, advance the shard's durable watermark on fsync,
-//! and checkpoint the sketch state on a block cadence.
+//! and, when durability is configured, recover the shard's log before
+//! the first pop, write-ahead-log every block before applying it,
+//! advance the shard's durable watermark on fsync, and checkpoint the
+//! sketch state on a block cadence.
 //!
 //! A pop takes one of two paths. The per-task path logs, applies and
 //! settles one block. The batch path runs only when the popped block's
@@ -15,10 +16,13 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 
 use ams_core::{SelfJoinEstimator, SignCacheStats, SketchParams, TugOfWarSketch};
-use ams_durable::{RecoveredShard, ShardDurable};
+use ams_durable::{
+    DurabilityConfig, DurableError, ShardDurable, ShardRecovery, ShardShape, WalInstruments,
+};
 use ams_stream::OpBlock;
 use ams_telemetry::{
     trace_clock_ns, EventCode, EventRecorder, Gauge, MemoryTracker, TraceRecorder, TraceStage,
@@ -29,35 +33,45 @@ use crate::snapshot::{ShardCell, ShardSnapshot};
 use crate::telemetry::ShardInstruments;
 use crate::wake::WakeHook;
 
-/// The durability half of a shard worker, built by the service from
-/// [`ShardDurable::open`]'s recovery.
-pub(crate) struct DurableShardState {
+/// What a shard worker needs to open its own log. The worker recovers
+/// its shard (checkpoint load and log replay) before its first pop and
+/// sends the recovery report, or the error, back to
+/// [`AmsService::start`](crate::AmsService::start), which waits for
+/// every shard's.
+pub(crate) struct DurableSetup {
+    pub config: DurabilityConfig,
+    pub shape: ShardShape,
+    pub instruments: WalInstruments,
+    pub watermark: Arc<AtomicU64>,
+    pub wake: Arc<WakeHook>,
+    pub report: SyncSender<Result<ShardRecovery, DurableError>>,
+}
+
+/// The durability half of a running shard worker.
+struct DurableShardState {
     /// The shard's WAL + checkpoint writer, positioned at the log end.
-    pub wal: ShardDurable,
-    /// Recovered state the worker seeds from (taken at loop start).
-    pub recovered: Option<RecoveredShard>,
+    /// Once it wedges (any WAL operation failed) the shard stops
+    /// logging, applying, publishing, and checkpointing (an
+    /// inconsistent log must not grow, and unlogged state must not leak
+    /// into checkpoints), but keeps draining its queue so producers do
+    /// not block. The watermark freezes — durable acks stall exactly
+    /// like a crashed server's.
+    wal: ShardDurable,
     /// Checkpoint cadence in applied blocks.
-    pub checkpoint_every: u64,
+    checkpoint_every: u64,
     /// Blocks covered by the newest on-disk checkpoint; the worker
     /// checkpoints again once `blocks - checkpointed_blocks` reaches
     /// the cadence, and once more at clean shutdown so restart replays
     /// nothing.
-    pub checkpointed_blocks: u64,
+    checkpointed_blocks: u64,
     /// This-lifetime count of popped blocks whose effects are durable;
     /// shared with [`AmsService::poll_durable`](crate::AmsService::poll_durable).
     /// The worker stores it only through [`Self::advance`], so every
     /// advance rings the wake hook.
-    pub watermark: Arc<AtomicU64>,
+    watermark: Arc<AtomicU64>,
     /// Rung after every watermark advance, for durable acks parked
     /// without a thread.
-    pub wake: Arc<WakeHook>,
-    /// Set when a WAL operation fails: the shard stops logging,
-    /// applying, publishing, and checkpointing (an inconsistent log
-    /// must not grow, and unlogged state must not leak into
-    /// checkpoints), but keeps draining its queue so producers do not
-    /// block. The watermark freezes — durable acks stall exactly like
-    /// a crashed server's.
-    pub failed: bool,
+    wake: Arc<WakeHook>,
 }
 
 impl DurableShardState {
@@ -85,8 +99,9 @@ pub(crate) struct ShardWorker {
     /// each worker contributes its sketches' words through a
     /// [`MemoryTracker`] and returns them at exit.
     pub sketch_memory: Vec<Arc<Gauge>>,
-    /// The durability layer, when the service config enables it.
-    pub durable: Option<DurableShardState>,
+    /// The shard's log to open, when the service config enables
+    /// durability.
+    pub durable: Option<DurableSetup>,
     /// This worker's span recorder (one per thread: single-writer by
     /// construction). Untraced tasks cost one relaxed load + branch.
     pub recorder: TraceRecorder,
@@ -140,8 +155,38 @@ impl ShardWorker {
     pub(crate) fn run(mut self) {
         let _close_on_unwind = CloseOnUnwind(Arc::clone(&self.queue));
         self.events.emit(EventCode::ShardStart, self.shard, 0);
-        let mut durable = self.durable.take();
-        let recovered = durable.as_mut().and_then(|d| d.recovered.take());
+        let mut durable = None;
+        let mut recovered = None;
+        let mut ready = None;
+        if let Some(setup) = self.durable.take() {
+            let DurableSetup {
+                config,
+                shape,
+                instruments,
+                watermark,
+                wake,
+                report,
+            } = setup;
+            match ShardDurable::open(&config, self.shard as usize, &shape, instruments) {
+                Ok((wal, state, recovery)) => {
+                    durable = Some(DurableShardState {
+                        wal,
+                        checkpoint_every: config.checkpoint_every_blocks,
+                        checkpointed_blocks: recovery.checkpoint_blocks,
+                        watermark,
+                        wake,
+                    });
+                    recovered = Some(state);
+                    ready = Some((report, recovery));
+                }
+                Err(error) => {
+                    // `start` then stops every worker and returns the
+                    // first error.
+                    let _ = report.send(Err(error));
+                    return;
+                }
+            }
+        }
         let wal_segments = durable.as_ref().map_or(0, |d| d.wal.segment_count());
         let (mut sketches, blocks, ops, epoch, producers) = match recovered {
             Some(r) => (r.sketches, r.blocks, r.ops, r.epoch, r.producers),
@@ -189,6 +234,11 @@ impl ShardWorker {
                 .emit(EventCode::Recovery, self.shard, state.blocks);
             self.publish(&mut state);
         }
+        // Report only now, so a restarted service serves its recovered
+        // state as soon as `start` returns.
+        if let Some((report, recovery)) = ready {
+            let _ = report.send(Ok(recovery));
+        }
         // Reused across batches: the taken tasks (each dropped once
         // folded) and their bookkeeping.
         let mut taken: Vec<ShardTask> = Vec::new();
@@ -206,12 +256,10 @@ impl ShardWorker {
         }
         // Clean shutdown: make everything appended durable and let the
         // watermark catch up before the final publish.
-        if let Some(d) = state.durable.as_mut() {
-            if !d.failed {
-                match d.wal.maybe_sync(true) {
-                    Ok(true) => d.advance(state.popped),
-                    _ => d.failed = true,
-                }
+        if let Some(d) = state.durable.as_mut().filter(|d| !d.wal.failed()) {
+            match d.wal.maybe_sync(true) {
+                Ok(_) => d.advance(state.popped),
+                Err(_) => self.wal_failed(&d.wal),
             }
         }
         if state.published_blocks < state.blocks
@@ -226,7 +274,7 @@ impl ShardWorker {
         if state
             .durable
             .as_ref()
-            .is_some_and(|d| !d.failed && state.blocks > d.checkpointed_blocks)
+            .is_some_and(|d| !d.wal.failed() && state.blocks > d.checkpointed_blocks)
         {
             self.checkpoint(&mut state);
         }
@@ -352,7 +400,7 @@ impl ShardWorker {
         let Some(d) = state.durable.as_mut() else {
             return true;
         };
-        if d.failed {
+        if d.wal.failed() {
             // Drain-and-discard so producers don't block.
             return false;
         }
@@ -378,8 +426,7 @@ impl ShardWorker {
             self.recorder.record_since(trace, TraceStage::WalAppend, t0);
         }
         if appended.is_err() {
-            d.failed = true;
-            self.events.emit(EventCode::WalAppendFailed, self.shard, 0);
+            self.wal_failed(&d.wal);
             return false;
         }
         if producer != 0 {
@@ -435,7 +482,7 @@ impl ShardWorker {
         }
         let d = state.durable.as_mut()?;
         let mut synced = None;
-        if !d.failed {
+        if !d.wal.failed() {
             // Force a sync whenever the queue drains, so the worst-case
             // ack-after-fsync latency under light load is one pop, not
             // one group-commit interval.
@@ -449,10 +496,10 @@ impl ShardWorker {
                     d.advance(state.popped);
                 }
                 Ok(false) => {}
-                Err(_) => d.failed = true,
+                Err(_) => self.wal_failed(&d.wal),
             }
         }
-        if !d.failed && state.blocks - d.checkpointed_blocks >= d.checkpoint_every {
+        if !d.wal.failed() && state.blocks - d.checkpointed_blocks >= d.checkpoint_every {
             // Publish first so the checkpoint rides a fresh epoch (its
             // file stamp stays unique).
             self.publish(state);
@@ -485,6 +532,13 @@ impl ShardWorker {
             .emit(EventCode::Publish, self.shard, state.blocks);
     }
 
+    /// Emits the event for the WAL operation that just failed and
+    /// wedged the shard's writer; `wal_failures` already counted it.
+    fn wal_failed(&self, wal: &ShardDurable) {
+        let op = wal.wedged_by().map_or(0, |op| op as u64);
+        self.events.emit(EventCode::WalFailed, self.shard, op);
+    }
+
     /// Writes a checkpoint of the current state; a failure wedges the
     /// durable writer.
     fn checkpoint(&self, state: &mut ShardState) {
@@ -501,7 +555,7 @@ impl ShardWorker {
             )
             .is_err()
         {
-            d.failed = true;
+            self.wal_failed(&d.wal);
             return;
         }
         d.checkpointed_blocks = state.blocks;
@@ -564,7 +618,7 @@ pub(crate) mod fault {
 fn batch_room(state: &ShardState) -> usize {
     match &state.durable {
         None => usize::MAX,
-        Some(d) if d.failed => 0,
+        Some(d) if d.wal.failed() => 0,
         Some(d) => {
             let since = state.blocks.saturating_sub(d.checkpointed_blocks);
             let left = d.checkpoint_every.saturating_sub(since);

@@ -7,11 +7,15 @@
 //! test. One shard keeps the durable prefix literally "the first K
 //! submitted blocks", which is what makes the twin comparison exact.
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ams_core::{SelfJoinEstimator, SketchParams, TugOfWarSketch};
-use ams_service::{AmsService, DurabilityConfig, FaultPlan, FsyncPolicy, ServiceConfig, Wait};
+use ams_durable::{ShardDurable, ShardShape, WalInstruments};
+use ams_service::{
+    AmsService, DurabilityConfig, FaultPlan, FsyncPolicy, ServiceConfig, ServiceError, Wait,
+};
 use ams_stream::OpBlock;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -394,4 +398,133 @@ fn durability_off_service_reports_nothing() {
         std::thread::yield_now();
     }
     let _ = service.shutdown();
+}
+
+/// A 4-shard configuration over `dir`; its shape (params, seed, one
+/// attribute `v`) is the one `shard_log` writes.
+fn four_shards(dir: &Path) -> ServiceConfig {
+    ServiceConfig::builder()
+        .shards(4)
+        .sketch_params(params())
+        .seed(0xD0E)
+        .durability(DurabilityConfig::new(dir).with_fsync(FsyncPolicy::OsBuffered))
+        .build()
+        .unwrap()
+}
+
+/// Writes shard `shard`'s log under `dir` directly: blocks `from..to`,
+/// with a checkpoint after the first `checkpoint_after` of them when
+/// that is nonzero, and `segment_max` bytes per segment.
+fn shard_log(
+    dir: &Path,
+    shard: usize,
+    (from, to): (u64, u64),
+    checkpoint_after: u64,
+    segment_max: u64,
+) {
+    let config = DurabilityConfig::new(dir)
+        .with_fsync(FsyncPolicy::OsBuffered)
+        .with_segment_max_bytes(segment_max);
+    let shape = ShardShape {
+        params: params(),
+        seed: 0xD0E,
+        attributes: vec!["v".into()],
+    };
+    let (mut wal, recovered, _) =
+        ShardDurable::open(&config, shard, &shape, WalInstruments::unregistered()).unwrap();
+    let mut sketches = recovered.sketches;
+    let mut ops = 0;
+    for i in from..to {
+        wal.append(0, 0, 0, &block(i)).unwrap();
+        sketches[0].apply_block(&block(i));
+        ops += block(i).ops();
+        if i + 1 - from == checkpoint_after {
+            wal.write_checkpoint(1, checkpoint_after, ops, &sketches, &HashMap::new())
+                .unwrap();
+        }
+    }
+    wal.sync().unwrap();
+}
+
+#[test]
+fn shards_with_different_logs_recover_in_parallel_bit_identically() {
+    let dir = TempDir::new("parallel");
+    // Shard 0: a checkpoint plus a tail. Shard 1: a torn tail. Shard 2:
+    // nothing. Shard 3: a log alone, over several segments.
+    shard_log(dir.path(), 0, (0, 10), 6, 1 << 20);
+    shard_log(dir.path(), 1, (10, 15), 0, 1 << 20);
+    let seg = dir.path().join("shard-1").join("seg-00000000.wal");
+    let mut bytes = std::fs::read(&seg).unwrap();
+    bytes.extend_from_slice(&[0x5A; 5]);
+    std::fs::write(&seg, bytes).unwrap();
+    shard_log(dir.path(), 3, (15, 22), 0, 256);
+
+    let service = AmsService::start(four_shards(dir.path()), &["v"]).unwrap();
+    let recovery = service.recovery();
+    let shards: Vec<usize> = recovery.iter().map(|r| r.shard).collect();
+    assert_eq!(shards, [0, 1, 2, 3], "reports in shard order");
+    let blocks: Vec<(u64, u64)> = recovery
+        .iter()
+        .map(|r| (r.checkpoint_blocks, r.replayed_blocks))
+        .collect();
+    assert_eq!(blocks, [(6, 4), (0, 5), (0, 0), (0, 7)]);
+    assert_eq!(recovery[0].checkpoint_epoch, Some(1));
+    assert!(
+        recovery[1]
+            .skipped
+            .iter()
+            .any(|s| s.reason == "torn record header"),
+        "{:?}",
+        recovery[1].skipped
+    );
+    assert!(recovery[2].is_clean() && recovery[3].is_clean());
+    // Every shard published its recovered state before `start`
+    // returned, so the merged counters are complete at once.
+    let snapshot = service.snapshot();
+    assert_eq!((snapshot.blocks(), snapshot.ops()), (22, 22 * 16));
+    assert_eq!(
+        service.merged_sketch("v").unwrap().counters(),
+        twin(22).counters(),
+        "the merged shards equal a never-crashed twin fed every logged block"
+    );
+    let _ = service.shutdown();
+}
+
+#[test]
+fn an_unrecoverable_shard_fails_start_and_stops_every_worker() {
+    let dir = TempDir::new("unrecoverable");
+    shard_log(dir.path(), 0, (0, 8), 4, 1 << 20);
+    shard_log(dir.path(), 1, (8, 12), 0, 1 << 20);
+    // Shard 2 lost its only checkpoint's predecessor log: a pruned log
+    // with no checkpoint cannot rebuild a consistent prefix.
+    shard_log(dir.path(), 2, (12, 30), 0, 256);
+    std::fs::remove_file(dir.path().join("shard-2").join("seg-00000000.wal")).unwrap();
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let config = four_shards(dir.path());
+    std::thread::spawn(move || {
+        let _ = tx.send(AmsService::start(config, &["v"]).map(drop));
+    });
+    let started = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("start must return, not hang");
+    match started {
+        Err(ServiceError::Durability { reason }) => {
+            assert!(reason.contains("unrecoverable"), "{reason}");
+            assert!(reason.contains("shard-2"), "{reason}");
+        }
+        other => panic!("expected the unrecoverable shard's error, got {other:?}"),
+    }
+    // Every worker that recovered held its segment open; `start` joined
+    // them all before returning, so no file under the directory is
+    // still open.
+    #[cfg(target_os = "linux")]
+    {
+        let open: Vec<PathBuf> = std::fs::read_dir("/proc/self/fd")
+            .unwrap()
+            .filter_map(|e| std::fs::read_link(e.ok()?.path()).ok())
+            .filter(|target| target.starts_with(dir.path()))
+            .collect();
+        assert!(open.is_empty(), "files still open: {open:?}");
+    }
 }

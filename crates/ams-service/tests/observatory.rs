@@ -2,13 +2,15 @@
 //! level: lifecycle events land in order, the windowed health signals
 //! are hand-computable from the routed ops, the per-attribute
 //! confidence interval covers the exact answer on a seeded zipf
-//! stream, and a wedged WAL turns the verdict Unhealthy for good.
+//! stream, and a wedged WAL (a failed append or checkpoint) turns the
+//! verdict Unhealthy for good.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ams_core::SketchParams;
 use ams_datagen::zipf::ZipfGenerator;
+use ams_durable::WalOp;
 use ams_service::{
     AmsService, DurabilityConfig, FaultPlan, FsyncPolicy, HealthThresholds, HealthVerdict,
     HealthWindow, MetricsSnapshot, Scrape, ServiceConfig, ServiceEvent, SignalStatus,
@@ -324,20 +326,18 @@ fn wedged_wal_turns_the_verdict_unhealthy() {
     }
     let events = loop {
         let events = service.events();
-        if first_index(&events, "wal_append_failed").is_some() {
+        if first_index(&events, "wal_failed").is_some() {
             break events;
         }
         std::thread::yield_now();
     };
     assert_eq!(
-        events[first_index(&events, "wal_append_failed").unwrap()].level,
+        events[first_index(&events, "wal_failed").unwrap()].level,
         "error"
     );
 
     let report = service.health(&HealthThresholds::default(), &mut HealthWindow::default());
-    let failures = report
-        .signal("wal_append_failures")
-        .expect("durable service");
+    let failures = report.signal("wal_failures").expect("durable service");
     assert!(failures.value >= 1.0);
     assert_eq!(
         failures.status,
@@ -347,7 +347,7 @@ fn wedged_wal_turns_the_verdict_unhealthy() {
     match &report.verdict {
         HealthVerdict::Unhealthy(reasons) => {
             assert!(
-                reasons.iter().any(|r| r.starts_with("wal_append_failures")),
+                reasons.iter().any(|r| r.starts_with("wal_failures")),
                 "{reasons:?}"
             );
         }
@@ -355,9 +355,7 @@ fn wedged_wal_turns_the_verdict_unhealthy() {
     }
     assert_eq!(report.verdict.code(), 2);
     assert_eq!(
-        service
-            .metrics_snapshot()
-            .counter_total("wal_append_failures"),
+        service.metrics_snapshot().counter_total("wal_failures"),
         1,
         "the writer wedged at its first failed append"
     );
@@ -409,22 +407,84 @@ fn wedged_wal_verdict_holds_past_the_event_ring() {
     }
     assert!(publishes(&service) - before >= 300);
     assert!(
-        first_index(&service.events(), "wal_append_failed").is_none(),
+        first_index(&service.events(), "wal_failed").is_none(),
         "the failure event was overwritten"
     );
     assert_eq!(service.stats().blocks_ingested(), 3, "only 3 blocks landed");
 
     let report = service.health(&HealthThresholds::default(), &mut window);
-    let failures = report.signal("wal_append_failures").expect("durable");
+    let failures = report.signal("wal_failures").expect("durable");
     assert_eq!(failures.value, 1.0);
     match &report.verdict {
         HealthVerdict::Unhealthy(reasons) => {
             assert!(
-                reasons.iter().any(|r| r.starts_with("wal_append_failures")),
+                reasons.iter().any(|r| r.starts_with("wal_failures")),
                 "{reasons:?}"
             );
         }
         other => panic!("the wedge was forgotten: {other:?}"),
     }
+    let _ = service.shutdown();
+}
+
+/// A failed checkpoint wedges the writer like a failed append: the
+/// shard discards every later block. The verdict must read Unhealthy
+/// and name the failure on every scrape, though no append failed and
+/// the window's applied ops keep `ingest_stall` at zero.
+#[test]
+fn wedged_checkpoint_turns_the_verdict_unhealthy() {
+    let dir = TempDir::new("wedged-checkpoint");
+    let config = ServiceConfig::builder()
+        .shards(1)
+        .sketch_params(SketchParams::new(16, 3).unwrap())
+        .seed(3)
+        .durability(
+            DurabilityConfig::new(dir.path())
+                .with_fsync(FsyncPolicy::PerAppend)
+                .with_checkpoint_every(4)
+                .with_fault(FaultPlan {
+                    fail_on_checkpoint: Some(1),
+                    ..FaultPlan::default()
+                }),
+        )
+        .build()
+        .unwrap();
+    let service = AmsService::start(config, &["v"]).unwrap();
+    let mut window = HealthWindow::default();
+    for i in 0..8u64 {
+        service
+            .ingest_block("v", OpBlock::from_values((0..4).map(|j| i * 31 + j)))
+            .unwrap();
+    }
+    service.drain();
+    assert_eq!(
+        service.stats().blocks_ingested(),
+        4,
+        "the first checkpoint wedged the shard"
+    );
+    for scrape in 0..2 {
+        let report = service.health(&HealthThresholds::default(), &mut window);
+        let failures = report.signal("wal_failures").expect("durable service");
+        assert_eq!(failures.value, 1.0, "scrape {scrape}");
+        match &report.verdict {
+            HealthVerdict::Unhealthy(reasons) => {
+                assert!(
+                    reasons.iter().any(|r| r.starts_with("wal_failures")),
+                    "scrape {scrape}: {reasons:?}"
+                );
+            }
+            other => panic!("scrape {scrape}: expected Unhealthy, got {other:?}"),
+        }
+    }
+    let metrics = service.metrics_snapshot();
+    assert_eq!(
+        metrics.counter("wal_failures", &[("shard", "0"), ("op", "checkpoint")]),
+        Some(1)
+    );
+    assert_eq!(metrics.counter_total("wal_failures"), 1);
+    let events = service.events();
+    let failed = &events[first_index(&events, "wal_failed").expect("failure event")];
+    assert_eq!(failed.level, "error");
+    assert_eq!(failed.value, WalOp::Checkpoint as u64);
     let _ = service.shutdown();
 }

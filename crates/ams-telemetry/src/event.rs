@@ -67,9 +67,11 @@ pub enum EventCode {
     /// Checkpointing truncated WAL segments (`key` = shard,
     /// `value` = live segment count after truncation).
     WalTruncate,
-    /// A WAL append failed; the shard entered its failed state
-    /// (`key` = shard).
-    WalAppendFailed,
+    /// A WAL operation failed and wedged the shard's writer; the shard
+    /// entered its failed state (`key` = shard, `value` = the failed
+    /// operation's index in `ams_durable::WalOp::ALL`: append, fsync,
+    /// fsync_dir, rotation, checkpoint).
+    WalFailed,
     /// An exactly-once duplicate block was skipped (`key` = shard,
     /// `value` = block sequence number).
     DedupSkip,
@@ -96,7 +98,7 @@ pub const EVENT_CODES: [EventCode; 14] = [
     EventCode::Checkpoint,
     EventCode::WalRotate,
     EventCode::WalTruncate,
-    EventCode::WalAppendFailed,
+    EventCode::WalFailed,
     EventCode::DedupSkip,
     EventCode::BusyShed,
     EventCode::ReadGate,
@@ -116,7 +118,7 @@ impl EventCode {
             EventCode::Checkpoint => "checkpoint",
             EventCode::WalRotate => "wal_rotate",
             EventCode::WalTruncate => "wal_truncate",
-            EventCode::WalAppendFailed => "wal_append_failed",
+            EventCode::WalFailed => "wal_failed",
             EventCode::DedupSkip => "dedup_skip",
             EventCode::BusyShed => "busy_shed",
             EventCode::ReadGate => "read_gate",
@@ -129,7 +131,7 @@ impl EventCode {
     /// The code's canonical severity.
     pub fn level(self) -> EventLevel {
         match self {
-            EventCode::WalAppendFailed => EventLevel::Error,
+            EventCode::WalFailed => EventLevel::Error,
             EventCode::BusyShed | EventCode::ReadGate | EventCode::Reconnect => EventLevel::Warn,
             _ => EventLevel::Info,
         }
@@ -288,7 +290,7 @@ mod tests {
 
     #[test]
     fn levels_follow_severity() {
-        assert_eq!(EventCode::WalAppendFailed.level(), EventLevel::Error);
+        assert_eq!(EventCode::WalFailed.level(), EventLevel::Error);
         assert_eq!(EventCode::BusyShed.level(), EventLevel::Warn);
         assert_eq!(EventCode::ReadGate.level(), EventLevel::Warn);
         assert_eq!(EventCode::Reconnect.level(), EventLevel::Warn);
