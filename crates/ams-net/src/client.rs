@@ -1,6 +1,5 @@
 //! The blocking client library: one connection, request/response
-//! calls, automatic retry on `Busy`, and windowed-pipelined batch
-//! helpers.
+//! calls, and windowed-pipelined batch helpers.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -23,26 +22,6 @@ use crate::error::NetError;
 /// being read, keeping the pipe full without risking a
 /// both-sides-writing deadlock.
 const PIPELINE_WINDOW: usize = 64;
-
-/// How an auto-retrying ingest behaves under sustained `Busy` answers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Submissions attempted before giving up with
-    /// [`NetError::Saturated`].
-    pub max_attempts: usize,
-    /// Upper bound on one backoff sleep (the server's hint is capped
-    /// to this).
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 64,
-            max_backoff: Duration::from_millis(50),
-        }
-    }
-}
 
 /// When an ingest submission is acknowledged by the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -89,12 +68,15 @@ impl Default for ReconnectPolicy {
     }
 }
 
-/// Outcome of one non-retrying ingest submission.
+/// Outcome of one ingest submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestOutcome {
     /// The block landed in the service's shard queues.
     Ingested,
-    /// The block was load-shed; nothing was applied.
+    /// Never returned. Protocol version 4 retired the server's `Busy`
+    /// answer: a block a full queue refuses parks on the server until
+    /// it lands, and is then answered [`IngestOutcome::Ingested`]. The
+    /// variant stays only so that existing matches on it still compile.
     Busy {
         /// The saturated shard.
         shard: usize,
@@ -108,15 +90,11 @@ pub enum IngestOutcome {
 ///
 /// | metric | kind | meaning |
 /// |---|---|---|
-/// | `client_retries` | counter | ingest resubmissions after a `Busy` |
-/// | `client_busy_responses` | counter | `Busy` answers received |
 /// | `client_pipeline_peak` | gauge | high-water in-flight requests in batch pipelining |
 /// | `client_reconnects` | counter | successful transport re-establishments |
 #[derive(Debug)]
 struct ClientTelemetry {
     registry: Arc<MetricsRegistry>,
-    retries: Arc<Counter>,
-    busy_responses: Arc<Counter>,
     pipeline_peak: Arc<Gauge>,
     reconnects: Arc<Counter>,
 }
@@ -124,14 +102,10 @@ struct ClientTelemetry {
 impl ClientTelemetry {
     fn new() -> Self {
         let registry = Arc::new(MetricsRegistry::new());
-        let retries = registry.counter("client_retries", &[]);
-        let busy_responses = registry.counter("client_busy_responses", &[]);
         let pipeline_peak = registry.gauge("client_pipeline_peak", &[]);
         let reconnects = registry.counter("client_reconnects", &[]);
         Self {
             registry,
-            retries,
-            busy_responses,
             pipeline_peak,
             reconnects,
         }
@@ -154,7 +128,6 @@ impl ClientTelemetry {
 pub struct AmsClient {
     stream: TcpStream,
     decoder: FrameDecoder,
-    retry: RetryPolicy,
     telemetry: ClientTelemetry,
     /// One encode buffer reused across every ingest frame this client
     /// sends — steady-state ingest encoding allocates nothing.
@@ -200,7 +173,8 @@ impl AmsClient {
     /// batches in flight inside the pipeline window.
     pub const INGEST_BATCH: usize = 16;
 
-    /// Connects with the default [`RetryPolicy`].
+    /// Connects to a server, with enqueue acks, no reconnect and no
+    /// tracing (see the `with_*` options).
     ///
     /// # Errors
     /// [`NetError::Io`] when the connection fails.
@@ -226,7 +200,6 @@ impl AmsClient {
         Ok(Self {
             stream,
             decoder: FrameDecoder::new(),
-            retry: RetryPolicy::default(),
             telemetry: ClientTelemetry::new(),
             encode_buf: Vec::new(),
             ack_mode: AckMode::Enqueue,
@@ -242,12 +215,6 @@ impl AmsClient {
             event_hub,
             event_recorder,
         })
-    }
-
-    /// Replaces the retry policy.
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// Selects the ingest acknowledgement semantics (see [`AckMode`]).
@@ -396,13 +363,12 @@ impl AmsClient {
         }
     }
 
-    /// Submits one block without retrying: a load-shed submission
-    /// surfaces as [`IngestOutcome::Busy`]. A one-block run of the
-    /// [`Self::ingest_blocks`] pipeline.
+    /// Submits one block: a one-block run of the
+    /// [`Self::ingest_blocks`] pipeline. The outcome is always
+    /// [`IngestOutcome::Ingested`].
     ///
     /// # Errors
-    /// Transport or server errors ([`NetError`]); `Busy` is **not** an
-    /// error on this path.
+    /// Transport or server errors ([`NetError`]).
     pub fn try_ingest_block(
         &mut self,
         attribute: &str,
@@ -417,18 +383,8 @@ impl AmsClient {
         match self.recv()? {
             Response::Error { code, message } => Err(NetError::Remote { code, message }),
             Response::Ingested => Ok(IngestOutcome::Ingested),
-            Response::Busy {
-                shard,
-                retry_hint_micros,
-            } => {
-                self.telemetry.busy_responses.inc();
-                Ok(IngestOutcome::Busy {
-                    shard: shard as usize,
-                    retry_hint: Duration::from_micros(retry_hint_micros as u64),
-                })
-            }
             _ => Err(NetError::UnexpectedResponse {
-                expected: "Ingested or Busy",
+                expected: "Ingested",
             }),
         }
     }
@@ -440,40 +396,26 @@ impl AmsClient {
         self.encode_buf.capacity()
     }
 
-    /// Submits one block, sleeping out the server's `Busy` hints and
-    /// resubmitting until it lands (bounded by the retry policy).
+    /// Submits one block and returns once the server acknowledged it
+    /// (see [`AckMode`]). A block a full shard queue refuses waits on
+    /// the server until it lands, so this call never retries.
     ///
     /// # Errors
-    /// [`NetError::Saturated`] after exhausting the attempt budget;
-    /// transport or server errors as usual.
+    /// Transport or server errors ([`NetError`]).
     pub fn ingest_block(&mut self, attribute: &str, block: &OpBlock) -> Result<(), NetError> {
-        let policy = self.retry;
-        for attempt in 1..=policy.max_attempts {
-            match self.try_ingest_block(attribute, block)? {
-                IngestOutcome::Ingested => return Ok(()),
-                IngestOutcome::Busy { retry_hint, .. } => {
-                    if attempt < policy.max_attempts {
-                        self.telemetry.retries.inc();
-                        std::thread::sleep(retry_hint.min(policy.max_backoff));
-                    }
-                }
-            }
-        }
-        Err(NetError::Saturated {
-            attempts: policy.max_attempts,
-        })
+        self.try_ingest_block(attribute, block).map(drop)
     }
 
-    /// Pipelined ingest **without retry** — the path every ingest
-    /// takes. Blocks are coalesced into `Ingest` frames of up to
-    /// [`Self::INGEST_BATCH`] (one frame header + checksum per batch
-    /// instead of per block), streamed down the socket a bounded window
-    /// of `PIPELINE_WINDOW` *blocks* ahead of the responses, and each
-    /// block's outcome is returned in order — the server answers per
-    /// block, so batching never changes the backpressure contract. One
-    /// encode buffer is reused across the whole pipeline (zero
-    /// steady-state allocations). The caller decides what to do with
-    /// the `Busy` ones — resubmit, shed load, or back off.
+    /// Pipelined ingest — the path every ingest takes. Blocks are
+    /// coalesced into `Ingest` frames of up to [`Self::INGEST_BATCH`]
+    /// (one frame header + checksum per batch instead of per block),
+    /// streamed down the socket a bounded window of `PIPELINE_WINDOW`
+    /// *blocks* ahead of the responses, and each block's outcome is
+    /// returned in order. The server answers per block, and a block a
+    /// full shard queue refuses parks there until it lands, so every
+    /// outcome is [`IngestOutcome::Ingested`] and backpressure shows
+    /// only as slower answers. One encode buffer is reused across the
+    /// whole pipeline (zero steady-state allocations).
     ///
     /// Every frame carries the client's ingest options: the durable-ack
     /// flag under [`AckMode::Fsync`], a `(producer, seq)` tag per block
@@ -487,7 +429,11 @@ impl AmsClient {
     ///
     /// # Errors
     /// Transport or server errors; outcomes are only returned when the
-    /// whole batch exchanged cleanly.
+    /// whole batch exchanged cleanly. A batch that cannot be encoded
+    /// ([`NetError::Encode`]) or a block the server refuses
+    /// ([`NetError::Remote`]) stops the sending, and the error is
+    /// returned once every block already sent has been answered, so the
+    /// connection stays in step for the next request.
     pub fn ingest_blocks(
         &mut self,
         attribute: &str,
@@ -547,15 +493,19 @@ impl AmsClient {
             .map_err(NetError::Encode)?;
             self.stream.write_all(&self.encode_buf)?;
         }
-        while outcomes.len() < blocks.len() {
-            while *next < blocks.len() && inflight.len() < PIPELINE_WINDOW {
+        // The first batch that cannot be encoded, or the first block
+        // the server refuses, stops the sending; the loop still reads
+        // one answer per block in the window before returning it.
+        let mut failed = None;
+        loop {
+            while failed.is_none() && *next < blocks.len() && inflight.len() < PIPELINE_WINDOW {
                 let room = PIPELINE_WINDOW - inflight.len();
                 let end = (*next + Self::INGEST_BATCH.min(room)).min(blocks.len());
                 let first_seq = self.next_seq;
                 // The wire traces a frame's first block only.
                 let trace = self.next_trace_id();
                 let t0 = if trace != 0 { trace_clock_ns() } else { 0 };
-                encode_ingest_frame_into(
+                if let Err(e) = encode_ingest_frame_into(
                     attribute,
                     &blocks[*next..end],
                     durable,
@@ -563,8 +513,10 @@ impl AmsClient {
                     first_seq,
                     trace,
                     &mut self.encode_buf,
-                )
-                .map_err(NetError::Encode)?;
+                ) {
+                    failed = Some(NetError::Encode(e));
+                    break;
+                }
                 if trace != 0 {
                     self.trace_recorder
                         .record_since(trace, TraceStage::ClientEncode, t0);
@@ -578,17 +530,24 @@ impl AmsClient {
                 self.telemetry.pipeline_peak.raise_to(inflight.len() as i64);
                 self.stream.write_all(&self.encode_buf)?;
             }
-            let trace = inflight.front().map_or(0, |&(_, _, trace)| trace);
+            let Some(&(_, _, trace)) = inflight.front() else {
+                break;
+            };
             let t0 = if trace != 0 { trace_clock_ns() } else { 0 };
-            let outcome = self.recv_ingest_outcome()?;
+            match self.recv_ingest_outcome() {
+                Ok(outcome) => outcomes.push(outcome),
+                Err(e @ NetError::Remote { .. }) => {
+                    failed.get_or_insert(e);
+                }
+                Err(e) => return Err(e),
+            }
             inflight.pop_front();
             if trace != 0 {
                 self.trace_recorder
                     .record_since(trace, TraceStage::ClientRecv, t0);
             }
-            outcomes.push(outcome);
         }
-        Ok(())
+        failed.map_or(Ok(()), Err)
     }
 
     /// Windowed pipelining over pre-encoded frames: keeps up to
@@ -776,9 +735,9 @@ impl AmsClient {
         self.event_hub.collect_wire()
     }
 
-    /// Snapshot of the client's *own* instruments (`client_retries`,
-    /// `client_busy_responses`, `client_pipeline_peak`) — no network
-    /// round trip involved.
+    /// Snapshot of the client's *own* instruments
+    /// (`client_pipeline_peak`, `client_reconnects`) — no network round
+    /// trip involved.
     pub fn local_metrics(&self) -> MetricsSnapshot {
         self.telemetry.registry.snapshot()
     }

@@ -6,7 +6,7 @@
 //! ```text
 //! [0..4)   u32   payload length L (bytes after this field); 9 ≤ L ≤ 2^24
 //! [4..8)   magic b"AMSN"
-//! [8..9)   u8    protocol version (currently 3)
+//! [8..9)   u8    protocol version (currently 4)
 //! [9..13)  u32   CRC-32 (IEEE) of the body
 //! [13..13+L-9) body: kind byte + kind-specific fields
 //! ```
@@ -41,14 +41,18 @@ pub const MAGIC: [u8; 4] = *b"AMSN";
 /// Current protocol version, carried in every frame header. Version 2
 /// folded the four ingest requests of version 1 into one
 /// [`Request::Ingest`]; version 3 folded the five scrape requests of
-/// version 2 into one [`Request::Scrape`].
-pub const PROTOCOL_VERSION: u8 = 3;
+/// version 2 into one [`Request::Scrape`]; version 4 retired the `Busy`
+/// load-shed answer (kind `0x82`, never reused): a refused block always
+/// parks on the server until it lands.
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Most blocks one [`Request::Ingest`] frame may carry — the client's
 /// pipeline window (it sends at most `AmsClient::INGEST_BATCH`). The
-/// server answers every block with its own response slot, so this cap
-/// is also how far one frame can carry a connection past its in-flight
-/// bound. Larger counts are rejected at decode, before any allocation.
+/// server answers every block with its own response slot and reads no
+/// further frame from a connection while any of its blocks is parked,
+/// so this cap is also how many blocks one connection can park and how
+/// far one frame can carry it past its in-flight bound. Larger counts
+/// are rejected at decode, before any allocation.
 pub const MAX_INGEST_BLOCKS: usize = 64;
 
 /// Hard upper bound on a frame's payload (everything after the length
@@ -94,7 +98,7 @@ pub const INGEST_FLAG_TRACED: u8 = 0x04;
 const INGEST_FLAGS_KNOWN: u8 = INGEST_FLAG_DURABLE | INGEST_FLAG_TAGGED | INGEST_FLAG_TRACED;
 
 const RESP_INGESTED: u8 = 0x81;
-const RESP_BUSY: u8 = 0x82;
+// 0x82 was `Busy` until version 4; it is never reused.
 const RESP_SELF_JOIN: u8 = 0x83;
 const RESP_TWO_WAY_JOIN: u8 = 0x84;
 const RESP_SNAPSHOT: u8 = 0x85;
@@ -206,7 +210,7 @@ impl std::fmt::Display for ErrorCode {
 pub enum Request {
     /// Submit one or more columnar blocks of updates for one
     /// attribute. The server answers with **one response per block**
-    /// (`Ingested` or `Busy`), in order — several blocks per frame
+    /// (`Ingested`, or an `Error`), in order — several blocks per frame
     /// amortize the header, checksum, and dispatch cost under
     /// pipelining without changing the backpressure contract. Block `i`
     /// carries the implicit sequence number `first_seq + i`, so one
@@ -263,18 +267,10 @@ pub enum Request {
 /// A server-to-client message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// The ingest landed in the service's shard queues.
+    /// The ingest landed in the service's shard queues (or, for a
+    /// durable ingest, on stable storage). A block a full queue refused
+    /// is answered only once it has landed.
     Ingested,
-    /// The ingest was load-shed: a shard queue was full and the
-    /// connection's retry ring had no room. Nothing was applied —
-    /// resubmit after the hint.
-    Busy {
-        /// The shard whose queue was full.
-        shard: u32,
-        /// Suggested client backoff before resubmitting, in
-        /// microseconds (derived from the live queue depth).
-        retry_hint_micros: u32,
-    },
     /// Answer to [`Request::QuerySelfJoin`].
     SelfJoin {
         /// The estimate.
@@ -745,14 +741,6 @@ impl Response {
         begin_frame(out);
         match self {
             Response::Ingested => out.put_u8(RESP_INGESTED),
-            Response::Busy {
-                shard,
-                retry_hint_micros,
-            } => {
-                out.put_u8(RESP_BUSY);
-                out.put_u32_le(*shard);
-                out.put_u32_le(*retry_hint_micros);
-            }
             Response::SelfJoin { estimate } => {
                 out.put_u8(RESP_SELF_JOIN);
                 out.put_u64_le(estimate.to_bits());
@@ -821,13 +809,6 @@ impl Response {
         };
         let response = match kind {
             RESP_INGESTED => Response::Ingested,
-            RESP_BUSY => {
-                need(8, &data)?;
-                Response::Busy {
-                    shard: data.get_u32_le(),
-                    retry_hint_micros: data.get_u32_le(),
-                }
-            }
             RESP_SELF_JOIN => {
                 need(8, &data)?;
                 Response::SelfJoin {
@@ -1099,10 +1080,6 @@ mod tests {
     fn scalar_responses_roundtrip() {
         let responses = [
             Response::Ingested,
-            Response::Busy {
-                shard: 3,
-                retry_hint_micros: 250,
-            },
             Response::SelfJoin { estimate: 42.5 },
             Response::TwoWayJoin {
                 estimate: f64::INFINITY,
@@ -1120,6 +1097,18 @@ mod tests {
             let body = decoder.next_frame().unwrap().unwrap();
             assert_eq!(Response::decode(&body).unwrap(), response);
         }
+    }
+
+    #[test]
+    fn retired_busy_kind_is_an_unknown_response() {
+        // The version-3 `Busy` body: kind, shard, retry hint.
+        let mut body = vec![0x82];
+        body.extend_from_slice(&3u32.to_le_bytes());
+        body.extend_from_slice(&250u32.to_le_bytes());
+        assert_eq!(
+            Response::decode(&body),
+            Err(FrameError::UnknownKind { kind: 0x82 })
+        );
     }
 
     #[test]
@@ -1382,8 +1371,8 @@ mod tests {
     fn health_response_roundtrips() {
         use ams_service::{AccuracyReport, HealthSignal, HealthVerdict};
         let health = ams_service::HealthReport {
-            verdict: HealthVerdict::Degraded(vec!["shed_rate 0.0600 >= 0.0100".into()]),
-            signals: vec![HealthSignal::grade("shed_rate", 0.06, 0.01, 0.25)],
+            verdict: HealthVerdict::Degraded(vec!["queue_saturation 0.8000 >= 0.7500".into()]),
+            signals: vec![HealthSignal::grade("queue_saturation", 0.8, 0.75, 0.95)],
             accuracy: vec![AccuracyReport {
                 attribute: "clicks".into(),
                 estimate: 1234.5,

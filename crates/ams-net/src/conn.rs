@@ -8,10 +8,9 @@
 //! and the write side simply stops at the first unfinished slot. Parked
 //! ingests land in order: a later block of the same frame parks behind
 //! them instead of being submitted, and the connection is not read
-//! again until they have landed. The ring is bounded: past
-//! `max_pending` parked ingests, further blocks are answered `Busy`
-//! without a submit attempt, which is what keeps server memory bounded
-//! under a producer that outruns the shard workers.
+//! again until they have landed. So a connection parks at most one
+//! frame, which keeps server memory bounded under a producer that
+//! outruns the shard workers without ever refusing a block.
 //!
 //! The write side is a queue of encoded frames flushed with
 //! `write_vectored`, so every ready response a pass produced leaves in
@@ -30,12 +29,24 @@ use ams_telemetry::TraceCtx;
 
 use crate::codec::{FrameDecoder, MAX_FRAME_PAYLOAD};
 use crate::poll::{PollFd, POLLIN, POLLOUT};
-use crate::server::NetServerConfig;
 
 /// Per-pass cap on bytes read from one connection; together with the
 /// read gate's decoder bound this bounds the decoder buffer at
 /// roughly one maximum frame plus one burst.
 const READ_BURST: usize = 256 * 1024;
+
+/// Responses (ready or parked) one connection may have in flight
+/// before the reactor stops reading and decoding its requests. A frame
+/// is admitted whole and each of its blocks gets its own slot, so one
+/// `Ingest` frame of up to
+/// [`MAX_INGEST_BLOCKS`](crate::codec::MAX_INGEST_BLOCKS) blocks can
+/// overshoot this bound: a connection holds at most
+/// `MAX_INFLIGHT + MAX_INGEST_BLOCKS - 1` slots.
+pub(crate) const MAX_INFLIGHT: usize = 64;
+
+/// Unflushed response bytes beyond which the reactor stops reading a
+/// connection's requests.
+const MAX_UNFLUSHED: usize = 256 * 1024;
 
 /// Most frames handed to one `write_vectored` call. 16 covers a whole
 /// burst of ingest acks; anything beyond simply waits for the next
@@ -47,10 +58,10 @@ const WRITE_VEC: usize = 16;
 /// forever.
 const POOL_CAP: usize = 64;
 
-/// Largest buffer capacity a pool retains. Acks, `Busy` answers,
-/// estimates, drains and stats frames take well under 1 KiB, and a
-/// snapshot of a few attributes at s = 256 (about 2 KiB each) fits too,
-/// so the recurring responses keep reusing their buffers. A metrics dump
+/// Largest buffer capacity a pool retains. Acks, errors, estimates,
+/// drains and stats frames take well under 1 KiB, and a snapshot of a
+/// few attributes at s = 256 (about 2 KiB each) fits too, so the
+/// recurring responses keep reusing their buffers. A metrics dump
 /// or a large snapshot (up to the 16 MiB frame limit) is freed after
 /// its flush, instead of staying pinned for the reactor's life to carry
 /// 20-byte acks.
@@ -177,10 +188,6 @@ pub(crate) struct Connection {
     /// This connection asked for server shutdown and is owed the final
     /// `Goodbye`.
     pub(crate) wants_goodbye: bool,
-    /// The shard whose full queue last refused one of this connection's
-    /// ingests: a block shed behind parked ones (past the park bound,
-    /// without a submit attempt of its own) is answered `Busy` for it.
-    pub(crate) waiting_on: usize,
     /// This connection's health baseline: its scrapes' windowed signals
     /// run from its previous health scrape, whatever other connections
     /// scrape in between.
@@ -204,7 +211,6 @@ impl Connection {
             peer_gone: false,
             io_failed: false,
             wants_goodbye: false,
-            waiting_on: 0,
             health: HealthWindow::default(),
         })
     }
@@ -214,8 +220,8 @@ impl Connection {
         self.slots.iter().filter(|s| s.is_pending()).count()
     }
 
-    /// Number of parked ingests specifically (the retry-ring occupancy
-    /// the `max_pending` bound applies to).
+    /// Number of parked ingests specifically (the retry-ring
+    /// occupancy).
     pub(crate) fn pending_ingests(&self) -> usize {
         self.slots
             .iter()
@@ -225,16 +231,16 @@ impl Connection {
 
     /// Whether every admission bound lets the reactor read more of
     /// this connection's requests: no ingest is parked, fewer than
-    /// `max_inflight_per_conn` responses are in flight, fewer than
-    /// `max_write_buffer` bytes sit unflushed, and the decoder holds
+    /// [`MAX_INFLIGHT`] responses are in flight, fewer than
+    /// [`MAX_UNFLUSHED`] bytes sit unflushed, and the decoder holds
     /// less than the largest frame (its length prefix plus
     /// [`MAX_FRAME_PAYLOAD`]). Past that size the decoder surely holds
     /// a whole frame, which must be decoded before more is read; below
     /// it, reading goes on until the pending frame is complete.
-    pub(crate) fn read_gate_open(&self, config: &NetServerConfig) -> bool {
+    pub(crate) fn read_gate_open(&self) -> bool {
         self.pending_ingests() == 0
-            && self.slots.len() < config.max_inflight_per_conn
-            && self.queued_bytes < config.max_write_buffer
+            && self.slots.len() < MAX_INFLIGHT
+            && self.queued_bytes < MAX_UNFLUSHED
             && self.decoder.buffered() < 4 + MAX_FRAME_PAYLOAD
     }
 

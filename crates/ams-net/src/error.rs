@@ -28,12 +28,6 @@ pub enum NetError {
         /// What the call was waiting for.
         expected: &'static str,
     },
-    /// An auto-retried ingest was still load-shed (`Busy`) after the
-    /// retry policy's attempt budget.
-    Saturated {
-        /// How many submissions were attempted.
-        attempts: usize,
-    },
 }
 
 impl std::fmt::Display for NetError {
@@ -47,9 +41,6 @@ impl std::fmt::Display for NetError {
             }
             NetError::UnexpectedResponse { expected } => {
                 write!(f, "unexpected response kind (wanted {expected})")
-            }
-            NetError::Saturated { attempts } => {
-                write!(f, "server still busy after {attempts} submissions")
             }
         }
     }

@@ -7,18 +7,17 @@
 //! non-blocking front-end ([`server`]) — one acceptor handing sockets
 //! to N reactor threads, each owning a disjoint slice of the
 //! connections over std non-blocking sockets — and a blocking client
-//! library ([`client`]) with automatic retry on backpressure and
-//! batch-coalesced zero-alloc pipelining.
+//! library ([`client`]) with batch-coalesced zero-alloc pipelining.
 //!
 //! ```text
 //!              ┌─ reactor 0 (poll: sockets + wake pipe) ───┐
 //!  clients ──▶ acceptor ──least-connections──▶ reactor i ──┤ submit(Wait::Try) ─▶ AmsService
 //!     ▲        (poll:      handoff + wake      ...         │   ├─ Ok        → Ingested
-//!     │        listener)                                   │   ├─ WouldBlock→ park on the
-//!     │        ┌─ reactor N-1 ─────────────────────────────┘   │   per-connection retry
-//!     │        │  per-reactor `net_*{reactor="i"}` series      │   ring, retried on wake-ups
-//!     │        │  pooled response frames, vectored writes      │   from the service's hook
-//!     └──framed responses──────────────────────────────────────┴─ ring full → Busy{retry_hint}
+//!     │        listener)                                   │   └─ WouldBlock→ park on the
+//!     │        ┌─ reactor N-1 ─────────────────────────────┘       per-connection retry
+//!     │        │  per-reactor `net_*{reactor="i"}` series          ring, retried on wake-ups
+//!     │        │  pooled response frames, vectored writes          from the service's hook,
+//!     └──framed responses──────────────────────────────────────────  Ingested once it lands
 //! ```
 //!
 //! Nothing waits on a timer. Each reactor blocks in one `poll(2)` over
@@ -32,20 +31,21 @@
 //!
 //! The key property is that **service backpressure never parks the
 //! network thread**: a full shard queue turns into a parked entry on
-//! that connection's bounded retry ring (retried when room frees on
-//! the refusing queue, acknowledged once it lands). Parked blocks land in order — later
-//! blocks park behind them, and the connection is not read until they
-//! land — and only past the ring's bound is a block answered with an
-//! explicit [`Response::Busy`] carrying a retry
-//! hint. So a fast producer sees backpressure, memory stays bounded by
-//! the service's bounded queues plus one parked frame per connection,
-//! and every other connection keeps making progress. Queries (self-join, two-way join, full
-//! snapshot) answer from the service's merge-on-query snapshot
-//! register; one `Scrape` answers stats, metrics, traces, events and
-//! health as one document; `Drain` uses the service's non-blocking drain cut and is
-//! re-checked on every publish until it completes, and `Shutdown` gracefully
-//! lands parked ingests, stops the service, and ships the final
-//! snapshot and lifetime stats back over the wire.
+//! that connection's retry ring (retried when room frees on the
+//! refusing queue, acknowledged once it lands). Parked blocks land in
+//! order: every later block of the frame parks behind them, and the
+//! connection is not read until they land, so a connection parks at
+//! most one frame and no block is ever refused for load. A fast
+//! producer sees backpressure as slower acknowledgements, memory stays
+//! bounded by the service's bounded queues plus one parked frame per
+//! connection, and every other connection keeps making progress.
+//! Queries (self-join, two-way join, full snapshot) answer from the
+//! service's merge-on-query snapshot register; one `Scrape` answers
+//! stats, metrics, traces, events and health as one document; `Drain`
+//! uses the service's non-blocking drain cut and is re-checked on every
+//! publish until it completes, and `Shutdown` gracefully lands parked
+//! ingests, stops the service, and ships the final snapshot and
+//! lifetime stats back over the wire.
 //!
 //! No async executor is involved (the workspace vendors no runtime):
 //! each reactor is a readiness loop over `std::net` non-blocking
@@ -70,7 +70,7 @@ mod reactor;
 pub mod server;
 mod wake;
 
-pub use client::{AckMode, AmsClient, IngestOutcome, ReconnectPolicy, RetryPolicy};
+pub use client::{AckMode, AmsClient, IngestOutcome, ReconnectPolicy};
 pub use codec::{ErrorCode, FrameDecoder, FrameError, Request, Response};
 pub use error::NetError;
 pub use server::{NetServer, NetServerConfig, ServerHandle, StopHandle};

@@ -48,9 +48,9 @@ use ams_telemetry::{
 };
 
 use crate::codec::{ErrorCode, Request, Response};
-use crate::conn::{Connection, FramePool, Slot};
+use crate::conn::{Connection, FramePool, Slot, MAX_INFLIGHT};
 use crate::poll::{self, PollFd, POLLIN};
-use crate::server::{NetServerConfig, Stop};
+use crate::server::Stop;
 use crate::wake::Wakeup;
 
 /// Longest the finalizer keeps flushing farewell frames after the
@@ -74,7 +74,6 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 /// | `net_frames_encoded` | counter | response frames staged for write |
 /// | `net_bytes_in` | counter | bytes read off sockets |
 /// | `net_bytes_out` | counter | bytes flushed to sockets |
-/// | `net_busy_responses` | counter | `Busy` load-shed answers sent |
 /// | `net_read_gated` | counter | connection-passes reads were paused by admission bounds |
 /// | `net_retry_ring_occupancy` | gauge | parked ingests across this reactor's connections |
 struct NetInstruments {
@@ -85,13 +84,12 @@ struct NetInstruments {
     frames_encoded: Arc<Counter>,
     bytes_in: Arc<Counter>,
     bytes_out: Arc<Counter>,
-    busy_responses: Arc<Counter>,
     read_gated: Arc<Counter>,
     retry_ring: Arc<Gauge>,
     /// This thread's structured-event recorder on the service's event
-    /// hub: sheds and read gates land next to the shard lifecycle
-    /// events in one scrape's events section. Per-thread rings mean a
-    /// shedding storm here can never evict a shard worker's events.
+    /// hub: read gates land next to the shard lifecycle events in one
+    /// scrape's events section. Per-thread rings mean a read-gate storm
+    /// here can never evict a shard worker's events.
     events: EventRecorder,
 }
 
@@ -106,7 +104,6 @@ impl NetInstruments {
             frames_encoded: registry.counter("net_frames_encoded", &labels),
             bytes_in: registry.counter("net_bytes_in", &labels),
             bytes_out: registry.counter("net_bytes_out", &labels),
-            busy_responses: registry.counter("net_busy_responses", &labels),
             read_gated: registry.counter("net_read_gated", &labels),
             retry_ring: registry.gauge("net_retry_ring_occupancy", &labels),
             events,
@@ -203,27 +200,10 @@ fn encoded(pool: &mut FramePool, response: &Response) -> Vec<u8> {
     frame
 }
 
-/// Sizes a client's backoff after a `Busy`: deeper queues earn longer
-/// hints. Purely advisory — a client may retry sooner and simply be
-/// shed again.
-fn busy_hint_micros(service: &AmsService, shard: usize) -> u32 {
-    let depth = service.queue_depth(shard).unwrap_or(0) as u32;
-    (100 * (depth + 1)).min(10_000)
-}
-
-/// Turns a service-side ingest failure into the matching wire answer;
-/// a full queue becomes a load-shed `Busy`.
-fn ingest_failure(service: &AmsService, error: ServiceError, net: &NetInstruments) -> Response {
+/// Turns a service-side ingest failure into the matching wire answer.
+/// A full queue never gets here: its refusal parks the block.
+fn ingest_failure(error: ServiceError) -> Response {
     match error {
-        ServiceError::WouldBlock { shard } => {
-            net.busy_responses.inc();
-            net.events
-                .emit(EventCode::BusyShed, net.reactor, shard as u64);
-            Response::Busy {
-                shard: shard as u32,
-                retry_hint_micros: busy_hint_micros(service, shard),
-            }
-        }
         ServiceError::UnknownAttribute { name } => Response::Error {
             code: ErrorCode::UnknownAttribute,
             message: format!("unknown attribute: {name}"),
@@ -250,7 +230,6 @@ fn ingest_failure(service: &AmsService, error: ServiceError, net: &NetInstrument
 fn service_parked(
     conn: &mut Connection,
     service: &AmsService,
-    net: &NetInstruments,
     tracing: &ReactorTracing,
     pool: &mut FramePool,
     woke_ns: u64,
@@ -280,14 +259,13 @@ fn service_parked(
                         *slot = accepted(service, *durable, *trace, tracing, pool);
                         progress = true;
                     }
-                    Err((returned, ServiceError::WouldBlock { shard })) => {
+                    Err((returned, ServiceError::WouldBlock { .. })) => {
                         *block = returned;
-                        conn.waiting_on = shard;
                         ingest_blocked = true;
                         ingest_parked_before = true;
                     }
                     Err((_, other)) => {
-                        *slot = Slot::Ready(encoded(pool, &ingest_failure(service, other, net)));
+                        *slot = Slot::Ready(encoded(pool, &ingest_failure(other)));
                         progress = true;
                     }
                 }
@@ -358,14 +336,11 @@ fn accepted(
 /// Handles one decoded request, appending the resulting slot(s) to the
 /// connection. Returns `true` when the request asked for server
 /// shutdown.
-#[allow(clippy::too_many_arguments)]
 fn dispatch(
     conn: &mut Connection,
     request: Request,
     recv_ns: u64,
     service: &AmsService,
-    config: &NetServerConfig,
-    net: &NetInstruments,
     tracing: &ReactorTracing,
     pool: &mut FramePool,
 ) -> bool {
@@ -379,22 +354,22 @@ fn dispatch(
             trace,
         } => {
             // One response slot per block, in order: the frame amortizes
-            // header + checksum + dispatch, while Busy / retry-ring
-            // semantics stay exactly per-block. A frame is admitted
-            // whole, so its blocks can carry the connection past
-            // `max_inflight_per_conn` by at most `MAX_INGEST_BLOCKS - 1`
-            // slots. Block i carries the implicit tag
-            // (producer, first_seq + i); a traced frame attributes its
-            // trace to the first block, so one trace never owns
-            // overlapping per-block spans.
+            // header + checksum + dispatch, while retry-ring semantics
+            // stay exactly per-block. A frame is admitted whole, so its
+            // blocks can carry the connection past `MAX_INFLIGHT` by at
+            // most `MAX_INGEST_BLOCKS - 1` slots. Block i carries the
+            // implicit tag (producer, first_seq + i); a traced frame
+            // attributes its trace to the first block, so one trace
+            // never owns overlapping per-block spans.
             //
             // Blocks reach the service in connection order: once one
             // block is parked, every later one parks behind it without
-            // a submit attempt — or, past the park bound, is answered
-            // `Busy` without one — so no later block (with a higher
+            // a submit attempt, so no later block (with a higher
             // sequence number) can land first and make a shard's dedup
-            // skip the parked one.
-            let mut parked = conn.pending_ingests();
+            // skip the parked one. Nothing is ever refused for load:
+            // the connection is not read while a block is parked, so it
+            // parks at most this one frame.
+            let mut parked = conn.pending_ingests() > 0;
             for (i, block) in blocks.into_iter().enumerate() {
                 let tag = (producer != 0).then_some(IngestTag {
                     producer,
@@ -415,7 +390,9 @@ fn dispatch(
                     tag,
                     trace,
                 };
-                let slot = if parked == 0 {
+                let slot = if parked {
+                    park(block)
+                } else {
                     let route_t0 = tracing.start(trace.id);
                     match service.submit(&attribute, block, tag, trace.id, Wait::Try) {
                         Ok(handoff) => {
@@ -425,33 +402,17 @@ fn dispatch(
                         Err((block, error)) => {
                             // A refused submission did spend its time
                             // routing; the retry re-routes under its own
-                            // span. A full queue parks the block unless
-                            // parking is off (a zero bound).
+                            // span.
                             tracing.span_since(trace.id, TraceStage::Route, route_t0);
-                            match error {
-                                ServiceError::WouldBlock { shard }
-                                    if config.max_pending_per_conn > 0 =>
-                                {
-                                    conn.waiting_on = shard;
-                                    park(block)
-                                }
-                                error => {
-                                    Slot::Ready(encoded(pool, &ingest_failure(service, error, net)))
-                                }
+                            if let ServiceError::WouldBlock { .. } = error {
+                                parked = true;
+                                park(block)
+                            } else {
+                                Slot::Ready(encoded(pool, &ingest_failure(error)))
                             }
                         }
                     }
-                } else if parked < config.max_pending_per_conn {
-                    park(block)
-                } else {
-                    let shed = ServiceError::WouldBlock {
-                        shard: conn.waiting_on,
-                    };
-                    Slot::Ready(encoded(pool, &ingest_failure(service, shed, net)))
                 };
-                if matches!(slot, Slot::PendingIngest { .. }) {
-                    parked += 1;
-                }
                 conn.slots.push_back(slot);
             }
         }
@@ -594,7 +555,6 @@ fn reactor_loop(
     wakeup: Arc<Wakeup>,
     service: Arc<AmsService>,
     coord: Arc<Coordinator>,
-    config: NetServerConfig,
 ) {
     let net = NetInstruments::new(&service.registry(), index, service.event_hub().recorder());
     let tracing = ReactorTracing {
@@ -633,7 +593,7 @@ fn reactor_loop(
         }
         for conn in conns.iter_mut() {
             // 2. Retry ring + parked durable acks and drains.
-            progress |= service_parked(conn, &service, &net, &tracing, &mut pool, woke_ns);
+            progress |= service_parked(conn, &service, &tracing, &mut pool, woke_ns);
             // 3. Read and dispatch new requests, with per-connection
             //    admission bounds so one peer cannot balloon server
             //    memory: stop reading while ingests are parked, too many
@@ -647,7 +607,7 @@ fn reactor_loop(
                 // only read while every bound holds, and the decode loop
                 // below always runs, so a gated decoder backlog still
                 // drains.
-                if conn.read_gate_open(&config) {
+                if conn.read_gate_open() {
                     let fed = conn.fill_read(&mut scratch);
                     net.bytes_in.add(fed as u64);
                     progress |= fed > 0;
@@ -656,8 +616,7 @@ fn reactor_loop(
                     net.events
                         .emit(EventCode::ReadGate, net.reactor, conn.slots.len() as u64);
                 }
-                while conn.pending_ingests() == 0 && conn.slots.len() < config.max_inflight_per_conn
-                {
+                while conn.pending_ingests() == 0 && conn.slots.len() < MAX_INFLIGHT {
                     // One clock read per frame while tracing is armed;
                     // none at all when the hub is disabled — this is
                     // the whole per-frame cost of the tracing noop twin.
@@ -680,10 +639,7 @@ fn reactor_loop(
                             if trace != 0 {
                                 tracing.span_since(trace, TraceStage::Decode, recv_ns);
                             }
-                            if dispatch(
-                                conn, request, recv_ns, &service, &config, &net, &tracing,
-                                &mut pool,
-                            ) {
+                            if dispatch(conn, request, recv_ns, &service, &tracing, &mut pool) {
                                 // Shutdown: stop decoding this
                                 // connection so no pipelined later
                                 // request is answered ahead of the
@@ -743,7 +699,7 @@ fn reactor_loop(
         let mut ready = coord.shutting_down.load(Ordering::Acquire) != shutting_down
             || (!shutting_down && mailbox.has_sockets());
         for conn in conns.iter_mut() {
-            ready |= service_parked(conn, &service, &net, &tracing, &mut pool, woke_ns);
+            ready |= service_parked(conn, &service, &tracing, &mut pool, woke_ns);
         }
         if ready {
             wakeup.disarm(false);
@@ -751,9 +707,11 @@ fn reactor_loop(
         }
         fds.clear();
         fds.push(PollFd::new(wakeup.fd(), POLLIN));
-        fds.extend(conns.iter().map(|conn| {
-            conn.poll_fd(!shutting_down && !conn.closing && conn.read_gate_open(&config))
-        }));
+        fds.extend(
+            conns
+                .iter()
+                .map(|conn| conn.poll_fd(!shutting_down && !conn.closing && conn.read_gate_open())),
+        );
         // A failed wait (`EINTR` is retried inside) acts as a spurious
         // wake-up: the next pass finds nothing to do and waits again.
         let _ = poll::wait(&mut fds, None);
@@ -816,7 +774,6 @@ fn reactor_loop(
 pub(crate) fn run(
     listener: TcpListener,
     service: AmsService,
-    config: NetServerConfig,
     stop: Arc<Stop>,
     reactor_wakeups: Vec<Arc<Wakeup>>,
 ) -> (ServiceSnapshot, ServiceStats) {
@@ -845,7 +802,7 @@ pub(crate) fn run(
             let coord = Arc::clone(&coord);
             std::thread::Builder::new()
                 .name(format!("ams-net-reactor-{index}"))
-                .spawn(move || reactor_loop(index, mailbox, wakeup, service, coord, config))
+                .spawn(move || reactor_loop(index, mailbox, wakeup, service, coord))
                 .expect("spawn reactor thread")
         })
         .collect();

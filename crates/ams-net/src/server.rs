@@ -10,31 +10,15 @@ use crate::error::NetError;
 use crate::reactor;
 use crate::wake::Wakeup;
 
-/// Tunables of the reactor's per-connection bounds.
+/// The server's configuration: how many reactor threads share the
+/// connections. A connection's admission bounds are fixed. A block a
+/// full shard queue refuses parks until it lands, and so does every
+/// later block of its frame; while any block is parked the connection
+/// is not read, so it parks at most one frame of
+/// [`MAX_INGEST_BLOCKS`](crate::codec::MAX_INGEST_BLOCKS) blocks, and
+/// no ingest is ever answered with a refusal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetServerConfig {
-    /// How many ingests one connection may park on its retry ring. A
-    /// block the service refuses parks; so does every later block of
-    /// the connection while any is parked — parked blocks land in
-    /// order and are never overtaken — and the connection is not read
-    /// again until they land. Past this bound, further blocks are
-    /// answered `Busy` without a submit attempt. The default,
-    /// [`MAX_INGEST_BLOCKS`](crate::codec::MAX_INGEST_BLOCKS), parks a
-    /// whole frame, so a client pipelining within its window is never
-    /// shed. `0` disables parking entirely — every `WouldBlock` becomes
-    /// an immediate `Busy` (maximal load-shedding).
-    pub max_pending_per_conn: usize,
-    /// How many responses (ready or parked) one connection may have in
-    /// flight before the reactor stops reading more of its requests.
-    /// The reactor admits a frame whole and answers each of its blocks
-    /// with its own slot, so one `Ingest` frame of up to
-    /// [`MAX_INGEST_BLOCKS`](crate::codec::MAX_INGEST_BLOCKS) blocks can
-    /// overshoot this bound: a connection holds at most
-    /// `max_inflight_per_conn + 63` slots.
-    pub max_inflight_per_conn: usize,
-    /// Unflushed response bytes beyond which the reactor stops reading
-    /// more of a connection's requests.
-    pub max_write_buffer: usize,
     /// How many reactor threads share the connections. The acceptor
     /// hands each new socket to the least-loaded reactor (round-robin
     /// on ties), so decode + dispatch scales with cores. `0` is
@@ -46,12 +30,7 @@ pub struct NetServerConfig {
 
 impl Default for NetServerConfig {
     fn default() -> Self {
-        Self {
-            max_pending_per_conn: crate::codec::MAX_INGEST_BLOCKS,
-            max_inflight_per_conn: 64,
-            max_write_buffer: 256 * 1024,
-            reactors: 1,
-        }
+        Self { reactors: 1 }
     }
 }
 
@@ -94,7 +73,6 @@ impl StopHandle {
 pub struct NetServer {
     listener: TcpListener,
     addr: SocketAddr,
-    config: NetServerConfig,
     stop: Arc<Stop>,
     /// One wake-up per reactor, made at bind time so a failure to
     /// create one surfaces here rather than in a running server.
@@ -130,7 +108,6 @@ impl NetServer {
         Ok(Self {
             listener,
             addr,
-            config,
             stop,
             reactor_wakeups,
         })
@@ -147,18 +124,12 @@ impl NetServer {
     }
 
     /// Runs the front-end on the calling thread (which becomes the
-    /// acceptor; `config.reactors` reactor threads own the
-    /// connections) until a wire `Shutdown` request arrives or the
-    /// stop handle fires, then returns the service's final snapshot
-    /// and lifetime statistics.
+    /// acceptor; the configured reactor threads own the connections)
+    /// until a wire `Shutdown` request arrives or the stop handle
+    /// fires, then returns the service's final snapshot and lifetime
+    /// statistics.
     pub fn run(self, service: AmsService) -> (ServiceSnapshot, ServiceStats) {
-        reactor::run(
-            self.listener,
-            service,
-            self.config,
-            self.stop,
-            self.reactor_wakeups,
-        )
+        reactor::run(self.listener, service, self.stop, self.reactor_wakeups)
     }
 
     /// Spawns the acceptor (and its reactor threads) in the background

@@ -5,9 +5,10 @@
 //! * a stream ingested through the client/server path yields sketch
 //!   counters **bit-identical** to in-process ingestion of the same
 //!   stream, and
-//! * a fast producer against a cap-1 queue observes `Busy` load
-//!   shedding (with queue occupancy provably bounded) instead of a
-//!   stalled connection — and malformed bytes never crash the reactor.
+//! * a fast producer against a cap-1 queue has its refused blocks
+//!   parked and landed (with queue occupancy provably bounded) instead
+//!   of a stalled connection or a lost block — and malformed bytes
+//!   never crash the reactor.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -16,9 +17,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use ams_core::{SelfJoinEstimator, SketchParams, TugOfWarSketch};
-use ams_net::{
-    AckMode, AmsClient, IngestOutcome, NetError, NetServer, NetServerConfig, RetryPolicy,
-};
+use ams_net::{AckMode, AmsClient, IngestOutcome, NetError, NetServer, NetServerConfig};
 use ams_service::{DurabilityConfig, RouterPolicy, ServiceConfig};
 use ams_stream::{value_blocks, OpBlock};
 
@@ -39,18 +38,10 @@ fn service(
     ams_service::AmsService::start(config, attrs).unwrap()
 }
 
-/// Streams every block, resubmitting any that were load-shed, until
-/// all have landed.
-fn ingest_all(client: &mut AmsClient, attribute: &str, blocks: &[OpBlock]) -> usize {
+/// Streams every block and checks that each one landed.
+fn ingest_all(client: &mut AmsClient, attribute: &str, blocks: &[OpBlock]) {
     let outcomes = client.ingest_blocks(attribute, blocks).unwrap();
-    let mut busy = 0;
-    for (block, outcome) in blocks.iter().zip(&outcomes) {
-        if matches!(outcome, IngestOutcome::Busy { .. }) {
-            busy += 1;
-            client.ingest_block(attribute, block).unwrap();
-        }
-    }
-    busy
+    assert!(outcomes.iter().all(|o| *o == IngestOutcome::Ingested));
 }
 
 /// A snapshot of 4 attributes at s = 65,536 fits one frame: it travels
@@ -159,54 +150,39 @@ fn client_streamed_ingest_is_bit_identical_to_in_process() {
 }
 
 #[test]
-fn fast_producer_sees_busy_not_stalls_and_memory_stays_bounded() {
-    // One shard, a one-block queue, and a server that parks nothing:
-    // every submission beyond what the worker keeps up with must be
-    // answered Busy. Big distinct-value blocks keep the worker busy
-    // long enough that the pipelined burst observably overruns.
+fn fast_producer_parks_not_stalls_and_memory_stays_bounded() {
+    // One shard, a one-block queue, and the default server: every
+    // submission beyond what the worker keeps up with is refused by the
+    // queue, parks on the connection and lands later. Big
+    // distinct-value blocks keep the worker busy long enough that the
+    // pipelined burst observably overruns.
     let params = SketchParams::single_group(256).unwrap();
-    let config = NetServerConfig {
-        max_pending_per_conn: 0,
-        ..NetServerConfig::default()
-    };
-    let server = NetServer::bind_with("127.0.0.1:0", config).unwrap();
+    let server = NetServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr();
     let handle = server.spawn(service(1, 1, params, &["v"]));
 
     let values: Vec<u64> = (0..32_768u64).collect();
     let blocks: Vec<OpBlock> = value_blocks(&values, 4_096).collect();
-    let mut client = AmsClient::connect(addr)
-        .unwrap()
-        .with_retry_policy(RetryPolicy {
-            max_attempts: 10_000,
-            max_backoff: Duration::from_millis(5),
-        });
+    let mut client = AmsClient::connect(addr).unwrap();
     let outcomes = client.ingest_blocks("v", &blocks).unwrap();
-    let busy: Vec<usize> = outcomes
-        .iter()
-        .enumerate()
-        .filter_map(|(i, o)| matches!(o, IngestOutcome::Busy { .. }).then_some(i))
-        .collect();
-    assert!(
-        !busy.is_empty(),
-        "a pipelined burst against a cap-1 queue must be load-shed at least once"
+    assert_eq!(
+        outcomes,
+        vec![IngestOutcome::Ingested; blocks.len()],
+        "every refused block parks and lands"
     );
-    for i in &busy {
-        client.ingest_block("v", &blocks[*i]).unwrap();
-    }
     client.drain().unwrap();
 
     let stats = client.stats().unwrap();
     assert!(
+        stats.queue_rejections() > 0,
+        "a pipelined burst against a cap-1 queue must be refused (and so parked) at least once"
+    );
+    assert!(
         stats.max_queue_depth() <= 1,
         "queue occupancy must stay within the configured bound"
     );
-    assert!(
-        stats.queue_rejections() >= busy.len() as u64,
-        "every Busy answer corresponds to a queue rejection"
-    );
 
-    // Nothing was lost or double-applied along the shed/retry path.
+    // Nothing was lost or double-applied along the park/retry path.
     let snapshot = client.snapshot().unwrap();
     let mut reference: TugOfWarSketch = TugOfWarSketch::new(params, 0xBEEF);
     reference.extend_values(values.iter().copied());
@@ -524,6 +500,13 @@ fn error_responses_keep_the_connection_usable() {
         }
         other => panic!("expected a remote unknown-attribute error, got {other:?}"),
     }
+    // A pipeline of two refused batches fails only once all twenty
+    // refusals are read, so the next request reads its own answer.
+    let refused: Vec<OpBlock> = (0..20u64).map(|v| OpBlock::from_values([v])).collect();
+    assert!(matches!(
+        client.ingest_blocks("nope", &refused),
+        Err(NetError::Remote { .. })
+    ));
     assert!(matches!(
         client.join("v", "nope"),
         Err(NetError::Remote { .. })
@@ -576,10 +559,7 @@ fn two_reactor_server_is_bit_identical_with_per_reactor_metrics() {
     // in-process ingestion of the same stream, and the metrics scrape
     // must show distinct reactor="0" / reactor="1" series.
     let params = SketchParams::new(64, 3).unwrap();
-    let config = NetServerConfig {
-        reactors: 2,
-        ..NetServerConfig::default()
-    };
+    let config = NetServerConfig { reactors: 2 };
     let server = NetServer::bind_with("127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
     let handle = server.spawn(service(2, 32, params, &["v"]));
@@ -642,52 +622,38 @@ fn two_reactor_server_is_bit_identical_with_per_reactor_metrics() {
 }
 
 #[test]
-fn two_reactor_busy_shedding_is_per_reactor_and_malformed_is_isolated() {
-    // Load-shedding and framing failures stay reactor-local: each
-    // connection's burst against a cap-1 queue earns Busy answers
-    // accounted under its own reactor's label, and a malformed frame
-    // killing one connection leaves connections on both reactors
-    // serving.
+fn two_reactor_parking_is_per_reactor_and_malformed_is_isolated() {
+    // Parking and framing failures stay reactor-local: each
+    // connection's burst against a cap-1 queue parks blocks, which
+    // gates that connection's reads under its own reactor's label, and
+    // a malformed frame killing one connection leaves connections on
+    // both reactors serving.
     let params = SketchParams::single_group(256).unwrap();
-    let config = NetServerConfig {
-        max_pending_per_conn: 0,
-        reactors: 2,
-        ..NetServerConfig::default()
-    };
+    let config = NetServerConfig { reactors: 2 };
     let server = NetServer::bind_with("127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
     let handle = server.spawn(service(1, 1, params, &["v"]));
 
     // Connection 1 → reactor 0, connection 2 → reactor 1
-    // (least-connections with round-robin tiebreak). A deep retry
-    // budget: with parking disabled every resubmission may be shed
-    // again.
-    let patient = RetryPolicy {
-        max_attempts: 10_000,
-        max_backoff: Duration::from_millis(5),
-    };
-    let mut client_a = AmsClient::connect(addr).unwrap().with_retry_policy(patient);
-    let mut client_b = AmsClient::connect(addr).unwrap().with_retry_policy(patient);
+    // (least-connections with round-robin tiebreak).
+    let mut client_a = AmsClient::connect(addr).unwrap();
+    let mut client_b = AmsClient::connect(addr).unwrap();
 
     // Big distinct-value blocks keep the single worker busy long
     // enough that each client's pipelined burst observably overruns
     // the cap-1 queue.
     let values: Vec<u64> = (0..32_768u64).collect();
     let blocks: Vec<OpBlock> = value_blocks(&values, 4_096).collect();
-    let shed_a = ingest_all(&mut client_a, "v", &blocks);
-    let shed_b = ingest_all(&mut client_b, "v", &blocks);
-    assert!(
-        shed_a > 0 && shed_b > 0,
-        "both connections' bursts must observe load shedding (a={shed_a}, b={shed_b})"
-    );
+    ingest_all(&mut client_a, "v", &blocks);
+    ingest_all(&mut client_b, "v", &blocks);
     client_a.drain().unwrap();
 
     let metrics = client_a.metrics().unwrap();
     for reactor in ["0", "1"] {
-        let busy = metrics.counter("net_busy_responses", &[("reactor", reactor)]);
+        let gated = metrics.counter("net_read_gated", &[("reactor", reactor)]);
         assert!(
-            busy.is_some_and(|c| c > 0),
-            "reactor {reactor} shed nothing: Busy accounting is not per-reactor"
+            gated.is_some_and(|c| c > 0),
+            "reactor {reactor} parked nothing: read gating is not per-reactor"
         );
     }
 

@@ -13,8 +13,7 @@ use std::time::Duration;
 
 use ams_core::{SelfJoinEstimator, SketchParams, TugOfWarSketch};
 use ams_net::{
-    AckMode, AmsClient, IngestOutcome, NetError, NetServer, NetServerConfig, ReconnectPolicy,
-    ServerHandle,
+    AckMode, AmsClient, IngestOutcome, NetError, NetServer, ReconnectPolicy, ServerHandle,
 };
 use ams_service::{AmsService, DurabilityConfig, Router, RouterPolicy, ServiceConfig};
 use ams_stream::OpBlock;
@@ -79,18 +78,8 @@ fn durable_service(dir: &Path) -> AmsService {
     AmsService::start(config, &["v"]).unwrap()
 }
 
-/// A net config whose retry ring covers the client's whole pipeline
-/// window, so in-order landing is preserved and `Busy` never fires at
-/// this load (the seq-dedup soundness precondition).
-fn net_config() -> NetServerConfig {
-    NetServerConfig {
-        max_pending_per_conn: 128,
-        ..NetServerConfig::default()
-    }
-}
-
 fn bind_and_spawn(addr: &str, dir: &Path) -> ServerHandle {
-    let server = NetServer::bind_with(addr, net_config()).unwrap();
+    let server = NetServer::bind(addr).unwrap();
     server.spawn(durable_service(dir))
 }
 
@@ -124,7 +113,7 @@ fn mid_pipeline_server_restart_loses_and_duplicates_nothing() {
     let killer = std::thread::spawn(move || {
         let _ = handle.stop();
         loop {
-            match NetServer::bind_with(addr, net_config()) {
+            match NetServer::bind(addr) {
                 Ok(server) => return server.spawn(durable_service(&dir_path)),
                 Err(_) => std::thread::sleep(Duration::from_millis(10)),
             }
@@ -292,6 +281,40 @@ fn a_request_that_cannot_be_encoded_fails_without_redialing() {
     client.drain().unwrap();
     assert_eq!(client.snapshot().unwrap().blocks(), 1);
     assert_eq!(reconnects(&client), 0);
+    drop(client);
+    let _ = handle.stop();
+}
+
+#[test]
+fn an_encode_failure_mid_pipeline_keeps_the_connection_in_step() {
+    let config = ServiceConfig::builder()
+        .shards(1)
+        .sketch_params(params())
+        .seed(SEED)
+        .build()
+        .unwrap();
+    let server = NetServer::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    let handle = server.spawn(AmsService::start(config, &["v"]).unwrap());
+
+    let mut client = AmsClient::connect(addr).unwrap();
+    // Sixteen one-value blocks fill the first batch, which is sent;
+    // the next batch holds a block of 1.2 M values, about 19.2 MB on
+    // the wire and over the 16 MiB frame limit, so it cannot be
+    // encoded while the first batch's answers are still on the way.
+    let mut blocks: Vec<OpBlock> = (0..16u64).map(|v| OpBlock::from_values([v])).collect();
+    blocks.push(OpBlock::from_values(0..1_200_000u64));
+    assert!(matches!(
+        client.ingest_blocks("v", &blocks),
+        Err(NetError::Encode(_))
+    ));
+    // The first batch's answers were read before the error returned,
+    // so the next requests read their own answers.
+    for _ in 0..2 {
+        client.self_join("v").unwrap();
+    }
+    client.drain().unwrap();
+    assert_eq!(client.snapshot().unwrap().blocks(), 16);
     drop(client);
     let _ = handle.stop();
 }

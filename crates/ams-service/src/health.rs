@@ -22,10 +22,6 @@ pub struct HealthThresholds {
     pub queue_saturation_degraded: f64,
     /// Queue saturation: unhealthy at.
     pub queue_saturation_unhealthy: f64,
-    /// Shed rate (busy responses / decoded frames in window): degraded at.
-    pub shed_degraded: f64,
-    /// Shed rate: unhealthy at.
-    pub shed_unhealthy: f64,
     /// Shard imbalance ratio (see [`imbalance_ratio`]): degraded at.
     pub imbalance_degraded: f64,
     /// Shard imbalance ratio: unhealthy at.
@@ -52,8 +48,6 @@ impl Default for HealthThresholds {
         Self {
             queue_saturation_degraded: 0.75,
             queue_saturation_unhealthy: 0.95,
-            shed_degraded: 0.01,
-            shed_unhealthy: 0.25,
             imbalance_degraded: 4.0,
             imbalance_unhealthy: 16.0,
             imbalance_min_ops: 256,
@@ -84,19 +78,16 @@ pub fn imbalance_ratio(deltas: &[u64]) -> f64 {
     }
 }
 
-/// The window counters: routed ops per shard, ops applied by the
-/// workers, and the net layer's Busy answers and decoded frames. As one
-/// scraper's baseline they hold the cumulative values at its previous
-/// health scrape; each health scrape grades the same counters accrued
-/// since then and moves the baseline. A wire connection keeps one
+/// The window counters: routed ops per shard and ops applied by the
+/// workers. As one scraper's baseline they hold the cumulative values
+/// at its previous health scrape; each health scrape grades the same
+/// counters accrued since then and moves the baseline. A wire connection keeps one
 /// baseline; an in-process caller of [`crate::AmsService::health`] or
 /// [`crate::AmsService::scrape`] keeps its own.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HealthWindow {
     pub(crate) routed: Vec<u64>,
     pub(crate) ingested_ops: u64,
-    pub(crate) busy: u64,
-    pub(crate) decoded: u64,
 }
 
 impl HealthWindow {
@@ -114,8 +105,6 @@ impl HealthWindow {
                 .map(|(now, then)| now.saturating_sub(*then))
                 .collect(),
             ingested_ops: self.ingested_ops.saturating_sub(then.ingested_ops),
-            busy: self.busy.saturating_sub(then.busy),
-            decoded: self.decoded.saturating_sub(then.decoded),
         }
     }
 }
@@ -140,28 +129,25 @@ mod tests {
 
     #[test]
     fn window_advances_and_deltas_are_per_scrape() {
-        let counters = |routed: &[u64], ingested_ops, busy, decoded| HealthWindow {
+        let counters = |routed: &[u64], ingested_ops| HealthWindow {
             routed: routed.to_vec(),
             ingested_ops,
-            busy,
-            decoded,
         };
         let mut window = HealthWindow::default();
-        let first = window.advance(counters(&[10, 20], 25, 1, 100));
+        let first = window.advance(counters(&[10, 20], 25));
         assert_eq!(
             first,
-            counters(&[10, 20], 25, 1, 100),
+            counters(&[10, 20], 25),
             "first window starts at zero"
         );
-        let second = window.advance(counters(&[15, 30], 40, 1, 150));
-        assert_eq!(second, counters(&[5, 10], 15, 0, 50));
+        let second = window.advance(counters(&[15, 30], 40));
+        assert_eq!(second, counters(&[5, 10], 15));
     }
 
     #[test]
     fn default_thresholds_are_ordered() {
         let t = HealthThresholds::default();
         assert!(t.queue_saturation_degraded < t.queue_saturation_unhealthy);
-        assert!(t.shed_degraded < t.shed_unhealthy);
         assert!(t.imbalance_degraded < t.imbalance_unhealthy);
         assert!(t.fsync_degraded < t.fsync_unhealthy);
         assert!(t.rel_error_degraded_bounds < t.rel_error_unhealthy_bounds);

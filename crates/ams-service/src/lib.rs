@@ -59,8 +59,8 @@
 //!   service's event hub; [`AmsService::events`] collects them in
 //!   timestamp order.
 //! * Health — [`AmsService::health`] grades signals windowed over the
-//!   caller's own [`HealthWindow`] (queue saturation, shed rate, shard
-//!   imbalance, WAL fsync budget and failures) against
+//!   caller's own [`HealthWindow`] (queue saturation, ingest stalls,
+//!   shard imbalance, WAL fsync budget and failures) against
 //!   [`HealthThresholds`], pairs every attribute's estimate with its
 //!   median-of-means confidence interval, the shadow audit's observed
 //!   relative error (opt-in via [`ServiceConfigBuilder::audit_every`])

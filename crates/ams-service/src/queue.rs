@@ -130,8 +130,8 @@ pub struct BlockQueue {
     /// The [`Wait::Try`] subset of backpressure events: reservations
     /// turned away at capacity — including automatic re-attempts of
     /// parked submissions, so this measures refusal pressure rather
-    /// than distinct shed submissions. Blocking producers that merely
-    /// waited are not counted here.
+    /// than distinct refused submissions. Blocking producers that
+    /// merely waited are not counted here.
     rejections: AtomicU64,
     /// Telemetry gauge mirroring `tasks.len()`, updated under the queue
     /// lock on every push/pop so a metrics scrape sees the live depth
@@ -218,15 +218,6 @@ impl BlockQueue {
         if refused {
             self.wake.wake();
         }
-    }
-
-    /// Resets the high-water mark to the current occupancy, so the next
-    /// [`Self::max_depth`] reading describes the window since this call
-    /// rather than the queue's whole lifetime. Cumulative counters
-    /// ([`Self::pushed`] & co.) are untouched — they stay monotone.
-    pub fn reset_window(&self) {
-        let mut state = self.lock();
-        state.max_depth = state.occupied();
     }
 
     /// Reserves one slot without blocking: on success the slot counts
@@ -447,22 +438,6 @@ mod tests {
         assert_eq!(gauge.get(), 1, "a reservation is not a queued block");
         q.push_reserved(task(2));
         assert_eq!(gauge.get(), 2);
-    }
-
-    #[test]
-    fn reset_window_rebases_high_water_not_counters() {
-        let q = BlockQueue::new(4);
-        push(&q, 0);
-        push(&q, 1);
-        q.pop().unwrap();
-        assert_eq!(q.max_depth(), 2);
-        assert_eq!(q.pushed(), 2);
-        q.reset_window();
-        assert_eq!(q.max_depth(), 1, "rebased to current occupancy");
-        assert_eq!(q.pushed(), 2, "cumulative counters are monotone");
-        push(&q, 2);
-        assert_eq!(q.max_depth(), 2);
-        assert_eq!(q.pushed(), 3);
     }
 
     #[test]

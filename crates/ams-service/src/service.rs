@@ -98,7 +98,7 @@ pub struct AmsService {
     heavy: Vec<HeavyKeys>,
     /// The structured event hub: shard workers record lifecycle events
     /// into bounded per-thread rings here, and front-ends borrow
-    /// recorders for their own events (shedding, reconnects).
+    /// recorders for their own events (read gates, reconnects).
     event_hub: Arc<EventHub>,
     /// The shadow-audit sampler (`None` when
     /// [`ServiceConfig::audit_every`] is zero).
@@ -579,14 +579,6 @@ impl AmsService {
         self.wake.add(waker);
     }
 
-    /// Current depth of one shard's queue (blocks waiting, excluding
-    /// reservations) — the cheap single-shard probe a non-blocking
-    /// front-end uses to size its `Busy` retry hints. `None` for an
-    /// out-of-range shard index.
-    pub fn queue_depth(&self, shard: usize) -> Option<usize> {
-        self.queues.get(shard).map(|q| q.depth())
-    }
-
     /// A point-in-time statistics view: queue depths and bounds,
     /// enqueue/ingest counters, backpressure events, publish epochs.
     pub fn stats(&self) -> ServiceStats {
@@ -649,7 +641,7 @@ impl AmsService {
 
     /// The structured event hub behind this service. Front-ends borrow
     /// per-thread recorders from it for their own lifecycle events
-    /// (Busy shedding, read-gate trips, reactor start/stop) and flip
+    /// (read-gate trips, reactor start/stop) and flip
     /// recording with `EventHub::set_enabled`.
     pub fn event_hub(&self) -> Arc<EventHub> {
         Arc::clone(&self.event_hub)
@@ -702,8 +694,6 @@ impl AmsService {
     /// higher-is-worse:
     ///
     /// * `queue_saturation` — worst shard's queue depth / capacity.
-    /// * `shed_rate` — net-layer Busy responses per decoded frame in
-    ///   the window (0 without a net front-end).
     /// * `ingest_stall` — 1 when ops were routed this window but none
     ///   were applied (wedged workers).
     /// * `shard_imbalance_ratio` — max/min windowed routed ops (see
@@ -739,8 +729,6 @@ impl AmsService {
         let deltas = window.advance(HealthWindow {
             routed,
             ingested_ops: snap.counter_total("service_ops_ingested"),
-            busy: snap.counter_total("net_busy_responses"),
-            decoded: snap.counter_total("net_frames_decoded"),
         });
 
         let mut signals = Vec::new();
@@ -754,17 +742,6 @@ impl AmsService {
             saturation,
             thresholds.queue_saturation_degraded,
             thresholds.queue_saturation_unhealthy,
-        ));
-        let shed = if deltas.decoded > 0 {
-            deltas.busy as f64 / deltas.decoded as f64
-        } else {
-            0.0
-        };
-        signals.push(HealthSignal::grade(
-            "shed_rate",
-            shed,
-            thresholds.shed_degraded,
-            thresholds.shed_unhealthy,
         ));
         let window_ops: u64 = deltas.routed.iter().sum();
         let stall = if window_ops > 0 && deltas.ingested_ops == 0 {
@@ -1159,8 +1136,6 @@ mod tests {
             .build()
             .unwrap();
         let service = AmsService::start(cfg, &["a"]).unwrap();
-        assert_eq!(service.queue_depth(0), Some(0));
-        assert_eq!(service.queue_depth(1), None);
         // Saturate the cap-1 queue until a non-blocking submission is
         // rejected; the rejection shows up in the stats.
         let mut saw_rejection = false;

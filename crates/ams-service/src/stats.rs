@@ -25,11 +25,11 @@ pub struct ShardStats {
     /// refusals and `Wait::Block` waits alike).
     pub backpressure_events: u64,
     /// The `Wait::Try` subset of [`Self::backpressure_events`]:
-    /// submissions turned away at capacity. Counts every
-    /// refusal, including automatic re-attempts of parked submissions
-    /// (e.g. the `ams-net` retry ring re-trying each reactor tick), so
-    /// it measures refusal pressure on the queue and is an **upper
-    /// bound** on — not a count of — client-observed `Busy` answers.
+    /// non-blocking submissions turned away at capacity. Counts every
+    /// refusal, including each retry of a parked block (the `ams-net`
+    /// retry ring re-submits on every wake-up until the block lands),
+    /// so it measures refusal pressure on the queue, not a number of
+    /// distinct refused blocks.
     pub queue_rejections: u64,
     /// Blocks the shard worker had applied at its last publish.
     pub blocks_ingested: u64,
@@ -69,7 +69,8 @@ impl ServiceStats {
     }
 
     /// Total non-blocking submissions turned away at capacity across
-    /// shards (each one surfaced somewhere as a `WouldBlock`/`Busy`).
+    /// shards, each one a `WouldBlock` to its submitter; the `ams-net`
+    /// retry ring's re-submissions of parked blocks count too.
     pub fn queue_rejections(&self) -> u64 {
         self.shards.iter().map(|s| s.queue_rejections).sum()
     }

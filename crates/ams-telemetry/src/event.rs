@@ -3,7 +3,7 @@
 //!
 //! Metrics answer "how much"; traces answer "where did this request
 //! go"; the event log answers "**what happened**" — shard lifecycle,
-//! publishes, checkpoints, recovery, WAL rotation, shedding — as a
+//! publishes, checkpoints, recovery, WAL rotation, read gates — as a
 //! bounded stream of structured records (level, code, timestamp, and a
 //! two-word key/value payload). The storage is the span rings' own
 //! [`crate::ring`]: each emitting thread owns one single-writer
@@ -27,7 +27,7 @@ use crate::trace::trace_clock_ns;
 pub enum EventLevel {
     /// Expected lifecycle progress.
     Info,
-    /// Load-shedding or degraded operation worth attention.
+    /// Backpressure or degraded operation worth attention.
     Warn,
     /// A failure the service observed and survived.
     Error,
@@ -75,9 +75,6 @@ pub enum EventCode {
     /// An exactly-once duplicate block was skipped (`key` = shard,
     /// `value` = block sequence number).
     DedupSkip,
-    /// A reactor shed an ingest with `Busy` (`key` = reactor,
-    /// `value` = shard).
-    BusyShed,
     /// A reactor stopped reading a connection over backpressure
     /// (`key` = reactor).
     ReadGate,
@@ -90,7 +87,7 @@ pub enum EventCode {
 }
 
 /// Every event code, in declaration order (the code ↔ u64 mapping).
-pub const EVENT_CODES: [EventCode; 14] = [
+pub const EVENT_CODES: [EventCode; 13] = [
     EventCode::ShardStart,
     EventCode::ShardStop,
     EventCode::Recovery,
@@ -100,7 +97,6 @@ pub const EVENT_CODES: [EventCode; 14] = [
     EventCode::WalTruncate,
     EventCode::WalFailed,
     EventCode::DedupSkip,
-    EventCode::BusyShed,
     EventCode::ReadGate,
     EventCode::ReactorStart,
     EventCode::ReactorStop,
@@ -120,7 +116,6 @@ impl EventCode {
             EventCode::WalTruncate => "wal_truncate",
             EventCode::WalFailed => "wal_failed",
             EventCode::DedupSkip => "dedup_skip",
-            EventCode::BusyShed => "busy_shed",
             EventCode::ReadGate => "read_gate",
             EventCode::ReactorStart => "reactor_start",
             EventCode::ReactorStop => "reactor_stop",
@@ -132,7 +127,7 @@ impl EventCode {
     pub fn level(self) -> EventLevel {
         match self {
             EventCode::WalFailed => EventLevel::Error,
-            EventCode::BusyShed | EventCode::ReadGate | EventCode::Reconnect => EventLevel::Warn,
+            EventCode::ReadGate | EventCode::Reconnect => EventLevel::Warn,
             _ => EventLevel::Info,
         }
     }
@@ -291,7 +286,6 @@ mod tests {
     #[test]
     fn levels_follow_severity() {
         assert_eq!(EventCode::WalFailed.level(), EventLevel::Error);
-        assert_eq!(EventCode::BusyShed.level(), EventLevel::Warn);
         assert_eq!(EventCode::ReadGate.level(), EventLevel::Warn);
         assert_eq!(EventCode::Reconnect.level(), EventLevel::Warn);
         assert_eq!(EventCode::Publish.level(), EventLevel::Info);
@@ -360,11 +354,11 @@ mod tests {
     fn wire_form_carries_names() {
         let hub = EventHub::with_capacity(4);
         let rec = hub.recorder();
-        rec.ring().push(event(EventCode::BusyShed, 5, 1, 2));
+        rec.ring().push(event(EventCode::ReadGate, 5, 1, 2));
         let wire = hub.collect_wire();
         assert_eq!(wire.len(), 1);
         assert_eq!(wire[0].level, "warn");
-        assert_eq!(wire[0].code, "busy_shed");
+        assert_eq!(wire[0].code, "read_gate");
         assert_eq!(wire[0].key, 1);
         assert_eq!(wire[0].value, 2);
         let json = serde_json::to_string(&wire).unwrap();

@@ -2,7 +2,7 @@
 //!
 //! The registry prices what the service *did*; this module grades what
 //! those numbers *mean*. A [`HealthSignal`] is one derived, windowed
-//! observation (shed rate, queue saturation, shard imbalance, fsync
+//! observation (queue saturation, ingest stalls, shard imbalance, fsync
 //! p99, estimator error) compared against a pair of thresholds; a set
 //! of signals folds into one [`HealthVerdict`] — `Healthy`, or
 //! `Degraded`/`Unhealthy` with the precise reasons attached. The
@@ -200,11 +200,11 @@ mod tests {
 
     #[test]
     fn grading_respects_both_thresholds() {
-        let ok = HealthSignal::grade("shed_rate", 0.01, 0.05, 0.25);
+        let ok = HealthSignal::grade("queue_saturation", 0.01, 0.05, 0.25);
         assert_eq!(ok.status, SignalStatus::Ok);
-        let degraded = HealthSignal::grade("shed_rate", 0.05, 0.05, 0.25);
+        let degraded = HealthSignal::grade("queue_saturation", 0.05, 0.05, 0.25);
         assert_eq!(degraded.status, SignalStatus::Degraded);
-        let unhealthy = HealthSignal::grade("shed_rate", 0.30, 0.05, 0.25);
+        let unhealthy = HealthSignal::grade("queue_saturation", 0.30, 0.05, 0.25);
         assert_eq!(unhealthy.status, SignalStatus::Unhealthy);
     }
 

@@ -13,8 +13,9 @@
 //! * [`service`] — the sharded parallel ingest service (bounded block
 //!   queues, per-shard worker threads, merge-on-query snapshots).
 //! * [`net`] — the framed TCP front-end over the service (non-blocking
-//!   reactor server, blocking client with retry-on-`Busy`, reconnect
-//!   with idempotent resubmission, and ack-after-fsync ingest).
+//!   reactor server that parks refused blocks until they land,
+//!   blocking client with pipelining, reconnect with idempotent
+//!   resubmission, and ack-after-fsync ingest).
 //! * [`durable`] — the persistence layer (segmented CRC-framed WAL,
 //!   epoch-stamped checkpoints, crash recovery with bit-identical
 //!   replay).
