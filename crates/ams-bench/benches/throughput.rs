@@ -257,7 +257,7 @@ fn bench_kernels(c: &mut Criterion) {
 }
 
 fn bench_crc(c: &mut Criterion) {
-    use ams_net::crc::{crc32, crc32_bytewise};
+    use ams_stream::crc::{crc32, crc32_bytewise};
     // Frame-sized inputs: a small ack, a typical 256-entry ingest
     // block frame (~4 KiB), and a read-burst-sized buffer.
     let mut group = c.benchmark_group("crc");

@@ -17,7 +17,7 @@
 //! field is interpreted; and every body decoder validates lengths and
 //! UTF-8 before materializing values, so arbitrary bytes produce a
 //! clean [`FrameError`], never a panic. The checksum itself is the
-//! slice-by-8 kernel from [`crate::crc`] (re-exported here), and both
+//! slice-by-8 kernel from [`ams_stream::crc`], and both
 //! sides encode into reusable buffers via the `*_into` entry points so
 //! steady-state framing allocates nothing. Blocks reuse the columnar
 //! [`OpBlock`] wire form from `ams-stream`, and snapshots the binary
@@ -33,6 +33,7 @@
 use bytes::{Buf, BufMut};
 
 use ams_service::{Scrape, ServiceSnapshot, ServiceStats, SketchError};
+use ams_stream::crc::crc32;
 use ams_stream::OpBlock;
 
 /// Frame magic: "AMS" + "N" for the network protocol.
@@ -314,8 +315,6 @@ pub enum Response {
         message: String,
     },
 }
-
-pub use crate::crc::{crc32, crc32_bytewise};
 
 /// Total bytes of prefix + header preceding the body in a frame.
 const FRAME_PREFIX: usize = 4 + HEADER_LEN;
@@ -731,7 +730,7 @@ impl Request {
 impl Response {
     /// Encodes this response into `out` as one complete frame, reusing
     /// the buffer's capacity (cleared first) — the reactor's hot path,
-    /// paired with its per-reactor frame pool so steady-state response
+    /// paired with its frame pool so steady-state response
     /// encoding allocates nothing.
     ///
     /// # Errors

@@ -72,7 +72,7 @@ const POOL_BUF_MAX: usize = 16 * 1024;
 /// connection, and returned ([`put`](Self::put)) once flushed — after
 /// warm-up the response path recycles capacity instead of allocating.
 /// The pool holds at most `POOL_CAP` buffers of at most `POOL_BUF_MAX`
-/// bytes each: 1 MiB per reactor.
+/// bytes each: 1 MiB for the server.
 #[derive(Debug, Default)]
 pub(crate) struct FramePool {
     free: Vec<Vec<u8>>,
@@ -156,7 +156,7 @@ pub(crate) enum Slot {
 }
 
 impl Slot {
-    fn is_pending(&self) -> bool {
+    pub(crate) fn is_pending(&self) -> bool {
         !matches!(self, Slot::Ready(_))
     }
 }

@@ -3,28 +3,28 @@
 //! The sketches exist to track join sizes *online*, over update streams
 //! arriving from outside the process; this crate is the layer that lets
 //! them: a length-prefixed, checksummed binary protocol ([`codec`],
-//! with a slice-by-8 CRC-32 kernel in [`crc`]), a **multi-reactor**
-//! non-blocking front-end ([`server`]) — one acceptor handing sockets
-//! to N reactor threads, each owning a disjoint slice of the
-//! connections over std non-blocking sockets — and a blocking client
-//! library ([`client`]) with batch-coalesced zero-alloc pipelining.
+//! checksummed by the slice-by-8 CRC-32 kernel of `ams_stream::crc`),
+//! a non-blocking server ([`server`]) whose one thread, the reactor,
+//! accepts, serves every connection and shuts down over std
+//! non-blocking sockets, and a blocking client library ([`client`])
+//! with batch-coalesced zero-alloc pipelining.
 //!
 //! ```text
-//!              ┌─ reactor 0 (poll: sockets + wake pipe) ───┐
-//!  clients ──▶ acceptor ──least-connections──▶ reactor i ──┤ submit(Wait::Try) ─▶ AmsService
-//!     ▲        (poll:      handoff + wake      ...         │   ├─ Ok        → Ingested
-//!     │        listener)                                   │   └─ WouldBlock→ park on the
-//!     │        ┌─ reactor N-1 ─────────────────────────────┘       per-connection retry
-//!     │        │  per-reactor `net_*{reactor="i"}` series          ring, retried on wake-ups
-//!     │        │  pooled response frames, vectored writes          from the service's hook,
-//!     └──framed responses──────────────────────────────────────────  Ingested once it lands
+//!              ┌─ reactor (one thread; poll: listener + sockets + wake pipe) ─┐
+//!  clients ──▶ │ accept ─▶ read + decode ─▶ dispatch ─▶ submit(Wait::Try) ────┼─▶ AmsService
+//!     ▲        │                                         ├─ Ok         → Ingested
+//!     │        │                                         └─ WouldBlock → park on the
+//!     │        │ `net_*` series, pooled response frames,    per-connection retry ring,
+//!     │        │ vectored writes                            retried on wake-ups from
+//!     │        └──────────────────────────────────────────  the service's hook
+//!     └──framed responses, in request order
 //! ```
 //!
-//! Nothing waits on a timer. Each reactor blocks in one `poll(2)` over
-//! its sockets and a self-pipe ([`std::io::pipe`]); the acceptor blocks
-//! the same way over the listener and its own pipe. A socket's
-//! readiness, a handoff, a shutdown, or — while the reactor holds
-//! parked work — the service's wake hook
+//! Nothing waits on a timer. Once 50 µs of passes found nothing to do,
+//! the reactor blocks in one `poll(2)` over the listener, its sockets
+//! and a self-pipe ([`std::io::pipe`]). A peer connecting, a socket's
+//! readiness, a stop request, or — while the reactor holds parked work
+//! — the service's wake hook
 //! ([`AmsService::add_waker`](ams_service::AmsService::add_waker)) ends
 //! the wait, so a request is served when it arrives and an idle server
 //! costs no CPU.
@@ -43,16 +43,17 @@
 //! service's merge-on-query snapshot register; one `Scrape` answers
 //! stats, metrics, traces, events and health as one document; `Drain`
 //! uses the service's non-blocking drain cut and is re-checked on every
-//! publish until it completes, and `Shutdown` gracefully lands parked
-//! ingests, stops the service, and ships the final snapshot and
-//! lifetime stats back over the wire.
+//! publish until it completes. `Shutdown` (or
+//! [`StopHandle::stop`]) lands the parked ingests, closes the service,
+//! answers the durable acks and drains still parked from its final
+//! state — `Closed` for a cut no shard reached — and ships the final
+//! snapshot and lifetime stats back over the wire.
 //!
 //! No async executor is involved (the workspace vendors no runtime):
-//! each reactor is a readiness loop over `std::net` non-blocking
+//! the reactor is a readiness loop over `std::net` non-blocking
 //! sockets, which is exactly enough for a protocol whose hot path is
-//! CPU-bound sketch ingestion — parallelism comes from accept
-//! sharding, not from an executor. The crate needs a unix target for
-//! `poll(2)`.
+//! CPU-bound sketch ingestion in the service's shard workers. The
+//! crate needs a unix target for `poll(2)`.
 
 // The only unsafe code is the `poll(2)` call in `poll`; everything
 // else is denied it.
@@ -62,7 +63,6 @@
 pub mod client;
 pub mod codec;
 mod conn;
-pub mod crc;
 pub mod error;
 #[allow(unsafe_code)]
 mod poll;

@@ -1,5 +1,5 @@
-//! The readiness wait the acceptor and the reactors block in: one
-//! `poll(2)` over a set of file descriptors.
+//! The readiness wait the reactor blocks in: one `poll(2)` over a set
+//! of file descriptors.
 //!
 //! std has no wait over several sockets at once, so this module
 //! declares `poll` against the C library std already links (no new

@@ -1,44 +1,43 @@
-//! The multi-reactor readiness front-end.
+//! The reactor: the server's one thread.
 //!
-//! One **acceptor** (the thread that called [`run`]) owns the
-//! listener and hands each accepted socket to one of N **reactor**
-//! threads — round-robin, with least-connections as the tiebreaker —
-//! so frame decode + dispatch scales with cores instead of
-//! serializing on one loop. Each reactor owns a disjoint slice of the
-//! connections and loops over passes: (1) adopt handed-off sockets,
-//! (2) service each connection's parked retry ring, (3) read +
-//! dispatch new frames, (4) flush writes (vectored, one syscall per
-//! connection per pass). A pass that made progress is followed at once
-//! by another. Otherwise the reactor blocks in one `poll(2)` over its
-//! sockets and its wake-up pipe ([`Wakeup`]) until a socket is ready,
-//! the acceptor hands it a socket, shutdown begins, or — while it holds
-//! parked work — the service's wake hook reports room on a queue, a
-//! publish, or a durable watermark advance. So a request is served when
-//! it arrives and an idle reactor costs nothing. The crucial invariant
-//! is that **nothing in a pass blocks**: service submission uses
-//! `submit` under `Wait::Try`, drains use the recorded-cut + poll
-//! pair, and socket I/O is non-blocking throughout, so one slow or
-//! saturated shard (or one stalled client) never parks a network
-//! thread.
+//! [`run`] owns the listener, the service and every connection, and
+//! loops over passes: (1) accept new peers, (2) service each
+//! connection's parked retry ring, (3) read + dispatch new frames,
+//! (4) flush writes (vectored, one syscall per connection per pass). A
+//! pass that made progress is followed at once by another, and so is a
+//! pass that found nothing, after yielding the CPU, until `LINGER`
+//! (50 µs) has passed since the last progress. Then the reactor blocks
+//! in one `poll(2)` over the listener, its sockets and its wake-up
+//! pipe ([`Wakeup`](crate::wake::Wakeup)) until a peer connects, a
+//! socket is ready, a stop is requested, or — while it holds parked
+//! work — the service's wake hook reports room on a queue, a publish,
+//! or a durable watermark advance. So a request is served when it
+//! arrives and an idle server costs nothing. The crucial invariant is
+//! that **nothing in a pass blocks**: service submission uses `submit`
+//! under `Wait::Try`, drains use the recorded-cut + poll pair, and
+//! socket I/O is non-blocking throughout, so one slow or saturated
+//! shard (or one stalled client) never parks the thread.
 //!
-//! The acceptor blocks the same way, over the listener and its own
-//! wake-up. The only timeouts are the farewell flush's deadline and a
-//! short back-off after a failed `accept` (e.g. out of descriptors).
+//! An `accept` that finds no peer still costs a system call, so the
+//! reactor does not try one on every pass: it accepts until
+//! `WouldBlock` whenever its wait reports the listener readable, and at
+//! most once per millisecond while passes keep running without a wait,
+//! so a busy reactor still admits new peers. The only timeouts are the
+//! farewell flush's deadline and a short back-off after a failed
+//! `accept` (e.g. out of descriptors).
 //!
-//! Shutdown is a two-phase rendezvous. Any reactor that sees a wire
-//! `Shutdown` (or the acceptor, on the stop flag) raises the shared
-//! `shutting_down` flag and wakes every loop; every reactor then lands
-//! its parked work, drops its service handle, and checks in at the
-//! quiesce barrier.
-//! Once all N have checked in, the acceptor — the only remaining
-//! holder — unwraps the service `Arc`, stops the service (closing
-//! queues, joining workers), publishes the final snapshot + stats back
-//! through the barrier, and the reactor that owes its peer a `Goodbye`
-//! ships it during the farewell flush.
+//! Shutdown — a wire `Shutdown` or the stop flag — is one sequence on
+//! the same thread: drop the listener and stop reading; land the parked
+//! ingests; close the service, whose workers drain their queues and
+//! stop; answer the durable acks and drains still parked from that
+//! final state, with `Error { code: Closed }` for a cut no shard
+//! reached (a wedged WAL writer's); then send the `Goodbye` the
+//! shutdown's requester is owed and flush, within a deadline.
 
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::io::ErrorKind;
+use std::net::TcpListener;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ams_service::{AmsService, IngestTag, ServiceError, ServiceSnapshot, ServiceStats, Wait};
@@ -51,21 +50,30 @@ use crate::codec::{ErrorCode, Request, Response};
 use crate::conn::{Connection, FramePool, Slot, MAX_INFLIGHT};
 use crate::poll::{self, PollFd, POLLIN};
 use crate::server::Stop;
-use crate::wake::Wakeup;
 
-/// Longest the finalizer keeps flushing farewell frames after the
-/// service stopped.
+/// Longest the farewell flush keeps writing after the service stopped.
 const SHUTDOWN_FLUSH_DEADLINE: Duration = Duration::from_secs(2);
 
-/// How long the acceptor waits before retrying after `accept` failed
+/// How long the reactor keeps re-running passes after the last one that
+/// made progress before it blocks in `poll(2)`, yielding the CPU
+/// between passes. A closed-loop peer's next request usually arrives
+/// within it, so the reactor is still running when it lands and no
+/// wake-up is paid for it. On a 2-vCPU host with the peer on the other
+/// vCPU, that wake-up made up about a third of a query's round trip.
+const LINGER: Duration = Duration::from_micros(50);
+
+/// How often a reactor whose passes run without a wait tries `accept`
+/// anyway.
+const ACCEPT_INTERVAL: Duration = Duration::from_millis(1);
+
+/// How long the reactor leaves the listener alone after `accept` failed
 /// with something other than `WouldBlock` (e.g. out of descriptors):
 /// the listener stays readable then, so waiting on it would spin.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
-/// One reactor's instrument handles, registered into the *service's*
-/// registry with a `reactor="i"` label so one scrape's metrics section
-/// (or one [`AmsService::metrics_snapshot`] call) covers both layers,
-/// per reactor.
+/// The reactor's instrument handles, registered into the *service's*
+/// registry so one scrape's metrics section (or one
+/// [`AmsService::metrics_snapshot`] call) covers both layers.
 ///
 /// | metric | kind | meaning |
 /// |---|---|---|
@@ -75,10 +83,8 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 /// | `net_bytes_in` | counter | bytes read off sockets |
 /// | `net_bytes_out` | counter | bytes flushed to sockets |
 /// | `net_read_gated` | counter | connection-passes reads were paused by admission bounds |
-/// | `net_retry_ring_occupancy` | gauge | parked ingests across this reactor's connections |
+/// | `net_retry_ring_occupancy` | gauge | parked ingests across the connections |
 struct NetInstruments {
-    /// This reactor's index, the `key` of its structured events.
-    reactor: u64,
     tick_ns: Arc<LatencyHistogram>,
     frames_decoded: Arc<Counter>,
     frames_encoded: Arc<Counter>,
@@ -86,7 +92,7 @@ struct NetInstruments {
     bytes_out: Arc<Counter>,
     read_gated: Arc<Counter>,
     retry_ring: Arc<Gauge>,
-    /// This thread's structured-event recorder on the service's event
+    /// The reactor's structured-event recorder on the service's event
     /// hub: read gates land next to the shard lifecycle events in one
     /// scrape's events section. Per-thread rings mean a read-gate storm
     /// here can never evict a shard worker's events.
@@ -94,18 +100,15 @@ struct NetInstruments {
 }
 
 impl NetInstruments {
-    fn new(registry: &MetricsRegistry, reactor: usize, events: EventRecorder) -> Self {
-        let index = reactor.to_string();
-        let labels: [(&str, &str); 1] = [("reactor", index.as_str())];
+    fn new(registry: &MetricsRegistry, events: EventRecorder) -> Self {
         Self {
-            reactor: reactor as u64,
-            tick_ns: registry.histogram("net_tick_ns", &labels),
-            frames_decoded: registry.counter("net_frames_decoded", &labels),
-            frames_encoded: registry.counter("net_frames_encoded", &labels),
-            bytes_in: registry.counter("net_bytes_in", &labels),
-            bytes_out: registry.counter("net_bytes_out", &labels),
-            read_gated: registry.counter("net_read_gated", &labels),
-            retry_ring: registry.gauge("net_retry_ring_occupancy", &labels),
+            tick_ns: registry.histogram("net_tick_ns", &[]),
+            frames_decoded: registry.counter("net_frames_decoded", &[]),
+            frames_encoded: registry.counter("net_frames_encoded", &[]),
+            bytes_in: registry.counter("net_bytes_in", &[]),
+            bytes_out: registry.counter("net_bytes_out", &[]),
+            read_gated: registry.counter("net_read_gated", &[]),
+            retry_ring: registry.gauge("net_retry_ring_occupancy", &[]),
             events,
         }
     }
@@ -119,7 +122,7 @@ impl NetInstruments {
     }
 }
 
-/// One reactor's tracing handles: the service's [`TraceHub`] (shared
+/// The reactor's tracing handles: the service's [`TraceHub`] (shared
 /// tail sampler + enable flag) and this thread's own span recorder.
 /// Every helper is guarded so untraced requests — and every request
 /// while the hub is disabled — never read the trace clock.
@@ -444,11 +447,11 @@ fn dispatch(
                 .push_back(Slot::Ready(encoded(pool, &Response::Snapshot { snapshot })));
         }
         Request::Scrape { sections } => {
-            // One document from one registry read: each reactor
-            // registers its labeled instruments into the service's
-            // registry, so the metrics section carries `service_*` and
-            // per-reactor `net_*` series alike. The health window is
-            // this connection's own.
+            // One document from one registry read: the reactor
+            // registers its instruments into the service's registry,
+            // so the metrics section carries `service_*` and `net_*`
+            // series alike. The health window is this connection's
+            // own.
             let scrape = service.scrape(sections, &mut conn.health);
             conn.slots
                 .push_back(Slot::Ready(encoded(pool, &Response::Scrape { scrape })));
@@ -481,82 +484,81 @@ fn dispatch(
     false
 }
 
-/// One reactor's accept-handoff inbox plus its load, read by the
-/// acceptor for least-connections placement. `load` counts live
-/// connections *and* not-yet-adopted handoffs (incremented by the
-/// acceptor at handoff, decremented by the reactor when a connection
-/// dies), so a burst of accepts spreads correctly even before any
-/// reactor pass runs.
-#[derive(Debug, Default)]
-struct Mailbox {
-    sockets: Mutex<Vec<TcpStream>>,
-    load: AtomicUsize,
+/// The listening socket, and when the reactor next tries `accept`.
+struct Listener {
+    socket: TcpListener,
+    /// When the next `accept` is due: at once after a wait that
+    /// reported a peer, else `ACCEPT_INTERVAL` after the last try or
+    /// the last wait that watched the listener.
+    due: Instant,
+    /// The last `accept` failed hard: the listener stays out of the
+    /// wait until `due`.
+    backing_off: bool,
 }
 
-impl Mailbox {
-    /// Takes every handed-off socket.
-    fn take(&self) -> Vec<TcpStream> {
-        let mut inbox = self.sockets.lock().expect("acceptor never panics");
-        if inbox.is_empty() {
-            Vec::new()
+impl Listener {
+    /// Adopts every waiting peer into `conns`; returns whether any
+    /// arrived.
+    fn accept(&mut self, conns: &mut Vec<Connection>, now: Instant) -> bool {
+        let mut adopted = false;
+        self.backing_off = loop {
+            match self.socket.accept() {
+                // A socket that fails its setup is dropped unanswered.
+                Ok((stream, _)) => {
+                    if let Ok(conn) = Connection::new(stream) {
+                        conns.push(conn);
+                        adopted = true;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break false,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break true,
+            }
+        };
+        self.due = now
+            + if self.backing_off {
+                ACCEPT_BACKOFF
+            } else {
+                ACCEPT_INTERVAL
+            };
+        adopted
+    }
+
+    /// The listener's entry in the reactor's wait, and how long the
+    /// wait may last: readable without limit, or left out until the
+    /// back-off ends.
+    fn wait_entry(&self) -> (PollFd, Option<Duration>) {
+        if self.backing_off {
+            let left = self.due.saturating_duration_since(Instant::now());
+            (PollFd::new(&self.socket, 0), Some(left))
         } else {
-            std::mem::take(&mut *inbox)
+            (PollFd::new(&self.socket, POLLIN), None)
         }
     }
 
-    /// Whether a handed-off socket waits for adoption.
-    fn has_sockets(&self) -> bool {
-        !self
-            .sockets
-            .lock()
-            .expect("acceptor never panics")
-            .is_empty()
-    }
-}
-
-/// Shared shutdown state: the flag every loop checks, the wake-ups
-/// that make them check it, and the quiesce barrier the final snapshot
-/// travels back through.
-struct Coordinator {
-    shutting_down: AtomicBool,
-    /// The acceptor's wake-up, then one per reactor.
-    wakeups: Vec<Arc<Wakeup>>,
-    state: Mutex<CoordState>,
-    cv: Condvar,
-}
-
-impl Coordinator {
-    /// Raises the shutdown flag and wakes every loop to notice it.
-    fn begin_shutdown(&self) {
-        self.shutting_down.store(true, Ordering::Release);
-        for wakeup in &self.wakeups {
-            wakeup.wake();
+    /// The reactor's wait ended; `peer` says whether it reported the
+    /// listener readable. A wait that watched the listener and saw no
+    /// peer stands in for a try.
+    fn watched(&mut self, peer: bool) {
+        if peer {
+            self.due = Instant::now();
+        } else if !self.backing_off {
+            self.due = Instant::now() + ACCEPT_INTERVAL;
         }
     }
 }
 
-struct CoordState {
-    /// Reactors that have landed all parked work and dropped their
-    /// service handle.
-    quiesced: usize,
-    /// The stopped service's final snapshot + stats, published by the
-    /// acceptor once every reactor quiesced.
-    final_state: Option<Arc<(ServiceSnapshot, ServiceStats)>>,
-}
-
-/// One reactor thread: adopts handed-off sockets and runs passes —
-/// waiting for readiness whenever one makes no progress — until
-/// shutdown, then checks in at the quiesce barrier and flushes
-/// farewells (including the `Goodbye` if one of its peers asked for
-/// shutdown).
-fn reactor_loop(
-    index: usize,
-    mailbox: Arc<Mailbox>,
-    wakeup: Arc<Wakeup>,
-    service: Arc<AmsService>,
-    coord: Arc<Coordinator>,
-) {
-    let net = NetInstruments::new(&service.registry(), index, service.event_hub().recorder());
+/// Runs the server on the calling thread until a `Shutdown` frame
+/// arrives or the stop flag is raised, then shuts down (see the module
+/// docs) and returns the service's final snapshot and lifetime
+/// statistics.
+pub(crate) fn run(
+    socket: TcpListener,
+    mut service: AmsService,
+    stop: &Stop,
+) -> (ServiceSnapshot, ServiceStats) {
+    let wakeup = &stop.wakeup;
+    let net = NetInstruments::new(&service.registry(), service.event_hub().recorder());
     let tracing = ReactorTracing {
         hub: service.trace_hub(),
         recorder: service.trace_hub().recorder(),
@@ -564,32 +566,29 @@ fn reactor_loop(
     // Parked work waits on service events: refused ingests on queue
     // room, durable acks on watermark advances, drains on publishes.
     service.add_waker(wakeup.service_waker());
-    net.events.emit(EventCode::ReactorStart, net.reactor, 0);
+    net.events.emit(EventCode::ReactorStart, 0, 0);
+    let mut listener = Listener {
+        socket,
+        due: Instant::now(),
+        backing_off: false,
+    };
     let mut conns: Vec<Connection> = Vec::new();
     let mut scratch = vec![0u8; 16 * 1024];
     let mut pool = FramePool::new();
     let mut fds: Vec<PollFd> = Vec::new();
     // Trace clock at the last wake-up (0 while the hub is disabled).
     let mut woke_ns = 0u64;
+    let mut last_progress = Instant::now();
     loop {
         let pass_start = Instant::now();
+        if stop.requested.load(Ordering::Acquire) {
+            break;
+        }
         let mut progress = false;
-        let mut shutting_down = coord.shutting_down.load(Ordering::Acquire);
-        // 1. Adopt whatever the acceptor handed off (unless closing up).
-        if !shutting_down {
-            for stream in mailbox.take() {
-                match Connection::new(stream) {
-                    Ok(conn) => {
-                        conns.push(conn);
-                        progress = true;
-                    }
-                    // The socket died before adoption: release its
-                    // load share.
-                    Err(_) => {
-                        mailbox.load.fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
-            }
+        let mut shutdown = false;
+        // 1. Admit new peers.
+        if pass_start >= listener.due {
+            progress |= listener.accept(&mut conns, pass_start);
         }
         for conn in conns.iter_mut() {
             // 2. Retry ring + parked durable acks and drains.
@@ -599,7 +598,7 @@ fn reactor_loop(
             //    memory: stop reading while ingests are parked, too many
             //    responses are in flight, responses sit unflushed, or
             //    undecoded bytes already cover a whole frame.
-            if !shutting_down && !conn.closing {
+            if !shutdown && !conn.closing {
                 // While ingests are parked the connection is neither read
                 // nor decoded: its next frames wait in the socket until
                 // the parked blocks land, so about one frame per
@@ -614,7 +613,7 @@ fn reactor_loop(
                 } else {
                     net.read_gated.inc();
                     net.events
-                        .emit(EventCode::ReadGate, net.reactor, conn.slots.len() as u64);
+                        .emit(EventCode::ReadGate, 0, conn.slots.len() as u64);
                 }
                 while conn.pending_ingests() == 0 && conn.slots.len() < MAX_INFLIGHT {
                     // One clock read per frame while tracing is armed;
@@ -644,18 +643,16 @@ fn reactor_loop(
                                 // connection so no pipelined later
                                 // request is answered ahead of the
                                 // Goodbye (the in-order invariant),
-                                // and tell every other loop.
-                                shutting_down = true;
-                                coord.begin_shutdown();
+                                // and read no other.
+                                shutdown = true;
                                 break;
                             }
                         }
                         Err(e) => {
                             // Framing violation: answer once, then close
                             // (the byte stream cannot be re-synchronized).
-                            // Only this reactor's connection dies; every
-                            // other connection — on this reactor and all
-                            // others — keeps serving.
+                            // Only this connection dies; every other one
+                            // keeps serving.
                             let error = Response::Error {
                                 code: ErrorCode::Protocol,
                                 message: e.to_string(),
@@ -673,31 +670,27 @@ fn reactor_loop(
         }
         net.retry_ring
             .set(conns.iter().map(Connection::pending_ingests).sum::<usize>() as i64);
-        let before = conns.len();
         conns.retain(|conn| !conn.dead());
-        let died = before - conns.len();
-        if died > 0 {
-            mailbox.load.fetch_sub(died, Ordering::Relaxed);
-        }
-        // Shutdown waits for every parked ingest/drain to land so no
-        // acknowledged-later work is silently dropped, then breaks to
-        // the quiesce barrier.
-        if shutting_down && conns.iter().all(|c| c.pending() == 0) {
+        if shutdown {
             break;
         }
         if progress {
             // Only passes that did work are recorded, so the histogram
             // profiles the dispatch path rather than empty re-checks.
             net.tick_ns.record_duration(pass_start.elapsed());
+            last_progress = pass_start;
+            continue;
+        }
+        if pass_start.duration_since(last_progress) < LINGER {
+            std::thread::yield_now();
             continue;
         }
         // Nothing moved: wait until something can. Arm first, then
-        // re-check everything a wake announces — shutdown, a handoff,
-        // the parked slots — so an event this pass missed is either
-        // seen here or rings the pipe.
+        // re-check everything a wake announces — a stop, the parked
+        // slots — so an event this pass missed is either seen here or
+        // rings the pipe.
         wakeup.arm(conns.iter().any(|c| c.pending() > 0));
-        let mut ready = coord.shutting_down.load(Ordering::Acquire) != shutting_down
-            || (!shutting_down && mailbox.has_sockets());
+        let mut ready = stop.requested.load(Ordering::Acquire);
         for conn in conns.iter_mut() {
             ready |= service_parked(conn, &service, &tracing, &mut pool, woke_ns);
         }
@@ -705,37 +698,56 @@ fn reactor_loop(
             wakeup.disarm(false);
             continue;
         }
+        let (listen, timeout) = listener.wait_entry();
         fds.clear();
         fds.push(PollFd::new(wakeup.fd(), POLLIN));
+        fds.push(listen);
         fds.extend(
             conns
                 .iter()
-                .map(|conn| conn.poll_fd(!shutting_down && !conn.closing && conn.read_gate_open())),
+                .map(|conn| conn.poll_fd(!conn.closing && conn.read_gate_open())),
         );
         // A failed wait (`EINTR` is retried inside) acts as a spurious
         // wake-up: the next pass finds nothing to do and waits again.
-        let _ = poll::wait(&mut fds, None);
+        let _ = poll::wait(&mut fds, timeout);
         wakeup.disarm(fds[0].ready());
+        listener.watched(fds[1].ready());
         woke_ns = tracing.now();
     }
-    // Quiesce: drop this reactor's service handle *before* checking in,
-    // so once the acceptor observes `quiesced == N` under the lock it
-    // holds the only remaining `Arc` and can unwrap + stop the service.
+
+    // Shutdown. 1. No new peers, and no more requests.
+    drop(listener);
     net.events
-        .emit(EventCode::ReactorStop, net.reactor, conns.len() as u64);
-    drop(service);
-    let final_state = {
-        let mut state = coord.state.lock().expect("coordinator never panics");
-        state.quiesced += 1;
-        coord.cv.notify_all();
-        loop {
-            if let Some(final_state) = &state.final_state {
-                break Arc::clone(final_state);
-            }
-            state = coord.cv.wait(state).expect("coordinator never panics");
+        .emit(EventCode::ReactorStop, 0, conns.len() as u64);
+    // 2. Land the parked ingests, each retried as its queue frees room.
+    while conns.iter().any(|conn| conn.pending_ingests() > 0) {
+        wakeup.arm(true);
+        let mut landed = false;
+        for conn in conns.iter_mut() {
+            landed |= service_parked(conn, &service, &tracing, &mut pool, woke_ns);
         }
-    };
-    let (snapshot, stats) = &*final_state;
+        let mut rang = false;
+        if !landed {
+            let mut fds = [PollFd::new(wakeup.fd(), POLLIN)];
+            let _ = poll::wait(&mut fds, None);
+            rang = fds[0].ready();
+        }
+        wakeup.disarm(rang);
+    }
+    // 3. Close the service: its workers drain their queues and stop.
+    service.close();
+    // 4. Answer every durable ack and drain still parked from the final
+    //    state: the answer it waited for if its cut was reached, else
+    //    `Closed` (a wedged WAL writer's watermark never moves).
+    for conn in conns.iter_mut() {
+        service_parked(conn, &service, &tracing, &mut pool, woke_ns);
+        for slot in conn.slots.iter_mut().filter(|slot| slot.is_pending()) {
+            *slot = Slot::Ready(encoded(&mut pool, &ingest_failure(ServiceError::Closed)));
+        }
+    }
+    // 5. The Goodbye, then a farewell flush with a deadline: a peer that
+    //    stopped reading cannot wedge the shutdown.
+    let (snapshot, stats) = (service.snapshot(), service.stats());
     for conn in conns.iter_mut() {
         if conn.wants_goodbye {
             let goodbye = Response::Goodbye {
@@ -747,8 +759,6 @@ fn reactor_loop(
         }
         conn.closing = true;
     }
-    // Farewell flush with a deadline: a peer that stopped reading
-    // cannot wedge the shutdown.
     let deadline = Instant::now() + SHUTDOWN_FLUSH_DEADLINE;
     loop {
         fds.clear();
@@ -764,128 +774,36 @@ fn reactor_loop(
         }
         let _ = poll::wait(&mut fds, Some(left));
     }
+    (snapshot, stats)
 }
 
-/// Runs the front-end until a `Shutdown` frame arrives or the stop
-/// flag is raised, then gracefully stops the service and returns its
-/// final snapshot and lifetime statistics. The calling thread is the
-/// acceptor; one reactor thread per wake-up in `reactor_wakeups` does
-/// the per-connection work.
-pub(crate) fn run(
-    listener: TcpListener,
-    service: AmsService,
-    stop: Arc<Stop>,
-    reactor_wakeups: Vec<Arc<Wakeup>>,
-) -> (ServiceSnapshot, ServiceStats) {
-    let reactors = reactor_wakeups.len();
-    let service = Arc::new(service);
-    let coord = Arc::new(Coordinator {
-        shutting_down: AtomicBool::new(false),
-        wakeups: std::iter::once(&stop.acceptor)
-            .chain(&reactor_wakeups)
-            .cloned()
-            .collect(),
-        state: Mutex::new(CoordState {
-            quiesced: 0,
-            final_state: None,
-        }),
-        cv: Condvar::new(),
-    });
-    let mailboxes: Vec<Arc<Mailbox>> = (0..reactors)
-        .map(|_| Arc::new(Mailbox::default()))
-        .collect();
-    let threads: Vec<std::thread::JoinHandle<()>> = (0..reactors)
-        .map(|index| {
-            let mailbox = Arc::clone(&mailboxes[index]);
-            let wakeup = Arc::clone(&reactor_wakeups[index]);
-            let service = Arc::clone(&service);
-            let coord = Arc::clone(&coord);
-            std::thread::Builder::new()
-                .name(format!("ams-net-reactor-{index}"))
-                .spawn(move || reactor_loop(index, mailbox, wakeup, service, coord))
-                .expect("spawn reactor thread")
-        })
-        .collect();
-    // Accept loop: place each socket on the least-loaded reactor,
-    // breaking ties round-robin from a rotating cursor so equal-load
-    // reactors share accepts instead of the first always winning.
-    let mut cursor = 0usize;
-    loop {
-        if stop.requested.load(Ordering::Acquire) {
-            coord.begin_shutdown();
-        }
-        if coord.shutting_down.load(Ordering::Acquire) {
-            break;
-        }
-        let backoff = match listener.accept() {
-            Ok((stream, _)) => {
-                let mut best = cursor % reactors;
-                let mut best_load = mailboxes[best].load.load(Ordering::Relaxed);
-                for offset in 1..reactors {
-                    let candidate = (cursor + offset) % reactors;
-                    let load = mailboxes[candidate].load.load(Ordering::Relaxed);
-                    if load < best_load {
-                        best = candidate;
-                        best_load = load;
-                    }
-                }
-                cursor = cursor.wrapping_add(1);
-                let mailbox = &mailboxes[best];
-                mailbox.load.fetch_add(1, Ordering::Relaxed);
-                mailbox
-                    .sockets
-                    .lock()
-                    .expect("reactors never panic")
-                    .push(stream);
-                reactor_wakeups[best].wake();
-                continue;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            // Any other failure (e.g. out of descriptors) leaves the
-            // listener readable, so waiting on it would spin.
-            Err(_) => Some(ACCEPT_BACKOFF),
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpStream;
+
+    #[test]
+    fn one_accept_call_adopts_every_waiting_peer() {
+        let socket = TcpListener::bind("127.0.0.1:0").unwrap();
+        socket.set_nonblocking(true).unwrap();
+        let addr = socket.local_addr().unwrap();
+        let now = Instant::now();
+        let mut listener = Listener {
+            socket,
+            due: now,
+            backing_off: false,
         };
-        // Wait for a connection or a stop request: arm, re-check the
-        // flags, then block.
-        stop.acceptor.arm(false);
-        if stop.requested.load(Ordering::Acquire) || coord.shutting_down.load(Ordering::Acquire) {
-            stop.acceptor.disarm(false);
-            continue;
-        }
-        let listen = if backoff.is_none() { POLLIN } else { 0 };
-        let mut fds = [
-            PollFd::new(stop.acceptor.fd(), POLLIN),
-            PollFd::new(&listener, listen),
+        let mut conns = Vec::new();
+        assert!(!listener.accept(&mut conns, now), "no peer waits yet");
+        assert_eq!(listener.due, now + ACCEPT_INTERVAL);
+        assert_eq!(listener.wait_entry().1, None, "the wait has no limit");
+        // A loopback connect returns once the peer sits in the backlog.
+        let _peers = [
+            TcpStream::connect(addr).unwrap(),
+            TcpStream::connect(addr).unwrap(),
         ];
-        let _ = poll::wait(&mut fds, backoff);
-        stop.acceptor.disarm(fds[0].ready());
+        assert!(listener.accept(&mut conns, now));
+        assert_eq!(conns.len(), 2, "accepts until `WouldBlock`");
+        assert!(!listener.backing_off);
     }
-    drop(listener);
-    // Wait for every reactor to land parked work and release its
-    // service handle.
-    {
-        let mut state = coord.state.lock().expect("reactors never panic");
-        while state.quiesced < reactors {
-            state = coord.cv.wait(state).expect("reactors never panic");
-        }
-    }
-    let service = match Arc::try_unwrap(service) {
-        Ok(service) => service,
-        // Unreachable: every reactor drops its clone before its
-        // `quiesced` increment becomes visible under the lock.
-        Err(_) => unreachable!("a reactor quiesced while still holding the service"),
-    };
-    // Stop the service: closes the shard queues, drains the workers,
-    // joins them, and yields the final state.
-    let (snapshot, stats) = service.shutdown();
-    {
-        let mut state = coord.state.lock().expect("reactors never panic");
-        state.final_state = Some(Arc::new((snapshot.clone(), stats.clone())));
-    }
-    coord.cv.notify_all();
-    for thread in threads {
-        let _ = thread.join();
-    }
-    (snapshot, stats)
 }

@@ -1,5 +1,8 @@
-//! The server façade: bind, run (or spawn), stop.
+//! The server façade: bind, run (or spawn), stop. A server is one
+//! thread, the reactor, which accepts, serves and shuts down on one
+//! loop.
 
+use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -10,36 +13,23 @@ use crate::error::NetError;
 use crate::reactor;
 use crate::wake::Wakeup;
 
-/// The server's configuration: how many reactor threads share the
-/// connections. A connection's admission bounds are fixed. A block a
-/// full shard queue refuses parks until it lands, and so does every
-/// later block of its frame; while any block is parked the connection
-/// is not read, so it parks at most one frame of
-/// [`MAX_INGEST_BLOCKS`](crate::codec::MAX_INGEST_BLOCKS) blocks, and
-/// no ingest is ever answered with a refusal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A shim kept only because perfbench binds through
+/// [`NetServer::bind_with`]. A server runs one reactor thread, so
+/// `reactors` may be 0 or 1, and either binds exactly as
+/// [`NetServer::bind`] does; a larger value is refused. Once perfbench
+/// binds with [`NetServer::bind`], this type and `bind_with` go.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetServerConfig {
-    /// How many reactor threads share the connections. The acceptor
-    /// hands each new socket to the least-loaded reactor (round-robin
-    /// on ties), so decode + dispatch scales with cores. `0` is
-    /// treated as `1`. The default is 1 — scaling past one reactor is
-    /// an explicit choice, sized to the host (e.g.
-    /// `std::thread::available_parallelism()`).
+    /// Reactor threads: 0 or 1.
     pub reactors: usize,
 }
 
-impl Default for NetServerConfig {
-    fn default() -> Self {
-        Self { reactors: 1 }
-    }
-}
-
-/// A stop request: the flag, and the acceptor's wake-up that makes it
+/// A stop request: the flag, and the reactor's wake-up that makes it
 /// notice.
 #[derive(Debug)]
 pub(crate) struct Stop {
     pub(crate) requested: AtomicBool,
-    pub(crate) acceptor: Arc<Wakeup>,
+    pub(crate) wakeup: Arc<Wakeup>,
 }
 
 /// A handle that asks a running server to shut down gracefully (same
@@ -48,11 +38,10 @@ pub(crate) struct Stop {
 pub struct StopHandle(Arc<Stop>);
 
 impl StopHandle {
-    /// Raises the stop flag and wakes the acceptor, which passes the
-    /// shutdown on to every reactor.
+    /// Raises the stop flag and wakes the reactor.
     pub fn stop(&self) {
         self.0.requested.store(true, Ordering::Release);
-        self.0.acceptor.wake();
+        self.0.wakeup.wake();
     }
 }
 
@@ -74,43 +63,46 @@ pub struct NetServer {
     listener: TcpListener,
     addr: SocketAddr,
     stop: Arc<Stop>,
-    /// One wake-up per reactor, made at bind time so a failure to
-    /// create one surfaces here rather than in a running server.
-    reactor_wakeups: Vec<Arc<Wakeup>>,
 }
 
 impl NetServer {
-    /// Binds a listener with the default [`NetServerConfig`]. Use port
-    /// 0 to let the OS pick (read it back with [`Self::local_addr`]).
+    /// Binds a listener. Use port 0 to let the OS pick (read it back
+    /// with [`Self::local_addr`]). The reactor's wake-up pipe is made
+    /// here too, so a failure to create it surfaces at bind time rather
+    /// than in a running server.
     ///
     /// # Errors
-    /// [`NetError::Io`] when binding fails.
+    /// [`NetError::Io`] when binding fails, or when the wake-up pipe
+    /// cannot be created.
     pub fn bind<A: ToSocketAddrs>(addr: A) -> Result<Self, NetError> {
-        Self::bind_with(addr, NetServerConfig::default())
-    }
-
-    /// Binds a listener with an explicit configuration.
-    ///
-    /// # Errors
-    /// [`NetError::Io`] when binding fails, or when a wake-up socket
-    /// pair cannot be created.
-    pub fn bind_with<A: ToSocketAddrs>(addr: A, config: NetServerConfig) -> Result<Self, NetError> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(Stop {
             requested: AtomicBool::new(false),
-            acceptor: Wakeup::new()?,
+            wakeup: Wakeup::new()?,
         });
-        let reactor_wakeups = (0..config.reactors.max(1))
-            .map(|_| Wakeup::new())
-            .collect::<Result<_, _>>()?;
         Ok(Self {
             listener,
             addr,
             stop,
-            reactor_wakeups,
         })
+    }
+
+    /// Binds as [`Self::bind`] does; see [`NetServerConfig`].
+    ///
+    /// # Errors
+    /// [`NetError::Io`] of kind [`InvalidInput`](io::ErrorKind::InvalidInput)
+    /// when `config.reactors` exceeds 1, before anything is bound;
+    /// otherwise as [`Self::bind`].
+    pub fn bind_with<A: ToSocketAddrs>(addr: A, config: NetServerConfig) -> Result<Self, NetError> {
+        if config.reactors > 1 {
+            return Err(NetError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("a server runs one reactor, not {}", config.reactors),
+            )));
+        }
+        Self::bind(addr)
     }
 
     /// The bound address (useful after binding port 0).
@@ -123,25 +115,24 @@ impl NetServer {
         StopHandle(Arc::clone(&self.stop))
     }
 
-    /// Runs the front-end on the calling thread (which becomes the
-    /// acceptor; the configured reactor threads own the connections)
-    /// until a wire `Shutdown` request arrives or the stop handle
-    /// fires, then returns the service's final snapshot and lifetime
-    /// statistics.
+    /// Runs the server on the calling thread, which becomes the
+    /// reactor: it accepts, serves every connection and owns the
+    /// service until a wire `Shutdown` request arrives or the stop
+    /// handle fires, then stops the service and returns its final
+    /// snapshot and lifetime statistics.
     pub fn run(self, service: AmsService) -> (ServiceSnapshot, ServiceStats) {
-        reactor::run(self.listener, service, self.stop, self.reactor_wakeups)
+        reactor::run(self.listener, service, &self.stop)
     }
 
-    /// Spawns the acceptor (and its reactor threads) in the background
-    /// and returns a handle carrying the address, a stop handle, and
-    /// the join point.
+    /// Spawns the reactor thread and returns a handle carrying the
+    /// address, a stop handle, and the join point.
     pub fn spawn(self, service: AmsService) -> ServerHandle {
         let addr = self.addr;
         let stop = self.stop_handle();
         let thread = std::thread::Builder::new()
-            .name("ams-net-acceptor".into())
+            .name("ams-net-reactor".into())
             .spawn(move || self.run(service))
-            .expect("spawn acceptor thread");
+            .expect("spawn reactor thread");
         ServerHandle { addr, stop, thread }
     }
 }

@@ -1,10 +1,10 @@
 //! The self-pipe that ends a blocked readiness wait.
 //!
-//! Each waiting loop — the acceptor and every reactor — owns one
-//! [`Wakeup`]: a pipe whose read end sits in the loop's `poll` set.
-//! Another thread ends the wait by writing one byte to the write end:
-//! the acceptor handing a reactor a socket, a stop or shutdown request,
-//! or a shard worker through the service's wake hook
+//! The reactor owns one [`Wakeup`]: a pipe whose read end sits in its
+//! `poll` set beside the listener and the sockets. Another thread ends
+//! the wait by writing one byte to the write end: a stop request
+//! ([`StopHandle::stop`](crate::StopHandle::stop)), or a shard worker
+//! or submitter through the service's wake hook
 //! ([`Wakeup::service_waker`]).
 //!
 //! A pipe rather than a socket pair: both are std-only and take one
@@ -25,8 +25,8 @@
 //! store follows its fence. The two fences are totally ordered, so
 //! either the waker's fence comes first and the owner's re-check sees
 //! the condition, or the owner's comes first and the waker sees `armed`
-//! and writes the byte. A condition behind a mutex (a mailbox, a queue,
-//! a publish register) is covered the same way: its unlock precedes the
+//! and writes the byte. A condition behind a mutex (a queue, a publish
+//! register) is covered the same way: its unlock precedes the
 //! waker's fence and the owner's lock follows its own. No wake-up is
 //! lost between the re-check and the wait.
 
@@ -35,7 +35,7 @@ use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::Arc;
 use std::task::{Wake, Waker};
 
-/// One waiting loop's wake-up pipe and arming state.
+/// The reactor's wake-up pipe and arming state.
 #[derive(Debug)]
 pub(crate) struct Wakeup {
     /// Polled for `POLLIN` by the owner.

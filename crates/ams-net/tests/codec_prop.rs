@@ -5,12 +5,12 @@
 
 use ams_core::{codec, SelfJoinEstimator, SketchParams, TugOfWarSketch};
 use ams_net::codec::{encode_ingest_frame_into, MAX_FRAME_PAYLOAD, MAX_INGEST_BLOCKS};
-use ams_net::crc::{crc32, crc32_bytewise};
 use ams_net::{FrameDecoder, FrameError, Request, Response, Scrape};
 use ams_service::{
     AccuracyReport, AssembledTrace, HealthReport, HealthSignal, HealthVerdict, MetricsRegistry,
     ServiceEvent, ServiceSnapshot, ServiceStats, ShardStats, TraceSpan,
 };
+use ams_stream::crc::{crc32, crc32_bytewise};
 use ams_stream::OpBlock;
 use proptest::prelude::*;
 use proptest::TestCaseError;

@@ -13,12 +13,13 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::mpsc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use ams_core::{SelfJoinEstimator, SketchParams, TugOfWarSketch};
-use ams_net::{AckMode, AmsClient, IngestOutcome, NetError, NetServer, NetServerConfig};
-use ams_service::{DurabilityConfig, RouterPolicy, ServiceConfig};
+use ams_net::{AckMode, AmsClient, ErrorCode, IngestOutcome, NetError, NetServer, NetServerConfig};
+use ams_service::{DurabilityConfig, FaultPlan, FsyncPolicy, RouterPolicy, ServiceConfig};
 use ams_stream::{value_blocks, OpBlock};
 
 fn service(
@@ -354,13 +355,13 @@ fn metrics_scrape_covers_service_and_net_layers_end_to_end() {
     assert!(metrics.counter_total("net_frames_encoded") > blocks.len() as u64);
     assert!(metrics.counter_total("net_bytes_in") > 0);
     assert!(metrics.counter_total("net_bytes_out") > 0);
-    // Reactor instruments carry a reactor label now; a default server
-    // runs exactly one reactor.
+    // The reactor's instruments carry no labels: a server runs one
+    // reactor.
     assert!(
         metrics
-            .histogram("net_tick_ns", &[("reactor", "0")])
+            .histogram("net_tick_ns", &[])
             .is_some_and(|t| t.count > 0),
-        "active reactor ticks must be profiled under reactor=\"0\""
+        "active reactor ticks must be profiled"
     );
 
     // The wire snapshot renders to exposition text naming both layers.
@@ -551,16 +552,14 @@ fn truncated_connection_mid_frame_is_harmless() {
 }
 
 #[test]
-fn two_reactor_server_is_bit_identical_with_per_reactor_metrics() {
-    // The multi-reactor acceptance pin: two reactors, two clients (the
-    // least-connections handoff places one connection on each), one
-    // attribute fed from both sides. Linearity of the sketches means
-    // the merged counters must be bit-identical to single-threaded
-    // in-process ingestion of the same stream, and the metrics scrape
-    // must show distinct reactor="0" / reactor="1" series.
+fn two_connections_on_one_reactor_are_bit_identical_in_one_series() {
+    // Two clients on the one reactor, one attribute fed from both
+    // sides. Linearity of the sketches means the merged counters must
+    // be bit-identical to single-threaded in-process ingestion of the
+    // same stream, and the reactor's one unlabeled `net_*` series
+    // counts both connections' frames.
     let params = SketchParams::new(64, 3).unwrap();
-    let config = NetServerConfig { reactors: 2 };
-    let server = NetServer::bind_with("127.0.0.1:0", config).unwrap();
+    let server = NetServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr();
     let handle = server.spawn(service(2, 32, params, &["v"]));
 
@@ -570,8 +569,6 @@ fn two_reactor_server_is_bit_identical_with_per_reactor_metrics() {
 
     let mut client_a = AmsClient::connect(addr).unwrap();
     let mut client_b = AmsClient::connect(addr).unwrap();
-    // Interleave submissions from both connections so both reactors
-    // carry real traffic before the drain.
     ingest_all(&mut client_a, "v", &blocks[..half]);
     ingest_all(&mut client_b, "v", &blocks[half..]);
     client_a.drain().unwrap();
@@ -584,37 +581,27 @@ fn two_reactor_server_is_bit_identical_with_per_reactor_metrics() {
     assert_eq!(
         snapshot.sketch("v").unwrap().counters(),
         reference.counters(),
-        "two-reactor wire ingestion must be bit-identical to in-process"
+        "two-connection wire ingestion must be bit-identical to in-process"
     );
 
-    // One scrape shows both reactors' series, each with real traffic:
-    // the two connections were spread one per reactor, so each
-    // reactor decoded frames and ticked.
+    // One scrape shows one series per instrument, covering both
+    // connections: each client's ingest frames (INGEST_BATCH blocks
+    // each) and drain, client A's snapshot and this scrape.
     let metrics = client_b.metrics().unwrap();
-    for reactor in ["0", "1"] {
-        let labels = [("reactor", reactor)];
-        let decoded = metrics.counter("net_frames_decoded", &labels);
-        assert!(
-            decoded.is_some_and(|c| c > 0),
-            "reactor {reactor} decoded no frames: connections were not spread"
-        );
-        assert!(
-            metrics
-                .histogram("net_tick_ns", &labels)
-                .is_some_and(|t| t.count > 0),
-            "reactor {reactor} recorded no active ticks"
-        );
-    }
-    // The per-reactor series are genuinely distinct label sets, and
-    // their sum covers all decoded traffic.
-    let total = metrics.counter_total("net_frames_decoded");
-    let r0 = metrics
-        .counter("net_frames_decoded", &[("reactor", "0")])
-        .unwrap();
-    let r1 = metrics
-        .counter("net_frames_decoded", &[("reactor", "1")])
-        .unwrap();
-    assert_eq!(r0 + r1, total);
+    let decoded = metrics.counter("net_frames_decoded", &[]).unwrap();
+    assert_eq!(decoded, metrics.counter_total("net_frames_decoded"));
+    let ingest_frames = 2 * half.div_ceil(AmsClient::INGEST_BATCH) as u64;
+    assert!(
+        decoded >= ingest_frames + 4,
+        "expected at least {} decoded frames, saw {decoded}",
+        ingest_frames + 4
+    );
+    assert!(
+        metrics
+            .histogram("net_tick_ns", &[])
+            .is_some_and(|t| t.count > 0),
+        "the reactor recorded no active ticks"
+    );
 
     drop(client_a);
     drop(client_b);
@@ -622,20 +609,15 @@ fn two_reactor_server_is_bit_identical_with_per_reactor_metrics() {
 }
 
 #[test]
-fn two_reactor_parking_is_per_reactor_and_malformed_is_isolated() {
-    // Parking and framing failures stay reactor-local: each
-    // connection's burst against a cap-1 queue parks blocks, which
-    // gates that connection's reads under its own reactor's label, and
-    // a malformed frame killing one connection leaves connections on
-    // both reactors serving.
+fn two_connections_park_on_one_reactor_and_a_malformed_one_dies_alone() {
+    // Each connection's burst against a cap-1 queue parks blocks, which
+    // gates that connection's reads, and a malformed frame killing a
+    // third connection leaves both established ones serving.
     let params = SketchParams::single_group(256).unwrap();
-    let config = NetServerConfig { reactors: 2 };
-    let server = NetServer::bind_with("127.0.0.1:0", config).unwrap();
+    let server = NetServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr();
     let handle = server.spawn(service(1, 1, params, &["v"]));
 
-    // Connection 1 → reactor 0, connection 2 → reactor 1
-    // (least-connections with round-robin tiebreak).
     let mut client_a = AmsClient::connect(addr).unwrap();
     let mut client_b = AmsClient::connect(addr).unwrap();
 
@@ -645,20 +627,23 @@ fn two_reactor_parking_is_per_reactor_and_malformed_is_isolated() {
     let values: Vec<u64> = (0..32_768u64).collect();
     let blocks: Vec<OpBlock> = value_blocks(&values, 4_096).collect();
     ingest_all(&mut client_a, "v", &blocks);
+    let gated_a = client_a
+        .metrics()
+        .unwrap()
+        .counter("net_read_gated", &[])
+        .unwrap();
+    assert!(gated_a > 0, "connection A parked nothing");
     ingest_all(&mut client_b, "v", &blocks);
     client_a.drain().unwrap();
+    let gated = client_b
+        .metrics()
+        .unwrap()
+        .counter("net_read_gated", &[])
+        .unwrap();
+    assert!(gated > gated_a, "connection B parked nothing");
 
-    let metrics = client_a.metrics().unwrap();
-    for reactor in ["0", "1"] {
-        let gated = metrics.counter("net_read_gated", &[("reactor", reactor)]);
-        assert!(
-            gated.is_some_and(|c| c > 0),
-            "reactor {reactor} parked nothing: read gating is not per-reactor"
-        );
-    }
-
-    // A byte-soup connection (handed to one reactor) dies alone; both
-    // established clients keep working afterwards.
+    // A byte-soup connection dies alone; both established clients keep
+    // working afterwards.
     let mut raw = TcpStream::connect(addr).unwrap();
     raw.write_all(&[0xFF; 64]).unwrap();
     let mut sink = Vec::new();
@@ -672,7 +657,7 @@ fn two_reactor_parking_is_per_reactor_and_malformed_is_isolated() {
         .unwrap();
     client_a.drain().unwrap();
 
-    // Nothing was lost or double-applied across reactors and retries.
+    // Nothing was lost or double-applied across connections and retries.
     let snapshot = client_b.snapshot().unwrap();
     let mut reference: TugOfWarSketch = TugOfWarSketch::new(params, 0xBEEF);
     reference.extend_values(values.iter().copied());
@@ -686,6 +671,87 @@ fn two_reactor_parking_is_per_reactor_and_malformed_is_isolated() {
     drop(client_a);
     drop(client_b);
     handle.stop();
+}
+
+#[test]
+fn a_peer_connecting_under_load_is_answered_before_a_deadline() {
+    // Two clients keep the reactor busy with pipelined ingest windows
+    // and pipelined queries. A third client that connects meanwhile is
+    // admitted and answered promptly, not after the load stops.
+    let params = SketchParams::new(64, 3).unwrap();
+    let server = NetServer::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    let handle = server.spawn(service(2, 64, params, &["v"]));
+
+    let running = Arc::new(AtomicBool::new(true));
+    let (started, loaded) = mpsc::channel();
+    let loaders: Vec<_> = (0..2u64)
+        .map(|i| {
+            let running = Arc::clone(&running);
+            let started = started.clone();
+            std::thread::spawn(move || {
+                let values: Vec<u64> = (0..4_096u64).map(|v| v * 3 + i).collect();
+                let blocks: Vec<OpBlock> = value_blocks(&values, 64).collect();
+                let mut client = AmsClient::connect(addr).unwrap();
+                let mut rounds = 0u64;
+                while running.load(Ordering::Relaxed) {
+                    ingest_all(&mut client, "v", &blocks);
+                    assert_eq!(client.self_joins(&["v"; 64]).unwrap().len(), 64);
+                    rounds += 1;
+                    if rounds == 1 {
+                        started.send(()).unwrap();
+                    }
+                }
+                rounds
+            })
+        })
+        .collect();
+    for _ in 0..2 {
+        loaded
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a loader finished no round");
+    }
+
+    let (answered, answer) = mpsc::channel();
+    let peer = std::thread::spawn(move || {
+        let began = Instant::now();
+        let mut client = AmsClient::connect(addr).unwrap();
+        let estimate = client.self_join("v").unwrap();
+        answered.send(began.elapsed()).unwrap();
+        estimate
+    });
+    let outcome = answer.recv_timeout(Duration::from_secs(2));
+    running.store(false, Ordering::Relaxed);
+    let waited = outcome.expect("a peer that connected under load was not answered");
+    assert!(peer.join().unwrap().is_finite());
+    for loader in loaders {
+        assert!(loader.join().unwrap() >= 1);
+    }
+    eprintln!("a peer connecting under load was answered in {waited:?}");
+    handle.stop();
+}
+
+#[test]
+fn bind_with_refuses_two_reactors_and_serves_with_one() {
+    match NetServer::bind_with("127.0.0.1:0", NetServerConfig { reactors: 2 }) {
+        Err(NetError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+        other => panic!("two reactors must be refused, got {other:?}"),
+    }
+    drop(NetServer::bind_with("127.0.0.1:0", NetServerConfig::default()).unwrap());
+
+    let params = SketchParams::new(16, 3).unwrap();
+    let server = NetServer::bind_with("127.0.0.1:0", NetServerConfig { reactors: 1 }).unwrap();
+    let addr = server.local_addr();
+    let handle = server.spawn(service(1, 8, params, &["v"]));
+    let mut client = AmsClient::connect(addr).unwrap();
+    client
+        .ingest_block("v", &OpBlock::from_values([5, 5, 7]))
+        .unwrap();
+    client.drain().unwrap();
+    assert_eq!(client.snapshot().unwrap().ops(), 3);
+    drop(client);
+    let (snapshot, _) = handle.stop();
+    assert_eq!(snapshot.ops(), 3);
 }
 
 #[test]
@@ -813,4 +879,74 @@ fn parked_blocks_durable_acks_and_drains_resolve_on_wake_ups() {
     );
     drop(client);
     handle.stop();
+}
+
+#[test]
+fn stop_answers_a_durable_ack_no_wedged_shard_will_reach_with_closed() {
+    // One shard whose WAL writer wedges at its third append: the first
+    // two blocks are logged and acked; the third is accepted but never
+    // logged, so its durable ack waits on a watermark that never moves.
+    // Stopping the server does not wait for it: the waiting client is
+    // answered `Closed`, `stop()` returns, and the final snapshot holds
+    // the two logged blocks.
+    let params = SketchParams::new(16, 3).unwrap();
+    let dir = TempDir::new("wedged");
+    let durability = DurabilityConfig::new(&dir.0)
+        .with_fsync(FsyncPolicy::PerAppend)
+        .with_fault(FaultPlan {
+            fail_after_appends: Some(2),
+            ..FaultPlan::default()
+        });
+    let config = ServiceConfig::builder()
+        .shards(1)
+        .sketch_params(params)
+        .seed(0xBEEF)
+        .durability(durability)
+        .build()
+        .unwrap();
+    let server = NetServer::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    let handle = server.spawn(ams_service::AmsService::start(config, &["v"]).unwrap());
+
+    let blocks: Vec<OpBlock> = (0..3u64)
+        .map(|b| OpBlock::from_values((0..8).map(|i| b * 100 + i)))
+        .collect();
+    let mut durable = AmsClient::connect(addr)
+        .unwrap()
+        .with_ack_mode(AckMode::Fsync);
+    durable.ingest_block("v", &blocks[0]).unwrap();
+    durable.ingest_block("v", &blocks[1]).unwrap();
+    let third = blocks[2].clone();
+    let waiting = std::thread::spawn(move || durable.ingest_block("v", &third));
+    // The service took the third block, so the reactor holds its ack.
+    let mut observer = AmsClient::connect(addr).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while observer.stats().unwrap().blocks_enqueued() < 3 {
+        assert!(Instant::now() < deadline, "the third block never arrived");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(observer);
+
+    let (stopped, stop) = mpsc::channel();
+    let stopper = std::thread::spawn(move || stopped.send(handle.stop()).unwrap());
+    let (snapshot, stats) = stop
+        .recv_timeout(Duration::from_secs(10))
+        .expect("stop() hung on a durable ack no shard will reach");
+    stopper.join().unwrap();
+    match waiting.join().unwrap() {
+        Err(NetError::Remote {
+            code: ErrorCode::Closed,
+            ..
+        }) => {}
+        other => panic!("the waiting ingest must be answered Closed, got {other:?}"),
+    }
+    assert_eq!(stats.blocks_ingested(), 2);
+    assert_eq!(snapshot.ops(), 16);
+    let mut reference: TugOfWarSketch = TugOfWarSketch::new(params, 0xBEEF);
+    reference.apply_block(&blocks[0]);
+    reference.apply_block(&blocks[1]);
+    assert_eq!(
+        snapshot.sketch("v").unwrap().counters(),
+        reference.counters()
+    );
 }

@@ -55,7 +55,7 @@ fn is_snake_case(name: &str) -> bool {
             .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
 }
 
-/// Registers the full metric surface — service shards, WAL, reactors,
+/// Registers the full metric surface — service shards, WAL, reactor,
 /// client — by actually running every layer once.
 fn full_surface() -> (MetricsSnapshot, MetricsSnapshot) {
     let dir = TempDir::new();

@@ -843,16 +843,24 @@ impl AmsService {
         Ok(self.heavy.get(attr).map(HeavyKeys::top).unwrap_or_default())
     }
 
-    /// Graceful shutdown: closes the queues (rejecting further
-    /// ingestion), lets every worker drain its remaining blocks and
-    /// publish a final snapshot, joins the worker threads, and returns
-    /// the final merged snapshot together with the lifetime statistics.
+    /// Graceful shutdown: [`Self::close`], then the final merged
+    /// snapshot together with the lifetime statistics.
     pub fn shutdown(mut self) -> (ServiceSnapshot, ServiceStats) {
-        self.close_and_join();
+        self.close();
         (self.snapshot(), self.stats())
     }
 
-    fn close_and_join(&mut self) {
+    /// Closes the queues (rejecting further ingestion), lets every
+    /// worker drain its remaining blocks and publish a final snapshot,
+    /// and joins the worker threads. The service stays queryable: its
+    /// snapshot, stats and cuts read the final state, so a front-end
+    /// can still answer the durable acks and drains it holds. Calling
+    /// it again only closes the closed queues once more.
+    ///
+    /// # Panics
+    /// Propagates a shard worker's panic, unless the calling thread is
+    /// already unwinding.
+    pub fn close(&mut self) {
         for queue in &self.queues {
             queue.close();
         }
@@ -875,7 +883,7 @@ impl Drop for AmsService {
     /// Dropping without [`Self::shutdown`] still drains and joins the
     /// workers, so no thread outlives the service.
     fn drop(&mut self) {
-        self.close_and_join();
+        self.close();
     }
 }
 

@@ -75,12 +75,13 @@ pub enum EventCode {
     /// An exactly-once duplicate block was skipped (`key` = shard,
     /// `value` = block sequence number).
     DedupSkip,
-    /// A reactor stopped reading a connection over backpressure
-    /// (`key` = reactor).
+    /// The reactor stopped reading a connection over backpressure
+    /// (`key` = 0, `value` = the connection's response slots).
     ReadGate,
-    /// A reactor thread entered its event loop (`key` = reactor).
+    /// The reactor thread entered its event loop (`key` = 0).
     ReactorStart,
-    /// A reactor thread quiesced and exited (`key` = reactor).
+    /// The reactor thread began shutting down (`key` = 0,
+    /// `value` = open connections).
     ReactorStop,
     /// A client re-established its connection (`key` = attempt count).
     Reconnect,
@@ -148,7 +149,7 @@ pub struct EventRecord {
     pub code: EventCode,
     /// When, on the process trace clock ([`trace_clock_ns`]), ns.
     pub at_ns: u64,
-    /// Code-specific subject (shard index, reactor index, attempt).
+    /// Code-specific subject (shard index, attempt; 0 for the reactor).
     pub key: u64,
     /// Code-specific magnitude (blocks, segments, sequence number).
     pub value: u64,
@@ -203,7 +204,7 @@ pub struct ServiceEvent {
     pub code: String,
     /// Emission time on the emitting process's trace clock, ns.
     pub at_ns: u64,
-    /// Code-specific subject (shard index, reactor index, attempt).
+    /// Code-specific subject (shard index, attempt; 0 for the reactor).
     pub key: u64,
     /// Code-specific magnitude (blocks, segments, sequence number).
     pub value: u64,
