@@ -8,16 +8,14 @@ use crate::fault::FaultPlan;
 
 /// When an appended WAL record is forced to stable storage.
 ///
-/// This is the durability/throughput dial: `PerAppend` gives the
-/// strongest guarantee (an acked block survives an immediate power
-/// cut) at one `fsync` per block; `GroupCommit` amortizes the fsync
-/// over every block appended within the interval; `OsBuffered` never
-/// fsyncs on the hot path (data survives a process crash but not a
-/// host crash).
+/// This is the durability/throughput dial: `GroupCommit` amortizes the
+/// fsync over every block appended within the interval (a zero interval
+/// syncs after every batch the shard worker applies, the strongest
+/// guarantee: an acked block survives an immediate power cut);
+/// `OsBuffered` never fsyncs on the hot path (data survives a process
+/// crash but not a host crash).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fsync` after every appended record.
-    PerAppend,
     /// `fsync` at most once per `interval` under sustained load, plus
     /// opportunistically whenever the shard queue drains — so the
     /// worst-case ack-after-fsync latency is bounded by the interval.
@@ -134,12 +132,15 @@ mod tests {
     fn defaults_validate_and_setters_override() {
         let cfg = DurabilityConfig::new("/tmp/ams-wal");
         cfg.validate().unwrap();
+        let every_batch = FsyncPolicy::GroupCommit {
+            interval: Duration::ZERO,
+        };
         let cfg = cfg
-            .with_fsync(FsyncPolicy::PerAppend)
+            .with_fsync(every_batch)
             .with_segment_max_bytes(4096)
             .with_checkpoint_every(7)
             .with_keep_checkpoints(3);
-        assert_eq!(cfg.fsync, FsyncPolicy::PerAppend);
+        assert_eq!(cfg.fsync, every_batch);
         assert_eq!(cfg.segment_max_bytes, 4096);
         assert_eq!(cfg.checkpoint_every_blocks, 7);
         assert_eq!(cfg.keep_checkpoints, 3);

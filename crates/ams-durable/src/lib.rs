@@ -18,7 +18,8 @@
 //!   net layer's columnar block encoding, segment rotation, and the
 //!   recovery scan ([`ShardDurable::open`]).
 //! * [`DurabilityConfig`] / [`FsyncPolicy`] — the durability dial:
-//!   fsync per append, group-commit at an interval, or OS-buffered.
+//!   group-commit at an interval (zero: every batch of appends), or
+//!   OS-buffered.
 //! * [`ShardCheckpoint`] — epoch-stamped atomic snapshots
 //!   (tmp + fsync + rename) recording the log position they cover: the
 //!   sketches as seed + counters (`ams_core::codec`) behind a CRC-32, so

@@ -606,9 +606,9 @@ impl ShardDurable {
     }
 
     /// Applies the fsync policy. Returns `true` when everything
-    /// appended so far is (policy-)durable — `PerAppend` and
-    /// `OsBuffered` always sync/claim immediately; `GroupCommit` syncs
-    /// when `force` is set or the interval elapsed, and otherwise
+    /// appended so far is (policy-)durable — `OsBuffered` always claims
+    /// it immediately; `GroupCommit` syncs when `force` is set or the
+    /// interval elapsed (always, at a zero interval), and otherwise
     /// returns `false` (the caller leaves the durable watermark where
     /// it is and retries later).
     pub fn maybe_sync(&mut self, force: bool) -> Result<bool, DurableError> {
@@ -617,10 +617,6 @@ impl ShardDurable {
             return Ok(true);
         }
         match self.policy {
-            FsyncPolicy::PerAppend => {
-                self.sync()?;
-                Ok(true)
-            }
             FsyncPolicy::OsBuffered => Ok(true),
             FsyncPolicy::GroupCommit { interval } => {
                 if force || self.last_sync.elapsed() >= interval {
@@ -1047,7 +1043,7 @@ mod tests {
 
     fn config(dir: &Path) -> DurabilityConfig {
         DurabilityConfig::new(dir)
-            .with_fsync(FsyncPolicy::PerAppend)
+            .with_fsync(EVERY_BATCH)
             .with_segment_max_bytes(512)
     }
 
@@ -1564,8 +1560,13 @@ mod tests {
         (wal, fsyncs)
     }
 
+    /// Syncs on every `maybe_sync`.
+    const EVERY_BATCH: FsyncPolicy = FsyncPolicy::GroupCommit {
+        interval: std::time::Duration::ZERO,
+    };
+
     const POLICIES: [FsyncPolicy; 3] = [
-        FsyncPolicy::PerAppend,
+        EVERY_BATCH,
         FsyncPolicy::GroupCommit {
             interval: std::time::Duration::from_secs(3600),
         },
@@ -1583,7 +1584,7 @@ mod tests {
             let durable = wal.maybe_sync(false).unwrap();
             match policy {
                 // The record, then its segment's directory entry.
-                FsyncPolicy::PerAppend => assert_eq!(fsyncs.count(), 2),
+                EVERY_BATCH => assert!(durable && fsyncs.count() == 2),
                 FsyncPolicy::GroupCommit { .. } => {
                     assert!(!durable);
                     assert_eq!(fsyncs.count(), 0);
@@ -1626,8 +1627,8 @@ mod tests {
             wal.append((i % 2) as u32, 0, 0, &block(i)).unwrap();
             assert!(wal.maybe_sync(false).unwrap());
             let rotated = wal.position().segment != segment;
-            // PerAppend already synced the closing segment, so a
-            // rotation adds only the new segment's directory sync.
+            // Every append was synced, the closing segment's included,
+            // so a rotation adds only the new segment's directory sync.
             let want = if i == 0 || rotated { 2 } else { 1 };
             assert_eq!(fsyncs.count() - last, want, "append {i}");
             last = fsyncs.count();

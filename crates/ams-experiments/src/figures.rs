@@ -9,9 +9,10 @@
 //! the median of several runs instead for noise-controlled regression
 //! checks.
 
+use std::thread;
+
 use ams_datagen::DatasetId;
 use ams_stream::Multiset;
-use crossbeam::thread;
 
 use crate::algorithms::{run, Algorithm};
 use crate::metric::convergence_size_15;
@@ -169,7 +170,7 @@ pub fn sweep_points(values: &[u64], histogram: &Multiset, cfg: &SweepConfig) -> 
         let handles: Vec<_> = sizes
             .iter()
             .map(|&(log2_s, s)| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut ratios = [0.0f64; 3];
                     for (slot, alg) in Algorithm::ALL.iter().enumerate() {
                         let estimates: Vec<f64> = (0..cfg.trials)
@@ -200,8 +201,7 @@ pub fn sweep_points(values: &[u64], histogram: &Multiset, cfg: &SweepConfig) -> 
             .into_iter()
             .map(|h| h.join().expect("sweep task"))
             .collect()
-    })
-    .expect("sweep scope");
+    });
 
     points.sort_by_key(|p| p.s);
     points

@@ -7,10 +7,11 @@
 //! `√(2·SJ(F)·SJ(G)/k) / |F ⋈ G|`, and (b) a sampling signature given
 //! the *same number of memory words* (rate p = k/n).
 
+use std::thread;
+
 use ams_core::{CompressedHistogram, JoinSignatureFamily, SampleJoinSignature};
 use ams_datagen::DatasetId;
 use ams_stream::Multiset;
-use crossbeam::thread;
 
 use crate::report::{fmt_ratio, fmt_sci, Table};
 
@@ -69,14 +70,13 @@ pub fn run(cases: &[JoinCase], ks: &[usize], trials: u32, seed: u64) -> Vec<Join
     thread::scope(|scope| {
         let handles: Vec<_> = cases
             .iter()
-            .map(|&case| scope.spawn(move |_| run_case(case, ks, trials, seed)))
+            .map(|&case| scope.spawn(move || run_case(case, ks, trials, seed)))
             .collect();
         handles
             .into_iter()
             .flat_map(|h| h.join().expect("join case"))
             .collect()
     })
-    .expect("join scope")
 }
 
 fn run_case(case: JoinCase, ks: &[usize], trials: u32, seed: u64) -> Vec<JoinExpRow> {

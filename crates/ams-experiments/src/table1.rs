@@ -4,9 +4,10 @@
 //! size and self-join size next to those of our (substituted, calibrated)
 //! generators — the reproduction's "is the workload right?" gate.
 
+use std::thread;
+
 use ams_datagen::DatasetId;
 use ams_stream::Multiset;
-use crossbeam::thread;
 
 use crate::report::{fmt_ratio, fmt_sci, Table};
 
@@ -29,7 +30,7 @@ pub fn run(seed_offset: u64) -> Vec<Table1Row> {
         let handles: Vec<_> = DatasetId::ALL
             .iter()
             .map(|&dataset| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let values = dataset.generate(dataset.default_seed().wrapping_add(seed_offset));
                     let ms = Multiset::from_values(values.iter().copied());
                     Table1Row {
@@ -46,7 +47,6 @@ pub fn run(seed_offset: u64) -> Vec<Table1Row> {
             .map(|h| h.join().expect("table1 task"))
             .collect()
     })
-    .expect("table1 scope")
 }
 
 /// Renders the paper-vs-generated comparison.

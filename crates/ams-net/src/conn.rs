@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
 
-use ams_service::{DrainCut, DurableCut, HealthWindow, IngestTag};
+use ams_service::{Cut, HealthWindow, IngestTag};
 use ams_stream::OpBlock;
 use ams_telemetry::TraceCtx;
 
@@ -132,7 +132,7 @@ pub(crate) enum Slot {
     /// cut is covered.
     PendingDurable {
         /// The durability target recorded right after acceptance.
-        cut: DurableCut,
+        cut: Cut,
         /// The request's trace context (for the ack span and the tail
         /// sampler's end-to-end offer).
         trace: TraceCtx,
@@ -151,7 +151,7 @@ pub(crate) enum Slot {
     PendingDrain {
         /// The recorded drain target, once every earlier parked ingest
         /// has landed.
-        cut: Option<DrainCut>,
+        cut: Option<Cut>,
     },
 }
 

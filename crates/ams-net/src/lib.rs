@@ -11,7 +11,7 @@
 //!
 //! ```text
 //!              ┌─ reactor (one thread; poll: listener + sockets + wake pipe) ─┐
-//!  clients ──▶ │ accept ─▶ read + decode ─▶ dispatch ─▶ submit(Wait::Try) ────┼─▶ AmsService
+//!  clients ──▶ │ accept ─▶ read + decode ─▶ dispatch ─▶ submit ───────────────┼─▶ AmsService
 //!     ▲        │                                         ├─ Ok         → Ingested
 //!     │        │                                         └─ WouldBlock → park on the
 //!     │        │ `net_*` series, pooled response frames,    per-connection retry ring,

@@ -13,8 +13,8 @@
 //! work — the service's wake hook reports room on a queue, a publish,
 //! or a durable watermark advance. So a request is served when it
 //! arrives and an idle server costs nothing. The crucial invariant is
-//! that **nothing in a pass blocks**: service submission uses `submit`
-//! under `Wait::Try`, drains use the recorded-cut + poll pair, and
+//! that **nothing in a pass blocks**: service submission uses `submit`,
+//! which never blocks, drains use the recorded-cut + poll pair, and
 //! socket I/O is non-blocking throughout, so one slow or saturated
 //! shard (or one stalled client) never parks the thread.
 //!
@@ -40,7 +40,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ams_service::{AmsService, IngestTag, ServiceError, ServiceSnapshot, ServiceStats, Wait};
+use ams_service::{AmsService, IngestTag, ServiceError, ServiceSnapshot, ServiceStats};
 use ams_telemetry::{
     trace_clock_ns, Counter, EventCode, EventRecorder, Gauge, LatencyHistogram, MetricsRegistry,
     TraceCtx, TraceHub, TraceRecorder, TraceStage,
@@ -257,7 +257,7 @@ fn service_parked(
                 // The service hands the block back on refusal, so a
                 // parked entry is submitted without cloning.
                 let attempt = std::mem::take(block);
-                match service.submit(attribute, attempt, *tag, trace.id, Wait::Try) {
+                match service.submit(attribute, attempt, *tag, trace.id) {
                     Ok(_) => {
                         *slot = accepted(service, *durable, *trace, tracing, pool);
                         progress = true;
@@ -397,7 +397,7 @@ fn dispatch(
                     park(block)
                 } else {
                     let route_t0 = tracing.start(trace.id);
-                    match service.submit(&attribute, block, tag, trace.id, Wait::Try) {
+                    match service.submit(&attribute, block, tag, trace.id) {
                         Ok(handoff) => {
                             tracing.route_span(trace.id, route_t0, handoff);
                             accepted(service, durable, trace, tracing, pool)

@@ -183,7 +183,6 @@ fn full_scrape() -> Scrape {
                 max_queue_depth: 9,
                 blocks_enqueued: 40,
                 backpressure_events: 1,
-                queue_rejections: 1,
                 blocks_ingested: 38,
                 ops_ingested: 9_728,
                 epoch: 17,

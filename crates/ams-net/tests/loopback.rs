@@ -175,7 +175,7 @@ fn fast_producer_parks_not_stalls_and_memory_stays_bounded() {
 
     let stats = client.stats().unwrap();
     assert!(
-        stats.queue_rejections() > 0,
+        stats.backpressure_events() > 0,
         "a pipelined burst against a cap-1 queue must be refused (and so parked) at least once"
     );
     assert!(
@@ -864,7 +864,7 @@ fn parked_blocks_durable_acks_and_drains_resolve_on_wake_ups() {
     let mut client = rounds.join().unwrap();
 
     assert!(
-        client.stats().unwrap().queue_rejections() > 0,
+        client.stats().unwrap().backpressure_events() > 0,
         "one-slot queues must have refused (and so parked) some blocks"
     );
     let snapshot = client.snapshot().unwrap();
@@ -892,7 +892,9 @@ fn stop_answers_a_durable_ack_no_wedged_shard_will_reach_with_closed() {
     let params = SketchParams::new(16, 3).unwrap();
     let dir = TempDir::new("wedged");
     let durability = DurabilityConfig::new(&dir.0)
-        .with_fsync(FsyncPolicy::PerAppend)
+        .with_fsync(FsyncPolicy::GroupCommit {
+            interval: Duration::ZERO,
+        })
         .with_fault(FaultPlan {
             fail_after_appends: Some(2),
             ..FaultPlan::default()

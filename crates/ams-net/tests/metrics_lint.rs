@@ -65,7 +65,11 @@ fn full_surface() -> (MetricsSnapshot, MetricsSnapshot) {
         .seed(5)
         .heavy_keys(4)
         .audit_every(2)
-        .durability(DurabilityConfig::new(dir.path()).with_fsync(FsyncPolicy::PerAppend))
+        .durability(
+            DurabilityConfig::new(dir.path()).with_fsync(FsyncPolicy::GroupCommit {
+                interval: std::time::Duration::ZERO,
+            }),
+        )
         .build()
         .unwrap();
     let service = AmsService::start(config, &["v"]).unwrap();

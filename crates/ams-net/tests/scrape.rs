@@ -7,8 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use ams_core::SketchParams;
 use ams_net::{AmsClient, NetServer, Scrape, ServerHandle};
 use ams_service::{
-    imbalance_ratio, AmsService, HealthThresholds, HealthWindow, MetricsSnapshot, ServiceConfig,
-    SignalStatus,
+    imbalance_ratio, AmsService, HealthWindow, MetricsSnapshot, ServiceConfig, SignalStatus,
 };
 use ams_stream::OpBlock;
 
@@ -126,7 +125,7 @@ fn metrics_section_does_not_depend_on_a_prior_health_scrape() {
     assert!(before.is_some());
     let graded = service.scrape(Scrape::HEALTH, &mut window);
     assert!(graded.health.is_some() && graded.metrics.is_none());
-    service.health(&HealthThresholds::default(), &mut HealthWindow::default());
+    service.scrape(Scrape::HEALTH, &mut HealthWindow::default());
     let after = service.scrape(Scrape::METRICS, &mut window).metrics;
     assert_eq!(before, after);
     assert_eq!(after, Some(service.metrics_snapshot()));

@@ -35,10 +35,10 @@ impl ServiceConfig {
         self.shards
     }
 
-    /// Bound on each shard queue, in blocks. A producer hitting a full
-    /// queue waits ([`Wait::Block`](crate::Wait::Block)) or gets
-    /// [`ServiceError::WouldBlock`] ([`Wait::Try`](crate::Wait::Try));
-    /// see [`AmsService::submit`](crate::AmsService::submit).
+    /// Bound on each shard queue, in blocks. A submission hitting a
+    /// full queue gets [`ServiceError::WouldBlock`]
+    /// ([`AmsService::submit`](crate::AmsService::submit)) or waits for
+    /// room ([`AmsService::ingest_block`](crate::AmsService::ingest_block)).
     pub fn queue_capacity(&self) -> usize {
         self.queue_capacity
     }

@@ -21,9 +21,13 @@ pub enum ServiceError {
         /// What was wrong.
         reason: &'static str,
     },
-    /// A `Wait::Try` submission found a shard queue full. The
-    /// submission was **not** enqueued (ingestion is all-or-nothing
-    /// across shards); retry later or submit under `Wait::Block`.
+    /// A submission found a shard queue full. The submission was
+    /// **not** enqueued (ingestion is all-or-nothing across shards);
+    /// retry once room frees (a waker registered with
+    /// [`AmsService::add_waker`](crate::AmsService::add_waker) is woken
+    /// then), or use
+    /// [`AmsService::ingest_block`](crate::AmsService::ingest_block),
+    /// which waits for it.
     WouldBlock {
         /// The shard whose queue was full.
         shard: usize,

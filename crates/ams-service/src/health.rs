@@ -1,64 +1,37 @@
 //! Windowed health derivation: thresholds, the scrape-to-scrape
 //! window, and the load-imbalance rule.
 //!
-//! [`crate::AmsService::health`] turns raw telemetry into graded
-//! signals. The *window* is the span since the same scraper's previous
-//! health scrape (its first window starts at service start): rates and
-//! the imbalance ratio are computed over counter **deltas** inside that
+//! A health scrape ([`crate::AmsService::scrape`] with
+//! [`crate::Scrape::HEALTH`]) turns raw telemetry into graded signals.
+//! The *window* is the span since the same scraper's previous health
+//! scrape (its first window starts at service start): rates and the
+//! imbalance ratio are computed over counter **deltas** inside that
 //! window, so a long-running service reports current behaviour, not
 //! lifetime averages. Each scraper owns its [`HealthWindow`], so one
 //! scraper's cadence never moves another's baseline. This module owns
 //! the pieces that are pure data plumbing — the baselines, the
 //! thresholds, and the imbalance rule — so they can be tested without
 //! spinning up a service.
+//!
+//! Every signal is oriented so *higher is worse*; a value `>=` the
+//! degraded/unhealthy threshold of a `(degraded, unhealthy)` pair
+//! crosses into that status (see `ams_telemetry::HealthSignal`).
 
-/// Grading thresholds for the derived health signals. Every signal is
-/// oriented so *higher is worse*; a value `>=` the degraded/unhealthy
-/// threshold crosses into that status (see
-/// `ams_telemetry::HealthSignal`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthThresholds {
-    /// Queue saturation (max shard queue depth / capacity): degraded at.
-    pub queue_saturation_degraded: f64,
-    /// Queue saturation: unhealthy at.
-    pub queue_saturation_unhealthy: f64,
-    /// Shard imbalance ratio (see [`imbalance_ratio`]): degraded at.
-    pub imbalance_degraded: f64,
-    /// Shard imbalance ratio: unhealthy at.
-    pub imbalance_unhealthy: f64,
-    /// Minimum routed ops in the window before the imbalance signal is
-    /// graded at all — tiny windows are all noise.
-    pub imbalance_min_ops: u64,
-    /// WAL fsync p99 budget in nanoseconds; the signal value is
-    /// `p99 / budget`.
-    pub fsync_budget_ns: u64,
-    /// Fsync p99/budget ratio: degraded at.
-    pub fsync_degraded: f64,
-    /// Fsync p99/budget ratio: unhealthy at.
-    pub fsync_unhealthy: f64,
-    /// Observed audit relative error, as a multiple of the sketch's
-    /// a-priori `error_bound()`: degraded at.
-    pub rel_error_degraded_bounds: f64,
-    /// Observed audit relative error (multiple of the bound): unhealthy at.
-    pub rel_error_unhealthy_bounds: f64,
-}
-
-impl Default for HealthThresholds {
-    fn default() -> Self {
-        Self {
-            queue_saturation_degraded: 0.75,
-            queue_saturation_unhealthy: 0.95,
-            imbalance_degraded: 4.0,
-            imbalance_unhealthy: 16.0,
-            imbalance_min_ops: 256,
-            fsync_budget_ns: 50_000_000,
-            fsync_degraded: 1.0,
-            fsync_unhealthy: 10.0,
-            rel_error_degraded_bounds: 1.0,
-            rel_error_unhealthy_bounds: 2.0,
-        }
-    }
-}
+/// Queue saturation (max shard queue depth / capacity).
+pub(crate) const QUEUE_SATURATION: (f64, f64) = (0.75, 0.95);
+/// Shard imbalance ratio (see [`imbalance_ratio`]).
+pub(crate) const IMBALANCE: (f64, f64) = (4.0, 16.0);
+/// Minimum routed ops in the window before the imbalance signal is
+/// graded at all — tiny windows are all noise.
+pub(crate) const IMBALANCE_MIN_OPS: u64 = 256;
+/// WAL fsync p99 budget in nanoseconds; the signal value is
+/// `p99 / budget`.
+pub(crate) const FSYNC_BUDGET_NS: u64 = 50_000_000;
+/// Fsync p99 / budget ratio.
+pub(crate) const FSYNC: (f64, f64) = (1.0, 10.0);
+/// Observed audit relative error, as a multiple of the sketch's
+/// a-priori `error_bound()`.
+pub(crate) const REL_ERROR_BOUNDS: (f64, f64) = (1.0, 2.0);
 
 /// Max/min load-imbalance over per-shard routed-op deltas.
 ///
@@ -81,8 +54,8 @@ pub fn imbalance_ratio(deltas: &[u64]) -> f64 {
 /// The window counters: routed ops per shard and ops applied by the
 /// workers. As one scraper's baseline they hold the cumulative values
 /// at its previous health scrape; each health scrape grades the same
-/// counters accrued since then and moves the baseline. A wire connection keeps one
-/// baseline; an in-process caller of [`crate::AmsService::health`] or
+/// counters accrued since then and moves the baseline. A wire
+/// connection keeps one baseline; an in-process caller of
 /// [`crate::AmsService::scrape`] keeps its own.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HealthWindow {
@@ -142,14 +115,5 @@ mod tests {
         );
         let second = window.advance(counters(&[15, 30], 40));
         assert_eq!(second, counters(&[5, 10], 15));
-    }
-
-    #[test]
-    fn default_thresholds_are_ordered() {
-        let t = HealthThresholds::default();
-        assert!(t.queue_saturation_degraded < t.queue_saturation_unhealthy);
-        assert!(t.imbalance_degraded < t.imbalance_unhealthy);
-        assert!(t.fsync_degraded < t.fsync_unhealthy);
-        assert!(t.rel_error_degraded_bounds < t.rel_error_unhealthy_bounds);
     }
 }

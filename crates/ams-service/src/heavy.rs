@@ -148,17 +148,11 @@ impl HeavyKeys {
                 summary.observe(value, delta as u64);
             }
         }
+        let top = summary.top();
         for (rank, (count_gauge, key_gauge)) in self.ranks.iter().enumerate() {
-            match summary.top().get(rank) {
-                Some(entry) => {
-                    count_gauge.set(entry.count as i64);
-                    key_gauge.set(entry.key as i64);
-                }
-                None => {
-                    count_gauge.set(0);
-                    key_gauge.set(0);
-                }
-            }
+            let (count, key) = top.get(rank).map_or((0, 0), |e| (e.count, e.key));
+            count_gauge.set(count as i64);
+            key_gauge.set(key as i64);
         }
     }
 

@@ -9,22 +9,24 @@
 //!
 //! ```text
 //!  producers ──routed blocks──▶ bounded shard queues ──▶ worker threads
-//!      │        (Router:           (backpressure:          (one TugOfWar
-//!      │         round-robin /      Wait::Block waits,      sketch per
-//!      │         hash-partition)    Wait::Try WouldBlock)   attribute each)
-//!      │                                                        │ publish
-//!      ▼                                                        ▼
-//!   submit(attr, block, tag, trace, wait)          epoch-stamped ShardCells
-//!                                                               │
-//!                               snapshot() ── merge_from ───────┘
+//!      │        (Router:           (backpressure: a        (one TugOfWar
+//!      │         round-robin /      full queue refuses      sketch per
+//!      │         hash-partition)    with WouldBlock)        attribute each)
+//!      ▼                                  │ room, close             │ publish
+//!   submit(attr, block, tag, trace)       ▼                         ▼
+//!   ingest_block, drain ──sleep on──▶ wake hook ◀──── epoch-stamped ShardCells
+//!                                                                   │
+//!                               snapshot() ── merge_from ───────────┘
 //!                               (ServiceSnapshot: self-join + join queries)
 //! ```
 //!
 //! * [`ServiceConfig`] — validating builder: shard count, queue bound,
 //!   sketch shape, seed, routing policy, publish cadence.
 //! * [`AmsService`] — registration, routed ingestion through one
-//!   all-or-nothing [`AmsService::submit`] (waiting or failing on a full
-//!   queue, per [`Wait`]), drain, graceful shutdown, [`ServiceStats`].
+//!   all-or-nothing [`AmsService::submit`] that never blocks (a full
+//!   queue refuses with [`ServiceError::WouldBlock`];
+//!   [`AmsService::ingest_block`] waits for room and retries), drain,
+//!   graceful shutdown, [`ServiceStats`].
 //! * [`ServiceSnapshot`] — the merge-on-query view answering self-join
 //!   and two-way join estimates; bit-identical to single-sketch
 //!   ingestion of the same stream (pinned by property tests).
@@ -37,12 +39,14 @@
 //!   own worker, in parallel. The
 //!   [`AmsService::durability_cut`] / [`AmsService::poll_durable`]
 //!   pair gives front-ends ack-after-fsync.
-//! * The wake hook — a front-end that must never block (a network
-//!   reactor) registers a [`std::task::Waker`] with
-//!   [`AmsService::add_waker`]; it is rung after each event parked work
-//!   waits on (room on a queue that refused a block, a publish, a
-//!   durable watermark advance, a queue closing), so the front-end can
-//!   sleep in its own readiness wait instead of re-polling on a timer.
+//! * The wake hook — the one thing a caller waits on. It is rung after
+//!   each event waiting work needs (room on a queue that refused a
+//!   block, a publish, a durable watermark advance, a queue closing).
+//!   [`AmsService::ingest_block`] and [`AmsService::drain`] sleep on it
+//!   and re-check their condition on each ring; a front-end that must
+//!   never block (a network reactor) registers a [`std::task::Waker`]
+//!   with [`AmsService::add_waker`] instead, so it can sleep in its own
+//!   readiness wait rather than re-polling on a timer.
 //! * Request tracing — a sampled ingest carries a `trace_id` down the
 //!   shard path; workers stamp queue/kernel/WAL/fsync spans into
 //!   bounded per-thread rings on the service's [`TraceHub`], the tail
@@ -58,10 +62,10 @@
 //!   failures, dedup skips) into bounded per-thread rings on the
 //!   service's event hub; [`AmsService::events`] collects them in
 //!   timestamp order.
-//! * Health — [`AmsService::health`] grades signals windowed over the
-//!   caller's own [`HealthWindow`] (queue saturation, ingest stalls,
-//!   shard imbalance, WAL fsync budget and failures) against
-//!   [`HealthThresholds`], pairs every attribute's estimate with its
+//! * Health — a scrape's health section grades signals windowed over
+//!   the caller's own [`HealthWindow`] (queue saturation, ingest
+//!   stalls, shard imbalance, WAL fsync budget and failures) against
+//!   fixed thresholds, pairs every attribute's estimate with its
 //!   median-of-means confidence interval, the shadow audit's observed
 //!   relative error (opt-in via [`ServiceConfigBuilder::audit_every`])
 //!   and the heavy-key skew score, and folds one
@@ -93,12 +97,12 @@ mod wake;
 
 pub use config::{ServiceConfig, ServiceConfigBuilder};
 pub use error::ServiceError;
-pub use health::{imbalance_ratio, HealthThresholds, HealthWindow};
+pub use health::{imbalance_ratio, HealthWindow};
 pub use heavy::{HeavyEntry, HeavyKeys, SpaceSaving};
-pub use queue::{IngestTag, Wait};
+pub use queue::IngestTag;
 pub use router::{Router, RouterPolicy};
 pub use scrape::Scrape;
-pub use service::{AmsService, DrainCut, DurableCut};
+pub use service::{AmsService, Cut};
 pub use snapshot::ServiceSnapshot;
 pub use stats::{ServiceStats, ShardStats};
 

@@ -10,15 +10,13 @@
 //! releases the others without having enqueued anything — a submission
 //! lands on all of its shards or on none.
 //!
-//! A producer that meets a full queue either gives up ([`Wait::Try`])
-//! or releases every reservation it holds and waits for room
-//! ([`Wait::Block`], via [`BlockQueue::wait_for_room`]). It never waits
-//! while holding a reservation: a reservation is not a task, so no
-//! worker could ever free it.
-//!
-//! A caller that must never block either (a network reactor) parks the
-//! refused block itself and learns of new room through the service's
-//! wake hook: the first room event after a refusal rings it.
+//! A reservation never waits. A producer that meets a full queue gets
+//! the refusal, releases every reservation it holds (a reservation is
+//! not a task, so no worker could ever free it) and learns of new room
+//! through the service's wake hook: the first room event after a
+//! refusal rings it. A blocking producer sleeps on the hook until
+//! [`BlockQueue::has_room`] holds; a network reactor parks the refused
+//! block itself and retries when its waker fires.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,19 +39,6 @@ pub struct IngestTag {
     pub producer: u64,
     /// The producer's monotonically increasing submission sequence.
     pub seq: u64,
-}
-
-/// What a submission does when a target shard queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Wait {
-    /// Wait for room — the backpressure that keeps service memory
-    /// bounded under a fast producer. Each wait counts as one
-    /// backpressure event.
-    Block,
-    /// Fail at once with `WouldBlock`, handing the block back — the
-    /// path of callers that must never park, such as a network
-    /// reactor. Each refusal counts as a rejection.
-    Try,
 }
 
 /// A unit of shard work: one block destined for one attribute's shard
@@ -95,10 +80,11 @@ struct QueueState {
     /// against capacity alongside `tasks.len()`.
     reserved: usize,
     closed: bool,
-    /// A reservation was refused at capacity since room last freed: the
-    /// next room event rings the wake hook, and only that one, so a
-    /// reactor parked on this queue wakes while a reactor's own
-    /// reserve-then-release of a slot nobody waits for stays silent.
+    /// A reservation was refused at capacity (or a room check found
+    /// none) since room last freed: the next room event rings the wake
+    /// hook, and only that one, so a producer waiting on this queue
+    /// wakes while a reserve-then-release of a slot nobody waits for
+    /// stays silent.
     refused: bool,
     /// High-water mark of `tasks.len() + reserved`, the bounded-memory
     /// witness (never exceeds capacity by construction).
@@ -116,23 +102,18 @@ impl QueueState {
 pub struct BlockQueue {
     capacity: usize,
     state: Mutex<QueueState>,
-    /// Signalled when space frees or the queue closes.
-    not_full: Condvar,
     /// Signalled when a task arrives or the queue closes.
     not_empty: Condvar,
-    /// Rung after room frees for a refused reservation, and on close.
+    /// Rung after room frees for a refused reservation or a failed room
+    /// check, and on close.
     wake: Arc<WakeHook>,
     /// Blocks successfully enqueued over the queue's lifetime.
     pushed: AtomicU64,
-    /// Reservations that found the queue full, under either [`Wait`]
-    /// mode: the backpressure event counter.
+    /// Reservations that found the queue full: the backpressure event
+    /// counter. Every re-attempt of a refused submission that is
+    /// refused again counts too, so this measures refusal pressure
+    /// rather than distinct refused submissions.
     backpressure_events: AtomicU64,
-    /// The [`Wait::Try`] subset of backpressure events: reservations
-    /// turned away at capacity — including automatic re-attempts of
-    /// parked submissions, so this measures refusal pressure rather
-    /// than distinct refused submissions. Blocking producers that
-    /// merely waited are not counted here.
-    rejections: AtomicU64,
     /// Telemetry gauge mirroring `tasks.len()`, updated under the queue
     /// lock on every push/pop so a metrics scrape sees the live depth
     /// without taking this queue's lock.
@@ -159,12 +140,10 @@ impl BlockQueue {
         Self {
             capacity,
             state: Mutex::new(QueueState::default()),
-            not_full: Condvar::new(),
             not_empty: Condvar::new(),
             wake,
             pushed: AtomicU64::new(0),
             backpressure_events: AtomicU64::new(0),
-            rejections: AtomicU64::new(0),
             depth_gauge,
         }
     }
@@ -190,29 +169,18 @@ impl BlockQueue {
         self.pushed.load(Ordering::Acquire)
     }
 
-    /// Number of times a producer found the queue full.
+    /// Number of reservations refused at capacity.
     pub fn backpressure_events(&self) -> u64 {
         self.backpressure_events.load(Ordering::Acquire)
-    }
-
-    /// Number of [`Wait::Try`] reservations turned away at capacity
-    /// (the subset of [`Self::backpressure_events`] that did not wait).
-    pub fn rejections(&self) -> u64 {
-        self.rejections.load(Ordering::Acquire)
     }
 
     fn lock(&self) -> MutexGuard<'_, QueueState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Announces freed room: wakes every blocked producer, then — once
-    /// the lock is released — rings the wake hook if a reservation was
-    /// refused since the last room event.
+    /// Announces freed room: once the lock is released, rings the wake
+    /// hook if a reservation was refused since the last room event.
     fn room_freed(&self, mut state: MutexGuard<'_, QueueState>) {
-        // Every waiter: a woken producer does not take the slot, so a
-        // single wake-up could land on one that goes off to wait on
-        // another shard and leave the rest asleep beside a free slot.
-        self.not_full.notify_all();
         let refused = std::mem::take(&mut state.refused);
         drop(state);
         if refused {
@@ -225,8 +193,8 @@ impl BlockQueue {
     /// [`Self::release_reserved`]. Returns whether the reservation was
     /// granted; closed queues refuse too (tell the cases apart with
     /// [`Self::is_closed`]). A refusal at capacity counts as a
-    /// backpressure event, and under [`Wait::Try`] also as a rejection.
-    pub fn try_reserve(&self, wait: Wait) -> bool {
+    /// backpressure event.
+    pub fn try_reserve(&self) -> bool {
         let mut state = self.lock();
         if state.closed {
             return false;
@@ -234,9 +202,6 @@ impl BlockQueue {
         if state.occupied() >= self.capacity {
             state.refused = true;
             self.backpressure_events.fetch_add(1, Ordering::Relaxed);
-            if wait == Wait::Try {
-                self.rejections.fetch_add(1, Ordering::Relaxed);
-            }
             return false;
         }
         state.reserved += 1;
@@ -244,13 +209,15 @@ impl BlockQueue {
         true
     }
 
-    /// Blocks while the queue is full and open. The caller must hold no
-    /// reservation on any queue while it waits.
-    pub fn wait_for_room(&self) {
+    /// Whether a reservation would find room now, or the queue is
+    /// closed (a reservation then fails for good). A full queue arms
+    /// its next room event to ring the wake hook, as a refusal does, so
+    /// a caller waiting on the hook for this to hold is woken.
+    pub fn has_room(&self) -> bool {
         let mut state = self.lock();
-        while state.occupied() >= self.capacity && !state.closed {
-            state = self.not_full.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
+        let room = state.closed || state.occupied() < self.capacity;
+        state.refused |= !room;
+        room
     }
 
     /// Fills a previously granted reservation; never blocks or fails.
@@ -323,13 +290,11 @@ impl BlockQueue {
     }
 
     /// Closes the queue: pending tasks remain poppable, further
-    /// reservations fail, waiting producers and the consumer wake, and
-    /// so does the wake hook.
+    /// reservations fail, the consumer wakes, and the wake hook rings.
     pub fn close(&self) {
         let mut state = self.lock();
         state.closed = true;
         self.not_empty.notify_all();
-        self.not_full.notify_all();
         drop(state);
         self.wake.wake();
     }
@@ -348,10 +313,10 @@ mod tests {
         ShardTask::new(attr, OpBlock::from_values([attr as u64]), None, 0)
     }
 
-    /// The non-blocking push of a [`Wait::Try`] submission: reserve one
-    /// slot, then fill it. Returns whether the queue took the task.
+    /// The push of a submission: reserve one slot, then fill it.
+    /// Returns whether the queue took the task.
     fn try_push(q: &BlockQueue, attr: usize) -> bool {
-        let granted = q.try_reserve(Wait::Try);
+        let granted = q.try_reserve();
         if granted {
             q.push_reserved(task(attr));
         }
@@ -372,7 +337,6 @@ mod tests {
         assert_eq!(q.depth(), 2);
         assert_eq!(q.max_depth(), 2);
         assert_eq!(q.backpressure_events(), 1);
-        assert_eq!(q.rejections(), 1, "Try refusals count as rejections");
         // Popping frees a slot.
         let t = q.pop().unwrap();
         assert_eq!(t.attr, 0);
@@ -383,19 +347,19 @@ mod tests {
     #[test]
     fn reservations_count_against_capacity() {
         let q = BlockQueue::new(2);
-        assert!(q.try_reserve(Wait::Try));
-        assert!(q.try_reserve(Wait::Try));
-        assert!(!q.try_reserve(Wait::Try), "full by reservation alone");
-        assert_eq!(q.backpressure_events(), 1);
-        assert_eq!(q.rejections(), 1, "Try refusals count as rejections");
-        assert!(!q.try_reserve(Wait::Block));
-        assert_eq!(q.backpressure_events(), 2);
-        assert_eq!(q.rejections(), 1, "Block refusals wait, not reject");
+        assert!(q.try_reserve());
+        assert!(q.try_reserve());
+        assert!(!q.try_reserve(), "full by reservation alone");
+        assert!(!q.has_room());
+        assert_eq!(q.backpressure_events(), 1, "a room check is no refusal");
+        assert!(!q.try_reserve());
+        assert_eq!(q.backpressure_events(), 2, "every refusal counts");
         q.push_reserved(task(0));
         q.release_reserved();
         assert_eq!(q.depth(), 1);
         // The released slot is usable again.
-        assert!(q.try_reserve(Wait::Try));
+        assert!(q.has_room());
+        assert!(q.try_reserve());
         q.push_reserved(task(1));
         assert_eq!(q.depth(), 2);
         assert_eq!(q.max_depth(), 2);
@@ -411,11 +375,10 @@ mod tests {
         push(&q, 0);
         push(&q, 1);
         q.close();
-        assert!(!q.try_reserve(Wait::Try));
-        assert!(!q.try_reserve(Wait::Block));
+        assert!(!q.try_reserve());
         assert!(q.is_closed());
         assert_eq!(q.backpressure_events(), 0, "closed is not backpressure");
-        q.wait_for_room(); // returns at once on a closed queue
+        assert!(q.has_room(), "a closed queue ends every wait for room");
         assert_eq!(q.pop().unwrap().attr, 0);
         assert_eq!(q.pop().unwrap().attr, 1);
         assert!(q.pop().is_none(), "closed + drained");
@@ -434,31 +397,9 @@ mod tests {
         assert_eq!(gauge.get(), 2);
         q.pop().unwrap();
         assert_eq!(gauge.get(), 1);
-        assert!(q.try_reserve(Wait::Try));
+        assert!(q.try_reserve());
         assert_eq!(gauge.get(), 1, "a reservation is not a queued block");
         q.push_reserved(task(2));
         assert_eq!(gauge.get(), 2);
-    }
-
-    #[test]
-    fn blocking_push_waits_for_space() {
-        use std::sync::Arc;
-        let q = Arc::new(BlockQueue::new(1));
-        push(&q, 0);
-        let q2 = Arc::clone(&q);
-        let producer = std::thread::spawn(move || {
-            while !q2.try_reserve(Wait::Block) {
-                q2.wait_for_room();
-            }
-            q2.push_reserved(task(1));
-        });
-        // Give the producer a moment to block, then free a slot.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(q.pop().unwrap().attr, 0);
-        producer.join().unwrap();
-        assert_eq!(q.depth(), 1);
-        assert!(q.backpressure_events() >= 1);
-        assert_eq!(q.rejections(), 0, "a blocking wait is not a rejection");
-        assert_eq!(q.max_depth(), 1);
     }
 }

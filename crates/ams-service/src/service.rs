@@ -17,9 +17,9 @@ use ams_telemetry::{
 use crate::audit::AuditSampler;
 use crate::config::ServiceConfig;
 use crate::error::ServiceError;
-use crate::health::{imbalance_ratio, HealthThresholds, HealthWindow};
+use crate::health::{self, imbalance_ratio, HealthWindow};
 use crate::heavy::{HeavyEntry, HeavyKeys};
-use crate::queue::{BlockQueue, IngestTag, ShardTask, Wait};
+use crate::queue::{BlockQueue, IngestTag, ShardTask};
 use crate::router::{RoutedBlocks, Router, RouterPolicy};
 use crate::scrape::Scrape;
 use crate::shard::{DurableSetup, ShardWorker};
@@ -28,21 +28,14 @@ use crate::stats::{ServiceStats, ShardStats};
 use crate::telemetry::ServiceTelemetry;
 use crate::wake::WakeHook;
 
-/// A recorded drain target: the per-shard block counts that had been
-/// submitted when [`AmsService::drain_cut`] was called. Opaque — feed
-/// it back to [`AmsService::poll_drained`] until the cut is reached.
+/// A recorded target: the per-shard block counts that had been
+/// submitted when [`AmsService::drain_cut`] or
+/// [`AmsService::durability_cut`] was called. Opaque — feed it back to
+/// [`AmsService::poll_drained`] until every one of those submissions is
+/// processed and published, or to [`AmsService::poll_durable`] until
+/// every one is durable.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DrainCut {
-    /// Per-shard enqueue counts at cut time.
-    targets: Vec<u64>,
-}
-
-/// A recorded durability target: the per-shard block counts that had
-/// been submitted when [`AmsService::durability_cut`] was called. Feed
-/// it back to [`AmsService::poll_durable`] until every one of those
-/// submissions is durable — the primitive behind ack-after-fsync.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DurableCut {
+pub struct Cut {
     /// Per-shard enqueue counts at cut time.
     targets: Vec<u64>,
 }
@@ -103,8 +96,9 @@ pub struct AmsService {
     /// The shadow-audit sampler (`None` when
     /// [`ServiceConfig::audit_every`] is zero).
     audit: Option<AuditSampler>,
-    /// Wakers of front-ends that park work without a thread, rung by
-    /// the queues, the snapshot cells and the durable watermarks.
+    /// What blocked callers sleep on and parked front-ends register
+    /// wakers with, rung by the queues, the snapshot cells and the
+    /// durable watermarks.
     wake: Arc<WakeHook>,
 }
 
@@ -303,11 +297,12 @@ impl AmsService {
     }
 
     /// Submits a block of updates for one attribute — the one ingest
-    /// entry point. A slot is reserved on every shard queue the router
-    /// targets before anything is enqueued, so the block lands on all
-    /// of its shards or on none. At a full queue, [`Wait::Block`]
-    /// releases every reservation, waits for room there and tries
-    /// again; [`Wait::Try`] fails with [`ServiceError::WouldBlock`].
+    /// entry point; it never blocks. A slot is reserved on every shard
+    /// queue the router targets before anything is enqueued, so the
+    /// block lands on all of its shards or on none. At a full queue it
+    /// releases every reservation and fails with
+    /// [`ServiceError::WouldBlock`]; the wake hook rings once room
+    /// frees there ([`Self::ingest_block`] waits for that and retries).
     ///
     /// `tag` makes resubmission idempotent: shard workers skip any
     /// `(producer, seq)` at or below the producer's high-water mark, so
@@ -330,17 +325,16 @@ impl AmsService {
     ///
     /// # Errors
     /// [`ServiceError::UnknownAttribute`], [`ServiceError::Closed`]
-    /// after shutdown began, or [`ServiceError::WouldBlock`] under
-    /// [`Wait::Try`]. The block comes back with the error so a caller
-    /// can retry without cloning; a split block comes back regrouped by
-    /// shard (per-value order preserved, so it is update-equivalent).
+    /// after shutdown began, or [`ServiceError::WouldBlock`] at a full
+    /// queue. The block comes back with the error so a caller can retry
+    /// without cloning; a split block comes back regrouped by shard
+    /// (per-value order preserved, so it is update-equivalent).
     pub fn submit(
         &self,
         attribute: &str,
         block: OpBlock,
         tag: Option<IngestTag>,
         trace: u64,
-        wait: Wait,
     ) -> Result<u64, (OpBlock, ServiceError)> {
         let attr = match self.attr_index(attribute) {
             Ok(attr) => attr,
@@ -348,14 +342,11 @@ impl AmsService {
         };
         let tag = tag.filter(|_| self.config.router() == RouterPolicy::HashPartition);
         let routed = self.router.route(block);
-        while let Err(shard) = self.reserve_all(&routed, wait) {
+        if let Err(shard) = self.reserve_all(&routed) {
             let error = if self.queues[shard].is_closed() {
                 ServiceError::Closed
-            } else if wait == Wait::Try {
-                ServiceError::WouldBlock { shard }
             } else {
-                self.queues[shard].wait_for_room();
-                continue;
+                ServiceError::WouldBlock { shard }
             };
             return Err((reassemble(routed), error));
         }
@@ -382,9 +373,9 @@ impl AmsService {
 
     /// Reserves one slot on every queue `routed` targets. On a refusal,
     /// releases what it already holds and returns the refusing shard.
-    fn reserve_all(&self, routed: &RoutedBlocks, wait: Wait) -> Result<(), usize> {
+    fn reserve_all(&self, routed: &RoutedBlocks) -> Result<(), usize> {
         for (i, &(shard, _)) in routed.iter().enumerate() {
-            if !self.queues[shard].try_reserve(wait) {
+            if !self.queues[shard].try_reserve() {
                 for &(held, _) in &routed[..i] {
                     self.queues[held].release_reserved();
                 }
@@ -395,16 +386,26 @@ impl AmsService {
     }
 
     /// Submits a block of updates for one attribute, waiting while
-    /// target shard queues are full: [`Self::submit`] untagged,
-    /// untraced, under [`Wait::Block`].
+    /// target shard queues are full: [`Self::submit`] untagged and
+    /// untraced, retried each time the wake hook reports room (or a
+    /// close) on the queue that refused it — the backpressure that
+    /// keeps service memory bounded under a fast producer.
     ///
     /// # Errors
     /// [`ServiceError::UnknownAttribute`] for unregistered names,
     /// [`ServiceError::Closed`] after shutdown began.
-    pub fn ingest_block(&self, attribute: &str, block: OpBlock) -> Result<(), ServiceError> {
-        self.submit(attribute, block, None, 0, Wait::Block)
-            .map(drop)
-            .map_err(|(_, error)| error)
+    pub fn ingest_block(&self, attribute: &str, mut block: OpBlock) -> Result<(), ServiceError> {
+        loop {
+            match self.submit(attribute, block, None, 0) {
+                Ok(_) => return Ok(()),
+                Err((refused, ServiceError::WouldBlock { shard })) => {
+                    let queue = &self.queues[shard];
+                    self.wake.wait_until(|| queue.has_room().then_some(()));
+                    block = refused;
+                }
+                Err((_, error)) => return Err(error),
+            }
+        }
     }
 
     /// Merge-on-query: merges every shard's latest published snapshot
@@ -473,40 +474,31 @@ impl AmsService {
     /// returned value and reflects at least every block submitted
     /// before the drain — the consistent cut a caller (or a network
     /// front-end's Drain response) can hand to clients.
+    ///
+    /// This is [`Self::poll_drained`] on a fresh [`Self::drain_cut`],
+    /// re-checked on every ring of the wake hook.
     pub fn drain(&self) -> u64 {
         let cut = self.drain_cut();
-        // Request everywhere first, then wait: lagging shards publish
-        // in parallel instead of one drain-wait at a time.
-        for (cell, &target) in self.cells.iter().zip(&cut.targets) {
-            if cell.progress().processed < target {
-                cell.request_publish();
-            }
-        }
-        self.cells
-            .iter()
-            .zip(cut.targets)
-            .map(|(cell, target)| cell.wait_for_processed(target))
-            .min()
-            .expect("a service has at least one shard")
+        self.wake.wait_until(|| self.poll_drained(&cut))
     }
 
     /// Records the drain target — everything submitted **before this
     /// call** — without waiting. Poll it to completion with
     /// [`Self::poll_drained`]: the non-blocking pair a reactor-style
     /// front-end uses so a Drain request never parks its event loop.
-    pub fn drain_cut(&self) -> DrainCut {
-        DrainCut {
+    pub fn drain_cut(&self) -> Cut {
+        Cut {
             targets: self.queues.iter().map(|q| q.pushed()).collect(),
         }
     }
 
-    /// Checks one recorded [`DrainCut`] for completion, without
+    /// Checks one recorded [`Cut`] for completion, without
     /// blocking. While any shard still lags its target, this re-arms
     /// that shard's publish request (the worker honours it after at
     /// most one more applied block) and returns `None`; once every
     /// shard has published its target, returns the cut's epoch with
     /// the same meaning as [`Self::drain`]'s return value.
-    pub fn poll_drained(&self, cut: &DrainCut) -> Option<u64> {
+    pub fn poll_drained(&self, cut: &Cut) -> Option<u64> {
         let mut epoch = u64::MAX;
         let mut reached = true;
         for (cell, &target) in self.cells.iter().zip(&cut.targets) {
@@ -522,16 +514,15 @@ impl AmsService {
     }
 
     /// Records the durability target — everything submitted **before
-    /// this call** — without waiting. Poll it to completion with
-    /// [`Self::poll_durable`]: the primitive behind ack-after-fsync
-    /// (`ams-net`'s durable ingest acks ride exactly this pair).
-    pub fn durability_cut(&self) -> DurableCut {
-        DurableCut {
-            targets: self.queues.iter().map(|q| q.pushed()).collect(),
-        }
+    /// this call**, the same cut as [`Self::drain_cut`] — without
+    /// waiting. Poll it to completion with [`Self::poll_durable`]: the
+    /// primitive behind ack-after-fsync (`ams-net`'s durable ingest
+    /// acks ride exactly this pair).
+    pub fn durability_cut(&self) -> Cut {
+        self.drain_cut()
     }
 
-    /// Checks one recorded [`DurableCut`] for completion, without
+    /// Checks one recorded [`Cut`] for durability, without
     /// blocking: `true` once every block submitted before the cut has
     /// been appended to its shard's WAL **and** fsynced per the
     /// configured policy. The shard queues are FIFO, so the per-shard
@@ -545,12 +536,9 @@ impl AmsService {
     /// both configurations. A shard whose durability layer has failed
     /// freezes its watermark, and cuts past the failure point never
     /// complete — exactly like acks against a crashed server.
-    pub fn poll_durable(&self, cut: &DurableCut) -> bool {
+    pub fn poll_durable(&self, cut: &Cut) -> bool {
         if self.durable_watermarks.is_empty() {
-            let drained = DrainCut {
-                targets: cut.targets.clone(),
-            };
-            return self.poll_drained(&drained).is_some();
+            return self.poll_drained(cut).is_some();
         }
         self.durable_watermarks
             .iter()
@@ -560,10 +548,11 @@ impl AmsService {
 
     /// Registers a waker for a front-end that parks work without
     /// blocking a thread on it — a network reactor holding refused
-    /// `Wait::Try` blocks, durable acks and drains. It is woken after
-    /// each event such work waits on, once the event is visible to
+    /// blocks, durable acks and drains. It is woken after each event
+    /// such work waits on, once the event is visible to
     /// [`Self::submit`], [`Self::poll_drained`] and
-    /// [`Self::poll_durable`]:
+    /// [`Self::poll_durable`] (the same rings end the waits of
+    /// [`Self::ingest_block`] and [`Self::drain`]):
     /// - room freeing on a shard queue that refused a reservation since
     ///   its last such wake;
     /// - a shard queue closing (shutdown);
@@ -597,7 +586,6 @@ impl AmsService {
                     max_queue_depth: queue.max_depth(),
                     blocks_enqueued: queue.pushed(),
                     backpressure_events: queue.backpressure_events(),
-                    queue_rejections: queue.rejections(),
                     blocks_ingested: progress.blocks,
                     ops_ingested: progress.ops,
                     epoch: progress.epoch,
@@ -659,10 +647,34 @@ impl AmsService {
 
     /// One scrape in one pass: the sections `sections` names (a bit
     /// set of the [`Scrape`] constants; unknown bits are ignored), with
-    /// metrics and health read from the same registry snapshot. The
-    /// health section is graded against the default
-    /// [`HealthThresholds`] over `window`, the caller's own baseline,
-    /// which the scrape advances. A stats-only scrape reads no registry.
+    /// metrics and health read from the same registry snapshot. A
+    /// stats-only scrape reads no registry.
+    ///
+    /// The health section grades the windowed signals against fixed
+    /// thresholds, assembles per-attribute accuracy reports and folds
+    /// the verdict. The *window* for rates and the imbalance ratio is
+    /// the span since the previous scrape through the same `window`,
+    /// the caller's own baseline (first scrape: since start); no scrape
+    /// writes into the registry, so scrapes never change what another
+    /// scraper sees. Signals, all oriented higher-is-worse, with their
+    /// degraded / unhealthy thresholds:
+    ///
+    /// * `queue_saturation` — worst shard's queue depth / capacity
+    ///   (0.75 / 0.95).
+    /// * `ingest_stall` — 1 when ops were routed this window but none
+    ///   were applied (wedged workers; 1 / 2).
+    /// * `shard_imbalance_ratio` — max/min windowed routed ops (see
+    ///   [`imbalance_ratio`]; 4 / 16); only graded once the window
+    ///   carries at least 256 ops.
+    /// * `wal_fsync_p99_budget` — lifetime fsync p99 over a 50 ms
+    ///   budget (1 / 10; durability only, once any fsync happened).
+    /// * `wal_failures` — WAL operations (append, fsync, directory
+    ///   sync, rotation, checkpoint) whose failure wedged a shard's
+    ///   writer over the service's lifetime (durability only; any
+    ///   failure is Unhealthy).
+    /// * `audit_rel_error_bounds` — worst observed audit relative error
+    ///   as a multiple of the sketch's a-priori `error_bound()` (1 / 2;
+    ///   audit sampler only).
     pub fn scrape(&self, sections: u8, window: &mut HealthWindow) -> Scrape {
         let wants = |section: u8| sections & section != 0;
         let snap = wants(Scrape::METRICS | Scrape::HEALTH).then(|| self.metrics_snapshot());
@@ -677,48 +689,14 @@ impl AmsService {
             health: snap
                 .as_ref()
                 .filter(|_| wants(Scrape::HEALTH))
-                .map(|snap| self.grade(snap, &HealthThresholds::default(), window)),
+                .map(|snap| self.grade(snap, window)),
             metrics: snap.filter(|_| wants(Scrape::METRICS)),
         }
     }
 
-    /// One health scrape graded against `thresholds` over the caller's
-    /// `window` (a scrape's health section is this under the default
-    /// [`HealthThresholds`]): grades the windowed signals, assembles
-    /// per-attribute accuracy reports and folds the verdict.
-    ///
-    /// The *window* for rates and the imbalance ratio is the span since
-    /// the previous scrape through the same `window` (first scrape:
-    /// since start); no scrape writes into the registry, so scrapes
-    /// never change what another scraper sees. Signals, all oriented
-    /// higher-is-worse:
-    ///
-    /// * `queue_saturation` — worst shard's queue depth / capacity.
-    /// * `ingest_stall` — 1 when ops were routed this window but none
-    ///   were applied (wedged workers).
-    /// * `shard_imbalance_ratio` — max/min windowed routed ops (see
-    ///   [`imbalance_ratio`]); only graded once the window carries at
-    ///   least `imbalance_min_ops` ops.
-    /// * `wal_fsync_p99_budget` — lifetime fsync p99 over the budget
-    ///   (durability only, once any fsync happened).
-    /// * `wal_failures` — WAL operations (append, fsync, directory
-    ///   sync, rotation, checkpoint) whose failure wedged a shard's
-    ///   writer over the service's lifetime (durability only; any
-    ///   failure is Unhealthy).
-    /// * `audit_rel_error_bounds` — worst observed audit relative error
-    ///   as a multiple of the sketch's a-priori `error_bound()` (audit
-    ///   sampler only).
-    pub fn health(&self, thresholds: &HealthThresholds, window: &mut HealthWindow) -> HealthReport {
-        self.grade(&self.metrics_snapshot(), thresholds, window)
-    }
-
-    /// The health report for one registry snapshot.
-    fn grade(
-        &self,
-        snap: &MetricsSnapshot,
-        thresholds: &HealthThresholds,
-        window: &mut HealthWindow,
-    ) -> HealthReport {
+    /// The health section of a scrape: one registry snapshot graded
+    /// over the caller's `window`, which it advances.
+    fn grade(&self, snap: &MetricsSnapshot, window: &mut HealthWindow) -> HealthReport {
         let routed: Vec<u64> = (0..self.config.shards())
             .map(|shard| {
                 let id = shard.to_string();
@@ -737,11 +715,12 @@ impl AmsService {
             .iter()
             .map(|q| q.depth() as f64 / q.capacity() as f64)
             .fold(0.0, f64::max);
+        let (degraded, unhealthy) = health::QUEUE_SATURATION;
         signals.push(HealthSignal::grade(
             "queue_saturation",
             saturation,
-            thresholds.queue_saturation_degraded,
-            thresholds.queue_saturation_unhealthy,
+            degraded,
+            unhealthy,
         ));
         let window_ops: u64 = deltas.routed.iter().sum();
         let stall = if window_ops > 0 && deltas.ingested_ops == 0 {
@@ -750,22 +729,24 @@ impl AmsService {
             0.0
         };
         signals.push(HealthSignal::grade("ingest_stall", stall, 1.0, 2.0));
-        if window_ops >= thresholds.imbalance_min_ops {
+        if window_ops >= health::IMBALANCE_MIN_OPS {
+            let (degraded, unhealthy) = health::IMBALANCE;
             signals.push(HealthSignal::grade(
                 "shard_imbalance_ratio",
                 imbalance_ratio(&deltas.routed),
-                thresholds.imbalance_degraded,
-                thresholds.imbalance_unhealthy,
+                degraded,
+                unhealthy,
             ));
         }
         if self.durability_enabled() {
             let fsync = snap.merged_histogram("wal_fsync_ns");
             if fsync.count > 0 {
+                let (degraded, unhealthy) = health::FSYNC;
                 signals.push(HealthSignal::grade(
                     "wal_fsync_p99_budget",
-                    fsync.p99() as f64 / thresholds.fsync_budget_ns as f64,
-                    thresholds.fsync_degraded,
-                    thresholds.fsync_unhealthy,
+                    fsync.p99() as f64 / health::FSYNC_BUDGET_NS as f64,
+                    degraded,
+                    unhealthy,
                 ));
             }
             signals.push(HealthSignal::grade(
@@ -818,11 +799,12 @@ impl AmsService {
             })
             .collect();
         if let Some(worst) = worst_rel_error {
+            let (degraded, unhealthy) = health::REL_ERROR_BOUNDS;
             signals.push(HealthSignal::grade(
                 "audit_rel_error_bounds",
                 worst / error_bound,
-                thresholds.rel_error_degraded_bounds,
-                thresholds.rel_error_unhealthy_bounds,
+                degraded,
+                unhealthy,
             ));
         }
 
@@ -939,7 +921,7 @@ mod tests {
         // The poisoned task holds the worker; the next one fills the
         // queue.
         service
-            .submit("a", block(), None, fault::POISON_TRACE, Wait::Block)
+            .submit("a", block(), None, fault::POISON_TRACE)
             .unwrap();
         ingest(&service, "a", &[4, 5]).unwrap();
         let waits = service.stats().shards[0].backpressure_events;
@@ -968,6 +950,188 @@ mod tests {
         let service = Arc::try_unwrap(service).expect("sole owner");
         let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(service)));
         assert!(joined.is_err(), "the worker panic surfaces at shutdown");
+    }
+
+    /// Waits until `n` threads sleep on the service's wake hook. The
+    /// bound is a watchdog that turns a caller that never sleeps into a
+    /// failure instead of a hang.
+    fn await_sleepers(service: &AmsService, n: usize) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while service.wake.sleepers() < n {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{n} callers never slept on the wake hook"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    /// One shard behind a cap-1 queue.
+    fn cap1_config() -> ServiceConfig {
+        ServiceConfig::builder()
+            .shards(1)
+            .queue_capacity(1)
+            .sketch_params(SketchParams::single_group(8).unwrap())
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn blocking_ingest_waits_for_space() {
+        let service = Arc::new(AmsService::start(cap1_config(), &["a"]).unwrap());
+        // A held reservation fills the queue; no worker can free it.
+        assert!(service.queues[0].try_reserve());
+        let producer = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || ingest(&service, "a", &[1]))
+        };
+        await_sleepers(&service, 1);
+        service.queues[0].release_reserved();
+        producer.join().unwrap().unwrap();
+        service.drain();
+        assert_eq!(service.snapshot().ops(), 1);
+        let stats = service.stats();
+        assert!(stats.backpressure_events() >= 1);
+        assert_eq!(stats.max_queue_depth(), 1);
+    }
+
+    #[test]
+    fn blocked_ingest_and_drain_are_released_by_the_hook() {
+        use crate::shard::fault;
+        use std::time::Duration;
+
+        let service = Arc::new(AmsService::start(cap1_config(), &["a"]).unwrap());
+        let spawn = |call: fn(&AmsService) -> Result<u64, ServiceError>| {
+            let service = Arc::clone(&service);
+            let (tx, rx) = mpsc::channel();
+            let caller = std::thread::spawn(move || tx.send(call(&service)).unwrap());
+            (caller, rx)
+        };
+        // The bound is a watchdog that turns a missed release into a
+        // failure instead of a hang.
+        let released = |(caller, rx): (JoinHandle<()>, mpsc::Receiver<_>), what: &str| {
+            let result = rx
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("the hook never released {what}"));
+            caller.join().unwrap();
+            result
+        };
+
+        // Room: the held task occupies the worker and the next one
+        // fills the queue, so a producer sleeps until the worker pops.
+        fault::HELD.store(true, Ordering::Release);
+        service
+            .submit("a", OpBlock::from_values([1]), None, fault::HOLD_TRACE)
+            .unwrap();
+        ingest(&service, "a", &[2]).unwrap();
+        let producer = spawn(|service| ingest(service, "a", &[3]).map(|()| 0));
+        await_sleepers(&service, 1);
+        fault::HELD.store(false, Ordering::Release);
+        assert_eq!(released(producer, "an ingest on room"), Ok(0));
+        service.drain();
+        assert_eq!(service.snapshot().ops(), 3);
+
+        // Publish: a drain sleeps until the held worker publishes.
+        fault::HELD.store(true, Ordering::Release);
+        service
+            .submit("a", OpBlock::from_values([4]), None, fault::HOLD_TRACE)
+            .unwrap();
+        let drainer = spawn(|service| Ok(service.drain()));
+        await_sleepers(&service, 1);
+        assert!(
+            service.snapshot().ops() < 4,
+            "the held block is unpublished"
+        );
+        fault::HELD.store(false, Ordering::Release);
+        assert!(released(drainer, "a drain on publish").unwrap() >= 1);
+        assert_eq!(service.snapshot().ops(), 4);
+
+        // Close: a producer sleeping on a full queue returns Closed.
+        while !service.queues[0].try_reserve() {
+            std::thread::yield_now();
+        }
+        let producer = spawn(|service| ingest(service, "a", &[5]).map(|()| 0));
+        await_sleepers(&service, 1);
+        service.queues[0].close();
+        assert_eq!(
+            released(producer, "an ingest on close"),
+            Err(ServiceError::Closed)
+        );
+        service.queues[0].release_reserved();
+    }
+
+    #[test]
+    fn producers_and_drainers_never_miss_a_wake_up() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::Duration;
+
+        const PRODUCERS: u64 = 4;
+        const BLOCKS: u64 = 2_000;
+        let cfg = ServiceConfig::builder()
+            .shards(2)
+            .queue_capacity(1)
+            .sketch_params(SketchParams::new(16, 3).unwrap())
+            .seed(0x5EED)
+            .build()
+            .unwrap();
+        let service = Arc::new(AmsService::start(cfg.clone(), &["a"]).unwrap());
+        let block =
+            |p: u64, b: u64| OpBlock::from_values((0..4).map(move |i| p * 7_919 + b * 4 + i));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || {
+                let done = Arc::new(AtomicBool::new(false));
+                let drainer = {
+                    let service = Arc::clone(&service);
+                    let done = Arc::clone(&done);
+                    std::thread::spawn(move || {
+                        while !done.load(Ordering::Acquire) {
+                            // Every publish a drain observed is counted:
+                            // each shard's epoch is its publish count.
+                            let epoch = service.drain();
+                            let publishes = service
+                                .metrics_snapshot()
+                                .counter_total("service_publishes");
+                            assert!(publishes >= 2 * epoch, "{publishes} < 2 × {epoch}");
+                        }
+                    })
+                };
+                let producers: Vec<_> = (0..PRODUCERS)
+                    .map(|p| {
+                        let service = Arc::clone(&service);
+                        std::thread::spawn(move || {
+                            for b in 0..BLOCKS {
+                                service.ingest_block("a", block(p, b)).unwrap();
+                            }
+                        })
+                    })
+                    .collect();
+                for producer in producers {
+                    producer.join().unwrap();
+                }
+                done.store(true, Ordering::Release);
+                drainer.join().unwrap();
+                tx.send(service.drain()).unwrap();
+            })
+        };
+        // A lost wake-up hangs a producer or the drainer: fail instead.
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("a producer or drainer missed its wake-up");
+        run.join().unwrap();
+        let mut single: TugOfWarSketch = TugOfWarSketch::new(cfg.params(), cfg.seed());
+        for p in 0..PRODUCERS {
+            for b in 0..BLOCKS {
+                single.apply_block(&block(p, b));
+            }
+        }
+        let snapshot = service.snapshot();
+        assert_eq!(snapshot.sketch("a").unwrap().counters(), single.counters());
+        assert_eq!(snapshot.ops(), PRODUCERS * BLOCKS * 4);
+        assert!(
+            service.stats().backpressure_events() > 0,
+            "the producers never met a full queue"
+        );
     }
 
     #[test]
@@ -1044,7 +1208,7 @@ mod tests {
             Err(ServiceError::Closed)
         ));
         assert!(matches!(
-            service.submit("a", OpBlock::from_values([4]), None, 0, Wait::Try),
+            service.submit("a", OpBlock::from_values([4]), None, 0),
             Err((_, ServiceError::Closed))
         ));
         let (snapshot, _) = service.shutdown();
@@ -1144,22 +1308,17 @@ mod tests {
             .build()
             .unwrap();
         let service = AmsService::start(cfg, &["a"]).unwrap();
-        // Saturate the cap-1 queue until a non-blocking submission is
-        // rejected; the rejection shows up in the stats.
-        let mut saw_rejection = false;
-        for _ in 0..10_000 {
-            if matches!(
-                service.submit("a", OpBlock::from_values([1, 2, 3]), None, 0, Wait::Try),
+        // Saturate the cap-1 queue until a submission is rejected; the
+        // rejection shows up in the stats as a backpressure event.
+        let rejected = (0..10_000).any(|_| {
+            matches!(
+                service.submit("a", OpBlock::from_values([1, 2, 3]), None, 0),
                 Err((_, ServiceError::WouldBlock { .. }))
-            ) {
-                saw_rejection = true;
-                break;
-            }
-        }
-        assert!(saw_rejection, "cap-1 queue never rejected a submission");
+            )
+        });
+        assert!(rejected, "cap-1 queue never rejected a submission");
         let stats = service.stats();
-        assert!(stats.queue_rejections() >= 1);
-        assert!(stats.backpressure_events() >= stats.queue_rejections());
+        assert_eq!(stats.backpressure_events(), 1, "the one rejection");
         assert!(stats.max_queue_depth() <= 1, "bounded by capacity");
     }
 
@@ -1180,7 +1339,7 @@ mod tests {
         let mut accepted = 0u64;
         let mut handed_back = None;
         for _ in 0..10_000 {
-            match service.submit("a", block.clone(), None, 0, Wait::Try) {
+            match service.submit("a", block.clone(), None, 0) {
                 Ok(_) => accepted += 1,
                 Err((back, ServiceError::WouldBlock { .. })) => {
                     handed_back = Some(back);
@@ -1233,7 +1392,7 @@ mod tests {
         for _ in 0..64 {
             let mut attempt = block.clone();
             loop {
-                match service.submit("a", attempt, None, 0, Wait::Try) {
+                match service.submit("a", attempt, None, 0) {
                     Ok(_) => break,
                     Err((back, ServiceError::WouldBlock { .. })) => {
                         refusals += 1;
@@ -1497,7 +1656,7 @@ mod tests {
     fn traced_ingest_records_queue_and_kernel_spans() {
         let service = AmsService::start(config(2), &["a"]).unwrap();
         let block = OpBlock::from_values(0..32u64);
-        service.submit("a", block, None, 0xBEEF, Wait::Try).unwrap();
+        service.submit("a", block, None, 0xBEEF).unwrap();
         service.drain();
         let traces = service.trace_hub().assemble_all();
         let trace = traces
@@ -1524,7 +1683,7 @@ mod tests {
         let service = AmsService::start(config(1), &["a"]).unwrap();
         service.trace_hub().set_enabled(false);
         service
-            .submit("a", OpBlock::from_values(0..8u64), None, 0xF00D, Wait::Try)
+            .submit("a", OpBlock::from_values(0..8u64), None, 0xF00D)
             .unwrap();
         service.drain();
         assert!(service.trace_hub().assemble_all().is_empty());
@@ -1600,7 +1759,7 @@ mod tests {
         hook.add(waker);
         let task = || ShardTask::new(0, OpBlock::from_values([1]), None, 0);
         let fill = |queue: &BlockQueue| {
-            assert!(queue.try_reserve(Wait::Try));
+            assert!(queue.try_reserve());
             queue.push_reserved(task());
         };
 
@@ -1610,7 +1769,7 @@ mod tests {
         queue.pop().unwrap();
         assert_eq!(probe.wakes(), 0, "room nobody was refused wakes nobody");
         fill(&queue);
-        assert!(!queue.try_reserve(Wait::Try));
+        assert!(!queue.try_reserve());
         queue.pop().unwrap();
         assert_eq!(
             probe.wakes(),
@@ -1618,27 +1777,33 @@ mod tests {
             "a pop frees room for a refused reservation"
         );
         fill(&queue);
-        assert!(!queue.try_reserve(Wait::Try));
+        assert!(!queue.try_reserve());
         let mut taken = Vec::new();
         assert_eq!(queue.take_queued(4, &mut taken), 1);
         assert_eq!(probe.wakes(), 2, "take_queued frees room");
-        assert!(queue.try_reserve(Wait::Try));
-        assert!(!queue.try_reserve(Wait::Try));
+        assert!(queue.try_reserve());
+        assert!(!queue.try_reserve());
         queue.release_reserved();
         assert_eq!(probe.wakes(), 3, "a released reservation frees room");
+        fill(&queue);
+        assert!(!queue.has_room());
+        queue.pop().unwrap();
+        assert_eq!(probe.wakes(), 4, "a failed room check arms the ring");
         queue.close();
-        assert_eq!(probe.wakes(), 4, "close");
+        assert_eq!(probe.wakes(), 5, "close");
 
         // Publish.
         let cell = ShardCell::new(4, 1, Arc::clone(&hook));
         cell.publish(ShardSnapshot {
-            epoch: 1,
-            blocks: 1,
-            ops: 1,
-            processed: 1,
+            progress: crate::snapshot::ShardProgress {
+                epoch: 1,
+                blocks: 1,
+                ops: 1,
+                processed: 1,
+            },
             counters: vec![vec![0; 4]],
         });
-        assert_eq!(probe.wakes(), 5, "a publish");
+        assert_eq!(probe.wakes(), 6, "a publish");
 
         // A durable watermark advance. The worker publishes before it
         // syncs, so a wake that observes the advanced watermark came
@@ -1655,10 +1820,11 @@ mod tests {
             .shards(1)
             .sketch_params(SketchParams::new(16, 3).unwrap())
             .seed(0xC0FFEE)
-            .durability(
-                ams_durable::DurabilityConfig::new(&dir)
-                    .with_fsync(ams_durable::FsyncPolicy::PerAppend),
-            )
+            .durability(ams_durable::DurabilityConfig::new(&dir).with_fsync(
+                ams_durable::FsyncPolicy::GroupCommit {
+                    interval: std::time::Duration::ZERO,
+                },
+            ))
             .build()
             .unwrap();
         let service = AmsService::start(durable, &["a"]).unwrap();

@@ -29,7 +29,7 @@ use ams_telemetry::{
 };
 
 use crate::queue::{BlockQueue, ShardTask};
-use crate::snapshot::{ShardCell, ShardSnapshot};
+use crate::snapshot::{ShardCell, ShardProgress, ShardSnapshot};
 use crate::telemetry::ShardInstruments;
 use crate::wake::WakeHook;
 
@@ -511,25 +511,29 @@ impl ShardWorker {
     /// Publishes the counters under a fresh epoch. Only the counter
     /// columns travel — the hash planes are shard-invariant and live in
     /// the service's template — so a publish is one i64 column copy per
-    /// attribute and can safely fire every time the queue drains.
+    /// attribute and can safely fire every time the queue drains. The
+    /// publish is counted and its event emitted before the cell wakes
+    /// drainers, so a drained caller reads both.
     fn publish(&self, state: &mut ShardState) {
         state.epoch += 1;
         state.published_blocks = state.blocks;
         state.published_processed = state.popped;
+        self.instruments.publishes.inc();
+        self.events
+            .emit(EventCode::Publish, self.shard, state.blocks);
         self.cell.publish(ShardSnapshot {
-            epoch: state.epoch,
-            blocks: state.blocks,
-            ops: state.ops,
-            processed: state.popped,
+            progress: ShardProgress {
+                epoch: state.epoch,
+                blocks: state.blocks,
+                ops: state.ops,
+                processed: state.popped,
+            },
             counters: state
                 .sketches
                 .iter()
                 .map(|s| s.counters().to_vec())
                 .collect(),
         });
-        self.instruments.publishes.inc();
-        self.events
-            .emit(EventCode::Publish, self.shard, state.blocks);
     }
 
     /// Emits the event for the WAL operation that just failed and
@@ -572,8 +576,8 @@ impl ShardWorker {
 
 /// Closes the shard's queue when the worker unwinds. Nothing else pops
 /// that queue, so a worker that died with it open would leave every
-/// producer waiting for room (`Wait::Block`) parked forever; closed,
-/// they return `ServiceError::Closed`. The drop-time guard runs however
+/// producer waiting for room on it parked forever; closed, they return
+/// `ServiceError::Closed`. The drop-time guard runs however
 /// `run` is left and acts only on a panic: a clean exit follows the
 /// queue's own close.
 struct CloseOnUnwind(Arc<BlockQueue>);
@@ -588,7 +592,8 @@ impl Drop for CloseOnUnwind {
 
 /// Test-only fault injection: a worker that pops a task traced with
 /// [`fault::POISON_TRACE`] waits until [`fault::RELEASE`] is set, then
-/// panics.
+/// panics; one that pops a task traced with [`fault::HOLD_TRACE`]
+/// waits while [`fault::HELD`] is set, then applies it.
 #[cfg(test)]
 pub(crate) mod fault {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -601,12 +606,24 @@ pub(crate) mod fault {
     /// Lets the poisoned worker panic.
     pub(crate) static RELEASE: AtomicBool = AtomicBool::new(false);
 
+    /// The trace id that holds a task's worker while [`HELD`] is set.
+    pub(crate) const HOLD_TRACE: u64 = 0xDEAD_0000_0000_0002;
+
+    /// Holds a worker that popped a [`HOLD_TRACE`] task.
+    pub(crate) static HELD: AtomicBool = AtomicBool::new(false);
+
     pub(super) fn inject(task: &ShardTask) {
-        if task.trace == POISON_TRACE {
-            while !RELEASE.load(Ordering::Acquire) {
+        let wait_while = |flag: &AtomicBool, set: bool| {
+            while flag.load(Ordering::Acquire) == set {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
+        };
+        if task.trace == POISON_TRACE {
+            wait_while(&RELEASE, false);
             panic!("injected shard worker panic");
+        }
+        if task.trace == HOLD_TRACE {
+            wait_while(&HELD, true);
         }
     }
 }
@@ -630,7 +647,6 @@ fn batch_room(state: &ShardState) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::Wait;
     use crate::telemetry::ServiceTelemetry;
     use ams_telemetry::{EventHub, TraceHub};
 
@@ -644,7 +660,7 @@ mod tests {
         // worker runs, so its first pop finds the rest waiting.
         let queue = Arc::new(BlockQueue::new(blocks.len()));
         for (i, block) in blocks.iter().enumerate() {
-            assert!(queue.try_reserve(Wait::Try));
+            assert!(queue.try_reserve());
             let trace = if i == 5 { 0x5EED } else { 0 };
             queue.push_reserved(ShardTask::new(0, block.clone(), None, trace));
         }
@@ -675,7 +691,7 @@ mod tests {
         }
         let published = cell.read();
         assert_eq!(published.counters[0], reference.counters());
-        assert_eq!(published.blocks, blocks.len() as u64);
+        assert_eq!(published.progress.blocks, blocks.len() as u64);
         let metrics = telemetry.registry().snapshot();
         assert_eq!(
             metrics.counter_total("service_batched_blocks"),

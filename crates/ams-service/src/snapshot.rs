@@ -18,7 +18,7 @@
 //! the hash planes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 use ams_core::{codec, SelfJoinEstimator, SketchError, TugOfWarSketch};
 
@@ -28,37 +28,30 @@ use crate::wake::WakeHook;
 /// What one shard worker last published.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardSnapshot {
-    /// Publish count of this shard (0 = nothing published yet).
-    pub epoch: u64,
-    /// Blocks applied at publish time.
-    pub blocks: u64,
-    /// This-lifetime tasks taken off the queue at publish time:
-    /// applied blocks plus dedup-skipped duplicates, *excluding* any
-    /// recovered baseline. The drain clock — drain targets are
-    /// this-lifetime enqueue counts, so neither a recovered shard's
-    /// `blocks` head start nor a skipped duplicate may skew it.
-    pub processed: u64,
-    /// Expanded operations applied at publish time.
-    pub ops: u64,
+    /// The publish's scalar stamps.
+    pub progress: ShardProgress,
     /// One counter vector per registered attribute, in registration
     /// order (the sketch state minus the shared, seed-derivable hash
     /// planes).
     pub counters: Vec<Vec<i64>>,
 }
 
-/// The scalar publish progress of one shard, kept outside the snapshot
-/// lock so drainers can condvar-wait and [`stats`](crate::AmsService::stats)
-/// can poll without touching the counter columns.
+/// The scalar stamps of one shard's publish, which drains and
+/// [`stats`](crate::AmsService::stats) read without cloning the
+/// counter columns.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ShardProgress {
-    /// Publish epoch.
+    /// Publish count of this shard (0 = nothing published yet).
     pub epoch: u64,
-    /// Blocks applied at the last publish.
+    /// Blocks applied at publish time.
     pub blocks: u64,
-    /// Expanded operations applied at the last publish.
+    /// Expanded operations applied at publish time.
     pub ops: u64,
-    /// This-lifetime processed tasks at the last publish (see
-    /// [`ShardSnapshot::processed`]).
+    /// This-lifetime tasks taken off the queue at publish time:
+    /// applied blocks plus dedup-skipped duplicates, *excluding* any
+    /// recovered baseline. The drain clock — drain targets are
+    /// this-lifetime enqueue counts, so neither a recovered shard's
+    /// `blocks` head start nor a skipped duplicate may skew it.
     pub processed: u64,
 }
 
@@ -66,14 +59,12 @@ pub(crate) struct ShardProgress {
 #[derive(Debug)]
 pub(crate) struct ShardCell {
     snapshot: RwLock<ShardSnapshot>,
-    progress: Mutex<ShardProgress>,
-    published: Condvar,
     /// Set by drainers to ask the worker for an out-of-cadence publish
     /// (otherwise a busy worker with a large cadence could sit on
     /// applied-but-unpublished blocks indefinitely); the worker takes
     /// it after each applied block.
     publish_requested: AtomicBool,
-    /// Rung after every publish, for drains parked without a thread.
+    /// Rung after every publish, for drains.
     wake: Arc<WakeHook>,
 }
 
@@ -81,14 +72,9 @@ impl ShardCell {
     pub(crate) fn new(counters_per_attr: usize, attrs: usize, wake: Arc<WakeHook>) -> Self {
         Self {
             snapshot: RwLock::new(ShardSnapshot {
-                epoch: 0,
-                blocks: 0,
-                ops: 0,
-                processed: 0,
+                progress: ShardProgress::default(),
                 counters: vec![vec![0; counters_per_attr]; attrs],
             }),
-            progress: Mutex::new(ShardProgress::default()),
-            published: Condvar::new(),
             publish_requested: AtomicBool::new(false),
             wake,
         }
@@ -104,20 +90,9 @@ impl ShardCell {
         self.publish_requested.swap(false, Ordering::AcqRel)
     }
 
-    /// Publishes a new shard snapshot and wakes drainers, blocked and
-    /// hooked alike.
+    /// Publishes a new shard snapshot, then rings the wake hook.
     pub(crate) fn publish(&self, snapshot: ShardSnapshot) {
-        let next = ShardProgress {
-            epoch: snapshot.epoch,
-            blocks: snapshot.blocks,
-            ops: snapshot.ops,
-            processed: snapshot.processed,
-        };
         *self.snapshot.write().unwrap_or_else(|e| e.into_inner()) = snapshot;
-        let mut progress = self.progress.lock().unwrap_or_else(|e| e.into_inner());
-        *progress = next;
-        self.published.notify_all();
-        drop(progress);
         self.wake.wake();
     }
 
@@ -142,28 +117,10 @@ impl ShardCell {
 
     /// The latest publish progress, without cloning any counters.
     pub(crate) fn progress(&self) -> ShardProgress {
-        *self.progress.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Blocks until at least `target` this-lifetime tasks have been
-    /// processed and published, re-arming the publish request on every
-    /// wake: the worker consumes a request after at most one processed
-    /// task, which may still be short of `target`, so a one-shot
-    /// request could strand the wait under a sustained producer with a
-    /// large cadence. The request is set while holding the progress
-    /// lock that `publish` also takes, so a publish cannot slip
-    /// between the check and the wait. Returns the shard's publish
-    /// epoch at the moment the target was reached.
-    pub(crate) fn wait_for_processed(&self, target: u64) -> u64 {
-        let mut progress = self.progress.lock().unwrap_or_else(|e| e.into_inner());
-        while progress.processed < target {
-            self.request_publish();
-            progress = self
-                .published
-                .wait(progress)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        progress.epoch
+        self.snapshot
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .progress
     }
 }
 
@@ -218,10 +175,11 @@ impl ServiceSnapshot {
             .map(|sketch| vec![0i64; sketch.counters().len()])
             .collect();
         for shard in shards {
-            epoch_min = epoch_min.min(shard.epoch);
-            epoch_max = epoch_max.max(shard.epoch);
-            blocks += shard.blocks;
-            ops += shard.ops;
+            let progress = shard.progress;
+            epoch_min = epoch_min.min(progress.epoch);
+            epoch_max = epoch_max.max(progress.epoch);
+            blocks += progress.blocks;
+            ops += progress.ops;
             for (sum, counters) in sums.iter_mut().zip(shard.counters.iter()) {
                 for (acc, &c) in sum.iter_mut().zip(counters.iter()) {
                     *acc += c;

@@ -21,16 +21,13 @@ pub struct ShardStats {
     pub max_queue_depth: usize,
     /// Blocks enqueued to this shard over the service lifetime.
     pub blocks_enqueued: u64,
-    /// Times a producer found this shard's queue full (`Wait::Try`
-    /// refusals and `Wait::Block` waits alike).
+    /// Submissions this shard's queue refused at capacity, each one a
+    /// `WouldBlock` to its submitter. Counts every refusal, including
+    /// each retry of a waiting block (`ingest_block` retries once room
+    /// frees, and the `ams-net` retry ring re-submits on every wake-up
+    /// until the block lands), so it measures refusal pressure on the
+    /// queue, not a number of distinct refused blocks.
     pub backpressure_events: u64,
-    /// The `Wait::Try` subset of [`Self::backpressure_events`]:
-    /// non-blocking submissions turned away at capacity. Counts every
-    /// refusal, including each retry of a parked block (the `ams-net`
-    /// retry ring re-submits on every wake-up until the block lands),
-    /// so it measures refusal pressure on the queue, not a number of
-    /// distinct refused blocks.
-    pub queue_rejections: u64,
     /// Blocks the shard worker had applied at its last publish.
     pub blocks_ingested: u64,
     /// Expanded operations the worker had applied at its last publish.
@@ -66,13 +63,6 @@ impl ServiceStats {
     /// Total backpressure events across shards.
     pub fn backpressure_events(&self) -> u64 {
         self.shards.iter().map(|s| s.backpressure_events).sum()
-    }
-
-    /// Total non-blocking submissions turned away at capacity across
-    /// shards, each one a `WouldBlock` to its submitter; the `ams-net`
-    /// retry ring's re-submissions of parked blocks count too.
-    pub fn queue_rejections(&self) -> u64 {
-        self.shards.iter().map(|s| s.queue_rejections).sum()
     }
 
     /// The deepest any shard queue has ever been; bounded by the

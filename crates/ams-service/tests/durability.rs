@@ -10,15 +10,21 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use ams_core::{SelfJoinEstimator, SketchParams, TugOfWarSketch};
 use ams_durable::{ShardDurable, ShardShape, WalInstruments};
 use ams_service::{
-    AmsService, DurabilityConfig, FaultPlan, FsyncPolicy, ServiceConfig, ServiceError, Wait,
+    AmsService, DurabilityConfig, FaultPlan, FsyncPolicy, ServiceConfig, ServiceError,
 };
 use ams_stream::OpBlock;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Syncs the WAL after every batch a shard worker applies.
+const EVERY_BATCH: FsyncPolicy = FsyncPolicy::GroupCommit {
+    interval: Duration::ZERO,
+};
 
 /// A self-cleaning temp dir (no tempfile crate in the workspace).
 struct TempDir(PathBuf);
@@ -123,7 +129,7 @@ fn crash_mid_segment_recovers_bit_identically() {
     let dir = TempDir::new("mid-segment");
     let durability = || {
         DurabilityConfig::new(dir.path())
-            .with_fsync(FsyncPolicy::PerAppend)
+            .with_fsync(EVERY_BATCH)
             .with_segment_max_bytes(2048)
     };
     let fault = FaultPlan {
@@ -146,7 +152,7 @@ fn crash_mid_rotation_recovers_bit_identically() {
     // fault tears the header of segment 2 mid-write.
     let durability = || {
         DurabilityConfig::new(dir.path())
-            .with_fsync(FsyncPolicy::PerAppend)
+            .with_fsync(EVERY_BATCH)
             .with_segment_max_bytes(512)
     };
     let fault = FaultPlan {
@@ -172,7 +178,7 @@ fn crash_mid_checkpoint_falls_back_and_replays() {
     // (half a tmp file, never renamed), wedging the writer at block 16.
     let durability = || {
         DurabilityConfig::new(dir.path())
-            .with_fsync(FsyncPolicy::PerAppend)
+            .with_fsync(EVERY_BATCH)
             .with_checkpoint_every(8)
     };
     let fault = FaultPlan {
@@ -208,7 +214,7 @@ fn batched_sweeps_before_a_crash_recover_bit_identically() {
     let dir = TempDir::new("batched");
     let durability = || {
         DurabilityConfig::new(dir.path())
-            .with_fsync(FsyncPolicy::PerAppend)
+            .with_fsync(EVERY_BATCH)
             .with_checkpoint_every(8)
     };
     let crashing = ServiceConfig::builder()
@@ -289,7 +295,7 @@ fn corrupt_newest_checkpoint_falls_back_to_previous() {
     let dir = TempDir::new("ckpt-fallback");
     let durability = || {
         DurabilityConfig::new(dir.path())
-            .with_fsync(FsyncPolicy::PerAppend)
+            .with_fsync(EVERY_BATCH)
             .with_checkpoint_every(8)
     };
     {
@@ -358,12 +364,8 @@ fn tagged_resubmission_is_applied_once_and_still_acks() {
         seq: 1,
     };
     // The same submission lands twice — an ack-was-lost resubmit.
-    service
-        .submit("v", block(0), Some(tag), 0, Wait::Block)
-        .unwrap();
-    service
-        .submit("v", block(0), Some(tag), 0, Wait::Block)
-        .unwrap();
+    service.submit("v", block(0), Some(tag), 0).unwrap();
+    service.submit("v", block(0), Some(tag), 0).unwrap();
     // A duplicate is skipped but still counts as durable: the cut
     // covering it must complete (the resubmitter gets its ack).
     let cut = service.durability_cut();

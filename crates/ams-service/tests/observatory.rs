@@ -7,17 +7,23 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use ams_core::SketchParams;
 use ams_datagen::zipf::ZipfGenerator;
 use ams_durable::WalOp;
 use ams_service::{
-    AmsService, DurabilityConfig, FaultPlan, FsyncPolicy, HealthThresholds, HealthVerdict,
+    AmsService, DurabilityConfig, FaultPlan, FsyncPolicy, HealthReport, HealthVerdict,
     HealthWindow, MetricsSnapshot, Scrape, ServiceConfig, ServiceEvent, SignalStatus,
 };
 use ams_stream::{Multiset, OpBlock};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Syncs the WAL after every batch a shard worker applies.
+const EVERY_BATCH: FsyncPolicy = FsyncPolicy::GroupCommit {
+    interval: Duration::ZERO,
+};
 
 /// A self-cleaning temp dir (no tempfile crate in the workspace).
 struct TempDir(PathBuf);
@@ -48,6 +54,14 @@ impl Drop for TempDir {
     }
 }
 
+/// One health scrape through `window`.
+fn health(service: &AmsService, window: &mut HealthWindow) -> HealthReport {
+    service
+        .scrape(Scrape::HEALTH, window)
+        .health
+        .expect("health section")
+}
+
 fn first_index(events: &[ServiceEvent], code: &str) -> Option<usize> {
     events.iter().position(|e| e.code == code)
 }
@@ -71,7 +85,7 @@ fn lifecycle_events_run_in_order_and_recovery_reports_blocks() {
     let dir = TempDir::new("lifecycle");
     let durability = || {
         DurabilityConfig::new(dir.path())
-            .with_fsync(FsyncPolicy::PerAppend)
+            .with_fsync(EVERY_BATCH)
             .with_checkpoint_every(8)
     };
     let config = || {
@@ -137,9 +151,9 @@ fn lifecycle_events_run_in_order_and_recovery_reports_blocks() {
 
 #[test]
 fn imbalance_ratio_matches_hand_computed_routed_ops() {
-    // Two shards, round-robin: three blocks of 30/10/10 ops land as
-    // shard A = 30 + 10 = 40, shard B = 10, so the windowed ratio is
-    // exactly 40 / 10 = 4.
+    // Two shards, round-robin: three blocks of 240/80/80 ops land as
+    // shard A = 240 + 80 = 320, shard B = 80, so the windowed ratio is
+    // exactly 320 / 80 = 4 over 400 ops, past the 256-op grading floor.
     let config = ServiceConfig::builder()
         .shards(2)
         .sketch_params(SketchParams::new(16, 3).unwrap())
@@ -147,7 +161,7 @@ fn imbalance_ratio_matches_hand_computed_routed_ops() {
         .build()
         .unwrap();
     let service = AmsService::start(config, &["v"]).unwrap();
-    for ops in [30u64, 10, 10] {
+    for ops in [240u64, 80, 80] {
         service
             .ingest_block("v", OpBlock::from_values(0..ops))
             .unwrap();
@@ -162,15 +176,10 @@ fn imbalance_ratio_matches_hand_computed_routed_ops() {
             .unwrap(),
     ];
     routed.sort_unstable();
-    assert_eq!(routed, [10, 40], "hand-tallied round-robin placement");
+    assert_eq!(routed, [80, 320], "hand-tallied round-robin placement");
 
-    // Grade the tiny window too (the default floor would skip it).
-    let thresholds = HealthThresholds {
-        imbalance_min_ops: 0,
-        ..HealthThresholds::default()
-    };
     let mut window = HealthWindow::default();
-    let report = service.health(&thresholds, &mut window);
+    let report = health(&service, &mut window);
     let signal = report.signal("shard_imbalance_ratio").expect("graded");
     assert_eq!(signal.value, 4.0, "max/min of the hand-computed deltas");
     assert_eq!(signal.status, SignalStatus::Degraded, "4.0 >= 4.0");
@@ -180,11 +189,12 @@ fn imbalance_ratio_matches_hand_computed_routed_ops() {
     );
 
     // The next scrape through the same window opens a fresh one:
-    // nothing new was routed, so it is idle and perfectly balanced.
-    let report = service.health(&thresholds, &mut window);
-    assert_eq!(report.signal("shard_imbalance_ratio").unwrap().value, 1.0);
+    // nothing new was routed, so it is idle, below the floor, and not
+    // graded.
+    let report = health(&service, &mut window);
+    assert!(report.signal("shard_imbalance_ratio").is_none());
     // A scraper with its own window still sees everything since start.
-    let report = service.health(&thresholds, &mut HealthWindow::default());
+    let report = health(&service, &mut HealthWindow::default());
     assert_eq!(report.signal("shard_imbalance_ratio").unwrap().value, 4.0);
 }
 
@@ -267,8 +277,7 @@ fn audit_off_reports_no_observed_error_and_idle_service_is_healthy() {
         .build()
         .unwrap();
     let service = AmsService::start(config, &["v"]).unwrap();
-    let mut window = HealthWindow::default();
-    let report = service.health(&HealthThresholds::default(), &mut window);
+    let report = health(&service, &mut HealthWindow::default());
     assert_eq!(report.verdict, HealthVerdict::Healthy);
     let accuracy = report.accuracy_for("v").unwrap();
     assert!(accuracy.observed_rel_error.is_none());
@@ -280,20 +289,6 @@ fn audit_off_reports_no_observed_error_and_idle_service_is_healthy() {
         "idle window below the grading floor"
     );
     assert!(report.signal("wal_fsync_p99_budget").is_none());
-
-    // Thresholds are caller-tunable: a floor-zero degraded threshold
-    // turns the same scrape Degraded with the signal named.
-    let strict = HealthThresholds {
-        queue_saturation_degraded: 0.0,
-        ..HealthThresholds::default()
-    };
-    let report = service.health(&strict, &mut window);
-    match &report.verdict {
-        HealthVerdict::Degraded(reasons) => {
-            assert!(reasons.iter().any(|r| r.starts_with("queue_saturation")));
-        }
-        other => panic!("expected Degraded, got {other:?}"),
-    }
 }
 
 #[test]
@@ -305,7 +300,7 @@ fn wedged_wal_turns_the_verdict_unhealthy() {
         .seed(3)
         .durability(
             DurabilityConfig::new(dir.path())
-                .with_fsync(FsyncPolicy::PerAppend)
+                .with_fsync(EVERY_BATCH)
                 .with_fault(FaultPlan {
                     fail_after_appends: Some(3),
                     ..FaultPlan::default()
@@ -336,7 +331,7 @@ fn wedged_wal_turns_the_verdict_unhealthy() {
         "error"
     );
 
-    let report = service.health(&HealthThresholds::default(), &mut HealthWindow::default());
+    let report = health(&service, &mut HealthWindow::default());
     let failures = report.signal("wal_failures").expect("durable service");
     assert!(failures.value >= 1.0);
     assert_eq!(
@@ -375,7 +370,7 @@ fn wedged_wal_verdict_holds_past_the_event_ring() {
         .seed(3)
         .durability(
             DurabilityConfig::new(dir.path())
-                .with_fsync(FsyncPolicy::PerAppend)
+                .with_fsync(EVERY_BATCH)
                 .with_fault(FaultPlan {
                     fail_after_appends: Some(3),
                     ..FaultPlan::default()
@@ -390,7 +385,7 @@ fn wedged_wal_verdict_holds_past_the_event_ring() {
         service.ingest_block("v", block(i)).unwrap();
     }
     service.drain();
-    let report = service.health(&HealthThresholds::default(), &mut window);
+    let report = health(&service, &mut window);
     assert_eq!(report.verdict.code(), 2, "wedged: {report:?}");
 
     // Every later block is drained one at a time, so each pop empties
@@ -412,7 +407,7 @@ fn wedged_wal_verdict_holds_past_the_event_ring() {
     );
     assert_eq!(service.stats().blocks_ingested(), 3, "only 3 blocks landed");
 
-    let report = service.health(&HealthThresholds::default(), &mut window);
+    let report = health(&service, &mut window);
     let failures = report.signal("wal_failures").expect("durable");
     assert_eq!(failures.value, 1.0);
     match &report.verdict {
@@ -440,7 +435,7 @@ fn wedged_checkpoint_turns_the_verdict_unhealthy() {
         .seed(3)
         .durability(
             DurabilityConfig::new(dir.path())
-                .with_fsync(FsyncPolicy::PerAppend)
+                .with_fsync(EVERY_BATCH)
                 .with_checkpoint_every(4)
                 .with_fault(FaultPlan {
                     fail_on_checkpoint: Some(1),
@@ -463,7 +458,7 @@ fn wedged_checkpoint_turns_the_verdict_unhealthy() {
         "the first checkpoint wedged the shard"
     );
     for scrape in 0..2 {
-        let report = service.health(&HealthThresholds::default(), &mut window);
+        let report = health(&service, &mut window);
         let failures = report.signal("wal_failures").expect("durable service");
         assert_eq!(failures.value, 1.0, "scrape {scrape}");
         match &report.verdict {

@@ -3,7 +3,7 @@
 //! counters) and the bounded-memory backpressure guarantee.
 
 use ams_core::{SelfJoinEstimator, SketchParams, TugOfWarSketch};
-use ams_service::{AmsService, RouterPolicy, ServiceConfig, ServiceError, Wait};
+use ams_service::{AmsService, RouterPolicy, ServiceConfig, ServiceError};
 use ams_stream::{Op, OpBlock};
 use proptest::prelude::*;
 
@@ -74,7 +74,6 @@ proptest! {
         } else {
             RouterPolicy::RoundRobin
         };
-        let wait = if blocking { Wait::Block } else { Wait::Try };
         // A skewed case folds the values onto a narrow domain (still
         // well-formed: a delete's value keeps at least as many live
         // copies) and runs through 1–2-slot queues, so batches form.
@@ -95,11 +94,15 @@ proptest! {
         };
         let service = AmsService::start(cfg.clone(), &["v"]).unwrap();
         for piece in ops.chunks(chunk) {
-            // A refused `Try` submission comes back whole; resubmit it
-            // until it lands.
             let mut block = OpBlock::from_ops(piece.iter().copied());
+            if blocking {
+                service.ingest_block("v", block).unwrap();
+                continue;
+            }
+            // A refused submission comes back whole; resubmit it until
+            // it lands.
             loop {
-                match service.submit("v", block, None, 0, wait) {
+                match service.submit("v", block, None, 0) {
                     Ok(_) => break,
                     Err((back, ServiceError::WouldBlock { .. })) => {
                         block = back;
@@ -164,7 +167,7 @@ fn backpressure_bounds_queue_depth_under_fast_producer() {
     for _ in 0..12 {
         // Non-blocking first; on backpressure fall back to the blocking
         // push, which parks the producer instead of growing the queue.
-        match service.submit("v", block.clone(), None, 0, Wait::Try) {
+        match service.submit("v", block.clone(), None, 0) {
             Ok(_) => {}
             Err((_, ServiceError::WouldBlock { shard })) => {
                 assert_eq!(shard, 0);
@@ -215,7 +218,7 @@ fn try_ingest_multi_shard_is_atomic() {
     let mut accepted = 0u64;
     let mut rejected = 0u64;
     for _ in 0..24 {
-        match service.submit("v", block.clone(), None, 0, Wait::Try) {
+        match service.submit("v", block.clone(), None, 0) {
             Ok(_) => accepted += 1,
             Err((_, ServiceError::WouldBlock { .. })) => rejected += 1,
             Err((_, e)) => panic!("unexpected ingest error: {e}"),

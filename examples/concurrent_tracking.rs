@@ -51,8 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     thread::scope(|scope| {
         // Producer: submit columnar blocks; `ingest_block` blocks when
-        // the routed shard's queue is full (use `submit` with
-        // `Wait::Try` for a non-blocking WouldBlock instead).
+        // the routed shard's queue is full (`submit` never blocks: it
+        // hands the block back with a WouldBlock instead).
         let service_ref = &service;
         let values_ref = &values;
         scope.spawn(move || {

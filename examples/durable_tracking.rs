@@ -64,7 +64,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // exactly as if the process had been killed at that point.
     let durability = || {
         DurabilityConfig::new(&dir)
-            .with_fsync(FsyncPolicy::PerAppend)
+            .with_fsync(FsyncPolicy::GroupCommit {
+                interval: std::time::Duration::ZERO,
+            })
             .with_checkpoint_every(32)
     };
     let fault = FaultPlan {

@@ -273,12 +273,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for shard in &stats.shards {
         println!(
             "  shard {}: {} blocks ingested, queue high-water {}/{}, \
-             {} rejections ({} backpressure events), epoch {}",
+             {} backpressure events, epoch {}",
             shard.shard,
             shard.blocks_ingested,
             shard.max_queue_depth,
             shard.queue_capacity,
-            shard.queue_rejections,
             shard.backpressure_events,
             shard.epoch,
         );

@@ -49,8 +49,8 @@ pub use ams_net::{AckMode, AmsClient, NetError, NetServer, NetServerConfig, Reco
 pub use ams_relation::{Catalog, RelationTracker, TrackerConfig};
 pub use ams_service::{
     AccuracyReport, AmsService, DurabilityConfig, FaultPlan, FsyncPolicy, HealthReport,
-    HealthSignal, HealthThresholds, HealthVerdict, RouterPolicy, ServiceConfig, ServiceError,
-    ServiceEvent, ServiceSnapshot, ServiceStats, ShardRecovery, SignalStatus,
+    HealthSignal, HealthVerdict, RouterPolicy, ServiceConfig, ServiceError, ServiceEvent,
+    ServiceSnapshot, ServiceStats, ShardRecovery, SignalStatus,
 };
 pub use ams_stream::{DeletePattern, ExactTracker, Multiset, Op, StreamBuilder, Value};
 pub use ams_telemetry::{MetricsRegistry, MetricsSnapshot};
